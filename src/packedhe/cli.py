@@ -110,6 +110,7 @@ def cmd_matmul_bench(args) -> list:
 def cmd_sign_bench(args) -> list:
     spec = CompositePolySpec.for_closeness(args.d, args.sigma, args.delta)
     bound = depth_bound_formula(args.d, args.sigma, args.delta)
+    start = time.perf_counter()
     grid = closeness_grid(args.delta, args.grid_size)
     vals = eval_composite(grid, spec)
     errors = np.abs(vals - 1.0)
@@ -118,7 +119,6 @@ def cmd_sign_bench(args) -> list:
     report = BenchReport("sign-bench",
                          {"d": args.d, "sigma": args.sigma, "delta": args.delta,
                           "grid_size": args.grid_size, "seed": args.seed})
-    start = time.perf_counter()
     report.add_row("composite", depth_k=spec.k, bound=bound,
                    stage_levels=stage_depth(args.d), max_error=max_err)
     report.check("closeness", "max grid error <= 2**-sigma",

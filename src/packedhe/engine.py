@@ -129,8 +129,8 @@ class SlotVector:
     def __post_init__(self):
         if self.level < 0:
             raise LevelExhaustedError("ciphertext level may not be negative")
-        if self.scale <= 0:
-            raise EngineError("ciphertext scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise EngineError("ciphertext scale must be finite and positive")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -336,7 +336,7 @@ class CryptoContext:
         self._check_context(ct)
         k = int(k) % self.slot_count
         self._tally("rotations")
-        return self._derive(ct, np.roll(ct.slots, -k))
+        return self._derive(ct, np.concatenate((ct.slots[k:], ct.slots[:k])))
 
     def rescale(self, ct: SlotVector) -> SlotVector:
         self._check_context(ct)

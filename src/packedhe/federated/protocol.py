@@ -216,11 +216,6 @@ class _Compute:
             else np.asarray(value, dtype=np.float64)
         return self.rs(self.ctx.mul_pt(self.lvl(ct, 2), self.ctx.encode(arr)))
 
-    def window_mask(self, window_mask: np.ndarray):
-        full = np.zeros(self.ctx.slot_count)
-        full[: window_mask.size] = window_mask
-        return full
-
 
 class CipherActivation:
     """Ciphertext twin of mirror.PlainActivation."""
@@ -299,8 +294,8 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         rhs = _ensure_pm(comp, w, 3)
         e = he_rect_mat_mult(lhs, rhs)
         m_ct, gate_ct = activation(comp, e.ct)
-        m_ct = comp.mul_const(m_ct, comp.window_mask(
-            np.tile(plan.col_masks[j], plan.h)))
+        m_ct = comp.mul_const(m_ct, matrix._expand_mask(
+            np.tile(plan.col_masks[j], plan.h), 1, ctx.slot_count))
         if bootstrap is not None:
             m_ct = bootstrap(m_ct)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
@@ -337,8 +332,9 @@ def local_backward(party: PartyState, trace: ForwardTrace,
             ctx.sub(comp.lvl(m_last.ct, 2), comp.lvl(y_ct.ct, 2)), 2.0)
     if trace.gates[-1] is not None:
         delta = comp.mul(delta, trace.gates[-1].ct)
-    delta = comp.mul_const(delta, comp.window_mask(
-        np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel()))
+    delta = comp.mul_const(delta, matrix._expand_mask(
+        np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel(), 1,
+        ctx.slot_count))
 
     weights = party.model.weights
     below = [trace.x_ct] + trace.activations[:-1]

@@ -14,6 +14,7 @@ Unknown message types and length mismatches are rejected at decode time.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -89,6 +90,12 @@ def decode_ciphertext(payload: bytes, ctx: CryptoContext) -> SlotVector:
     if slots.size != ctx.slot_count:
         raise WireError(
             f"payload carries {slots.size} slots, context expects {ctx.slot_count}")
+    if not (level.is_integer() and 0 <= level <= ctx.initial_level):
+        raise WireError(
+            f"ciphertext level {level} is not an integer in "
+            f"[0, {ctx.initial_level}]")
+    if not 0 < scale < math.inf:
+        raise WireError(f"ciphertext scale {scale} is not finite and positive")
     slots.setflags(write=False)
     return SlotVector(slots, int(level), scale, ctx.context_id,
                       tag.rstrip(b"\0").decode("utf-8"))

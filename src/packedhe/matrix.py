@@ -17,18 +17,27 @@ Row-aligning maps wrap around the h^2-slot window, so the product routines
 require the matrix image to fill the ciphertext exactly (slot_count ==
 beta * h^2).  Maps that never read across the window edge (row-diagonal
 alignment, column shifts, transpose) work with any capacity.
+
+Every 0/1 mask a transform or product multiplies by is built once per
+geometry and cached as a read-only bool array, already slot-expanded and, for
+baby-step/giant-step, pre-rolled.  A permutation's tables live on its spec,
+keyed by (beta, slot_count); ``build_permutation`` shares one spec per
+(kind, h, k).  The per-stage column masks of ``he_mat_mult`` are keyed by
+(h, beta, slot_count).  The caches hold no context; each mask becomes a
+``Plaintext`` through ``ctx.encode`` at the point of use, so it carries that
+context's scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .engine import (CapacityError, CryptoContext, LevelExhaustedError,
-                     Plaintext, SlotVector)
+                     SlotVector)
 
 PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpose")
 
@@ -42,13 +51,17 @@ class PermutationSpec:
     """Diagonal decomposition of one matrix permutation.
 
     ``diagonals`` maps a signed rotation offset to its 0/1 mask over the
-    h*h-slot window; only nonzero masks are stored.
+    h*h-slot window; only nonzero masks are stored, and they must not change
+    once the spec is in use.  ``tables`` holds the slot-expanded masks built
+    from them, so they live exactly as long as the spec.
     """
 
     kind: str
     dim_h: int
     shift: int | None
     diagonals: dict
+    tables: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def wraps_window(self) -> bool:
@@ -58,7 +71,7 @@ class PermutationSpec:
         """Mask for ``offset``, an all-zero window if the diagonal is empty."""
         got = self.diagonals.get(offset)
         if got is None:
-            return np.zeros(self.dim_h * self.dim_h)
+            return np.zeros(self.dim_h * self.dim_h, dtype=bool)
         return got
 
 
@@ -71,27 +84,27 @@ def _sigma_masks(h: int) -> dict:
             mask = (0 <= t - h * k) & (t - h * k < h - k)
         else:
             mask = (-k <= t - (h + k) * h) & (t - (h + k) * h < h)
-        out[k] = mask.astype(np.float64)
+        out[k] = mask
     return out
 
 
 def _tau_masks(h: int) -> dict:
     n = h * h
     t = np.arange(n)
-    return {h * k: (t % h == k).astype(np.float64) for k in range(h)}
+    return {h * k: t % h == k for k in range(h)}
 
 
 def _col_shift_masks(h: int, k: int) -> dict:
     t = np.arange(h * h)
-    out = {k: ((t % h) < h - k).astype(np.float64)}
-    low = ((t % h) >= h - k).astype(np.float64)
+    out = {k: (t % h) < h - k}
+    low = (t % h) >= h - k
     if low.any():
         out[k - h] = low
     return out
 
 
 def _row_shift_masks(h: int, k: int) -> dict:
-    return {h * k: np.ones(h * h)}
+    return {h * k: np.ones(h * h, dtype=bool)}
 
 
 def _transpose_masks(h: int) -> dict:
@@ -109,7 +122,7 @@ def _transpose_masks(h: int) -> dict:
             rem = t + h * i
             j = rem // (h + 1)
             mask = (rem >= 0) & (rem % (h + 1) == 0) & (j < h + i)
-        out[(h - 1) * i] = mask.astype(np.float64)
+        out[(h - 1) * i] = mask
     return out
 
 
@@ -121,7 +134,8 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
     (2h-1 nonzero diagonals), ``tau_zeta`` does the column analogue for the
     right factor (h diagonals), ``col_shift(k)``/``row_shift(k)`` are cyclic
     intra-row / block-row shifts (2 resp. 1 diagonals), and ``transpose``
-    realizes the transpose map (2h-1 diagonals).
+    realizes the transpose map (2h-1 diagonals).  Masks are read-only bool
+    arrays.
     """
     if kind not in PERMUTATION_KINDS:
         raise ValueError(f"unknown permutation kind {kind!r}")
@@ -286,14 +300,34 @@ def register_context(ctx: CryptoContext) -> CryptoContext:
 
 
 def _expand_mask(mask: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
-    full = np.zeros(slot_count)
-    rep = np.repeat(mask, beta)
-    full[: rep.size] = rep
+    """Repeat each window slot ``beta`` times and zero-pad to ``slot_count``.
+
+    The result keeps the mask's dtype and is read-only.
+    """
+    full = np.zeros(slot_count, dtype=mask.dtype)
+    full[: mask.size * beta] = np.repeat(mask, beta)
+    full.setflags(write=False)
     return full
 
 
-def _encode_mask(ctx: CryptoContext, mask: np.ndarray, beta: int) -> Plaintext:
-    return ctx.encode(_expand_mask(mask, beta, ctx.slot_count))
+def _per_spec(build):
+    """Memoize ``build(spec, beta, slot_count)`` in ``spec.tables``."""
+    @wraps(build)
+    def cached(spec: PermutationSpec, beta: int, slot_count: int):
+        key = (build.__name__, beta, slot_count)
+        table = spec.tables.get(key)
+        if table is None:
+            table = spec.tables[key] = build(spec, beta, slot_count)
+        return table
+    return cached
+
+
+@_per_spec
+def _diagonal_table(spec: PermutationSpec, beta: int,
+                    slot_count: int) -> tuple:
+    """(offset, slot-expanded mask) for each nonzero diagonal, by offset."""
+    return tuple((offset, _expand_mask(spec.diagonals[offset], beta, slot_count))
+                 for offset in sorted(spec.diagonals))
 
 
 def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
@@ -317,10 +351,9 @@ def he_lin_trans(ct: SlotVector, spec: PermutationSpec, beta: int = 1) -> SlotVe
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
     acc = None
-    for offset in sorted(spec.diagonals):
-        pt = _encode_mask(ctx, spec.diagonals[offset], beta)
+    for offset, mask in _diagonal_table(spec, beta, ctx.slot_count):
         rotated = ct if offset == 0 else ctx.rot(ct, beta * offset)
-        term = ctx.mul_pt(rotated, pt)
+        term = ctx.mul_pt(rotated, ctx.encode(mask))
         acc = term if acc is None else ctx.add(acc, term)
     return acc
 
@@ -334,39 +367,51 @@ def bsgs_split(h: int) -> tuple[int, int]:
     return baby, h // baby
 
 
-_BSGS_UNITS = {"sigma_mu": 1, "tau_zeta": None, "transpose": None}
+@_per_spec
+def _bsgs_table(spec: PermutationSpec, beta: int, slot_count: int) -> tuple:
+    """Baby-step stride and, per giant step, (gshift, baby masks).
+
+    Writing each diagonal offset as unit*(baby_count*i + j), giant step i
+    holds one slot-expanded mask per baby rotation j, rolled by -gshift so
+    that it pre-compensates the outer giant rotation.
+    """
+    h = spec.dim_h
+    baby, giant = bsgs_split(h)
+    unit = h if spec.kind == "tau_zeta" else (h - 1 if spec.kind == "transpose" else 1)
+    giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
+    table = []
+    for i in giants:
+        gshift = beta * unit * baby * i
+        masks = []
+        for j in range(baby):
+            mask = _expand_mask(spec.mask(unit * (baby * i + j)), beta, slot_count)
+            pre = np.roll(mask, gshift % slot_count)
+            pre.setflags(write=False)
+            masks.append(pre)
+        table.append((gshift, tuple(masks)))
+    return beta * unit, tuple(table)
 
 
 def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
                       beta: int = 1) -> SlotVector:
     """Baby-step/giant-step evaluation of sigma_mu, tau_zeta or transpose.
 
-    Writing each diagonal offset as unit*(baby_count*i + j), the baby
-    rotations R(ct, unit*j) are shared across all giant steps, cutting the
-    rotation tally to baby + giants: 3*sqrt(h) for the signed-range kinds and
-    2*sqrt(h) for tau_zeta when h is a perfect square.  Output is identical to
-    ``he_lin_trans``.
+    The baby rotations R(ct, unit*j) are shared across all giant steps,
+    cutting the rotation tally to baby + giants: 3*sqrt(h) for the
+    signed-range kinds and 2*sqrt(h) for tau_zeta when h is a perfect square.
+    Output is identical to ``he_lin_trans``.
     """
     if spec.kind not in ("sigma_mu", "tau_zeta", "transpose"):
         return he_lin_trans(ct, spec, beta)
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
-    h = spec.dim_h
-    baby, giant = bsgs_split(h)
-    unit = h if spec.kind == "tau_zeta" else (h - 1 if spec.kind == "transpose" else 1)
-    giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
-
-    baby_rots = [ctx.rot(ct, beta * unit * j) for j in range(baby)]
+    stride, table = _bsgs_table(spec, beta, ctx.slot_count)
+    baby_rots = [ctx.rot(ct, stride * j) for j in range(len(table[0][1]))]
     acc = None
-    n = ctx.slot_count
-    for i in giants:
-        gshift = beta * unit * baby * i
+    for gshift, masks in table:
         inner = None
-        for j in range(baby):
-            mask = spec.mask(unit * (baby * i + j))
-            # R(mask, -gshift) pre-compensates the outer giant rotation.
-            pre = np.roll(_expand_mask(mask, beta, n), gshift % n)
-            term = ctx.mul_pt(baby_rots[j], ctx.encode(pre))
+        for rotated, mask in zip(baby_rots, masks):
+            term = ctx.mul_pt(rotated, ctx.encode(mask))
             inner = term if inner is None else ctx.add(inner, term)
         shifted = ctx.rot(inner, gshift)
         acc = shifted if acc is None else ctx.add(acc, shifted)
@@ -400,6 +445,13 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
     return ctx
 
 
+@lru_cache(maxsize=None)
+def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
+    """Stage k of he_mat_mult keeps columns >= k: R(v_k, -k) in closed form."""
+    col = np.arange(h * h) % h
+    return tuple(_expand_mask(col >= k, beta, slot_count) for k in range(h))
+
+
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """Packed product of (batched) square matrices in 3h + 2b + 3g rotations.
 
@@ -419,12 +471,10 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau, beta))
 
     acc = None
-    t = np.arange(h * h)
-    for k in range(h):
+    for k, pre in enumerate(_stage_masks(h, beta, n)):
         # Column shift via one mask: the complement half is (a0 - masked),
         # rotated the other way around the row boundary.
-        pre = ((t % h) >= k).astype(np.float64)  # R(v_k, -k) in closed form
-        masked = ctx.mul_pt(a0, ctx.encode(_expand_mask(pre, beta, n)))
+        masked = ctx.mul_pt(a0, ctx.encode(pre))
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
         a_k = ctx.rescale(a_k)
@@ -477,13 +527,18 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, sigma))
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau))
 
-    idx = np.arange(h * h)
+    n = ctx.slot_count
     acc = None
     for k in range(t):
-        hi = ((idx % h) < h - k).astype(np.float64)   # v_k
-        lo = ((idx % h) >= h - k).astype(np.float64)  # v_{k-h}
-        a_k = ctx.add(ctx.mul_pt(ctx.rot(a0, k), ctx.encode(_pad(hi, ctx))),
-                      ctx.mul_pt(ctx.rot(a0, k - h), ctx.encode(_pad(lo, ctx))))
+        # Stage k is col_shift(k) written out (v_k, v_{k-h}); stage 0 keeps
+        # its two rotations with an all-zero v_{-h}.
+        if k == 0:
+            hi, lo = _stage_masks(h, 1, n)[0], np.zeros(n, dtype=bool)
+        else:
+            shift = build_permutation("col_shift", h, k)
+            (_, lo), (_, hi) = _diagonal_table(shift, 1, n)
+        a_k = ctx.add(ctx.mul_pt(ctx.rot(a0, k), ctx.encode(hi)),
+                      ctx.mul_pt(ctx.rot(a0, k - h), ctx.encode(lo)))
         a_k = ctx.rescale(a_k)
         b_k = ctx.rot(b0, h * k)
         prod = ctx.mul_ct(a_k, b_k)
@@ -496,12 +551,6 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     for step in range(int(math.log2(copies))):
         acc = ctx.add(acc, ctx.rot(acc, t * h * (1 << step)))
     return PackedMatrix(acc, h, t, 1)
-
-
-def _pad(window_mask: np.ndarray, ctx: CryptoContext) -> np.ndarray:
-    full = np.zeros(ctx.slot_count)
-    full[: window_mask.size] = window_mask
-    return full
 
 
 def matmul_rotation_formula(h: int) -> int:

@@ -65,6 +65,23 @@ def test_sign_bench_outputs_profile(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_sign_bench_wall_time_covers_grid_evaluation(monkeypatch, capsys):
+    import time
+
+    import packedhe.cli as cli
+
+    def slow_eval(grid, spec):
+        time.sleep(0.02)
+        return real_eval(grid, spec)
+
+    real_eval = cli.eval_composite
+    monkeypatch.setattr(cli, "eval_composite", slow_eval)
+    run_cli("sign-bench", "--d", "2", "--sigma", "10", "--grid-size", "20000",
+            "--json")
+    report = json.loads(capsys.readouterr().out)
+    assert report["wall_time_ms"] >= 20.0
+
+
 def test_sign_bench_depth_monotone_in_sigma(capsys):
     run_cli("sign-bench", "--d", "2", "--sigma", "8", "--grid-size", "20000",
             "--json")

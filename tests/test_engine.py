@@ -68,6 +68,24 @@ def test_encode_decode_round_trip():
     assert out.tolist() == [0.5, -0.25, 0, 0]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(4.0),
+    lambda: np.arange(4.0).reshape(2, 2),
+    lambda: np.arange(4.0).reshape(2, 2).T,
+    lambda: np.arange(8.0)[::2],
+    lambda: np.arange(4, dtype=np.float32),
+    lambda: np.array([True, False, True, True]),
+])
+def test_encode_copies_full_size_input(make):
+    ctx = engine.new_context(8)
+    values = make()
+    expect = np.asarray(values, dtype=np.float64).ravel().copy()
+    pt = ctx.encode(values)
+    values[...] = 0
+    assert np.array_equal(pt.slots, expect)
+    assert not pt.slots.flags.writeable
+
+
 def test_encode_capacity_bound():
     ctx = make_ctx(ring_dim=2 ** 13)
     with pytest.raises(CapacityError):
@@ -95,6 +113,12 @@ def test_fresh_ciphertext_level_and_scale():
     ct = ctx.encrypt(ctx.encode([1.0]))
     assert ct.level == 6
     assert ct.scale == 2.0 ** 40
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+def test_slot_vector_rejects_bad_scale(scale):
+    with pytest.raises(EngineError):
+        engine.SlotVector(np.zeros(4), 1, scale, "ctx", "pk")
 
 
 def test_every_proper_subset_rejected():

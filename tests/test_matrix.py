@@ -1,5 +1,8 @@
 """Packed matrix algebra: masks, permutation identity, products, tallies."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,108 @@ def test_bsgs_beats_plain_rotations_h16():
     with ctx.meter_scope() as fast:
         he_lin_trans_bsgs(ct, spec)
     assert fast.rotations <= 12 < plain.rotations
+
+
+# ------------------------------------------------------------ cached masks
+
+def _spec_cases(h):
+    for kind in matrix.PERMUTATION_KINDS:
+        if kind in ("col_shift", "row_shift"):
+            for k in (1, h - 1):
+                yield build_permutation(kind, h, k)
+        else:
+            yield build_permutation(kind, h)
+
+
+def _expected_tallies(spec, bsgs):
+    if bsgs and spec.kind in ("sigma_mu", "tau_zeta", "transpose"):
+        baby, giant = bsgs_split(spec.dim_h)
+        giants = giant if spec.kind == "tau_zeta" else 2 * giant
+        return baby + giants, baby * giants
+    n_diag = len(spec.diagonals)
+    return n_diag - (1 if 0 in spec.diagonals else 0), n_diag
+
+
+def _check_transforms(ctx, spec, beta, rng):
+    n_win = spec.dim_h * spec.dim_h
+    vecs = rng.standard_normal((beta, n_win))
+    window = np.zeros(beta * n_win)
+    for b in range(beta):
+        window[b::beta] = vecs[b]
+    ct = ctx.encrypt(ctx.encode(window))
+    for bsgs, fn in ((False, he_lin_trans), (True, he_lin_trans_bsgs)):
+        with ctx.meter_scope() as scope:
+            out = fn(ct, spec, beta)
+        got = ctx.decode(ctx.ddec(out, ctx.parties))
+        for b in range(beta):
+            expect = apply_permutation(spec, vecs[b])
+            assert np.array_equal(got[: beta * n_win][b::beta], expect)
+        assert np.all(got[beta * n_win:] == 0)
+        assert (scope.rotations, scope.mul_pt) == _expected_tallies(spec, bsgs)
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("h", [4, 16])
+def test_cached_transforms_match_plain_oracle(h, beta):
+    ctx = exact_ctx(h, beta=beta)
+    rng = np.random.default_rng(h * 10 + beta)
+    for spec in _spec_cases(h):
+        _check_transforms(ctx, spec, beta, rng)
+
+
+def test_cached_transpose_in_larger_context():
+    ctx = matrix.register_context(engine.new_context(2 * 4 * 64))  # 256 slots
+    rng = np.random.default_rng(21)
+    for beta in (1, 2):
+        _check_transforms(ctx, build_permutation("transpose", 4), beta, rng)
+
+
+def test_cached_masks_take_each_context_scale(monkeypatch):
+    h = 4
+    spec = build_permutation("sigma_mu", h)
+    a = np.arange(h * h, dtype=float).reshape(h, h)
+    built = []
+    for scale in (2.0 ** 40, 2.0 ** 30):
+        ctx = matrix.register_context(engine.new_context(2 * h * h, 6, scale))
+        ct = ctx.encrypt(ctx.encode(a.ravel()))
+        out = he_lin_trans_bsgs(ct, spec)
+        assert out.scale == scale * scale
+        prod = he_mat_mult(encode_matrix(a, ctx), encode_matrix(a, ctx))
+        assert prod.ct.scale == scale
+        assert np.allclose(decode_matrix(prod), a @ a, atol=1e-9)
+        # From here on, every mask must come from a table the first built.
+        expand = matrix._expand_mask
+        monkeypatch.setattr(matrix, "_expand_mask",
+                            lambda *args: built.append(args) or expand(*args))
+    assert built == []
+
+
+def test_cached_masks_live_with_their_spec():
+    h = 4
+    ctx = exact_ctx(h)
+    ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
+    spec = matrix.PermutationSpec("sigma_mu", h, None,
+                                  {0: np.ones(h * h, dtype=bool)})
+    he_lin_trans(ct, spec)
+    assert len(spec.tables) == 1
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_cached_masks_are_read_only():
+    h, n = 4, 16
+    spec = build_permutation("transpose", h)
+    _, table = matrix._bsgs_table(spec, 1, n)
+    shift = build_permutation("col_shift", h, 1)
+    arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[0][1],
+              table[0][1][0], matrix._diagonal_table(shift, 1, n)[1][1],
+              matrix._stage_masks(h, 1, n)[1]]
+    for arr in arrays:
+        assert arr.dtype == bool
+        with pytest.raises(ValueError):
+            arr[0] = True
 
 
 # ------------------------------------------------------------ encode/decode

@@ -75,6 +75,32 @@ def test_ciphertext_slot_count_checked():
         decode_ciphertext(encode_ciphertext(ct), ctx_big)
 
 
+def _ct_payload(level, scale, ctx):
+    meta = struct.pack(">dd16s", level, scale, b"pk".ljust(16, b"\0"))
+    return meta + np.zeros(ctx.slot_count).astype(">f8").tobytes()
+
+
+@pytest.mark.parametrize("level", [2.7, float("nan"), float("inf"), -1.0, 5.0])
+def test_ciphertext_bad_level_rejected(level):
+    ctx = engine.new_context(8, initial_level=4)
+    with pytest.raises(WireError):
+        decode_ciphertext(_ct_payload(level, 2.0 ** 40, ctx), ctx)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -2.0 ** 40])
+def test_ciphertext_bad_scale_rejected(scale):
+    ctx = engine.new_context(8, initial_level=4)
+    with pytest.raises(WireError):
+        decode_ciphertext(_ct_payload(4.0, scale, ctx), ctx)
+
+
+@pytest.mark.parametrize("level", [0.0, 4.0])
+def test_ciphertext_level_range_inclusive(level):
+    ctx = engine.new_context(8, initial_level=4)
+    ct = decode_ciphertext(_ct_payload(level, 2.0 ** 40, ctx), ctx)
+    assert ct.level == int(level)
+
+
 def test_read_frame_from_stream():
     frames = [encode_frame(MsgType.MODEL_BCAST, r, 0, b"p" * r)
               for r in range(3)]
