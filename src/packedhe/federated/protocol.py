@@ -554,6 +554,11 @@ class ServerRuntime:
         try:
             while True:
                 frame = decode_frame(link.server_recv(self.timeout))
+                # A link speaks only for the party it was opened for.
+                if frame.party_id != pid:
+                    raise ProtocolError(
+                        f"{frame.msg_type.name} on party {pid}'s link claims "
+                        f"party {frame.party_id}")
                 if frame.msg_type == MsgType.BOOTSTRAP_REQ:
                     ct = decode_ciphertext(frame.payload, self.server.ctx)
                     out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)
@@ -564,11 +569,11 @@ class ServerRuntime:
                     ct = decode_ciphertext(frame.payload, self.server.ctx)
                     with self._arrived:
                         self._gradients.setdefault(
-                            (frame.round, frame.party_id), []).append(ct)
+                            (frame.round, pid), []).append(ct)
                         self._arrived.notify_all()
                 elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
                     with self._arrived:
-                        self._ks_acks.add(frame.party_id)
+                        self._ks_acks.add(pid)
                         self._arrived.notify_all()
                 else:
                     raise ProtocolError(

@@ -3,6 +3,13 @@
 Both transports move the identical frame stream, so trajectories and byte
 accounting match between them.  Parties always run in their own threads; the
 transports differ only in how bytes travel.
+
+Each frame is one ``sendall``.  Both ends of every TCP socket set
+``TCP_NODELAY``: the protocol writes several small frames back to back (one
+MODEL_BCAST, GRADIENT or KEYSWITCH_REQ per layer) and then reads the reply.
+That write-write-read pattern is what Nagle's algorithm and the peer's
+delayed ACK stall: the second write waits for the ACK of the first, which the
+peer holds back for up to about 40 ms on Linux.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import socket
 import struct
 import threading
 
-from .wire import WireError, read_frame_from
+from .wire import WireError, read_exact, read_frame_from
 
 
 class TransportError(RuntimeError):
@@ -85,6 +92,7 @@ class SocketLink:
 
     def __init__(self, sock: socket.socket, party_id: int, side: str,
                  accounting: ByteAccounting):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.party_id = party_id
         self.side = side  # "party" or "server"
@@ -149,27 +157,59 @@ def open_tcp_links(party_count: int, host: str = "127.0.0.1",
 
     Returns (server_links, party_links, accounting, listener): server_links
     are the server-side endpoints indexed by party id, party_links the party
-    endpoints.
+    endpoints.  Each party names itself with a 2-byte id.  Raises
+    ``TransportError`` when a party does not connect and name itself within
+    ``connect_timeout``, or names an id that is out of range or already taken.
     """
     acct = ByteAccounting()
     listener = socket.create_server((host, 0))
+    listener.settimeout(connect_timeout)
     port = listener.getsockname()[1]
 
     party_socks: dict = {}
     server_socks: dict = {}
+    accepted: list = []
+    connect_errors: list = []
 
     def _connect(pid: int):
-        s = socket.create_connection((host, port), timeout=connect_timeout)
-        s.sendall(struct.pack(">H", pid))
-        party_socks[pid] = s
+        try:
+            s = socket.create_connection((host, port), timeout=connect_timeout)
+            party_socks[pid] = s
+            s.sendall(struct.pack(">H", pid))
+        except OSError as exc:
+            connect_errors.append(exc)
 
     threads = [threading.Thread(target=_connect, args=(p,)) for p in range(party_count)]
     for t in threads:
         t.start()
-    for _ in range(party_count):
-        conn, _ = listener.accept()
-        pid = struct.unpack(">H", read_frame_bytes(conn, 2))[0]
-        server_socks[pid] = conn
+    try:
+        for _ in range(party_count):
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                cause = connect_errors[0] if connect_errors else None
+                raise TransportError(
+                    f"only {len(server_socks)} of {party_count} parties "
+                    f"connected within {connect_timeout} s") from cause
+            accepted.append(conn)
+            conn.settimeout(connect_timeout)
+            try:
+                (pid,) = struct.unpack(">H", read_exact(conn.recv, 2))
+            except (WireError, OSError) as exc:
+                raise TransportError(f"party handshake failed: {exc}") from exc
+            if not 0 <= pid < party_count:
+                raise TransportError(
+                    f"handshake names party {pid}, outside range({party_count})")
+            if pid in server_socks:
+                raise TransportError(f"party {pid} connected twice")
+            server_socks[pid] = conn
+    except BaseException:
+        listener.close()
+        for t in threads:
+            t.join(connect_timeout)
+        for s in accepted + list(party_socks.values()):
+            s.close()
+        raise
     for t in threads:
         t.join()
 
@@ -178,13 +218,3 @@ def open_tcp_links(party_count: int, host: str = "127.0.0.1",
     party_links = [SocketLink(party_socks[p], p, "party", acct)
                    for p in range(party_count)]
     return server_links, party_links, acct, listener
-
-
-def read_frame_bytes(sock: socket.socket, count: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
-            raise TransportError("connection closed during handshake")
-        buf.extend(chunk)
-    return bytes(buf)

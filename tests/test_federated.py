@@ -388,6 +388,34 @@ def test_round_timeout_names_missing_parties():
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
+@pytest.mark.parametrize("msg_type", ["GRADIENT", "BOOTSTRAP_REQ",
+                                      "KEYSWITCH_SHARE"])
+def test_frame_claiming_another_party_is_rejected(msg_type):
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.transport import open_in_process_links
+    from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
+    config = small_config(party_count=2, global_iters=1)
+    server, _ = prepare(config, feature_dim=2)
+    links, _, _ = open_in_process_links(2)
+    # Long enough that a wait for the missing frames would be noticed; a
+    # timeout surfaces as TransportError, not ProtocolError.
+    srv = ServerRuntime(server, links, timeout=30.0)
+    srv.start()
+    payload = encode_ciphertext(server.model.weights[0].ct)
+    # Party 1's link sends a frame that names party 0.
+    links[1].send(encode_frame(MsgType[msg_type], 0, 0, payload))
+    if msg_type == "KEYSWITCH_SHARE":
+        server.model.iteration = config.global_iters
+        wait = srv.finalize_over_wire
+    else:
+        def wait():
+            return srv.collect_gradients(0, lambda: [])
+    with pytest.raises(ProtocolError, match="claims party 0"):
+        wait()
+    for link in links:
+        link.close()
+
+
 def test_dataset_count_must_match_parties():
     x, y = blob_data(samples=10, features=2, seed=16)
     config = small_config(party_count=3)
