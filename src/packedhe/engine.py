@@ -14,7 +14,9 @@ shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
 Every homomorphic call increments exactly one tally of the context's
-``OpCounter``, which is the ground truth for all operation-count benchmarks.
+``OpCounter`` by one, except ``mul_pt_sum``, which bumps ``mul_pt`` by k and
+``adds`` by k - 1 for its k terms, the same as the ``mul_pt``/``add`` chain it
+fuses.  The meter is the ground truth for all operation-count benchmarks.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class OpCounter:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
 
-    def bump(self, name: str) -> None:
-        setattr(self, name, getattr(self, name) + 1)
+    def bump(self, name: str, times: int = 1) -> None:
+        setattr(self, name, getattr(self, name) + times)
 
     def reset(self) -> None:
         """Zero all tallies, starting a fresh metering scope."""
@@ -225,11 +227,11 @@ class CryptoContext:
 
     # ----------------------------------------------------------------- meter
 
-    def _tally(self, name: str) -> None:
+    def _tally(self, name: str, times: int = 1) -> None:
         with self._meter_lock:
-            self.meter.bump(name)
+            self.meter.bump(name, times)
         for counter in getattr(self._scopes, "stack", ()):
-            counter.bump(name)
+            counter.bump(name, times)
 
     @contextmanager
     def meter_scope(self):
@@ -318,6 +320,36 @@ class CryptoContext:
             raise LevelExhaustedError("mul_pt requires level >= 1")
         self._tally("mul_pt")
         return self._derive(ct, ct.slots * pt.slots, scale=ct.scale * pt.scale)
+
+    def mul_pt_sum(self, cts: Sequence[SlotVector], rows) -> SlotVector:
+        """Sum of ``cts[j] * rows[j]``, each row a plaintext at the context scale.
+
+        Equals the chain ``mul_pt(cts[0], encode(rows[0])) + mul_pt(cts[1],
+        ...) + ...`` bit for bit: the terms are added in that order and the
+        tallies are the chain's, ``len(cts)`` mul_pt and ``len(cts) - 1``
+        adds.  The operands must share key, level (>= 1) and scale, and
+        ``rows`` must have shape ``(len(cts), slot_count)``.
+        """
+        if not cts:
+            raise EngineError("mul_pt_sum needs at least one term")
+        first = cts[0]
+        for ct in cts:
+            self._check_pair(first, ct)
+            if ct.level != first.level or ct.scale != first.scale:
+                raise EngineError("mul_pt_sum operands differ in level or scale")
+        if first.level < 1:
+            raise LevelExhaustedError("mul_pt_sum requires level >= 1")
+        if np.shape(rows) != (len(cts), self.slot_count):
+            raise CapacityError(
+                f"mul_pt_sum rows have shape {np.shape(rows)}, expected "
+                f"{(len(cts), self.slot_count)}")
+        self._tally("mul_pt", len(cts))
+        self._tally("adds", len(cts) - 1)
+        acc = first.slots * rows[0]
+        term = np.empty_like(acc)
+        for ct, row in zip(cts[1:], rows[1:]):
+            acc += np.multiply(ct.slots, row, out=term)
+        return self._derive(first, acc, scale=first.scale * self.initial_scale)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)

@@ -111,22 +111,9 @@ class PlainPipeline:
             self.weights[j] = self.weights[j] - per_layer[j] * lr
         self.iteration += 1
 
-    def forward_scores(self, x: np.ndarray) -> np.ndarray:
-        """Class scores for raw feature rows (used for accuracy metrics)."""
-        plan = self.plan
-        m = np.zeros((len(x), plan.h))
-        m[:, : plan.features] = x
-        for j, w in enumerate(self.weights):
-            e = m @ w
-            m, _ = self.activation(e)
-            m = m * plan.col_masks[j]
-        return m[:, : plan.classes]
-
     def accuracy(self, x: np.ndarray, y: np.ndarray):
-        if len(x) == 0:
-            return None
-        preds = np.argmax(self.forward_scores(x), axis=1)
-        return float(np.mean(preds == y))
+        return accuracy_with_weights(self.weights, self.plan, self.activation,
+                                     x, y)
 
 
 def scores_with_weights(weights, plan, activation: PlainActivation,

@@ -767,9 +767,12 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     for p, err in party_errors():
         raise ProtocolError(f"party {p} failed") from err
 
-    eval_x, eval_y = (test_x, test_y) if len(test_x) else (train_x, train_y)
-    final_acc = accuracy_with_weights(decode_model(server), plan, poly_act,
-                                      eval_x, eval_y)
+    # finalize leaves server.model as the last round decoded it.
+    last = rounds[-1]
+    if len(test_x):
+        eval_x, eval_y, final_acc = test_x, test_y, last["test_acc"]
+    else:
+        eval_x, eval_y, final_acc = train_x, train_y, last["train_acc"]
     exact_acc = exact_ref.accuracy(eval_x, eval_y)
     tx, rx = acct.totals()
     metrics = {
@@ -777,10 +780,8 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         "parties": config.party_count,
         "rounds": rounds,
         "final": {
-            "train_acc": accuracy_with_weights(decode_model(server), plan,
-                                               poly_act, train_x, train_y),
-            "test_acc": accuracy_with_weights(decode_model(server), plan,
-                                              poly_act, test_x, test_y),
+            "train_acc": last["train_acc"],
+            "test_acc": last["test_acc"],
             "accuracy": final_acc,
             "exact_activation_accuracy": exact_acc,
             "accuracy_delta": abs(final_acc - exact_acc),

@@ -20,12 +20,14 @@ alignment, column shifts, transpose) work with any capacity.
 
 Every 0/1 mask a transform or product multiplies by is built once per
 geometry and cached as a read-only bool array, already slot-expanded and, for
-baby-step/giant-step, pre-rolled.  A permutation's tables live on its spec,
-keyed by (beta, slot_count); ``build_permutation`` shares one spec per
-(kind, h, k).  The per-stage column masks of ``he_mat_mult`` are keyed by
-(h, beta, slot_count).  The caches hold no context; each mask becomes a
-``Plaintext`` through ``ctx.encode`` at the point of use, so it carries that
-context's scale.
+baby-step/giant-step, pre-rolled.  The masks of one masked-rotation sum are
+stacked as the rows of one table, which ``ctx.mul_pt_sum`` takes whole: each
+row enters as a plaintext at the context's scale, with the tallies of one
+``mul_pt`` per row and one ``add`` per row after the first.  A permutation's
+tables live on its spec, keyed by (beta, slot_count); ``build_permutation``
+shares one spec per (kind, h, k).  The per-stage column masks of
+``he_mat_mult`` are keyed by (h, beta, slot_count).  The caches hold no
+context, so a table serves every context of its geometry.
 """
 
 from __future__ import annotations
@@ -322,12 +324,19 @@ def _per_spec(build):
     return cached
 
 
+def _stack(masks) -> np.ndarray:
+    table = np.stack(masks)
+    table.setflags(write=False)
+    return table
+
+
 @_per_spec
 def _diagonal_table(spec: PermutationSpec, beta: int,
                     slot_count: int) -> tuple:
-    """(offset, slot-expanded mask) for each nonzero diagonal, by offset."""
-    return tuple((offset, _expand_mask(spec.diagonals[offset], beta, slot_count))
-                 for offset in sorted(spec.diagonals))
+    """(offsets, stacked rows): the nonzero diagonals by offset, slot-expanded."""
+    offsets = tuple(sorted(spec.diagonals))
+    return offsets, _stack([_expand_mask(spec.diagonals[offset], beta, slot_count)
+                            for offset in offsets])
 
 
 def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
@@ -350,12 +359,10 @@ def he_lin_trans(ct: SlotVector, spec: PermutationSpec, beta: int = 1) -> SlotVe
     """
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
-    acc = None
-    for offset, mask in _diagonal_table(spec, beta, ctx.slot_count):
-        rotated = ct if offset == 0 else ctx.rot(ct, beta * offset)
-        term = ctx.mul_pt(rotated, ctx.encode(mask))
-        acc = term if acc is None else ctx.add(acc, term)
-    return acc
+    offsets, rows = _diagonal_table(spec, beta, ctx.slot_count)
+    rotated = [ct if offset == 0 else ctx.rot(ct, beta * offset)
+               for offset in offsets]
+    return ctx.mul_pt_sum(rotated, rows)
 
 
 def bsgs_split(h: int) -> tuple[int, int]:
@@ -369,10 +376,10 @@ def bsgs_split(h: int) -> tuple[int, int]:
 
 @_per_spec
 def _bsgs_table(spec: PermutationSpec, beta: int, slot_count: int) -> tuple:
-    """Baby-step stride and, per giant step, (gshift, baby masks).
+    """Baby-step stride and, per giant step, (gshift, stacked baby masks).
 
-    Writing each diagonal offset as unit*(baby_count*i + j), giant step i
-    holds one slot-expanded mask per baby rotation j, rolled by -gshift so
+    Writing each diagonal offset as unit*(baby_count*i + j), row j of giant
+    step i is the slot-expanded mask of baby rotation j, rolled by -gshift so
     that it pre-compensates the outer giant rotation.
     """
     h = spec.dim_h
@@ -382,13 +389,10 @@ def _bsgs_table(spec: PermutationSpec, beta: int, slot_count: int) -> tuple:
     table = []
     for i in giants:
         gshift = beta * unit * baby * i
-        masks = []
-        for j in range(baby):
-            mask = _expand_mask(spec.mask(unit * (baby * i + j)), beta, slot_count)
-            pre = np.roll(mask, gshift % slot_count)
-            pre.setflags(write=False)
-            masks.append(pre)
-        table.append((gshift, tuple(masks)))
+        masks = [np.roll(_expand_mask(spec.mask(unit * (baby * i + j)), beta,
+                                      slot_count), gshift % slot_count)
+                 for j in range(baby)]
+        table.append((gshift, _stack(masks)))
     return beta * unit, tuple(table)
 
 
@@ -408,12 +412,8 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
     stride, table = _bsgs_table(spec, beta, ctx.slot_count)
     baby_rots = [ctx.rot(ct, stride * j) for j in range(len(table[0][1]))]
     acc = None
-    for gshift, masks in table:
-        inner = None
-        for rotated, mask in zip(baby_rots, masks):
-            term = ctx.mul_pt(rotated, ctx.encode(mask))
-            inner = term if inner is None else ctx.add(inner, term)
-        shifted = ctx.rot(inner, gshift)
+    for gshift, rows in table:
+        shifted = ctx.rot(ctx.mul_pt_sum(baby_rots, rows), gshift)
         acc = shifted if acc is None else ctx.add(acc, shifted)
     return acc
 
@@ -450,6 +450,13 @@ def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
     """Stage k of he_mat_mult keeps columns >= k: R(v_k, -k) in closed form."""
     col = np.arange(h * h) % h
     return tuple(_expand_mask(col >= k, beta, slot_count) for k in range(h))
+
+
+@lru_cache(maxsize=None)
+def _rect_stage0_rows(h: int, slot_count: int) -> np.ndarray:
+    """Rows (v_{-h}, v_0) of he_rect_mat_mult stage 0: all-zero, then all columns."""
+    return _stack([np.zeros(slot_count, dtype=bool),
+                   _stage_masks(h, 1, slot_count)[0]])
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -530,15 +537,13 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     n = ctx.slot_count
     acc = None
     for k in range(t):
-        # Stage k is col_shift(k) written out (v_k, v_{k-h}); stage 0 keeps
-        # its two rotations with an all-zero v_{-h}.
+        # Stage k is col_shift(k) written out as rows (v_{k-h}, v_k); stage 0
+        # keeps its two rotations with an all-zero v_{-h}.
         if k == 0:
-            hi, lo = _stage_masks(h, 1, n)[0], np.zeros(n, dtype=bool)
+            rows = _rect_stage0_rows(h, n)
         else:
-            shift = build_permutation("col_shift", h, k)
-            (_, lo), (_, hi) = _diagonal_table(shift, 1, n)
-        a_k = ctx.add(ctx.mul_pt(ctx.rot(a0, k), ctx.encode(hi)),
-                      ctx.mul_pt(ctx.rot(a0, k - h), ctx.encode(lo)))
+            _, rows = _diagonal_table(build_permutation("col_shift", h, k), 1, n)
+        a_k = ctx.mul_pt_sum([ctx.rot(a0, k - h), ctx.rot(a0, k)], rows)
         a_k = ctx.rescale(a_k)
         b_k = ctx.rot(b0, h * k)
         prod = ctx.mul_ct(a_k, b_k)

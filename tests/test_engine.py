@@ -208,6 +208,90 @@ def test_mul_at_level_zero_rejected():
         ctx.mul_pt(a0, ctx.encode([1.0]))
 
 
+# ----------------------------------------------------------- fused products
+
+def _mul_pt_chain(ctx, cts, rows):
+    acc = ctx.mul_pt(cts[0], ctx.encode(rows[0]))
+    for ct, row in zip(cts[1:], rows[1:]):
+        acc = ctx.add(acc, ctx.mul_pt(ct, ctx.encode(row)))
+    return acc
+
+
+def _fused_operands(ctx, k, seed):
+    rng = np.random.default_rng(seed)
+    cts = [ctx.encrypt(ctx.encode(rng.standard_normal(ctx.slot_count)))
+           for _ in range(k)]
+    return cts, rng.standard_normal((k, ctx.slot_count))
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("mode", ["exact", "gaussian"])
+def test_mul_pt_sum_is_bit_equal_to_chain(k, mode):
+    ctx = make_ctx(noise_mode=mode, noise_sigma=1e-3 if mode == "gaussian" else 0)
+    cts, rows = _fused_operands(ctx, k, seed=k)
+    for table in (rows, rows > 0):
+        want = _mul_pt_chain(ctx, cts, table)
+        got = ctx.mul_pt_sum(cts, table)
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale, got.key_tag) == \
+            (want.level, want.scale, want.key_tag)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_mul_pt_sum_meters_its_chain(k):
+    ctx = make_ctx()
+    cts, rows = _fused_operands(ctx, k, seed=0)
+    before = ctx.meter.snapshot()
+    with ctx.meter_scope() as outer:
+        with ctx.meter_scope() as inner:
+            ctx.mul_pt_sum(cts, rows)
+    after = ctx.meter.snapshot()
+    want = dict.fromkeys(engine.COUNTER_FIELDS, 0)
+    want.update(mul_pt=k, adds=k - 1)
+    assert {f: after[f] - before[f] for f in after} == want
+    assert outer.snapshot() == inner.snapshot() == want
+
+
+def _fused_misuse(case):
+    ctx = make_ctx(initial_level=1 if case == "level 0" else 6)
+    cts, rows = _fused_operands(ctx, 2, seed=1)
+    ones = ctx.encode(np.ones(ctx.slot_count))
+    if case == "empty":
+        cts, rows = [], rows[:0]
+    elif case == "other context":
+        other = make_ctx()
+        cts[1] = other.encrypt(other.encode([1.0]))
+    elif case == "key tags":
+        ctx.register_key("other", ctx.parties)
+        cts[1] = ctx.encrypt(ctx.encode([1.0]), "other")
+    elif case == "level 0":
+        cts = [ctx.rescale(ctx.mul_pt(ct, ones)) for ct in cts]
+    elif case == "mixed levels":
+        cts[1] = ctx.rescale(ctx.mul_pt(cts[1], ones))
+    elif case == "mixed scales":
+        cts[1] = ctx.mul_pt(cts[1], ones)
+    elif case == "rows shape":
+        rows = rows[:, :-1]
+    return ctx, cts, rows
+
+
+@pytest.mark.parametrize("case, error", [
+    ("empty", EngineError),
+    ("other context", EngineError),
+    ("key tags", KeyMismatchError),
+    ("level 0", LevelExhaustedError),
+    ("mixed levels", EngineError),
+    ("mixed scales", EngineError),
+    ("rows shape", CapacityError),
+])
+def test_mul_pt_sum_rejects_misuse(case, error):
+    ctx, cts, rows = _fused_misuse(case)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.mul_pt_sum(cts, rows)
+    assert ctx.meter.snapshot() == before
+
+
 # ------------------------------------------------------------------ rotation
 
 def test_rot_left_by_one():

@@ -12,6 +12,7 @@ from packedhe.federated.config import (ActivationConfig, TrainingConfig,
                                        config_from_dict, load_dataset_csv,
                                        make_synthetic_classification,
                                        save_dataset_csv, split_parties)
+from packedhe.federated import protocol
 from packedhe.federated.mirror import PlainPipeline
 from packedhe.federated.protocol import (GradientMsg, ProtocolError, aggregate,
                                          build_schedule, decode_model,
@@ -293,6 +294,21 @@ def test_fixed_seed_identical_metrics():
     m1 = run_training(config, shards).metrics
     m2 = run_training(config, shards).metrics
     assert json.dumps(m1, sort_keys=True) == json.dumps(m2, sort_keys=True)
+
+
+def test_final_metrics_reuse_last_round_decode(monkeypatch):
+    x, y = blob_data(samples=30, features=3, seed=1)
+    config = small_config(party_count=2, global_iters=3)
+    shards = split_parties(x, y, 2, seed=0)
+    decoded = []
+    real = protocol.decode_model
+    monkeypatch.setattr(protocol, "decode_model",
+                        lambda server: decoded.append(1) or real(server))
+    result = run_training(config, shards, test_set=(x[:10], y[:10]))
+    assert len(decoded) == config.global_iters + 1
+    final, last = result.metrics["final"], result.metrics["rounds"][-1]
+    assert final["train_acc"] == last["train_acc"]
+    assert final["test_acc"] == final["accuracy"] == last["test_acc"]
 
 
 def test_mirror_equivalence_short_relu_run():
