@@ -191,7 +191,8 @@ def make_local_bootstrapper(ctx: CryptoContext, roster=None) -> BootstrapFn:
 
 
 def _stage_ct(ctx: CryptoContext, m: SlotVector, coeffs: tuple,
-              bootstrap: BootstrapFn | None) -> SlotVector:
+              coeff_pts: list, bootstrap: BootstrapFn | None) -> SlotVector:
+    """One g_d stage; ``coeff_pts[j - 1]`` is coefficient j encoded in every slot."""
     d = len(coeffs) - 1
     m = _ensure_level(ctx, m, stage_depth(d), bootstrap)
     u = ctx.rescale(ctx.mul_ct(m, m))
@@ -200,8 +201,7 @@ def _stage_ct(ctx: CryptoContext, m: SlotVector, coeffs: tuple,
         powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
     psum = ctx.constant(coeffs[0], m.key_tag)
     for j in range(1, d + 1):
-        term = ctx.rescale(ctx.mul_pt(powers[j], ctx.encode(
-            np.full(ctx.slot_count, coeffs[j]))))
+        term = ctx.rescale(ctx.mul_pt(powers[j], coeff_pts[j - 1]))
         psum = ctx.add(psum, term)
     return ctx.rescale(ctx.mul_ct(m, psum))
 
@@ -213,9 +213,10 @@ def app_sign(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
     Bootstraps between stages whenever the remaining level is short of the
     stage depth; without a bootstrap path that condition raises.
     """
+    coeff_pts = [ctx.encode(np.full(ctx.slot_count, c)) for c in spec.coeffs[1:]]
     out = ct
     for _ in range(spec.k):
-        out = _stage_ct(ctx, out, spec.coeffs, bootstrap)
+        out = _stage_ct(ctx, out, spec.coeffs, coeff_pts, bootstrap)
     return out
 
 

@@ -17,12 +17,20 @@ Every homomorphic call increments exactly one tally of the context's
 ``OpCounter`` by one, except ``mul_pt_sum``, which bumps ``mul_pt`` by k and
 ``adds`` by k - 1 for its k terms, the same as the ``mul_pt``/``add`` chain it
 fuses.  The meter is the ground truth for all operation-count benchmarks.
+
+Ciphertexts and plaintexts are immutable, and every slot array the engine
+puts in one is read-only.  Operations that leave slot values untouched
+(``rescale``, ``dbootstrap``, ``dkey_switch``, ``ddec`` and exact-mode
+``encrypt``) therefore share the input's array instead of copying it.  A
+writable array in a hand-built ``SlotVector`` or ``Plaintext`` is copied
+once, never frozen in place, so the caller keeps a writable array.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,10 +91,6 @@ class OpCounter:
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
-    def merge(self, other: "OpCounter") -> None:
-        for name in COUNTER_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), sort_keys=True)
 
@@ -118,26 +122,61 @@ class Plaintext:
     context_id: str
 
 
-@dataclass(frozen=True, eq=False)
+_set_slot = object.__setattr__
+
+
 class SlotVector:
-    """A packed ciphertext: slot values plus level/scale/key bookkeeping."""
+    """A packed ciphertext: slot values plus level/scale/key bookkeeping.
 
-    slots: np.ndarray
-    level: int
-    scale: float
-    context_id: str
-    key_tag: str
+    Immutable: assigning or deleting an attribute raises ``AttributeError``.
+    Records compare and hash by identity.
+    """
 
-    def __post_init__(self):
-        if self.level < 0:
+    __slots__ = ("slots", "level", "scale", "context_id", "key_tag")
+
+    def __init__(self, slots: np.ndarray, level: int, scale: float,
+                 context_id: str, key_tag: str):
+        if level < 0:
             raise LevelExhaustedError("ciphertext level may not be negative")
-        if not 0 < self.scale < np.inf:
+        if not 0 < scale < math.inf:
             raise EngineError("ciphertext scale must be finite and positive")
+        _set_slot(self, "slots", slots)
+        _set_slot(self, "level", level)
+        _set_slot(self, "scale", scale)
+        _set_slot(self, "context_id", context_id)
+        _set_slot(self, "key_tag", key_tag)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SlotVector is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SlotVector is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return SlotVector, (self.slots, self.level, self.scale,
+                            self.context_id, self.key_tag)
+
+    def __repr__(self):
+        return (f"SlotVector(n={self.slots.size}, level={self.level}, "
+                f"scale={self.scale!r}, key_tag={self.key_tag!r}, "
+                f"context_id={self.context_id!r})")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _shared(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when read-only, else a read-only copy of it."""
+    return arr if not arr.flags.writeable else _freeze(arr.copy())
+
+
+class _ScopeStacks(threading.local):
+    """Per-thread stack of open meter scopes; every thread starts empty."""
+
+    def __init__(self):
+        self.stack = []
 
 
 _context_ids = itertools.count()
@@ -189,7 +228,7 @@ class CryptoContext:
 
         self.meter = OpCounter()
         self._meter_lock = threading.Lock()
-        self._scopes = threading.local()
+        self._scopes = _ScopeStacks()
 
         parties = tuple(f"party-{i}" for i in range(party_count))
         self._key_owners: dict[str, tuple] = {}
@@ -228,10 +267,11 @@ class CryptoContext:
     # ----------------------------------------------------------------- meter
 
     def _tally(self, name: str, times: int = 1) -> None:
+        meter = self.meter
         with self._meter_lock:
-            self.meter.bump(name, times)
-        for counter in getattr(self._scopes, "stack", ()):
-            counter.bump(name, times)
+            setattr(meter, name, getattr(meter, name) + times)
+        for counter in self._scopes.stack:
+            setattr(counter, name, getattr(counter, name) + times)
 
     @contextmanager
     def meter_scope(self):
@@ -242,10 +282,7 @@ class CryptoContext:
         scope's counts are already merged outward when it closes.
         """
         counter = OpCounter()
-        stack = getattr(self._scopes, "stack", None)
-        if stack is None:
-            stack = []
-            self._scopes.stack = stack
+        stack = self._scopes.stack
         stack.append(counter)
         try:
             yield counter
@@ -285,17 +322,19 @@ class CryptoContext:
         self._check_context(pt)
         tag = key_tag or self.DEFAULT_KEY
         self.key_owners(tag)
-        slots = pt.slots.copy()
         if self.noise_mode == "gaussian":
-            slots += self._rng.normal(0.0, self.noise_sigma, self.slot_count)
-        return SlotVector(_freeze(slots), self.initial_level,
-                          self.initial_scale, self.context_id, tag)
+            slots = _freeze(pt.slots + self._rng.normal(
+                0.0, self.noise_sigma, self.slot_count))
+        else:
+            slots = _shared(pt.slots)
+        return SlotVector(slots, self.initial_level, self.initial_scale,
+                          self.context_id, tag)
 
     def ddec(self, ct: SlotVector, roster: Iterable[str]) -> Plaintext:
         """Collective decryption; requires every share owner of ct's key."""
         self._check_context(ct)
         self._require_roster(ct.key_tag, roster, "ddec")
-        return Plaintext(_freeze(ct.slots.copy()), ct.scale, self.context_id)
+        return Plaintext(_shared(ct.slots), ct.scale, self.context_id)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -375,7 +414,7 @@ class CryptoContext:
         if ct.level < 1:
             raise LevelExhaustedError("rescale at level 0")
         self._tally("rescales")
-        return self._derive(ct, ct.slots.copy(),
+        return self._derive(ct, _shared(ct.slots),
                             level=ct.level - 1,
                             scale=ct.scale / self.initial_scale)
 
@@ -386,7 +425,7 @@ class CryptoContext:
         self._check_context(ct)
         self._require_roster(ct.key_tag, roster, "dbootstrap")
         self._tally("bootstraps")
-        return self._derive(ct, ct.slots.copy(),
+        return self._derive(ct, _shared(ct.slots),
                             level=self.initial_level, scale=self.initial_scale)
 
     def dkey_switch(self, ct: SlotVector, target_key_tag: str,
@@ -398,7 +437,7 @@ class CryptoContext:
             raise KeyMismatchError(f"unknown target key {target_key_tag!r}")
         self._require_roster(ct.key_tag, roster, "dkey_switch")
         self._tally("keyswitches")
-        return SlotVector(_freeze(ct.slots.copy()), ct.level, ct.scale,
+        return SlotVector(_shared(ct.slots), ct.level, ct.scale,
                           self.context_id, target_key_tag)
 
     # --------------------------------------------------------------- helpers

@@ -26,8 +26,10 @@ row enters as a plaintext at the context's scale, with the tallies of one
 ``mul_pt`` per row and one ``add`` per row after the first.  A permutation's
 tables live on its spec, keyed by (beta, slot_count); ``build_permutation``
 shares one spec per (kind, h, k).  The per-stage column masks of
-``he_mat_mult`` are keyed by (h, beta, slot_count).  The caches hold no
-context, so a table serves every context of its geometry.
+``he_mat_mult`` are one stacked ``(h, slot_count)`` table keyed by (h, beta,
+slot_count); stage k takes its row as the one-row sum
+``ctx.mul_pt_sum([a0], table[k:k + 1])``, which meters as one ``mul_pt``.
+The caches hold no context, so a table serves every context of its geometry.
 """
 
 from __future__ import annotations
@@ -277,10 +279,6 @@ def decode_matrix(pm: PackedMatrix, beta_slot: int = 0, roster=None) -> np.ndarr
     return window.reshape(h, h)
 
 
-def decode_all_matrices(pm: PackedMatrix, roster=None) -> list:
-    return [decode_matrix(pm, b, roster) for b in range(pm.batch_beta)]
-
-
 _contexts: dict = {}
 
 
@@ -446,10 +444,10 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
 
 
 @lru_cache(maxsize=None)
-def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
-    """Stage k of he_mat_mult keeps columns >= k: R(v_k, -k) in closed form."""
+def _stage_masks(h: int, beta: int, slot_count: int) -> np.ndarray:
+    """Row k keeps columns >= k: R(v_k, -k) in closed form, for stage k."""
     col = np.arange(h * h) % h
-    return tuple(_expand_mask(col >= k, beta, slot_count) for k in range(h))
+    return _stack([_expand_mask(col >= k, beta, slot_count) for k in range(h)])
 
 
 @lru_cache(maxsize=None)
@@ -477,11 +475,12 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, sigma, beta))
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau, beta))
 
+    masks = _stage_masks(h, beta, n)
     acc = None
-    for k, pre in enumerate(_stage_masks(h, beta, n)):
+    for k in range(h):
         # Column shift via one mask: the complement half is (a0 - masked),
         # rotated the other way around the row boundary.
-        masked = ctx.mul_pt(a0, ctx.encode(pre))
+        masked = ctx.mul_pt_sum([a0], masks[k:k + 1])
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
         a_k = ctx.rescale(a_k)
@@ -489,15 +488,6 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
         prod = ctx.mul_ct(a_k, b_k)
         acc = prod if acc is None else ctx.add(acc, prod)
     return PackedMatrix(ctx.rescale(acc), h, h, beta)
-
-
-def he_mat_mult_batched(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
-    """Multiply beta interleaved matrix pairs with single-call tallies.
-
-    Identical to ``he_mat_mult`` (rotation amounts are scaled by the stride
-    and masks are slot-repeated), so the per-pair cost is amortized by beta.
-    """
-    return he_mat_mult(a, b)
 
 
 def he_transpose(a: PackedMatrix) -> PackedMatrix:

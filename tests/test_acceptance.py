@@ -23,8 +23,8 @@ from packedhe.federated.protocol import (GradientMsg, aggregate, prepare,
                                          run_training)
 from packedhe.matrix import (apply_permutation, build_permutation,
                              decode_matrix, encode_matrix, encode_rect_matrix,
-                             he_mat_mult, he_mat_mult_batched,
-                             he_rect_mat_mult, he_transpose, pack_matrices)
+                             he_mat_mult, he_rect_mat_mult, he_transpose,
+                             pack_matrices)
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = ""):
@@ -201,8 +201,8 @@ def test_criterion_5_transpose_and_rectangular():
     mats_a = [rng.standard_normal((h, h)) for _ in range(beta)]
     mats_b = [rng.standard_normal((h, h)) for _ in range(beta)]
     with ctx.meter_scope() as batched:
-        out = he_mat_mult_batched(pack_matrices(mats_a, ctx),
-                                  pack_matrices(mats_b, ctx))
+        out = he_mat_mult(pack_matrices(mats_a, ctx),
+                          pack_matrices(mats_b, ctx))
     for slot in range(beta):
         ok &= bool(np.allclose(decode_matrix(out, slot),
                                mats_a[slot] @ mats_b[slot], atol=1e-9))

@@ -13,7 +13,8 @@ from packedhe.approx import (CompositePolySpec, IntervalMap, app_abs, app_max,
                              gd_coefficients, interval_denormalize,
                              interval_normalize, make_local_bootstrapper,
                              min_depth, pd_constant, plain_max, polyval_ct,
-                             polyval_plain, smooth_fit, depth_bound_formula)
+                             polyval_plain, smooth_fit, stage_depth,
+                             depth_bound_formula)
 from packedhe.engine import LevelExhaustedError
 
 
@@ -249,6 +250,43 @@ def test_plain_max_oracle_agrees():
     a = rng.uniform(0, 1, 1000)
     b = rng.uniform(0, 1, 1000)
     assert np.max(np.abs(plain_max(a, b, spec) - np.maximum(a, b))) <= 2.0 ** -20
+
+
+def _app_sign_encoding_coeffs(ct, spec, ctx, bootstrap):
+    """app_sign with each coefficient plaintext encoded on the spot."""
+    out = ct
+    for _ in range(spec.k):
+        m = out if out.level >= stage_depth(spec.d) else bootstrap(out)
+        powers = {1: ctx.rescale(ctx.mul_ct(m, m))}
+        for j in range(2, spec.d + 1):
+            powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
+        psum = ctx.constant(spec.coeffs[0], m.key_tag)
+        for j in range(1, spec.d + 1):
+            pt = ctx.encode(np.full(ctx.slot_count, spec.coeffs[j]))
+            psum = ctx.add(psum, ctx.rescale(ctx.mul_pt(powers[j], pt)))
+        out = ctx.rescale(ctx.mul_ct(m, psum))
+    return out
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (3, 4), (4, 17)])
+def test_app_sign_encodes_coefficients_once(d, k, monkeypatch):
+    ctx = make_ctx()
+    spec = CompositePolySpec.with_depth(d, k)
+    ct = ctx.encrypt(ctx.encode(np.random.default_rng(d).uniform(
+        -1, 1, ctx.slot_count)))
+    calls = []
+    real = engine.CryptoContext.encode
+    monkeypatch.setattr(engine.CryptoContext, "encode",
+                        lambda self, values: calls.append(1) or real(self, values))
+    boot = make_local_bootstrapper(ctx)
+    with ctx.meter_scope() as once:
+        out = app_sign(ct, spec, ctx, boot)
+    assert len(calls) == d + k      # d coefficients, plus one constant per stage
+    with ctx.meter_scope() as chain:
+        want = _app_sign_encoding_coeffs(ct, spec, ctx, boot)
+    assert out.slots.tobytes() == want.slots.tobytes()
+    assert (out.level, out.scale) == (want.level, want.scale)
+    assert once.snapshot() == chain.snapshot()
 
 
 # -------------------------------------------------------------- interval map

@@ -2,6 +2,9 @@
 
 import concurrent.futures
 import json
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -119,6 +122,24 @@ def test_fresh_ciphertext_level_and_scale():
 def test_slot_vector_rejects_bad_scale(scale):
     with pytest.raises(EngineError):
         engine.SlotVector(np.zeros(4), 1, scale, "ctx", "pk")
+
+
+def test_slot_vector_is_an_immutable_identity_record():
+    ct = engine.SlotVector(np.zeros(4), 1, 2.0, "ctx", "pk")
+    with pytest.raises(AttributeError):
+        ct.level = 0
+    with pytest.raises(AttributeError):
+        del ct.slots
+    assert ct.level == 1
+    twin = engine.SlotVector(ct.slots, 1, 2.0, "ctx", "pk")
+    assert ct == ct and ct != twin
+    assert len({ct, twin, ct}) == 2
+    assert repr(ct) == ("SlotVector(n=4, level=1, scale=2.0, key_tag='pk', "
+                        "context_id='ctx')")
+    back = pickle.loads(pickle.dumps(ct))
+    assert (back.level, back.scale, back.key_tag) == (1, 2.0, "pk")
+    with pytest.raises(LevelExhaustedError):
+        engine.SlotVector(np.zeros(4), -1, 2.0, "ctx", "pk")
 
 
 def test_every_proper_subset_rejected():
@@ -462,6 +483,89 @@ def test_meter_json_snapshot_keys():
     for key in ("adds", "mul_pt", "mul_ct", "rotations", "rescales",
                 "bootstraps", "keyswitches"):
         assert key in snapshot
+
+
+def test_meter_lock_under_thread_switch_pressure():
+    # More threads than cores and a tiny switch interval: a lost update on the
+    # shared meter shows as a total below workers * calls.
+    ctx = make_ctx()
+    a = ctx.encrypt(ctx.encode([1.0]))
+    workers, calls = 8, 2000
+    seen = [None] * workers
+
+    def work(i):
+        with ctx.meter_scope() as scope:
+            for _ in range(calls):
+                ctx.rot(a, 1)
+        seen[i] = scope.rotations
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [calls] * workers
+    assert ctx.meter.rotations == workers * calls
+
+
+# ---------------------------------------------------------- shared slot arrays
+
+SLOT_KEEPING_OPS = {
+    "rescale": lambda ctx, ct: ctx.rescale(ct).slots,
+    "dbootstrap": lambda ctx, ct: ctx.dbootstrap(ct, ctx.parties).slots,
+    "dkey_switch": lambda ctx, ct: ctx.dkey_switch(
+        ct, ctx.SERVER_KEY, ctx.parties).slots,
+    "ddec": lambda ctx, ct: ctx.ddec(ct, ctx.parties).slots,
+}
+
+
+@pytest.mark.parametrize("op", sorted(SLOT_KEEPING_OPS))
+def test_slot_keeping_ops_share_engine_arrays(op):
+    ctx = make_ctx()
+    ct = ctx.rot(ctx.encrypt(ctx.encode([1.0, -2.0, 3.0])), 1)
+    out = SLOT_KEEPING_OPS[op](ctx, ct)
+    assert not out.flags.writeable
+    assert np.shares_memory(out, ct.slots)
+
+
+@pytest.mark.parametrize("op", sorted(SLOT_KEEPING_OPS))
+def test_slot_keeping_ops_copy_caller_arrays(op):
+    ctx = make_ctx()
+    mine = np.arange(ctx.slot_count, dtype=np.float64)
+    ct = engine.SlotVector(mine, 2, ctx.initial_scale, ctx.context_id,
+                           ctx.DEFAULT_KEY)
+    out = SLOT_KEEPING_OPS[op](ctx, ct)
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, mine)
+    assert mine.flags.writeable
+    assert out.tobytes() == mine.tobytes()
+
+
+def test_exact_encrypt_shares_only_read_only_plaintexts():
+    ctx = make_ctx()
+    pt = ctx.encode([1.0, 2.0])
+    assert np.shares_memory(ctx.encrypt(pt).slots, pt.slots)
+    mine = np.ones(ctx.slot_count)
+    ct = ctx.encrypt(engine.Plaintext(mine, ctx.initial_scale, ctx.context_id))
+    assert not np.shares_memory(ct.slots, mine)
+    assert not ct.slots.flags.writeable and mine.flags.writeable
+
+
+def test_gaussian_encrypt_draws_fresh_noise_each_call():
+    ctx = engine.new_context(64, party_count=2, noise_mode="gaussian",
+                             noise_sigma=1e-6, noise_seed=3)
+    pt = ctx.encode(np.linspace(-1, 1, ctx.slot_count))
+    before = pt.slots.tobytes()
+    first, second = ctx.encrypt(pt), ctx.encrypt(pt)
+    assert first.slots.tobytes() != second.slots.tobytes()
+    assert not np.shares_memory(first.slots, pt.slots)
+    assert pt.slots.tobytes() == before
 
 
 # -------------------------------------------------------------- homomorphism

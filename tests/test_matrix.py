@@ -11,9 +11,8 @@ from packedhe.engine import CapacityError, LevelExhaustedError
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
                              he_lin_trans, he_lin_trans_bsgs, he_mat_mult,
-                             he_mat_mult_batched, he_rect_mat_mult,
-                             he_transpose, matmul_rotation_formula,
-                             pack_matrices)
+                             he_rect_mat_mult, he_transpose,
+                             matmul_rotation_formula, pack_matrices)
 
 
 def exact_ctx(h, beta=1, level=6, parties=1):
@@ -487,6 +486,45 @@ def test_matmul_dimension_mismatch():
         he_mat_mult(pa, pb)
 
 
+def _he_mat_mult_encoding_masks(a, b):
+    """he_mat_mult with each stage mask built and encoded on the spot."""
+    ctx = matrix._ctx_of(a)
+    h, beta = a.dim_h, a.batch_beta
+    a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation("sigma_mu", h), beta))
+    b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, build_permutation("tau_zeta", h), beta))
+    acc = None
+    for k in range(h):
+        pre = np.repeat(np.arange(h * h) % h >= k, beta).astype(np.float64)
+        masked = ctx.mul_pt(a0, ctx.encode(pre))
+        a_k = ctx.add(ctx.rot(masked, beta * k),
+                      ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
+        prod = ctx.mul_ct(ctx.rescale(a_k), ctx.rot(b0, beta * h * k))
+        acc = prod if acc is None else ctx.add(acc, prod)
+    return ctx.rescale(acc)
+
+
+@pytest.mark.parametrize("h, beta", [(4, 1), (4, 2), (8, 1), (16, 1)])
+def test_matmul_encodes_nothing_and_matches_encoding_chain(h, beta, monkeypatch):
+    ctx = exact_ctx(h, beta)
+    rng = np.random.default_rng(h + beta)
+    pa = pack_matrices([rng.uniform(-10, 10, (h, h)) for _ in range(beta)], ctx)
+    pb = pack_matrices([rng.uniform(-10, 10, (h, h)) for _ in range(beta)], ctx)
+    calls = []
+    real = engine.CryptoContext.encode
+    monkeypatch.setattr(engine.CryptoContext, "encode",
+                        lambda self, values: calls.append(1) or real(self, values))
+    with ctx.meter_scope() as fused:
+        out = he_mat_mult(pa, pb).ct
+    assert len(calls) == 0
+    with ctx.meter_scope() as chain:
+        want = _he_mat_mult_encoding_masks(pa, pb)
+    assert len(calls) == h
+    assert out.slots.tobytes() == want.slots.tobytes()
+    assert (out.level, out.scale, out.key_tag) == (want.level, want.scale,
+                                                   want.key_tag)
+    assert fused.snapshot() == chain.snapshot()
+
+
 # ---------------------------------------------------------------- transpose
 
 def test_transpose_symmetric_fixed_point():
@@ -597,8 +635,8 @@ def test_batched_two_pairs():
     rng = np.random.default_rng(3)
     mats_a = [rng.standard_normal((h, h)) for _ in range(beta)]
     mats_b = [rng.standard_normal((h, h)) for _ in range(beta)]
-    out = he_mat_mult_batched(pack_matrices(mats_a, ctx),
-                              pack_matrices(mats_b, ctx))
+    out = he_mat_mult(pack_matrices(mats_a, ctx),
+                      pack_matrices(mats_b, ctx))
     for slot in range(beta):
         assert np.allclose(decode_matrix(out, slot),
                            mats_a[slot] @ mats_b[slot], atol=1e-9)
@@ -612,8 +650,8 @@ def test_batched_four_in_64_slots():
     mats_a = [rng.standard_normal((h, h)) for _ in range(beta)]
     mats_b = [rng.standard_normal((h, h)) for _ in range(beta)]
     with ctx.meter_scope() as scope:
-        out = he_mat_mult_batched(pack_matrices(mats_a, ctx),
-                                  pack_matrices(mats_b, ctx))
+        out = he_mat_mult(pack_matrices(mats_a, ctx),
+                          pack_matrices(mats_b, ctx))
     for slot in range(beta):
         assert np.allclose(decode_matrix(out, slot),
                            mats_a[slot] @ mats_b[slot], atol=1e-9)
@@ -633,8 +671,8 @@ def test_batched_tallies_equal_single_call():
 
     ctx2 = exact_ctx(h, beta=4)
     with ctx2.meter_scope() as batched:
-        he_mat_mult_batched(pack_matrices([a] * 4, ctx2),
-                            pack_matrices([b] * 4, ctx2))
+        he_mat_mult(pack_matrices([a] * 4, ctx2),
+                    pack_matrices([b] * 4, ctx2))
     assert single.snapshot() == batched.snapshot()
 
 
@@ -644,7 +682,7 @@ def test_batched_beta_mismatch():
     ctx_b = exact_ctx(4)
     pb = encode_matrix(np.eye(4), ctx_b)
     with pytest.raises(CapacityError):
-        he_mat_mult_batched(pa, pb)
+        he_mat_mult(pa, pb)
 
 
 # ----------------------------------------------------------------- baselines
