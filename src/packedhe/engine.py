@@ -18,6 +18,12 @@ Every homomorphic call increments exactly one tally of the context's
 ``adds`` by k - 1 for its k terms, the same as the ``mul_pt``/``add`` chain it
 fuses.  The meter is the ground truth for all operation-count benchmarks.
 
+``mul_pt_sum`` takes its 0/1 plaintexts as a ``MaskTable``: a read-only bool
+table whose rows are checked once, when it is built, to select pairwise
+disjoint slots.  Each slot of the sum then comes from at most one term, so the
+kernel copies each term's selected slots into a zeroed accumulator
+(``np.copyto(..., where=row)``) instead of multiplying and adding.
+
 Ciphertexts and plaintexts are immutable, and every slot array the engine
 puts in one is read-only.  Operations that leave slot values untouched
 (``rescale``, ``dbootstrap``, ``dkey_switch``, ``ddec`` and exact-mode
@@ -123,6 +129,32 @@ class Plaintext:
 
 
 _set_slot = object.__setattr__
+
+
+class MaskTable:
+    """Read-only 2-D bool table of 0/1 plaintext rows that never overlap.
+
+    Handed whole to ``CryptoContext.mul_pt_sum``; the disjointness check runs
+    here, once per table, never per call.  The constructor never casts: it
+    raises ``EngineError`` for a non-bool dtype, for a table that is not 2-D
+    and for two rows that select the same slot.  A writable array is copied
+    once and the copy frozen, so the caller keeps a writable array.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = np.asarray(rows)
+        if rows.dtype != np.bool_:
+            raise EngineError(f"mask table must be bool, got {rows.dtype}")
+        if rows.ndim != 2:
+            raise EngineError(f"mask table must be 2-D, got shape {rows.shape}")
+        if np.count_nonzero(rows) != np.count_nonzero(rows.any(axis=0)):
+            raise EngineError("mask table rows overlap")
+        _set_slot(self, "rows", _shared(rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MaskTable is immutable; cannot set {name!r}")
 
 
 class SlotVector:
@@ -360,17 +392,33 @@ class CryptoContext:
         self._tally("mul_pt")
         return self._derive(ct, ct.slots * pt.slots, scale=ct.scale * pt.scale)
 
-    def mul_pt_sum(self, cts: Sequence[SlotVector], rows) -> SlotVector:
-        """Sum of ``cts[j] * rows[j]``, each row a plaintext at the context scale.
+    def mul_pt_sum(self, cts: Sequence[SlotVector], table: MaskTable) -> SlotVector:
+        """Sum of ``cts[j] * table.rows[j]``, each row a 0/1 plaintext.
 
-        Equals the chain ``mul_pt(cts[0], encode(rows[0])) + mul_pt(cts[1],
-        ...) + ...`` bit for bit: the terms are added in that order and the
-        tallies are the chain's, ``len(cts)`` mul_pt and ``len(cts) - 1``
-        adds.  The operands must share key, level (>= 1) and scale, and
-        ``rows`` must have shape ``(len(cts), slot_count)``.
+        Each row enters at the context scale, and the tallies are those of
+        the chain ``mul_pt(cts[0], encode(rows[0])) + mul_pt(cts[1], ...) +
+        ...``: ``len(cts)`` mul_pt and ``len(cts) - 1`` adds.  Because the
+        rows are disjoint, the kernel copies the slots row j selects from
+        ``cts[j]`` into a zeroed accumulator, and the result relates to the
+        chain as follows:
+
+        * every slot a row selects holds that term's value bit for bit.  It
+          is byte-equal to the chain's whenever the chain's terms are
+          finite, except for a selected -0.0 that the chain may turn into +0.0;
+        * every slot no row selects is +0.0, as in ``apply_permutation``.
+          The chain gave +-0.0 there, or NaN for an inf or NaN term;
+        * so for finite terms the result equals the chain under IEEE
+          equality.
+
+        The operands must share key, level (>= 1) and scale, and the table
+        must be a ``MaskTable`` of shape ``(len(cts), slot_count)``.  Every
+        check runs before the tally, so a rejected call meters nothing.
         """
         if not cts:
             raise EngineError("mul_pt_sum needs at least one term")
+        if not isinstance(table, MaskTable):
+            raise EngineError(
+                f"mul_pt_sum takes a MaskTable, got {type(table).__name__}")
         first = cts[0]
         for ct in cts:
             self._check_pair(first, ct)
@@ -378,16 +426,16 @@ class CryptoContext:
                 raise EngineError("mul_pt_sum operands differ in level or scale")
         if first.level < 1:
             raise LevelExhaustedError("mul_pt_sum requires level >= 1")
-        if np.shape(rows) != (len(cts), self.slot_count):
+        rows = table.rows
+        if rows.shape != (len(cts), self.slot_count):
             raise CapacityError(
-                f"mul_pt_sum rows have shape {np.shape(rows)}, expected "
+                f"mul_pt_sum rows have shape {rows.shape}, expected "
                 f"{(len(cts), self.slot_count)}")
         self._tally("mul_pt", len(cts))
         self._tally("adds", len(cts) - 1)
-        acc = first.slots * rows[0]
-        term = np.empty_like(acc)
-        for ct, row in zip(cts[1:], rows[1:]):
-            acc += np.multiply(ct.slots, row, out=term)
+        acc = np.zeros(self.slot_count)
+        for ct, row in zip(cts, rows):
+            np.copyto(acc, ct.slots, where=row)
         return self._derive(first, acc, scale=first.scale * self.initial_scale)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:

@@ -34,7 +34,7 @@ from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (TransportError, open_in_process_links,
                         open_tcp_links)
 from .wire import SERVER_ID, MsgType, decode_ciphertext, decode_frame, \
-    encode_ciphertext, encode_frame
+    encode_ciphertext, encode_frame, max_frame_body
 
 DEFAULT_TIMEOUT = 300.0
 
@@ -712,7 +712,7 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         party_links = links
     elif transport == "tcp":
         server_links, party_links, acct, listener = open_tcp_links(
-            config.party_count)
+            config.party_count, max_frame_body(server.ctx.slot_count))
     else:
         raise ProtocolError(f"unknown transport {transport!r}")
 

@@ -9,7 +9,9 @@ Each frame is one ``sendall``.  Both ends of every TCP socket set
 MODEL_BCAST, GRADIENT or KEYSWITCH_REQ per layer) and then reads the reply.
 That write-write-read pattern is what Nagle's algorithm and the peer's
 delayed ACK stall: the second write waits for the ACK of the first, which the
-peer holds back for up to about 40 ms on Linux.
+peer holds back for up to about 40 ms on Linux.  A TCP reader refuses a frame
+whose length prefix exceeds the link's maximum body length, before it reads
+the body.
 """
 
 from __future__ import annotations
@@ -88,15 +90,19 @@ class QueueLink:
 
 
 class SocketLink:
-    """One party's duplex TCP channel (either endpoint)."""
+    """One party's duplex TCP channel (either endpoint).
+
+    ``max_body`` bounds the body of every frame it reads.
+    """
 
     def __init__(self, sock: socket.socket, party_id: int, side: str,
-                 accounting: ByteAccounting):
+                 accounting: ByteAccounting, max_body: int):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.party_id = party_id
         self.side = side  # "party" or "server"
         self.accounting = accounting
+        self.max_body = max_body
         self._send_lock = threading.Lock()
 
     def _peer(self) -> tuple[str, str]:
@@ -115,7 +121,7 @@ class SocketLink:
     def _recv(self, timeout: float | None = None) -> bytes:
         self.sock.settimeout(timeout)
         try:
-            return read_frame_from(self.sock.recv)
+            return read_frame_from(self.sock.recv, self.max_body)
         except socket.timeout:
             me, _ = self._peer()
             raise TransportError(f"{me} timed out on the wire") from None
@@ -151,15 +157,16 @@ def open_in_process_links(party_count: int):
     return [QueueLink(p, acct) for p in range(party_count)], acct, None
 
 
-def open_tcp_links(party_count: int, host: str = "127.0.0.1",
+def open_tcp_links(party_count: int, max_body: int, host: str = "127.0.0.1",
                    connect_timeout: float = 10.0):
     """Listen on an ephemeral port and connect one socket pair per party.
 
     Returns (server_links, party_links, accounting, listener): server_links
     are the server-side endpoints indexed by party id, party_links the party
-    endpoints.  Each party names itself with a 2-byte id.  Raises
-    ``TransportError`` when a party does not connect and name itself within
-    ``connect_timeout``, or names an id that is out of range or already taken.
+    endpoints.  Every link reads frames of at most ``max_body`` body bytes.
+    Each party names itself with a 2-byte id.  Raises ``TransportError`` when
+    a party does not connect and name itself within ``connect_timeout``, or
+    names an id that is out of range or already taken.
     """
     acct = ByteAccounting()
     listener = socket.create_server((host, 0))
@@ -213,8 +220,8 @@ def open_tcp_links(party_count: int, host: str = "127.0.0.1",
     for t in threads:
         t.join()
 
-    server_links = [SocketLink(server_socks[p], p, "server", acct)
+    server_links = [SocketLink(server_socks[p], p, "server", acct, max_body)
                     for p in range(party_count)]
-    party_links = [SocketLink(party_socks[p], p, "party", acct)
+    party_links = [SocketLink(party_socks[p], p, "party", acct, max_body)
                    for p in range(party_count)]
     return server_links, party_links, acct, listener

@@ -9,7 +9,10 @@ Frame layout (all integers big-endian):
     payload   optional ciphertext: level and scale as IEEE-754 doubles,
               a 16-byte key tag, then the slot values as consecutive doubles
 
-Unknown message types and length mismatches are rejected at decode time.
+Unknown message types and length mismatches are rejected at decode time.  A
+stream reader takes a maximum body length and rejects a longer frame from
+its length prefix, before it reads the body; ``max_frame_body`` gives the
+longest body the protocol sends, a header plus one ciphertext.
 """
 
 from __future__ import annotations
@@ -112,8 +115,20 @@ def read_exact(recv_fn, count: int) -> bytes:
     return bytes(buf)
 
 
-def read_frame_from(recv_fn) -> bytes:
-    """Read one full frame (prefix included) from a recv-like callable."""
+def max_frame_body(slot_count: int) -> int:
+    """Body length of a frame carrying one ``slot_count``-slot ciphertext."""
+    return _HEADER.size + _CT_META.size + 8 * slot_count
+
+
+def read_frame_from(recv_fn, max_body: int) -> bytes:
+    """Read one full frame (prefix included) from a recv-like callable.
+
+    Raises ``WireError`` as soon as the prefix declares a body longer than
+    ``max_body``, without reading the body.
+    """
     prefix = read_exact(recv_fn, 4)
     (length,) = struct.unpack(">I", prefix)
+    if length > max_body:
+        raise WireError(
+            f"frame declares a {length}-byte body; the limit is {max_body}")
     return prefix + read_exact(recv_fn, length)

@@ -19,17 +19,20 @@ beta * h^2).  Maps that never read across the window edge (row-diagonal
 alignment, column shifts, transpose) work with any capacity.
 
 Every 0/1 mask a transform or product multiplies by is built once per
-geometry and cached as a read-only bool array, already slot-expanded and, for
+geometry as a read-only bool array, already slot-expanded and, for
 baby-step/giant-step, pre-rolled.  The masks of one masked-rotation sum are
-stacked as the rows of one table, which ``ctx.mul_pt_sum`` takes whole: each
-row enters as a plaintext at the context's scale, with the tallies of one
+the rows of one ``MaskTable``, which ``ctx.mul_pt_sum`` takes whole.  The
+diagonals of a permutation select disjoint slots, and rolling all rows of a
+giant step by one shift keeps them disjoint, so each table passes the
+engine's disjointness check, made once when the table is built.  The sum is
+then a masked copy of each term into a zeroed accumulator, metered as one
 ``mul_pt`` per row and one ``add`` per row after the first.  A permutation's
 tables live on its spec, keyed by (beta, slot_count); ``build_permutation``
-shares one spec per (kind, h, k).  The per-stage column masks of
-``he_mat_mult`` are one stacked ``(h, slot_count)`` table keyed by (h, beta,
-slot_count); stage k takes its row as the one-row sum
-``ctx.mul_pt_sum([a0], table[k:k + 1])``, which meters as one ``mul_pt``.
-The caches hold no context, so a table serves every context of its geometry.
+shares one spec per (kind, h, k).  The stage masks of ``he_mat_mult`` (row k
+keeps columns >= k) nest rather than partition, so they are h one-row tables
+keyed by (h, beta, slot_count); stage k takes the one-row sum
+``ctx.mul_pt_sum([a0], tables[k])``, which meters as one ``mul_pt``.  The
+caches hold no context, so a table serves every context of its geometry.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .engine import (CapacityError, CryptoContext, LevelExhaustedError,
-                     SlotVector)
+                     MaskTable, SlotVector)
 
 PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpose")
 
@@ -302,10 +305,14 @@ def register_context(ctx: CryptoContext) -> CryptoContext:
 def _expand_mask(mask: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
     """Repeat each window slot ``beta`` times and zero-pad to ``slot_count``.
 
-    The result keeps the mask's dtype and is read-only.
+    The result is a read-only bool array.  A mask of another dtype must hold
+    only 0 and 1.
     """
-    full = np.zeros(slot_count, dtype=mask.dtype)
-    full[: mask.size * beta] = np.repeat(mask, beta)
+    bits = mask.astype(bool, copy=False)
+    if not np.array_equal(bits, mask):
+        raise ValueError("a 0/1 mask may hold only 0 and 1")
+    full = np.zeros(slot_count, dtype=bool)
+    full[: mask.size * beta] = np.repeat(bits, beta)
     full.setflags(write=False)
     return full
 
@@ -322,16 +329,16 @@ def _per_spec(build):
     return cached
 
 
-def _stack(masks) -> np.ndarray:
+def _stack(masks) -> MaskTable:
     table = np.stack(masks)
     table.setflags(write=False)
-    return table
+    return MaskTable(table)
 
 
 @_per_spec
 def _diagonal_table(spec: PermutationSpec, beta: int,
                     slot_count: int) -> tuple:
-    """(offsets, stacked rows): the nonzero diagonals by offset, slot-expanded."""
+    """(offsets, MaskTable): the nonzero diagonals by offset, slot-expanded."""
     offsets = tuple(sorted(spec.diagonals))
     return offsets, _stack([_expand_mask(spec.diagonals[offset], beta, slot_count)
                             for offset in offsets])
@@ -374,7 +381,7 @@ def bsgs_split(h: int) -> tuple[int, int]:
 
 @_per_spec
 def _bsgs_table(spec: PermutationSpec, beta: int, slot_count: int) -> tuple:
-    """Baby-step stride and, per giant step, (gshift, stacked baby masks).
+    """Baby-step stride and, per giant step, (gshift, MaskTable of baby masks).
 
     Writing each diagonal offset as unit*(baby_count*i + j), row j of giant
     step i is the slot-expanded mask of baby rotation j, rolled by -gshift so
@@ -408,7 +415,7 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
     stride, table = _bsgs_table(spec, beta, ctx.slot_count)
-    baby_rots = [ctx.rot(ct, stride * j) for j in range(len(table[0][1]))]
+    baby_rots = [ctx.rot(ct, stride * j) for j in range(len(table[0][1].rows))]
     acc = None
     for gshift, rows in table:
         shifted = ctx.rot(ctx.mul_pt_sum(baby_rots, rows), gshift)
@@ -444,17 +451,19 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
 
 
 @lru_cache(maxsize=None)
-def _stage_masks(h: int, beta: int, slot_count: int) -> np.ndarray:
-    """Row k keeps columns >= k: R(v_k, -k) in closed form, for stage k."""
+def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
+    """Per stage k, a one-row table keeping columns >= k: R(v_k, -k) in
+    closed form.  The rows nest, so each stage gets a table of its own."""
     col = np.arange(h * h) % h
-    return _stack([_expand_mask(col >= k, beta, slot_count) for k in range(h)])
+    return tuple(_stack([_expand_mask(col >= k, beta, slot_count)])
+                 for k in range(h))
 
 
 @lru_cache(maxsize=None)
-def _rect_stage0_rows(h: int, slot_count: int) -> np.ndarray:
+def _rect_stage0_rows(h: int, slot_count: int) -> MaskTable:
     """Rows (v_{-h}, v_0) of he_rect_mat_mult stage 0: all-zero, then all columns."""
     return _stack([np.zeros(slot_count, dtype=bool),
-                   _stage_masks(h, 1, slot_count)[0]])
+                   _stage_masks(h, 1, slot_count)[0].rows[0]])
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -475,12 +484,12 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, sigma, beta))
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau, beta))
 
-    masks = _stage_masks(h, beta, n)
+    stages = _stage_masks(h, beta, n)
     acc = None
     for k in range(h):
         # Column shift via one mask: the complement half is (a0 - masked),
         # rotated the other way around the row boundary.
-        masked = ctx.mul_pt_sum([a0], masks[k:k + 1])
+        masked = ctx.mul_pt_sum([a0], stages[k])
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
         a_k = ctx.rescale(a_k)

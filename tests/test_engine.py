@@ -239,33 +239,52 @@ def _mul_pt_chain(ctx, cts, rows):
 
 
 def _fused_operands(ctx, k, seed):
+    """k random ciphertexts and a random disjoint table: each slot goes to
+    one of the k rows or to none."""
     rng = np.random.default_rng(seed)
     cts = [ctx.encrypt(ctx.encode(rng.standard_normal(ctx.slot_count)))
            for _ in range(k)]
-    return cts, rng.standard_normal((k, ctx.slot_count))
+    owner = rng.integers(-1, k, ctx.slot_count)
+    return cts, engine.MaskTable(owner == np.arange(k)[:, None])
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])
 @pytest.mark.parametrize("mode", ["exact", "gaussian"])
 def test_mul_pt_sum_is_bit_equal_to_chain(k, mode):
-    ctx = make_ctx(noise_mode=mode, noise_sigma=1e-3 if mode == "gaussian" else 0)
-    cts, rows = _fused_operands(ctx, k, seed=k)
-    for table in (rows, rows > 0):
-        want = _mul_pt_chain(ctx, cts, table)
-        got = ctx.mul_pt_sum(cts, table)
-        assert got.slots.tobytes() == want.slots.tobytes()
-        assert (got.level, got.scale, got.key_tag) == \
-            (want.level, want.scale, want.key_tag)
+    ctx = make_ctx(ring_dim=256, noise_mode=mode,
+                   noise_sigma=1e-3 if mode == "gaussian" else 0)
+    cts, table = _fused_operands(ctx, k, seed=k)
+    selected = table.rows.any(axis=0)
+    want = _mul_pt_chain(ctx, cts, table.rows)
+    got = ctx.mul_pt_sum(cts, table)
+    assert np.array_equal(got.slots, want.slots)
+    assert got.slots[selected].tobytes() == want.slots[selected].tobytes()
+    assert (got.level, got.scale, got.key_tag) == \
+        (want.level, want.scale, want.key_tag)
+
+    # A slot no row selects is +0.0, whatever the terms hold there.
+    idle = np.flatnonzero(~selected)
+    special = np.array([-1.5, -0.0, np.inf, -np.inf, np.nan])
+    assert idle.size >= special.size
+    spiked = []
+    for ct in cts:
+        slots = ct.slots.copy()
+        slots[idle] = np.resize(special, idle.size)
+        spiked.append(engine.SlotVector(slots, ct.level, ct.scale,
+                                        ct.context_id, ct.key_tag))
+    out = ctx.mul_pt_sum(spiked, table).slots
+    assert out[idle].tobytes() == np.zeros(idle.size).tobytes()
+    assert out[selected].tobytes() == want.slots[selected].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 8])
 def test_mul_pt_sum_meters_its_chain(k):
     ctx = make_ctx()
-    cts, rows = _fused_operands(ctx, k, seed=0)
+    cts, table = _fused_operands(ctx, k, seed=0)
     before = ctx.meter.snapshot()
     with ctx.meter_scope() as outer:
         with ctx.meter_scope() as inner:
-            ctx.mul_pt_sum(cts, rows)
+            ctx.mul_pt_sum(cts, table)
     after = ctx.meter.snapshot()
     want = dict.fromkeys(engine.COUNTER_FIELDS, 0)
     want.update(mul_pt=k, adds=k - 1)
@@ -275,10 +294,10 @@ def test_mul_pt_sum_meters_its_chain(k):
 
 def _fused_misuse(case):
     ctx = make_ctx(initial_level=1 if case == "level 0" else 6)
-    cts, rows = _fused_operands(ctx, 2, seed=1)
+    cts, table = _fused_operands(ctx, 2, seed=1)
     ones = ctx.encode(np.ones(ctx.slot_count))
     if case == "empty":
-        cts, rows = [], rows[:0]
+        cts, table = [], engine.MaskTable(table.rows[:0])
     elif case == "other context":
         other = make_ctx()
         cts[1] = other.encrypt(other.encode([1.0]))
@@ -292,8 +311,14 @@ def _fused_misuse(case):
     elif case == "mixed scales":
         cts[1] = ctx.mul_pt(cts[1], ones)
     elif case == "rows shape":
-        rows = rows[:, :-1]
-    return ctx, cts, rows
+        table = engine.MaskTable(table.rows[:, :-1])
+    elif case == "row count":
+        table = engine.MaskTable(table.rows[:1])
+    elif case == "bare bool array":
+        table = table.rows
+    elif case == "bare float array":
+        table = table.rows.astype(float)
+    return ctx, cts, table
 
 
 @pytest.mark.parametrize("case, error", [
@@ -304,13 +329,41 @@ def _fused_misuse(case):
     ("mixed levels", EngineError),
     ("mixed scales", EngineError),
     ("rows shape", CapacityError),
+    ("row count", CapacityError),
+    ("bare bool array", EngineError),
+    ("bare float array", EngineError),
 ])
 def test_mul_pt_sum_rejects_misuse(case, error):
-    ctx, cts, rows = _fused_misuse(case)
+    ctx, cts, table = _fused_misuse(case)
     before = ctx.meter.snapshot()
     with pytest.raises(error):
-        ctx.mul_pt_sum(cts, rows)
+        ctx.mul_pt_sum(cts, table)
     assert ctx.meter.snapshot() == before
+
+
+@pytest.mark.parametrize("rows", [
+    np.eye(2, 4),
+    np.eye(2, 4, dtype=np.uint8),
+    np.ones(4, dtype=bool),
+    np.ones((1, 2, 4), dtype=bool),
+    np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool),
+], ids=["float", "uint8", "1-D", "3-D", "overlap"])
+def test_mask_table_rejects_malformed_tables(rows):
+    with pytest.raises(EngineError):
+        engine.MaskTable(rows)
+
+
+def test_mask_table_is_read_only_and_keeps_callers_array():
+    rows = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
+    table = engine.MaskTable(rows)
+    assert rows.flags.writeable and table.rows is not rows
+    assert np.array_equal(table.rows, rows)
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = False
+    with pytest.raises(AttributeError):
+        table.rows = rows
+    frozen = table.rows
+    assert engine.MaskTable(frozen).rows is frozen
 
 
 # ------------------------------------------------------------------ rotation

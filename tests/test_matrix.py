@@ -350,9 +350,10 @@ def test_cached_masks_are_read_only():
     spec = build_permutation("transpose", h)
     _, table = matrix._bsgs_table(spec, 1, n)
     shift = build_permutation("col_shift", h, 1)
-    arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[1],
-              table[0][1], matrix._diagonal_table(shift, 1, n)[1],
-              matrix._rect_stage0_rows(h, n), matrix._stage_masks(h, 1, n)[1]]
+    arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[1].rows,
+              table[0][1].rows, matrix._diagonal_table(shift, 1, n)[1].rows,
+              matrix._rect_stage0_rows(h, n).rows,
+              matrix._stage_masks(h, 1, n)[1].rows]
     for arr in arrays:
         assert arr.dtype == bool
         with pytest.raises(ValueError):

@@ -7,14 +7,15 @@ import pytest
 
 from packedhe.federated.transport import (ByteAccounting, QueueLink,
                                           TransportError, open_tcp_links)
-from packedhe.federated.wire import SERVER_ID, MsgType, encode_frame
+from packedhe.federated.wire import SERVER_ID, MsgType, WireError, encode_frame
 
 _real_create_connection = socket.create_connection
+MAX_BODY = 1 << 20
 
 
 @pytest.fixture
 def tcp_links():
-    server_links, party_links, acct, listener = open_tcp_links(2)
+    server_links, party_links, acct, listener = open_tcp_links(2, MAX_BODY)
     yield server_links, party_links, acct
     for link in server_links + party_links:
         link.close()
@@ -47,6 +48,14 @@ def test_frame_round_trip_same_bytes_on_both_transports(tcp_links):
     assert tcp_acct.rx == queue_acct.rx
 
 
+def test_tcp_reader_refuses_an_oversized_frame_at_once(tcp_links):
+    server_links, party_links, _ = tcp_links
+    party_links[0].sock.sendall(struct.pack(">I", 2 ** 31) + bytes(64))
+    # Reading the body would time out with a TransportError instead.
+    with pytest.raises(WireError, match="limit is 1048576"):
+        server_links[0].server_recv(10.0)
+
+
 def _connect_after_sending(prefix: bytes):
     """A create_connection that writes ``prefix`` before the party's own id."""
     def create_connection(address, timeout=None):
@@ -62,14 +71,14 @@ def test_handshake_rejects_out_of_range_id(monkeypatch, prefix):
     monkeypatch.setattr(socket, "create_connection",
                         _connect_after_sending(prefix))
     with pytest.raises(TransportError, match="outside range"):
-        open_tcp_links(2, connect_timeout=5.0)
+        open_tcp_links(2, MAX_BODY, connect_timeout=5.0)
 
 
 def test_handshake_rejects_duplicate_id(monkeypatch):
     monkeypatch.setattr(socket, "create_connection",
                         _connect_after_sending(struct.pack(">H", 0)))
     with pytest.raises(TransportError, match="connected twice"):
-        open_tcp_links(2, connect_timeout=5.0)
+        open_tcp_links(2, MAX_BODY, connect_timeout=5.0)
 
 
 def test_handshake_that_never_connects_times_out(monkeypatch):
@@ -77,7 +86,7 @@ def test_handshake_that_never_connects_times_out(monkeypatch):
         raise ConnectionRefusedError("party cannot reach the server")
     monkeypatch.setattr(socket, "create_connection", create_connection)
     with pytest.raises(TransportError, match="0 of 2 parties") as err:
-        open_tcp_links(2, connect_timeout=0.2)
+        open_tcp_links(2, MAX_BODY, connect_timeout=0.2)
     assert isinstance(err.value.__cause__, ConnectionRefusedError)
 
 
@@ -91,7 +100,7 @@ def test_handshake_id_that_never_arrives_times_out(monkeypatch):
     monkeypatch.setattr(socket, "create_connection", create_connection)
     try:
         with pytest.raises(TransportError, match="handshake failed"):
-            open_tcp_links(2, connect_timeout=0.2)
+            open_tcp_links(2, MAX_BODY, connect_timeout=0.2)
     finally:
         for s in silent:
             s.close()
@@ -103,4 +112,4 @@ def test_handshake_closed_before_id_raises(monkeypatch):
         raise ConnectionResetError("party closed mid-handshake")
     monkeypatch.setattr(socket, "create_connection", create_connection)
     with pytest.raises(TransportError, match="handshake failed"):
-        open_tcp_links(2, connect_timeout=5.0)
+        open_tcp_links(2, MAX_BODY, connect_timeout=5.0)

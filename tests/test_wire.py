@@ -8,7 +8,8 @@ import pytest
 from packedhe import engine
 from packedhe.federated.wire import (MsgType, WireError, decode_ciphertext,
                                      decode_frame, encode_ciphertext,
-                                     encode_frame, read_frame_from)
+                                     encode_frame, max_frame_body,
+                                     read_frame_from)
 
 
 def test_frame_byte_layout():
@@ -114,7 +115,7 @@ def test_read_frame_from_stream():
         return chunk
 
     for expect in frames:
-        assert read_frame_from(recv) == expect
+        assert read_frame_from(recv, 1 << 20) == expect
 
 
 def test_truncated_stream_detected():
@@ -128,4 +129,33 @@ def test_truncated_stream_detected():
         return chunk
 
     with pytest.raises(WireError):
-        read_frame_from(recv)
+        read_frame_from(recv, 1 << 20)
+
+
+def _stream(data: bytes):
+    """A recv-like callable over ``data`` that fails if read past its end."""
+    pos = 0
+
+    def recv(n):
+        nonlocal pos
+        assert pos < len(data), "read past the end of the stream"
+        chunk = data[pos: pos + n]
+        pos += len(chunk)
+        return chunk
+    return recv
+
+
+def test_oversized_length_fails_before_the_body_is_read():
+    with pytest.raises(WireError, match="2147483648-byte body"):
+        read_frame_from(_stream(struct.pack(">I", 2 ** 31)), 1 << 20)
+
+
+def test_ciphertext_frame_at_the_limit_passes():
+    ctx = engine.new_context(64)
+    ct = ctx.encrypt(ctx.encode(np.arange(ctx.slot_count, dtype=float)))
+    frame = encode_frame(MsgType.GRADIENT, 1, 0, encode_ciphertext(ct))
+    limit = max_frame_body(ctx.slot_count)
+    assert len(frame) - 4 == limit
+    assert read_frame_from(_stream(frame), limit) == frame
+    with pytest.raises(WireError):
+        read_frame_from(_stream(frame), limit - 1)
