@@ -294,8 +294,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         rhs = _ensure_pm(comp, w, 3)
         e = he_rect_mat_mult(lhs, rhs)
         m_ct, gate_ct = activation(comp, e.ct)
-        m_ct = comp.mul_const(m_ct, matrix._expand_mask(
-            np.tile(plan.col_masks[j], plan.h), 1, ctx.slot_count))
+        m_ct = comp.mul_const(m_ct, np.tile(plan.col_masks[j], plan.h))
         if bootstrap is not None:
             m_ct = bootstrap(m_ct)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
@@ -332,9 +331,8 @@ def local_backward(party: PartyState, trace: ForwardTrace,
             ctx.sub(comp.lvl(m_last.ct, 2), comp.lvl(y_ct.ct, 2)), 2.0)
     if trace.gates[-1] is not None:
         delta = comp.mul(delta, trace.gates[-1].ct)
-    delta = comp.mul_const(delta, matrix._expand_mask(
-        np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel(), 1,
-        ctx.slot_count))
+    delta = comp.mul_const(
+        delta, np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel())
 
     weights = party.model.weights
     below = [trace.x_ct] + trace.activations[:-1]

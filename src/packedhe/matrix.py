@@ -28,11 +28,17 @@ engine's disjointness check, made once when the table is built.  The sum is
 then a masked copy of each term into a zeroed accumulator, metered as one
 ``mul_pt`` per row and one ``add`` per row after the first.  A permutation's
 tables live on its spec, keyed by (beta, slot_count); ``build_permutation``
-shares one spec per (kind, h, k).  The stage masks of ``he_mat_mult`` (row k
-keeps columns >= k) nest rather than partition, so they are h one-row tables
-keyed by (h, beta, slot_count); stage k takes the one-row sum
-``ctx.mul_pt_sum([a0], tables[k])``, which meters as one ``mul_pt``.  The
-caches hold no context, so a table serves every context of its geometry.
+shares one spec per (kind, h, k).  The caches hold no context, so a table
+serves every context of its geometry.
+
+``he_mat_mult`` and ``he_rect_mat_mult`` share one product core and its stage
+masks.  Row k keeps columns >= k; the rows nest rather than partition, so
+they are h one-row tables keyed by (h, beta, slot_count).  Stage k shifts the
+aligned left factor a0 by k columns: ``masked = ctx.mul_pt_sum([a0],
+tables[k])`` (one ``mul_pt``) goes one way and ``a0 - masked`` the other way
+round the row boundary.  ``masked`` is rescaled before the subtraction, so
+every add and sub in a product sees its operands at one scale, as CKKS
+requires.
 """
 
 from __future__ import annotations
@@ -459,44 +465,40 @@ def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
                  for k in range(h))
 
 
-@lru_cache(maxsize=None)
-def _rect_stage0_rows(h: int, slot_count: int) -> MaskTable:
-    """Rows (v_{-h}, v_0) of he_rect_mat_mult stage 0: all-zero, then all columns."""
-    return _stack([np.zeros(slot_count, dtype=bool),
-                   _stage_masks(h, 1, slot_count)[0].rows[0]])
+def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
+             t: int) -> SlotVector:
+    """sigma/tau alignment, then ``t`` column-shift stages; the rescaled sum.
+
+    Each stage costs one mul_pt, one sub, three rotations, one rescale and
+    one mul_ct (see the module docstring).
+    """
+    h, beta = a.dim_h, a.batch_beta
+    a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation("sigma_mu", h), beta))
+    b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, build_permutation("tau_zeta", h), beta))
+    stages = _stage_masks(h, beta, ctx.slot_count)
+    acc = None
+    for k in range(t):
+        masked = ctx.rescale(ctx.mul_pt_sum([a0], stages[k]))
+        a_k = ctx.add(ctx.rot(masked, beta * k),
+                      ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
+        prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
+        acc = prod if acc is None else ctx.add(acc, prod)
+    return ctx.rescale(acc)
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """Packed product of (batched) square matrices in 3h + 2b + 3g rotations.
 
-    For perfect-square h the rotation tally is exactly 3h + 5*sqrt(h); tallies
-    for mul_pt / mul_ct are 4h / h.  Consumes three multiplicative levels and
-    returns the result at the context's base scale.
+    For perfect-square h the rotation tally is exactly 3h + 5*sqrt(h); the
+    other tallies are 4h mul_pt, h subs and h mul_ct.  Consumes three
+    multiplicative levels and returns the result at the context's base scale.
     """
     if a.rows_t != a.dim_h or b.rows_t != b.dim_h:
         raise CapacityError("he_mat_mult expects square payloads; "
                             "use he_rect_mat_mult for stacked rectangular forms")
     ctx = _require_product_layout(a, b, 3)
-    h, beta, n = a.dim_h, a.batch_beta, ctx.slot_count
-
-    sigma = build_permutation("sigma_mu", h)
-    tau = build_permutation("tau_zeta", h)
-    a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, sigma, beta))
-    b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau, beta))
-
-    stages = _stage_masks(h, beta, n)
-    acc = None
-    for k in range(h):
-        # Column shift via one mask: the complement half is (a0 - masked),
-        # rotated the other way around the row boundary.
-        masked = ctx.mul_pt_sum([a0], stages[k])
-        a_k = ctx.add(ctx.rot(masked, beta * k),
-                      ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
-        a_k = ctx.rescale(a_k)
-        b_k = ctx.rot(b0, beta * h * k)
-        prod = ctx.mul_ct(a_k, b_k)
-        acc = prod if acc is None else ctx.add(acc, prod)
-    return PackedMatrix(ctx.rescale(acc), h, h, beta)
+    return PackedMatrix(_product(ctx, a, b, a.dim_h), a.dim_h, a.dim_h,
+                        a.batch_beta)
 
 
 def he_transpose(a: PackedMatrix) -> PackedMatrix:
@@ -514,9 +516,10 @@ def he_transpose(a: PackedMatrix) -> PackedMatrix:
 def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """Product of a stacked t x h matrix with an h x h matrix.
 
-    Only t shift stages and t ciphertext products are needed; a final
-    log2(h/t) rotate-and-add fold sums the stacked partial blocks, leaving
-    h/t vertical copies of the t x h product in the output image.
+    The square product's core with only t shift stages: 3h + t mul_pt,
+    t subs and t mul_ct.  A final log2(h/t) rotate-and-add fold sums the
+    stacked partial blocks, leaving h/t vertical copies of the t x h product
+    in the output image.
     """
     if a.batch_beta != 1 or b.batch_beta != 1:
         raise CapacityError("rectangular products are not batched")
@@ -527,27 +530,7 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     if h % t != 0:
         raise CapacityError(f"logical row count {t} must divide the side {h}")
     ctx = _require_product_layout(a, b, 3)
-
-    sigma = build_permutation("sigma_mu", h)
-    tau = build_permutation("tau_zeta", h)
-    a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, sigma))
-    b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, tau))
-
-    n = ctx.slot_count
-    acc = None
-    for k in range(t):
-        # Stage k is col_shift(k) written out as rows (v_{k-h}, v_k); stage 0
-        # keeps its two rotations with an all-zero v_{-h}.
-        if k == 0:
-            rows = _rect_stage0_rows(h, n)
-        else:
-            _, rows = _diagonal_table(build_permutation("col_shift", h, k), 1, n)
-        a_k = ctx.mul_pt_sum([ctx.rot(a0, k - h), ctx.rot(a0, k)], rows)
-        a_k = ctx.rescale(a_k)
-        b_k = ctx.rot(b0, h * k)
-        prod = ctx.mul_ct(a_k, b_k)
-        acc = prod if acc is None else ctx.add(acc, prod)
-    acc = ctx.rescale(acc)
+    acc = _product(ctx, a, b, t)
 
     # Fold the h/t stacked partial blocks; exact-fit packing makes the
     # rotation wrap at the window edge, so every block receives the total.

@@ -352,7 +352,6 @@ def test_cached_masks_are_read_only():
     shift = build_permutation("col_shift", h, 1)
     arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[1].rows,
               table[0][1].rows, matrix._diagonal_table(shift, 1, n)[1].rows,
-              matrix._rect_stage0_rows(h, n).rows,
               matrix._stage_masks(h, 1, n)[1].rows]
     for arr in arrays:
         assert arr.dtype == bool
@@ -496,10 +495,10 @@ def _he_mat_mult_encoding_masks(a, b):
     acc = None
     for k in range(h):
         pre = np.repeat(np.arange(h * h) % h >= k, beta).astype(np.float64)
-        masked = ctx.mul_pt(a0, ctx.encode(pre))
+        masked = ctx.rescale(ctx.mul_pt(a0, ctx.encode(pre)))
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
-        prod = ctx.mul_ct(ctx.rescale(a_k), ctx.rot(b0, beta * h * k))
+        prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
         acc = prod if acc is None else ctx.add(acc, prod)
     return ctx.rescale(acc)
 
@@ -582,19 +581,24 @@ def test_rect_matches_plain_product(t, h):
     for copy in range(h // t):
         assert np.allclose(img[copy * t:(copy + 1) * t], expect, atol=1e-9)
     assert scope.mul_ct == t
+    assert scope.mul_pt == 3 * h + t
+    assert scope.subs == t
 
 
 def test_rect_degenerates_to_square():
-    # both shift-stage variants do exact 0/1-mask arithmetic, so the t = h
-    # case reproduces the square product bit for bit
+    # both products run one stage core, so at t = h (no fold) the rectangular
+    # product reproduces the square one bit for bit, tallies included
     h = 4
     ctx = exact_ctx(h)
     rng = np.random.default_rng(9)
     a = rng.standard_normal((h, h))
     b = rng.standard_normal((h, h))
-    rect = he_rect_mat_mult(encode_rect_matrix(a, ctx), encode_matrix(b, ctx))
-    square = he_mat_mult(encode_matrix(a, ctx), encode_matrix(b, ctx))
+    with ctx.meter_scope() as rect_scope:
+        rect = he_rect_mat_mult(encode_rect_matrix(a, ctx), encode_matrix(b, ctx))
+    with ctx.meter_scope() as square_scope:
+        square = he_mat_mult(encode_matrix(a, ctx), encode_matrix(b, ctx))
     assert np.array_equal(rect.ct.slots, square.ct.slots)
+    assert rect_scope.snapshot() == square_scope.snapshot()
 
 
 def test_bsgs_falls_back_for_shift_kinds():

@@ -1,0 +1,86 @@
+"""Scale discipline: every add and sub sees operands at one scale.
+
+Real CKKS adds two ciphertexts only when their scales agree (Cheon-Kim-Kim-
+Song, ASIACRYPT 2017); the float64 slots of the simulator would hide a
+mismatch, so these tests record the operand scales of every ``add`` and
+``sub`` instead.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from packedhe import engine, matrix
+from packedhe.federated.config import (ActivationConfig, TrainingConfig,
+                                       make_synthetic_classification,
+                                       split_parties)
+from packedhe.federated.protocol import run_training
+from packedhe.matrix import (encode_matrix, encode_rect_matrix, he_mat_mult,
+                             he_rect_mat_mult, pack_matrices)
+
+
+@pytest.fixture
+def mismatches(monkeypatch):
+    """List of (op, scale_a, scale_b) for each add/sub whose scales differ."""
+    seen = []
+    for name in ("add", "sub"):
+        real = getattr(engine.CryptoContext, name)
+
+        def recording(self, a, b, real=real, name=name):
+            if not math.isclose(a.scale, b.scale, rel_tol=1e-9):
+                seen.append((name, a.scale, b.scale))
+            return real(self, a, b)
+        monkeypatch.setattr(engine.CryptoContext, name, recording)
+    return seen
+
+
+def _ctx(h, beta=1):
+    return matrix.register_context(
+        engine.new_context(2 * beta * h * h, 6, 2.0 ** 40, 1))
+
+
+@pytest.mark.parametrize("h, beta", [(4, 1), (8, 1), (16, 1), (4, 2)])
+def test_square_product_adds_at_one_scale(h, beta, mismatches):
+    ctx = _ctx(h, beta)
+    rng = np.random.default_rng(h + beta)
+    pa = pack_matrices([rng.uniform(-3, 3, (h, h)) for _ in range(beta)], ctx)
+    pb = pack_matrices([rng.uniform(-3, 3, (h, h)) for _ in range(beta)], ctx)
+    with ctx.meter_scope() as scope:
+        he_mat_mult(pa, pb)
+    assert scope.subs == h
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("t, h", [(1, 4), (2, 8), (4, 16)])
+def test_rect_product_adds_at_one_scale(t, h, mismatches):
+    ctx = _ctx(h)
+    rng = np.random.default_rng(t + h)
+    a = encode_rect_matrix(rng.uniform(-3, 3, (t, h)), ctx)
+    with ctx.meter_scope() as scope:
+        he_rect_mat_mult(a, encode_matrix(rng.uniform(-3, 3, (h, h)), ctx))
+    assert scope.subs == t
+    assert mismatches == []
+
+
+def _short_job(rescale_every_r):
+    x, y = make_synthetic_classification(samples=16, features=3, classes=2,
+                                         seed=14)
+    config = TrainingConfig(neurons=(2,), learning_rate=0.1, global_iters=2,
+                            batch_size=4, party_count=2, seed=5,
+                            activation=ActivationConfig(kind="approx_relu"),
+                            rescale_every_r=rescale_every_r)
+    run_training(config, split_parties(x, y, 2, seed=2))
+
+
+def test_training_adds_at_one_scale(mismatches):
+    _short_job(rescale_every_r=1)
+    assert mismatches == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: with rescale_every_r > 1 the aggregate's weight update "
+    "and the approx_relu activation add a Delta-scale term to a Delta**2 one"))
+def test_relaxed_rescale_training_adds_at_one_scale(mismatches):
+    _short_job(rescale_every_r=2)
+    assert mismatches == []
