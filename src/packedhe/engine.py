@@ -14,15 +14,26 @@ shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
 Every homomorphic call increments exactly one tally of the context's
-``OpCounter`` by one, except ``mul_pt_sum``, which bumps ``mul_pt`` by k and
-``adds`` by k - 1 for its k terms, the same as the ``mul_pt``/``add`` chain it
-fuses.  The meter is the ground truth for all operation-count benchmarks.
+``OpCounter`` by one, except the three calls that fuse a chain and tally it:
+
+* ``mul_pt_sum`` bumps ``mul_pt`` by k and ``adds`` by k - 1 for its k terms,
+  the ``mul_pt``/``add`` chain it fuses;
+* ``rot_many`` bumps ``rotations`` by one per offset, as a list of ``rot``;
+* ``shift_mul_sum`` runs the t column-shift stages of a packed product.  Per
+  stage it meters the chain ``m = rescale(mul_pt(a0, mask))``, ``sub(a0,
+  m)``, two rotations and an ``add`` for the shifted left factor, one
+  rotation of ``b0`` and a ``mul_ct``; plus t - 1 ``adds`` for the sum.
+
+The meter is the ground truth for all operation-count benchmarks.  Each fused
+call makes every check of its chain before it tallies anything, and returns
+the chain's bytes, level and scale.
 
 ``mul_pt_sum`` takes its 0/1 plaintexts as a ``MaskTable``: a read-only bool
 table whose rows are checked once, when it is built, to select pairwise
 disjoint slots.  Each slot of the sum then comes from at most one term, so the
 kernel copies each term's selected slots into a zeroed accumulator
-(``np.copyto(..., where=row)``) instead of multiplying and adding.
+(``np.copyto(..., where=row)``) instead of multiplying and adding, and skips
+the rows that select nothing.
 
 Ciphertexts and plaintexts are immutable, and every slot array the engine
 puts in one is read-only.  Operations that leave slot values untouched
@@ -130,6 +141,11 @@ class Plaintext:
 
 _set_slot = object.__setattr__
 
+# Byte budget of each work array of ``shift_mul_sum``.  The arrays are made
+# once per call and reused by every block of stages: a block array allocated
+# afresh above glibc's 128 KiB mmap threshold would page-fault on each block.
+_BLOCK_BYTES = 256 * 1024
+
 
 class MaskTable:
     """Read-only 2-D bool table of 0/1 plaintext rows that never overlap.
@@ -139,9 +155,11 @@ class MaskTable:
     raises ``EngineError`` for a non-bool dtype, for a table that is not 2-D
     and for two rows that select the same slot.  A writable array is copied
     once and the copy frozen, so the caller keeps a writable array.
+    ``live`` lists the rows that select any slot; a masked copy by any other
+    row copies nothing, so ``mul_pt_sum`` skips them.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "live")
 
     def __init__(self, rows):
         rows = np.asarray(rows)
@@ -152,6 +170,7 @@ class MaskTable:
         if np.count_nonzero(rows) != np.count_nonzero(rows.any(axis=0)):
             raise EngineError("mask table rows overlap")
         _set_slot(self, "rows", _shared(rows))
+        _set_slot(self, "live", np.flatnonzero(rows.any(axis=1)).tolist())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MaskTable is immutable; cannot set {name!r}")
@@ -420,9 +439,13 @@ class CryptoContext:
             raise EngineError(
                 f"mul_pt_sum takes a MaskTable, got {type(table).__name__}")
         first = cts[0]
+        self._check_context(first)
+        want = (first.context_id, first.key_tag, first.level, first.scale,
+                first.slots.shape)
         for ct in cts:
-            self._check_pair(first, ct)
-            if ct.level != first.level or ct.scale != first.scale:
+            if (ct.context_id, ct.key_tag, ct.level, ct.scale,
+                    ct.slots.shape) != want:
+                self._check_pair(first, ct)
                 raise EngineError("mul_pt_sum operands differ in level or scale")
         if first.level < 1:
             raise LevelExhaustedError("mul_pt_sum requires level >= 1")
@@ -434,9 +457,82 @@ class CryptoContext:
         self._tally("mul_pt", len(cts))
         self._tally("adds", len(cts) - 1)
         acc = np.zeros(self.slot_count)
-        for ct, row in zip(cts, rows):
-            np.copyto(acc, ct.slots, where=row)
+        for j in table.live:
+            np.copyto(acc, cts[j].slots, where=rows[j])
         return self._derive(first, acc, scale=first.scale * self.initial_scale)
+
+    def shift_mul_sum(self, a0: SlotVector, b0: SlotVector, masks: np.ndarray,
+                      a_shifts: tuple, b_shifts: range) -> SlotVector:
+        """Sum over stages k of ``a_k * rot(b0, b_shifts[k])``, in one call.
+
+        With ``up, down = a_shifts`` and ``m_k = rescale(mul_pt_sum([a0],
+        masks[k:k+1]))``, ``a_k = add(rot(m_k, up[k]), rot(sub(a0, m_k),
+        down[k]))``.  The result, its level, scale and tallies are those of
+        that chain with the stage products summed in order by ``add``: per
+        stage one mul_pt, rescale, sub and mul_ct, three rotations and one
+        add, plus ``t - 1`` adds for the sum of ``t`` stages.  In gaussian
+        mode each stage product draws its noise row from the same stream, in
+        the same order, as the chain's ``mul_ct``.
+
+        ``masks`` is a bool array of shape ``(t, slot_count)``.  Each shift
+        sequence is a ``range`` of length ``t`` whose values, taken mod
+        slot_count, stay in ``[0, slot_count)`` as one progression, so the
+        rotations of a block of stages are one strided view of a doubled
+        array.  The stages run in blocks whose work arrays are allocated once
+        per call and reused; each stays within ``_BLOCK_BYTES``.  Every check
+        runs before the tally, so a rejected call meters nothing.
+        """
+        self._check_pair(a0, b0)
+        if a0.level < 2 or b0.level < 1:
+            raise LevelExhaustedError(
+                "shift_mul_sum requires a0 at level >= 2 and b0 at level >= 1")
+        masks = np.asarray(masks)
+        if masks.dtype != np.bool_:
+            raise EngineError(f"stage masks must be bool, got {masks.dtype}")
+        n = self.slot_count
+        t = len(masks) if masks.ndim == 2 else 0
+        if masks.shape != (t, n) or t == 0:
+            raise CapacityError(
+                f"stage masks have shape {masks.shape}, expected (t, {n}), t >= 1")
+        up, down = a_shifts
+        (s_up, step_up), (s_down, step_down), (s_b, step_b) = (
+            self._progression(shifts, t) for shifts in (up, down, b_shifts))
+        masked_scale = a0.scale * self.initial_scale / self.initial_scale
+        a_scale = max(a0.scale, masked_scale)
+        for name, times in (("mul_pt", t), ("rescales", t), ("subs", t),
+                            ("rotations", 3 * t), ("adds", 2 * t - 1),
+                            ("mul_ct", t)):
+            self._tally(name, times)
+
+        # Row r of a block is stage k + r.  The chain's rot(a0 - m, down) is
+        # rot(a0, down) - rot(m, down), the same subtraction slot by slot, and
+        # p += rot(m, up) is the chain's add: IEEE addition commutes exactly.
+        rows = max(1, min(t, _BLOCK_BYTES // (2 * n * 8)))
+        a2 = np.concatenate((a0.slots, a0.slots))
+        b2 = np.concatenate((b0.slots, b0.slots))
+        m2 = np.empty((rows, 2 * n))  # the largest work array: one doubled m_k per row
+        prod = np.empty((rows, n))
+        acc = np.empty(n)
+        for k in range(0, t, rows):
+            r = min(rows, t - k)
+            m, p = m2[:r], prod[:r]
+            m[:, :n] = 0.0
+            np.copyto(m[:, :n], a0.slots, where=masks[k:k + r])
+            m[:, n:] = m[:, :n]
+            down = s_down + k * step_down
+            np.subtract(_rows(a2, down, step_down, r, n),
+                        _rows(m, down, step_down, r, n), out=p)
+            p += _rows(m, s_up + k * step_up, step_up, r, n)
+            p *= _rows(b2, s_b + k * step_b, step_b, r, n)
+            if self.noise_mode == "gaussian":
+                p += self._rng.normal(0.0, self.noise_sigma, (r, n))
+            if k:
+                p[0] += acc
+            # Rows fold in order; -0.0 is the additive identity that keeps a
+            # -0.0 sum as the chain's adds leave it (numpy starts from +0.0).
+            np.add.reduce(p, axis=0, out=acc, initial=-0.0)
+        return self._derive(a0, acc, level=min(a0.level - 1, b0.level),
+                            scale=a_scale * b0.scale)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)
@@ -456,6 +552,20 @@ class CryptoContext:
         k = int(k) % self.slot_count
         self._tally("rotations")
         return self._derive(ct, np.concatenate((ct.slots[k:], ct.slots[:k])))
+
+    def rot_many(self, ct: SlotVector, offsets: Iterable[int]) -> list:
+        """``[rot(ct, k) for k in offsets]``, tallying one rotation per offset.
+
+        The rotations share one read-only doubled copy of ``ct``'s slots:
+        each result's slots are a view into it, byte-equal to ``rot``'s.
+        """
+        self._check_context(ct)
+        n = self.slot_count
+        offsets = [int(k) % n for k in offsets]
+        self._tally("rotations", len(offsets))
+        doubled = _freeze(np.concatenate((ct.slots, ct.slots)))
+        return [SlotVector(doubled[k:k + n], ct.level, ct.scale,
+                           self.context_id, ct.key_tag) for k in offsets]
 
     def rescale(self, ct: SlotVector) -> SlotVector:
         self._check_context(ct)
@@ -500,6 +610,21 @@ class CryptoContext:
             ct.key_tag,
         )
 
+    def _progression(self, shifts: range, t: int) -> tuple:
+        """(start mod slot_count, step) of a range of ``t`` stage shifts.
+
+        Refuses a range that leaves ``[0, slot_count)`` once its start is
+        reduced, since its rotations would not be one strided view.
+        """
+        if not isinstance(shifts, range) or len(shifts) != t:
+            raise EngineError(f"stage shifts must be a range of length {t}, "
+                              f"got {shifts!r}")
+        start = shifts.start % self.slot_count
+        last = start + (t - 1) * shifts.step
+        if min(start, last) < 0 or max(start, last) >= self.slot_count:
+            raise CapacityError(f"stage shifts {shifts!r} wrap the slot ring")
+        return start, shifts.step
+
     def _check_context(self, obj) -> None:
         if obj.context_id != self.context_id:
             raise EngineError(
@@ -513,6 +638,21 @@ class CryptoContext:
                 f"operands bound to different keys: {a.key_tag!r} vs {b.key_tag!r}")
         if a.slots.shape != b.slots.shape:
             raise CapacityError("operand slot counts differ")
+
+
+def _rows(base: np.ndarray, start: int, step: int, count: int,
+          n: int) -> np.ndarray:
+    """``(count, n)`` view of ``base`` whose row r starts at ``start + r*step``.
+
+    ``base`` is a contiguous doubled array, 1-D or one doubled row per view
+    row, so row r is the rotation of that row by ``start + r*step`` when the
+    offset is in ``[0, n)``.  ``np.ndarray`` refuses a view that would read
+    past the end of ``base``.
+    """
+    item = base.itemsize
+    row_stride = (base.strides[0] if base.ndim == 2 else 0) + step * item
+    return np.ndarray((count, n), base.dtype, base, start * item,
+                      (row_stride, item))
 
 
 def new_context(ring_dim: int, initial_level: int = 6,

@@ -27,7 +27,7 @@ from .. import matrix
 from ..approx import (CompositePolySpec, app_sign, make_local_bootstrapper,
                       polyval_ct, smooth_fit)
 from ..engine import (CryptoContext, EngineError, MissingPartyError,
-                      new_context)
+                      Plaintext, new_context)
 from ..matrix import PackedMatrix, he_mat_mult, he_rect_mat_mult, he_transpose
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
@@ -105,6 +105,31 @@ class GradientMsg:
                 raise ProtocolError("gradient ciphertext under the wrong key")
 
 
+@dataclass(frozen=True)
+class PassConstants:
+    """The constant plaintexts of one party's passes, encoded once per job."""
+
+    col_masks: tuple        # per layer, the logical-neuron column mask
+    label_mask: Plaintext   # real samples x label columns
+    two: Plaintext          # derivative factor of the squared loss
+    grad_scale: Plaintext   # t / h
+    relu_range: Plaintext | None  # 1 / input_range, approx_relu only
+    half: Plaintext | None        # 0.5, approx_relu only
+
+
+def _encode_constants(ctx: CryptoContext, config: TrainingConfig,
+                      plan: PadPlan) -> PassConstants:
+    def full(value):
+        return ctx.encode(np.full(ctx.slot_count, float(value)))
+    relu = config.activation.kind == "approx_relu"
+    return PassConstants(
+        tuple(ctx.encode(np.tile(mask, plan.h)) for mask in plan.col_masks),
+        ctx.encode(np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel()),
+        full(2.0), full(plan.t / plan.h),
+        full(1.0 / config.activation.input_range) if relu else None,
+        full(0.5) if relu else None)
+
+
 @dataclass
 class ServerState:
     ctx: CryptoContext
@@ -112,6 +137,7 @@ class ServerState:
     plan: PadPlan
     model: ModelState
     logical_dims: list      # (rows, cols) per layer before padding
+    lr_factor: Plaintext    # eta / (batch * N), encoded once per job
     finalized: bool = False
 
 
@@ -122,6 +148,7 @@ class PartyState:
     config: TrainingConfig
     plan: PadPlan
     model: ModelState
+    consts: PassConstants
     shard: tuple | None = None       # (features, labels)
     schedule: list | None = None     # per-round row indices for this party
 
@@ -176,8 +203,11 @@ def prepare(config: TrainingConfig, feature_dim: int, party_ids=None):
     logical, dims = init_weights(config, feature_dim)
     weights = [matrix.encode_matrix(pad_square(w, plan.h), ctx) for w in logical]
     model = ModelState(weights, 0, plan)
-    server = ServerState(ctx, config, plan, model, dims)
-    parties = [PartyState(p, ctx, config, plan, model.clone())
+    factor = config.learning_rate / (config.batch_size * config.party_count)
+    server = ServerState(ctx, config, plan, model, dims,
+                         ctx.encode(np.full(ctx.slot_count, factor)))
+    parties = [PartyState(p, ctx, config, plan, model.clone(),
+                          _encode_constants(ctx, config, plan))
                for p in range(config.party_count)]
     return server, parties
 
@@ -211,18 +241,17 @@ class _Compute:
     def mul(self, a, b):
         return self.rs(self.ctx.mul_ct(self.lvl(a, 2), self.lvl(b, 2)))
 
-    def mul_const(self, ct, value):
-        arr = np.full(self.ctx.slot_count, float(value)) if np.ndim(value) == 0 \
-            else np.asarray(value, dtype=np.float64)
-        return self.rs(self.ctx.mul_pt(self.lvl(ct, 2), self.ctx.encode(arr)))
+    def mul_const(self, ct, pt: Plaintext):
+        return self.rs(self.ctx.mul_pt(self.lvl(ct, 2), pt))
 
 
 class CipherActivation:
     """Ciphertext twin of mirror.PlainActivation."""
 
-    def __init__(self, config: TrainingConfig):
+    def __init__(self, config: TrainingConfig, consts: PassConstants):
         act = config.activation
         self.act = act
+        self.consts = consts
         if act.kind == "approx_relu":
             self.spec = CompositePolySpec.for_closeness(act.d, act.sigma, act.delta)
         elif act.kind == "approx_sigmoid":
@@ -236,12 +265,13 @@ class CipherActivation:
         if self.act.kind == "identity":
             return e, None
         if self.act.kind == "approx_relu":
-            scaled = comp.mul_const(e, 1.0 / self.act.input_range)
+            half = self.consts.half
+            scaled = comp.mul_const(e, self.consts.relu_range)
             s = app_sign(scaled, self.spec, ctx, comp.bootstrap)
             prod = comp.mul(e, s)
-            m = comp.mul_const(ctx.add(e, prod), 0.5)
+            m = comp.mul_const(ctx.add(e, prod), half)
             gate = comp.mul_const(
-                ctx.add(s, ctx.constant(1.0, s.key_tag)), 0.5)
+                ctx.add(s, ctx.constant(1.0, s.key_tag)), half)
             return m, gate
         m = polyval_ct(e, self.fit.coeffs, ctx, comp.bootstrap)
         gate = polyval_ct(e, self.deriv_coeffs, ctx, comp.bootstrap)
@@ -276,7 +306,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     if bootstrap is None:
         bootstrap = make_local_bootstrapper(ctx)
     comp = _Compute(ctx, config, bootstrap)
-    activation = CipherActivation(config)
+    activation = CipherActivation(config, party.consts)
 
     rows = len(batch_x)
     if rows > config.batch_size:
@@ -294,7 +324,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         rhs = _ensure_pm(comp, w, 3)
         e = he_rect_mat_mult(lhs, rhs)
         m_ct, gate_ct = activation(comp, e.ct)
-        m_ct = comp.mul_const(m_ct, np.tile(plan.col_masks[j], plan.h))
+        m_ct = comp.mul_const(m_ct, party.consts.col_masks[j])
         if bootstrap is not None:
             m_ct = bootstrap(m_ct)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
@@ -314,6 +344,7 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     the plain block product summed over the batch rows.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
+    consts = party.consts
     if bootstrap is None:
         bootstrap = make_local_bootstrapper(ctx)
     comp = _Compute(ctx, config, bootstrap)
@@ -328,23 +359,22 @@ def local_backward(party: PartyState, trace: ForwardTrace,
         delta = comp.mul(err, err)
     else:
         delta = comp.mul_const(
-            ctx.sub(comp.lvl(m_last.ct, 2), comp.lvl(y_ct.ct, 2)), 2.0)
+            ctx.sub(comp.lvl(m_last.ct, 2), comp.lvl(y_ct.ct, 2)), consts.two)
     if trace.gates[-1] is not None:
         delta = comp.mul(delta, trace.gates[-1].ct)
-    delta = comp.mul_const(
-        delta, np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel())
+    delta = comp.mul_const(delta, consts.label_mask)
 
     weights = party.model.weights
     below = [trace.x_ct] + trace.activations[:-1]
     grads: list = [None] * len(weights)
-    scale = plan.t / plan.h
     for j in reversed(range(len(weights))):
         m_prev = _ensure_pm(comp, _as_square(below[j]), 2)
         m_t = he_transpose(m_prev)
         g = he_mat_mult(_ensure_pm(comp, m_t, 3),
                         _ensure_pm(comp, _as_square(
                             PackedMatrix(delta, plan.h, plan.h, 1)), 3))
-        grads[j] = PackedMatrix(comp.mul_const(g.ct, scale), plan.h, plan.h, 1)
+        grads[j] = PackedMatrix(comp.mul_const(g.ct, consts.grad_scale),
+                                plan.h, plan.h, 1)
         if j > 0:
             w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
             d_pm = he_rect_mat_mult(
@@ -378,8 +408,6 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
                 f"server is at round {server.model.iteration}")
         m.validate(config, ctx.DEFAULT_KEY)
 
-    factor = config.learning_rate / (config.batch_size * config.party_count)
-    pt_factor = ctx.encode(np.full(ctx.slot_count, factor))
     new_weights = []
     for j, w in enumerate(server.model.weights):
         total = None
@@ -388,7 +416,7 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
             total = g if total is None else ctx.add(total, g)
         if total.level < 1:
             total = ctx.dbootstrap(total, ctx.parties)
-        upd = ctx.rescale(ctx.mul_pt(total, pt_factor))
+        upd = ctx.rescale(ctx.mul_pt(total, server.lr_factor))
         new_ct = ctx.sub(w.ct, upd)
         # Refresh so the next round's products have their full budget.
         new_ct = ctx.dbootstrap(new_ct, ctx.parties)

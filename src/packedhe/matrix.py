@@ -33,12 +33,17 @@ serves every context of its geometry.
 
 ``he_mat_mult`` and ``he_rect_mat_mult`` share one product core and its stage
 masks.  Row k keeps columns >= k; the rows nest rather than partition, so
-they are h one-row tables keyed by (h, beta, slot_count).  Stage k shifts the
-aligned left factor a0 by k columns: ``masked = ctx.mul_pt_sum([a0],
-tables[k])`` (one ``mul_pt``) goes one way and ``a0 - masked`` the other way
-round the row boundary.  ``masked`` is rescaled before the subtraction, so
-every add and sub in a product sees its operands at one scale, as CKKS
-requires.
+they are not a ``MaskTable`` but a single read-only ``(h, slot_count)`` bool
+table, keyed by (h, beta, slot_count).  Stage k shifts the aligned left
+factor a0 by k columns: the masked term ``m_k`` (one ``mul_pt``) goes one way
+and ``a0 - m_k`` the other way round the row boundary.  ``m_k`` is rescaled
+before the subtraction, so every add and sub in a product sees its operands
+at one scale, as CKKS requires.  All t stages are one engine call,
+``ctx.shift_mul_sum``, which meters each stage as that chain and returns its
+bytes.  It works through the stages in blocks of a fixed size, reusing work
+arrays of at most 256 KiB that it allocates once per call: a block array
+above glibc's 128 KiB mmap threshold, allocated afresh for each block, would
+page-fault on every block and cost more than the fusion saves.
 """
 
 from __future__ import annotations
@@ -421,7 +426,7 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
     stride, table = _bsgs_table(spec, beta, ctx.slot_count)
-    baby_rots = [ctx.rot(ct, stride * j) for j in range(len(table[0][1].rows))]
+    baby_rots = ctx.rot_many(ct, range(0, stride * len(table[0][1].rows), stride))
     acc = None
     for gshift, rows in table:
         shifted = ctx.rot(ctx.mul_pt_sum(baby_rots, rows), gshift)
@@ -457,33 +462,31 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
 
 
 @lru_cache(maxsize=None)
-def _stage_masks(h: int, beta: int, slot_count: int) -> tuple:
-    """Per stage k, a one-row table keeping columns >= k: R(v_k, -k) in
-    closed form.  The rows nest, so each stage gets a table of its own."""
+def _stage_masks(h: int, beta: int, slot_count: int) -> np.ndarray:
+    """Read-only ``(h, slot_count)`` bool table whose row k keeps columns
+    >= k: R(v_k, -k) in closed form, one row per column-shift stage."""
     col = np.arange(h * h) % h
-    return tuple(_stack([_expand_mask(col >= k, beta, slot_count)])
-                 for k in range(h))
+    table = np.stack([_expand_mask(col >= k, beta, slot_count)
+                      for k in range(h)])
+    table.setflags(write=False)
+    return table
 
 
 def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
              t: int) -> SlotVector:
     """sigma/tau alignment, then ``t`` column-shift stages; the rescaled sum.
 
-    Each stage costs one mul_pt, one sub, three rotations, one rescale and
-    one mul_ct (see the module docstring).
+    The stages are one ``ctx.shift_mul_sum`` call; each costs one mul_pt,
+    one sub, three rotations, one rescale and one mul_ct (see the module
+    docstring).
     """
     h, beta = a.dim_h, a.batch_beta
     a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation("sigma_mu", h), beta))
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, build_permutation("tau_zeta", h), beta))
-    stages = _stage_masks(h, beta, ctx.slot_count)
-    acc = None
-    for k in range(t):
-        masked = ctx.rescale(ctx.mul_pt_sum([a0], stages[k]))
-        a_k = ctx.add(ctx.rot(masked, beta * k),
-                      ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
-        prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
-        acc = prod if acc is None else ctx.add(acc, prod)
-    return ctx.rescale(acc)
+    stages = _stage_masks(h, beta, ctx.slot_count)[:t]
+    a_shifts = (range(0, beta * t, beta), range(-beta * h, beta * (t - h), beta))
+    b_shifts = range(0, beta * h * t, beta * h)
+    return ctx.rescale(ctx.shift_mul_sum(a0, b0, stages, a_shifts, b_shifts))
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:

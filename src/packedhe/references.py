@@ -21,23 +21,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import CryptoContext, SlotVector
+from .engine import CryptoContext, MaskTable, SlotVector
 from .matrix import PackedMatrix, _require_product_layout
+
+# Diagonals per masked-rotation sum of the naive baseline.
+_DIAGONAL_BLOCK = 64
 
 
 def _generic_lin_trans(ctx: CryptoContext, ct: SlotVector,
                        perm: np.ndarray) -> SlotVector:
     """Masked rotation over every diagonal index of the slot space.
 
-    ``perm[r]`` is the source slot feeding output slot r.  No sparsity is
-    exploited: all n diagonals are processed, zero masks included.
+    ``perm[r]`` is the source slot feeding output slot r, so slot r belongs
+    to diagonal ``(perm[r] - r) mod n`` alone and the n diagonal masks are
+    disjoint.  No sparsity is exploited: all n diagonals are processed, zero
+    masks included, ``_DIAGONAL_BLOCK`` at a time as one ``rot_many`` and one
+    ``mul_pt_sum``.  Diagonal 0 is not rotated, so the tallies are n - 1
+    rotations, n mul_pt and n - 1 adds.
     """
     n = ctx.slot_count
-    idx = np.arange(n)
-    acc = ctx.mul_pt(ct, ctx.encode((perm == idx).astype(np.float64)))
-    for k in range(1, n):
-        mask = (perm == (idx + k) % n).astype(np.float64)
-        acc = ctx.add(acc, ctx.mul_pt(ctx.rot(ct, k), ctx.encode(mask)))
+    diagonal_of = (perm - np.arange(n)) % n
+    acc = None
+    for start in range(0, n, _DIAGONAL_BLOCK):
+        offsets = np.arange(start, min(start + _DIAGONAL_BLOCK, n))
+        terms = ctx.rot_many(ct, offsets[1:] if start == 0 else offsets)
+        if start == 0:
+            terms.insert(0, ct)
+        rows = np.zeros((len(offsets), n), dtype=bool)
+        here = np.flatnonzero((diagonal_of >= start) & (diagonal_of <= offsets[-1]))
+        rows[diagonal_of[here] - start, here] = True
+        rows.setflags(write=False)
+        part = ctx.mul_pt_sum(terms, MaskTable(rows))
+        acc = part if acc is None else ctx.add(acc, part)
     return acc
 
 
@@ -72,14 +87,9 @@ def naive_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 
 def _extract(ctx: CryptoContext, ct: SlotVector, sources: np.ndarray) -> SlotVector:
     """Gather scattered slots into positions 0..len(sources)-1, one rotation each."""
-    acc = None
-    unit = np.zeros(ctx.slot_count)
-    for i, src in enumerate(sources):
-        unit[:] = 0.0
-        unit[i] = 1.0
-        term = ctx.mul_pt(ctx.rot(ct, int(src) - i), ctx.encode(unit))
-        acc = term if acc is None else ctx.add(acc, term)
-    return acc
+    rotated = ctx.rot_many(ct, [int(src) - i for i, src in enumerate(sources)])
+    units = np.eye(len(sources), ctx.slot_count, dtype=bool)
+    return ctx.mul_pt_sum(rotated, MaskTable(units))
 
 
 def diagonal_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:

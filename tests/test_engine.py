@@ -366,6 +366,21 @@ def test_mask_table_is_read_only_and_keeps_callers_array():
     assert engine.MaskTable(frozen).rows is frozen
 
 
+def test_mul_pt_sum_skips_rows_that_select_nothing():
+    ctx = make_ctx()
+    cts, table = _fused_operands(ctx, 4, seed=2)
+    rows = table.rows.copy()
+    rows[[0, 2]] = False
+    sparse = engine.MaskTable(rows)
+    assert sparse.live == [1, 3]
+    with ctx.meter_scope() as fused:
+        got = ctx.mul_pt_sum(cts, sparse)
+    with ctx.meter_scope() as chain:
+        want = _mul_pt_chain(ctx, cts, rows)
+    assert np.array_equal(got.slots, want.slots)
+    assert fused.snapshot() == chain.snapshot()
+
+
 # ------------------------------------------------------------------ rotation
 
 def test_rot_left_by_one():
@@ -398,6 +413,27 @@ def test_rotation_group_property():
         left = ctx.rot(ctx.rot(v, int(k1)), int(k2))
         right = ctx.rot(v, int(k1 + k2) % n)
         assert np.array_equal(left.slots, right.slots)
+
+
+def test_rot_many_equals_a_list_of_rot():
+    rng = np.random.default_rng(12)
+    ctx = make_ctx()
+    n = ctx.slot_count
+    ct = ctx.encrypt(ctx.encode(rng.standard_normal(n)))
+    offsets = [0, 1, 5, -3, n, 2 * n + 7]
+    with ctx.meter_scope() as many:
+        got = ctx.rot_many(ct, offsets)
+    with ctx.meter_scope() as single:
+        want = [ctx.rot(ct, k) for k in offsets]
+    assert many.snapshot() == single.snapshot()
+    assert many.rotations == len(offsets)
+    for g, w in zip(got, want):
+        assert g.slots.tobytes() == w.slots.tobytes()
+        assert (g.level, g.scale, g.key_tag, g.context_id) == \
+            (w.level, w.scale, w.key_tag, w.context_id)
+        assert not g.slots.flags.writeable
+    with pytest.raises(EngineError):
+        make_ctx().rot_many(ct, [1])
 
 
 # ------------------------------------------------------------------- rescale

@@ -352,7 +352,7 @@ def test_cached_masks_are_read_only():
     shift = build_permutation("col_shift", h, 1)
     arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[1].rows,
               table[0][1].rows, matrix._diagonal_table(shift, 1, n)[1].rows,
-              matrix._stage_masks(h, 1, n)[1].rows]
+              matrix._stage_masks(h, 1, n)]
     for arr in arrays:
         assert arr.dtype == bool
         with pytest.raises(ValueError):
@@ -523,6 +523,109 @@ def test_matmul_encodes_nothing_and_matches_encoding_chain(h, beta, monkeypatch)
     assert (out.level, out.scale, out.key_tag) == (want.level, want.scale,
                                                    want.key_tag)
     assert fused.snapshot() == chain.snapshot()
+
+
+def _stage_chain(ctx, a0, b0, masks, beta, h):
+    """The column-shift stages one engine call per op, as products ran them."""
+    acc = None
+    for k in range(len(masks)):
+        masked = ctx.rescale(ctx.mul_pt_sum([a0], engine.MaskTable(masks[k:k + 1])))
+        a_k = ctx.add(ctx.rot(masked, beta * k),
+                      ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
+        prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
+        acc = prod if acc is None else ctx.add(acc, prod)
+    return acc
+
+
+def _stage_operands(h, beta, mode, level=6):
+    """Context and two packed operands, each with a zero row and a -0.0 column."""
+    ctx = matrix.register_context(engine.new_context(
+        2 * beta * h * h, level, 2.0 ** 40, 1, mode,
+        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h))
+    rng = np.random.default_rng(h + beta)
+    mats = [rng.uniform(-3, 3, (h, h)) for _ in range(2 * beta)]
+    for m in mats:
+        m[1, :] = 0.0
+        m[:, 2] = -0.0
+    return ctx, pack_matrices(mats[:beta], ctx).ct, pack_matrices(mats[beta:], ctx).ct
+
+
+def _stage_args(ctx, h, beta, t):
+    masks = matrix._stage_masks(h, beta, ctx.slot_count)[:t]
+    return (masks, (range(0, beta * t, beta), range(-beta * h, beta * (t - h), beta)),
+            range(0, beta * h * t, beta * h))
+
+
+@pytest.mark.parametrize("mode", ["exact", "gaussian"])
+@pytest.mark.parametrize("h, t", [(h, t) for h in (4, 8, 16, 32, 64)
+                                  for t in (1, 2, 4, 8, 16, 32, 64) if t <= h])
+def test_shift_mul_sum_equals_stage_chain(h, t, mode):
+    beta = 2
+    ctx, a0, b0 = _stage_operands(h, beta, mode)
+    masks, a_shifts, b_shifts = _stage_args(ctx, h, beta, t)
+    noise = ctx._rng.bit_generator.state
+    with ctx.meter_scope() as fused:
+        got = ctx.shift_mul_sum(a0, b0, masks, a_shifts, b_shifts)
+    ctx._rng.bit_generator.state = noise
+    with ctx.meter_scope() as chain:
+        want = _stage_chain(ctx, a0, b0, masks, beta, h)
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                   want.key_tag)
+    assert fused.snapshot() == chain.snapshot()
+    assert fused.rotations == 3 * t and fused.adds == 2 * t - 1
+
+
+def _stage_misuse(case):
+    ctx, a0, b0 = _stage_operands(4, 1, "exact")
+    masks, a_shifts, b_shifts = _stage_args(ctx, 4, 1, 4)
+    ones = ctx.encode(np.ones(ctx.slot_count))
+    if case == "a0 level 1":
+        for _ in range(5):
+            a0 = ctx.rescale(ctx.mul_pt(a0, ones))
+    elif case == "b0 level 0":
+        for _ in range(6):
+            b0 = ctx.rescale(ctx.mul_pt(b0, ones))
+    elif case == "key tags":
+        b0 = ctx.dkey_switch(b0, ctx.SERVER_KEY, ctx.parties)
+    elif case == "other context":
+        _, _, b0 = _stage_operands(4, 1, "exact")
+    elif case == "float masks":
+        masks = masks.astype(float)
+    elif case == "mask width":
+        masks = masks[:, :-1]
+    elif case == "1-D masks":
+        masks = masks[0]
+    elif case == "no stages":
+        masks = masks[:0]
+    elif case == "stage count":
+        b_shifts = range(0, 12, 4)
+    elif case == "shift list":
+        b_shifts = list(b_shifts)
+    elif case == "wrapping shifts":
+        b_shifts = range(0, 64, 16)
+    return ctx, (a0, b0, masks, a_shifts, b_shifts)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("a0 level 1", LevelExhaustedError),
+    ("b0 level 0", LevelExhaustedError),
+    ("key tags", engine.KeyMismatchError),
+    ("other context", engine.EngineError),
+    ("float masks", engine.EngineError),
+    ("mask width", CapacityError),
+    ("1-D masks", CapacityError),
+    ("no stages", CapacityError),
+    ("stage count", engine.EngineError),
+    ("shift list", engine.EngineError),
+    ("wrapping shifts", CapacityError),
+])
+def test_shift_mul_sum_rejects_misuse_before_any_tally(case, error):
+    ctx, args = _stage_misuse(case)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.shift_mul_sum(*args)
+    assert ctx.meter.snapshot() == before
 
 
 # ---------------------------------------------------------------- transpose

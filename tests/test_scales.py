@@ -21,18 +21,38 @@ from packedhe.matrix import (encode_matrix, encode_rect_matrix, he_mat_mult,
 
 
 @pytest.fixture
-def mismatches(monkeypatch):
-    """List of (op, scale_a, scale_b) for each add/sub whose scales differ."""
+def scales(monkeypatch):
+    """(op, scale_a, scale_b) of every add and sub, fused ones included.
+
+    ``shift_mul_sum`` fuses the column-shift stages of a product, so the
+    recorder books the chain it meters: per stage the sub of ``a0`` and the
+    rescaled masked term, then the add of the two rotated halves, and the
+    ``t - 1`` adds of the stage products.
+    """
     seen = []
     for name in ("add", "sub"):
         real = getattr(engine.CryptoContext, name)
 
         def recording(self, a, b, real=real, name=name):
-            if not math.isclose(a.scale, b.scale, rel_tol=1e-9):
-                seen.append((name, a.scale, b.scale))
+            seen.append((name, a.scale, b.scale))
             return real(self, a, b)
         monkeypatch.setattr(engine.CryptoContext, name, recording)
+    fused = engine.CryptoContext.shift_mul_sum
+
+    def recording_fused(self, a0, b0, masks, a_shifts, b_shifts):
+        out = fused(self, a0, b0, masks, a_shifts, b_shifts)
+        masked = a0.scale * self.initial_scale / self.initial_scale
+        stages = len(masks)
+        seen.extend([("sub", a0.scale, masked),
+                     ("add", masked, out.scale / b0.scale)] * stages)
+        seen.extend([("add", out.scale, out.scale)] * (stages - 1))
+        return out
+    monkeypatch.setattr(engine.CryptoContext, "shift_mul_sum", recording_fused)
     return seen
+
+
+def _mismatched(seen):
+    return [s for s in seen if not math.isclose(s[1], s[2], rel_tol=1e-9)]
 
 
 def _ctx(h, beta=1):
@@ -41,7 +61,7 @@ def _ctx(h, beta=1):
 
 
 @pytest.mark.parametrize("h, beta", [(4, 1), (8, 1), (16, 1), (4, 2)])
-def test_square_product_adds_at_one_scale(h, beta, mismatches):
+def test_square_product_adds_at_one_scale(h, beta, scales):
     ctx = _ctx(h, beta)
     rng = np.random.default_rng(h + beta)
     pa = pack_matrices([rng.uniform(-3, 3, (h, h)) for _ in range(beta)], ctx)
@@ -49,18 +69,20 @@ def test_square_product_adds_at_one_scale(h, beta, mismatches):
     with ctx.meter_scope() as scope:
         he_mat_mult(pa, pb)
     assert scope.subs == h
-    assert mismatches == []
+    assert [op for op, _, _ in scales].count("sub") == h
+    assert _mismatched(scales) == []
 
 
 @pytest.mark.parametrize("t, h", [(1, 4), (2, 8), (4, 16)])
-def test_rect_product_adds_at_one_scale(t, h, mismatches):
+def test_rect_product_adds_at_one_scale(t, h, scales):
     ctx = _ctx(h)
     rng = np.random.default_rng(t + h)
     a = encode_rect_matrix(rng.uniform(-3, 3, (t, h)), ctx)
     with ctx.meter_scope() as scope:
         he_rect_mat_mult(a, encode_matrix(rng.uniform(-3, 3, (h, h)), ctx))
     assert scope.subs == t
-    assert mismatches == []
+    assert [op for op, _, _ in scales].count("sub") == t
+    assert _mismatched(scales) == []
 
 
 def _short_job(rescale_every_r):
@@ -73,14 +95,14 @@ def _short_job(rescale_every_r):
     run_training(config, split_parties(x, y, 2, seed=2))
 
 
-def test_training_adds_at_one_scale(mismatches):
+def test_training_adds_at_one_scale(scales):
     _short_job(rescale_every_r=1)
-    assert mismatches == []
+    assert scales and _mismatched(scales) == []
 
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: with rescale_every_r > 1 the aggregate's weight update "
     "and the approx_relu activation add a Delta-scale term to a Delta**2 one"))
-def test_relaxed_rescale_training_adds_at_one_scale(mismatches):
+def test_relaxed_rescale_training_adds_at_one_scale(scales):
     _short_job(rescale_every_r=2)
-    assert mismatches == []
+    assert _mismatched(scales) == []
