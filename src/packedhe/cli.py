@@ -28,7 +28,7 @@ from .approx import (CompositePolySpec, app_sign, closeness_grid,
                      depth_bound_formula, eval_composite,
                      make_local_bootstrapper, stage_depth)
 from .bench import BenchReport, write_report
-from .engine import OpCounter, new_context
+from .engine import new_context
 from .federated.config import config_from_dict, load_dataset_csv
 from .federated.protocol import run_training
 from .matrix import matmul_rotation_formula
@@ -182,7 +182,8 @@ MICRO_OPS = ("rot", "add", "sub", "mul_pt", "mul_ct", "rescale", "dbootstrap",
              "he_mat_mult", "he_transpose", "he_rect_mat_mult", "app_sign")
 
 
-def _run_micro(op: str, h: int, rng) -> tuple:
+def _micro_case(op: str, h: int, rng) -> tuple:
+    """(ctx, call, extras): the context, a call of ``op`` on fixed operands."""
     parties = 2
     ctx = _context_for(h, level=6, parties=parties)
     extras = {}
@@ -224,29 +225,29 @@ def _run_micro(op: str, h: int, rng) -> tuple:
     else:
         raise ValueError(f"unknown microbench op {op!r}; "
                          f"registered: {', '.join(MICRO_OPS)}")
-    with ctx.meter_scope() as scope:
-        start = time.perf_counter()
-        fn()
-        elapsed = (time.perf_counter() - start) * 1e3
-    return elapsed, scope.snapshot(), extras
+    return ctx, fn, extras
 
 
 def cmd_microbench(args) -> list:
-    """Meters accumulate over all repeats; wall time is the per-call median."""
+    """Warm per-call timing of one operation on operands built once per size.
+
+    One warm-up call runs outside the meter scope; the meter then accumulates
+    over exactly the ``repeat`` timed calls, and wall time is their median.
+    """
     if args.op not in MICRO_OPS:
         raise ValueError(f"unknown microbench op {args.op!r}; "
                          f"registered: {', '.join(MICRO_OPS)}")
     rng = np.random.default_rng(args.seed)
     reports = []
     for h in (int(s) for s in args.sizes.split(",")):
+        ctx, fn, extras = _micro_case(args.op, h, rng)
+        fn()
         times = []
-        total = OpCounter()
-        extras = None
-        for _ in range(args.repeat):
-            elapsed, meter, extras = _run_micro(args.op, h, rng)
-            times.append(elapsed)
-            for name, count in meter.items():
-                setattr(total, name, getattr(total, name) + count)
+        with ctx.meter_scope() as total:
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                fn()
+                times.append((time.perf_counter() - start) * 1e3)
         report = BenchReport(f"microbench-{args.op}-h{h}",
                              {"op": args.op, "h": h, "repeat": args.repeat,
                               "seed": args.seed})

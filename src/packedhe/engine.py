@@ -14,11 +14,16 @@ shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
 Every homomorphic call increments exactly one tally of the context's
-``OpCounter`` by one, except the three calls that fuse a chain and tally it:
+``OpCounter`` by one, except the four calls that fuse a chain and tally it:
 
 * ``mul_pt_sum`` bumps ``mul_pt`` by k and ``adds`` by k - 1 for its k terms,
   the ``mul_pt``/``add`` chain it fuses;
 * ``rot_many`` bumps ``rotations`` by one per offset, as a list of ``rot``;
+* ``lin_trans`` runs a baby-step/giant-step transform described by a
+  ``GatherPlan``: the baby rotations, then per giant step one ``mul_pt_sum``
+  over the baby terms and one giant rotation, the giant terms summed by
+  ``add``.  The plan composes that chain into one gather, built once, and
+  derives the chain's tallies from the same description;
 * ``shift_mul_sum`` runs the t column-shift stages of a packed product.  Per
   stage it meters the chain ``m = rescale(mul_pt(a0, mask))``, ``sub(a0,
   m)``, two rotations and an ``add`` for the shifted left factor, one
@@ -33,7 +38,10 @@ table whose rows are checked once, when it is built, to select pairwise
 disjoint slots.  Each slot of the sum then comes from at most one term, so the
 kernel copies each term's selected slots into a zeroed accumulator
 (``np.copyto(..., where=row)``) instead of multiplying and adding, and skips
-the rows that select nothing.
+the rows that select nothing.  A ``GatherPlan`` takes the same argument one
+step further: its giant steps' images are disjoint too, so each output slot
+of the whole transform reads one input slot or none, and ``lin_trans`` is a
+single ``np.take`` and masked copy.
 
 Ciphertexts and plaintexts are immutable, and every slot array the engine
 puts in one is read-only.  Operations that leave slot values untouched
@@ -174,6 +182,64 @@ class MaskTable:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MaskTable is immutable; cannot set {name!r}")
+
+
+class GatherPlan:
+    """A baby-step/giant-step transform composed into one fixed gather.
+
+    Describes the chain ``ct_j = rot(ct, baby[j])``, then per giant step
+    ``(shift, table)`` the term ``rot(mul_pt_sum([ct_0, ct_1, ...], table),
+    shift)``, the terms summed in order by ``add``.  A baby offset of
+    ``None`` is ``ct`` itself and a shift of ``None`` no giant rotation; both
+    cost no rotation.  Each table is a ``MaskTable`` with one row per baby
+    step, so its rows select disjoint slots; the constructor refuses giant
+    steps whose images overlap.  Every output slot ``s`` then takes at most
+    one input slot: ``idx[s]`` when ``selected[s]``, else +0.0.  Both arrays
+    are read-only.
+
+    ``tallies`` are the chain's: one rotation per rotated baby offset and
+    giant shift, ``len(baby)`` mul_pt per giant step, and one add fewer than
+    mul_pt.  ``plus_zero`` says the chain has giant-step adds, which turn
+    every selected -0.0 into +0.0.
+    """
+
+    __slots__ = ("slot_count", "idx", "selected", "tallies", "plus_zero")
+
+    def __init__(self, baby, giants, slot_count: int):
+        baby, giants = list(baby), list(giants)
+        if not baby or not giants:
+            raise EngineError("a gather plan needs a baby and a giant step")
+        n = slot_count
+        idx = np.zeros(n, dtype=np.intp)
+        selected = np.zeros(n, dtype=bool)
+        for shift, table in giants:
+            if not isinstance(table, MaskTable):
+                raise EngineError(
+                    f"giant steps take a MaskTable, got {type(table).__name__}")
+            if table.rows.shape != (len(baby), n):
+                raise CapacityError(
+                    f"giant step rows have shape {table.rows.shape}, expected "
+                    f"{(len(baby), n)}")
+            g = 0 if shift is None else shift
+            image = np.roll(table.rows.any(axis=0), -g)
+            if (selected & image).any():
+                raise EngineError("giant step images overlap")
+            selected |= image
+            for j in table.live:
+                u = np.flatnonzero(table.rows[j])
+                idx[(u - g) % n] = (u + (baby[j] or 0)) % n
+        mul_pt = len(baby) * len(giants)
+        rotations = (sum(b is not None for b in baby)
+                     + sum(shift is not None for shift, _ in giants))
+        _set_slot(self, "slot_count", n)
+        _set_slot(self, "idx", _freeze(idx))
+        _set_slot(self, "selected", _freeze(selected))
+        _set_slot(self, "tallies", (("rotations", rotations),
+                                    ("mul_pt", mul_pt), ("adds", mul_pt - 1)))
+        _set_slot(self, "plus_zero", len(giants) > 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GatherPlan is immutable; cannot set {name!r}")
 
 
 class SlotVector:
@@ -460,6 +526,35 @@ class CryptoContext:
         for j in table.live:
             np.copyto(acc, cts[j].slots, where=rows[j])
         return self._derive(first, acc, scale=first.scale * self.initial_scale)
+
+    def lin_trans(self, ct: SlotVector, plan: GatherPlan) -> SlotVector:
+        """The baby-step/giant-step chain ``plan`` describes, as one gather.
+
+        Tallies the chain (``plan.tallies``) and returns its bytes, its level
+        and its scale, ``ct.scale`` times the context scale of the 0/1 rows:
+        each selected slot holds its input slot bit for bit, turned from
+        -0.0 into +0.0 where the chain's giant-step adds would, and every
+        other slot is +0.0, as in ``mul_pt_sum``.  Every check runs before
+        the tally, so a rejected call meters nothing.
+        """
+        if not isinstance(plan, GatherPlan):
+            raise EngineError(
+                f"lin_trans takes a GatherPlan, got {type(plan).__name__}")
+        self._check_context(ct)
+        self.key_owners(ct.key_tag)
+        if ct.slots.shape != (self.slot_count,) or plan.slot_count != self.slot_count:
+            raise CapacityError(
+                f"lin_trans needs {self.slot_count} slots, got a "
+                f"{ct.slots.shape} ciphertext and a {plan.slot_count}-slot plan")
+        if ct.level < 1:
+            raise LevelExhaustedError("lin_trans requires level >= 1")
+        for name, times in plan.tallies:
+            self._tally(name, times)
+        out = np.zeros(self.slot_count)
+        np.copyto(out, ct.slots.take(plan.idx), where=plan.selected)
+        if plan.plus_zero:
+            out += 0.0
+        return self._derive(ct, out, scale=ct.scale * self.initial_scale)
 
     def shift_mul_sum(self, a0: SlotVector, b0: SlotVector, masks: np.ndarray,
                       a_shifts: tuple, b_shifts: range) -> SlotVector:

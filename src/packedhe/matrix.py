@@ -18,18 +18,18 @@ require the matrix image to fill the ciphertext exactly (slot_count ==
 beta * h^2).  Maps that never read across the window edge (row-diagonal
 alignment, column shifts, transpose) work with any capacity.
 
-Every 0/1 mask a transform or product multiplies by is built once per
-geometry as a read-only bool array, already slot-expanded and, for
-baby-step/giant-step, pre-rolled.  The masks of one masked-rotation sum are
-the rows of one ``MaskTable``, which ``ctx.mul_pt_sum`` takes whole.  The
-diagonals of a permutation select disjoint slots, and rolling all rows of a
-giant step by one shift keeps them disjoint, so each table passes the
-engine's disjointness check, made once when the table is built.  The sum is
-then a masked copy of each term into a zeroed accumulator, metered as one
-``mul_pt`` per row and one ``add`` per row after the first.  A permutation's
-tables live on its spec, keyed by (beta, slot_count); ``build_permutation``
-shares one spec per (kind, h, k).  The caches hold no context, so a table
-serves every context of its geometry.
+Each permutation transform is one gather plan per geometry.  Its
+description is the chain it stands for: the baby rotation offsets, and per
+giant step a shift and a ``MaskTable`` of slot-expanded baby masks,
+pre-rolled against that shift.  The diagonals of a permutation select
+disjoint slots, and so do the images of its giant steps, so
+``engine.GatherPlan`` composes the whole chain into one map from output to
+input slot and derives the chain's tallies from the same description; the
+masks themselves are dropped once the plan is built.  ``ctx.lin_trans``
+then meters that chain and computes one gather.  A permutation's plans live
+on its spec, keyed by evaluation form, beta and slot_count;
+``build_permutation`` shares one spec per (kind, h, k).  The plans hold no
+context, so a plan serves every context of its geometry.
 
 ``he_mat_mult`` and ``he_rect_mat_mult`` share one product core and its stage
 masks.  Row k keeps columns >= k; the rows nest rather than partition, so
@@ -54,8 +54,8 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .engine import (CapacityError, CryptoContext, LevelExhaustedError,
-                     MaskTable, SlotVector)
+from .engine import (CapacityError, CryptoContext, GatherPlan,
+                     LevelExhaustedError, MaskTable, SlotVector)
 
 PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpose")
 
@@ -70,8 +70,8 @@ class PermutationSpec:
 
     ``diagonals`` maps a signed rotation offset to its 0/1 mask over the
     h*h-slot window; only nonzero masks are stored, and they must not change
-    once the spec is in use.  ``tables`` holds the slot-expanded masks built
-    from them, so they live exactly as long as the spec.
+    once the spec is in use.  ``tables`` holds the gather plans built from
+    them, so they live exactly as long as the spec.
     """
 
     kind: str
@@ -333,26 +333,25 @@ def _per_spec(build):
     @wraps(build)
     def cached(spec: PermutationSpec, beta: int, slot_count: int):
         key = (build.__name__, beta, slot_count)
-        table = spec.tables.get(key)
-        if table is None:
-            table = spec.tables[key] = build(spec, beta, slot_count)
-        return table
+        plan = spec.tables.get(key)
+        if plan is None:
+            plan = spec.tables[key] = build(spec, beta, slot_count)
+        return plan
     return cached
 
 
-def _stack(masks) -> MaskTable:
-    table = np.stack(masks)
-    table.setflags(write=False)
-    return MaskTable(table)
-
-
 @_per_spec
-def _diagonal_table(spec: PermutationSpec, beta: int,
-                    slot_count: int) -> tuple:
-    """(offsets, MaskTable): the nonzero diagonals by offset, slot-expanded."""
-    offsets = tuple(sorted(spec.diagonals))
-    return offsets, _stack([_expand_mask(spec.diagonals[offset], beta, slot_count)
-                            for offset in offsets])
+def _diagonal_plan(spec: PermutationSpec, beta: int,
+                   slot_count: int) -> GatherPlan:
+    """One rotation per nonzero diagonal, as a single giant step.
+
+    The zero diagonal is the input itself, not rotated.
+    """
+    offsets = sorted(spec.diagonals)
+    rows = MaskTable(np.stack([_expand_mask(spec.diagonals[offset], beta,
+                                            slot_count) for offset in offsets]))
+    baby = [None if offset == 0 else beta * offset for offset in offsets]
+    return GatherPlan(baby, [(None, rows)], slot_count)
 
 
 def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
@@ -375,10 +374,7 @@ def he_lin_trans(ct: SlotVector, spec: PermutationSpec, beta: int = 1) -> SlotVe
     """
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
-    offsets, rows = _diagonal_table(spec, beta, ctx.slot_count)
-    rotated = [ct if offset == 0 else ctx.rot(ct, beta * offset)
-               for offset in offsets]
-    return ctx.mul_pt_sum(rotated, rows)
+    return ctx.lin_trans(ct, _diagonal_plan(spec, beta, ctx.slot_count))
 
 
 def bsgs_split(h: int) -> tuple[int, int]:
@@ -391,25 +387,27 @@ def bsgs_split(h: int) -> tuple[int, int]:
 
 
 @_per_spec
-def _bsgs_table(spec: PermutationSpec, beta: int, slot_count: int) -> tuple:
-    """Baby-step stride and, per giant step, (gshift, MaskTable of baby masks).
+def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
+    """Baby rotations by unit*j and, per giant step, its shift and masks.
 
     Writing each diagonal offset as unit*(baby_count*i + j), row j of giant
     step i is the slot-expanded mask of baby rotation j, rolled by -gshift so
-    that it pre-compensates the outer giant rotation.
+    that it pre-compensates the outer giant rotation.  Every baby offset,
+    0 included, is rotated.
     """
     h = spec.dim_h
     baby, giant = bsgs_split(h)
     unit = h if spec.kind == "tau_zeta" else (h - 1 if spec.kind == "transpose" else 1)
     giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
-    table = []
+    steps = []
     for i in giants:
         gshift = beta * unit * baby * i
         masks = [np.roll(_expand_mask(spec.mask(unit * (baby * i + j)), beta,
                                       slot_count), gshift % slot_count)
                  for j in range(baby)]
-        table.append((gshift, _stack(masks)))
-    return beta * unit, tuple(table)
+        steps.append((gshift, MaskTable(np.stack(masks))))
+    return GatherPlan(range(0, beta * unit * baby, beta * unit), steps,
+                      slot_count)
 
 
 def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
@@ -425,13 +423,7 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
         return he_lin_trans(ct, spec, beta)
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
-    stride, table = _bsgs_table(spec, beta, ctx.slot_count)
-    baby_rots = ctx.rot_many(ct, range(0, stride * len(table[0][1].rows), stride))
-    acc = None
-    for gshift, rows in table:
-        shifted = ctx.rot(ctx.mul_pt_sum(baby_rots, rows), gshift)
-        acc = shifted if acc is None else ctx.add(acc, shifted)
-    return acc
+    return ctx.lin_trans(ct, _bsgs_plan(spec, beta, ctx.slot_count))
 
 
 # ----------------------------------------------------------- matrix products

@@ -381,6 +381,118 @@ def test_mul_pt_sum_skips_rows_that_select_nothing():
     assert fused.snapshot() == chain.snapshot()
 
 
+# ------------------------------------------------------------- gather plans
+
+def _random_plan(n, baby, shifts, seed):
+    """Giant steps whose images split the output slots at random: each slot
+    is read by one (giant, baby) pair or by none."""
+    rng = np.random.default_rng(seed)
+    owner = rng.integers(-1, len(shifts) * len(baby), n)
+    steps = []
+    for i, shift in enumerate(shifts):
+        rows = owner == (i * len(baby) + np.arange(len(baby)))[:, None]
+        steps.append((shift, engine.MaskTable(np.roll(rows, shift or 0, axis=1))))
+    return steps
+
+
+def _gather_chain(ctx, ct, baby, steps):
+    terms = [ct if b is None else ctx.rot(ct, b) for b in baby]
+    acc = None
+    for shift, table in steps:
+        part = ctx.mul_pt_sum(terms, table)
+        part = part if shift is None else ctx.rot(part, shift)
+        acc = part if acc is None else ctx.add(acc, part)
+    return acc
+
+
+@pytest.mark.parametrize("baby, shifts", [
+    ((None,), (None,)),
+    ((None, 3, -5), (None,)),
+    ((0, 2, 4), (0, 6, -6, 12)),
+    ((None, 1), (None, 7)),
+])
+def test_lin_trans_equals_its_chain(baby, shifts):
+    ctx = make_ctx()
+    n = ctx.slot_count
+    steps = _random_plan(n, baby, shifts, seed=len(baby) + len(shifts))
+    plan = engine.GatherPlan(baby, steps, n)
+    slots = np.random.default_rng(3).standard_normal(n)
+    slots[::3] = -0.0
+    slots[1] = np.inf
+    ct = engine.SlotVector(slots, 2, ctx.initial_scale, ctx.context_id, "pk")
+    with ctx.meter_scope() as fused:
+        got = ctx.lin_trans(ct, plan)
+    with ctx.meter_scope() as chain:
+        want = _gather_chain(ctx, ct, baby, steps)
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                   want.key_tag)
+    assert fused.snapshot() == chain.snapshot()
+    assert not got.slots.flags.writeable
+
+
+@pytest.mark.parametrize("case, error", [
+    ("overlapping images", EngineError),
+    ("bool array rows", EngineError),
+    ("row count", CapacityError),
+    ("no giant steps", EngineError),
+    ("no baby steps", EngineError),
+])
+def test_gather_plan_rejects_malformed_descriptions(case, error):
+    n = 8
+    rows = engine.MaskTable(np.eye(2, n, dtype=bool))  # slots 0 and 1
+    baby, steps = [0, 1], [(0, rows), (4, rows)]
+    if case == "overlapping images":
+        steps = [(0, rows), (n + 1, rows)]  # the second reads slots n-1 and 0
+    elif case == "bool array rows":
+        steps = [(0, rows.rows)]
+    elif case == "row count":
+        baby = [0, 1, 2]
+    elif case == "no giant steps":
+        steps = []
+    elif case == "no baby steps":
+        baby = []
+    with pytest.raises(error):
+        engine.GatherPlan(baby, steps, n)
+
+
+def _lin_trans_misuse(case):
+    ctx = make_ctx()
+    n = ctx.slot_count
+    plan = engine.GatherPlan([0, 1], _random_plan(n, [0, 1], [0, 4], seed=5), n)
+    ct = ctx.encrypt(ctx.encode(np.arange(n, dtype=float)))
+    if case == "level 0":
+        ct = engine.SlotVector(ct.slots, 0, ct.scale, ct.context_id, ct.key_tag)
+    elif case == "other context":
+        other = make_ctx()
+        ct = other.encrypt(other.encode(np.ones(n)))
+    elif case == "unknown key":
+        ct = engine.SlotVector(ct.slots, 2, ct.scale, ct.context_id, "nobody")
+    elif case == "slot shape":
+        ct = engine.SlotVector(ct.slots[:-1], 2, ct.scale, ct.context_id, "pk")
+    elif case == "plan slot count":
+        plan = engine.GatherPlan([0], _random_plan(2 * n, [0], [0], seed=6), 2 * n)
+    elif case == "mask table":
+        plan = engine.MaskTable(np.eye(1, n, dtype=bool))
+    return ctx, ct, plan
+
+
+@pytest.mark.parametrize("case, error", [
+    ("level 0", LevelExhaustedError),
+    ("other context", EngineError),
+    ("unknown key", KeyMismatchError),
+    ("slot shape", CapacityError),
+    ("plan slot count", CapacityError),
+    ("mask table", EngineError),
+])
+def test_lin_trans_rejects_misuse_before_any_tally(case, error):
+    ctx, ct, plan = _lin_trans_misuse(case)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.lin_trans(ct, plan)
+    assert ctx.meter.snapshot() == before
+
+
 # ------------------------------------------------------------------ rotation
 
 def test_rot_left_by_one():

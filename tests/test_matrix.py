@@ -348,15 +348,121 @@ def test_cached_masks_live_with_their_spec():
 def test_cached_masks_are_read_only():
     h, n = 4, 16
     spec = build_permutation("transpose", h)
-    _, table = matrix._bsgs_table(spec, 1, n)
     shift = build_permutation("col_shift", h, 1)
-    arrays = [spec.diagonals[0], matrix._diagonal_table(spec, 1, n)[1].rows,
-              table[0][1].rows, matrix._diagonal_table(shift, 1, n)[1].rows,
-              matrix._stage_masks(h, 1, n)]
+    plans = [matrix._bsgs_plan(spec, 1, n), matrix._diagonal_plan(spec, 1, n),
+             matrix._diagonal_plan(shift, 1, n)]
+    arrays = [spec.diagonals[0], matrix._stage_masks(h, 1, n)]
+    arrays += [plan.selected for plan in plans]
     for arr in arrays:
         assert arr.dtype == bool
         with pytest.raises(ValueError):
             arr[0] = True
+    for plan in plans:
+        with pytest.raises(ValueError):
+            plan.idx[0] = 1
+        with pytest.raises(AttributeError):
+            plan.idx = None
+
+
+# ----------------------------------------------------------- fused transform
+
+def _bsgs_chain(ctx, ct, spec, beta):
+    """The BSGS transform one engine call per op, as it ran before fusion:
+    shared baby rotations, then per giant step a masked sum and a rotation."""
+    n, h = ctx.slot_count, spec.dim_h
+    baby, giant = bsgs_split(h)
+    unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
+    giants = range(giant) if spec.kind == "tau_zeta" else range(-giant, giant)
+    baby_rots = ctx.rot_many(ct, range(0, beta * unit * baby, beta * unit))
+    acc = None
+    for i in giants:
+        gshift = beta * unit * baby * i
+        rows = [np.roll(matrix._expand_mask(spec.mask(unit * (baby * i + j)),
+                                            beta, n), gshift % n)
+                for j in range(baby)]
+        part = ctx.mul_pt_sum(baby_rots, engine.MaskTable(np.stack(rows)))
+        shifted = ctx.rot(part, gshift)
+        acc = shifted if acc is None else ctx.add(acc, shifted)
+    return acc
+
+
+def _diagonal_chain(ctx, ct, spec, beta):
+    """One rotation per nonzero diagonal and one masked sum."""
+    offsets = sorted(spec.diagonals)
+    rows = np.stack([matrix._expand_mask(spec.diagonals[offset], beta,
+                                         ctx.slot_count) for offset in offsets])
+    rotated = [ct if offset == 0 else ctx.rot(ct, beta * offset)
+               for offset in offsets]
+    return ctx.mul_pt_sum(rotated, engine.MaskTable(rows))
+
+
+def _transform_operand(h, beta, mode, slot_count):
+    """Context and a packed input with a -0.0 row, a zero column and one inf.
+
+    The ciphertext is built by hand so that gaussian encryption noise does
+    not wash out the signed zeros.
+    """
+    ctx = matrix.register_context(engine.new_context(
+        2 * slot_count, 6, 2.0 ** 40, 1, mode,
+        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h))
+    rng = np.random.default_rng(h + beta)
+    slots = np.zeros(slot_count)
+    for b in range(beta):
+        m = rng.uniform(-3, 3, (h, h))
+        m[1, :] = -0.0
+        m[:, 0] = 0.0
+        m[0, h - 1] = np.inf
+        slots[b:beta * h * h:beta] = m.ravel()
+    slots.setflags(write=False)
+    return ctx, engine.SlotVector(slots, 6, ctx.initial_scale, ctx.context_id,
+                                  ctx.DEFAULT_KEY)
+
+
+def _assert_same_as_chain(ctx, ct, fused_fn, chain_fn):
+    noise = ctx._rng.bit_generator.state
+    with ctx.meter_scope() as fused:
+        got = fused_fn()
+    assert ctx._rng.bit_generator.state == noise
+    with ctx.meter_scope() as chain:
+        want = chain_fn()
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                   want.key_tag)
+    assert fused.snapshot() == chain.snapshot()
+    return fused
+
+
+_LARGER = "transpose-in-larger-context"
+
+
+@pytest.mark.parametrize("mode", ["exact", "gaussian"])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("h", [2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("kind", ["sigma_mu", "tau_zeta", "transpose", _LARGER])
+def test_lin_trans_equals_bsgs_chain(kind, h, beta, mode):
+    slot_count = beta * h * h * (2 if kind == _LARGER else 1)
+    kind = "transpose" if kind == _LARGER else kind
+    ctx, ct = _transform_operand(h, beta, mode, slot_count)
+    spec = build_permutation(kind, h)
+    fused = _assert_same_as_chain(
+        ctx, ct, lambda: he_lin_trans_bsgs(ct, spec, beta),
+        lambda: _bsgs_chain(ctx, ct, spec, beta))
+    if h == 64 and kind == "sigma_mu":
+        assert (fused.rotations, fused.mul_pt, fused.adds) == (24, 128, 127)
+
+
+@pytest.mark.parametrize("mode", ["exact", "gaussian"])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("h", [2, 4, 16, 64])
+@pytest.mark.parametrize("kind", ["col_shift", "row_shift", "sigma_mu",
+                                  "transpose"])
+def test_lin_trans_equals_diagonal_chain(kind, h, beta, mode):
+    ctx, ct = _transform_operand(h, beta, mode, beta * h * h)
+    ks = (1, h - 1) if kind in ("col_shift", "row_shift") else (None,)
+    for k in ks:
+        spec = build_permutation(kind, h, k)
+        _assert_same_as_chain(ctx, ct, lambda: he_lin_trans(ct, spec, beta),
+                              lambda: _diagonal_chain(ctx, ct, spec, beta))
 
 
 # ------------------------------------------------------------ encode/decode

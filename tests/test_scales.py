@@ -27,7 +27,9 @@ def scales(monkeypatch):
     ``shift_mul_sum`` fuses the column-shift stages of a product, so the
     recorder books the chain it meters: per stage the sub of ``a0`` and the
     rescaled masked term, then the add of the two rotated halves, and the
-    ``t - 1`` adds of the stage products.
+    ``t - 1`` adds of the stage products.  ``lin_trans`` fuses a
+    baby-step/giant-step transform whose adds all sum masked products at the
+    output's scale, so it books that many adds at that scale.
     """
     seen = []
     for name in ("add", "sub"):
@@ -48,6 +50,13 @@ def scales(monkeypatch):
         seen.extend([("add", out.scale, out.scale)] * (stages - 1))
         return out
     monkeypatch.setattr(engine.CryptoContext, "shift_mul_sum", recording_fused)
+    transform = engine.CryptoContext.lin_trans
+
+    def recording_transform(self, ct, plan):
+        out = transform(self, ct, plan)
+        seen.extend([("add", out.scale, out.scale)] * dict(plan.tallies)["adds"])
+        return out
+    monkeypatch.setattr(engine.CryptoContext, "lin_trans", recording_transform)
     return seen
 
 
@@ -70,6 +79,7 @@ def test_square_product_adds_at_one_scale(h, beta, scales):
         he_mat_mult(pa, pb)
     assert scope.subs == h
     assert [op for op, _, _ in scales].count("sub") == h
+    assert [op for op, _, _ in scales].count("add") == scope.adds
     assert _mismatched(scales) == []
 
 
@@ -82,6 +92,7 @@ def test_rect_product_adds_at_one_scale(t, h, scales):
         he_rect_mat_mult(a, encode_matrix(rng.uniform(-3, 3, (h, h)), ctx))
     assert scope.subs == t
     assert [op for op, _, _ in scales].count("sub") == t
+    assert [op for op, _, _ in scales].count("add") == scope.adds
     assert _mismatched(scales) == []
 
 
