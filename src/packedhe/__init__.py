@@ -14,14 +14,13 @@ on it:
 """
 
 from .engine import (CapacityError, CryptoContext, EngineError, KeyMismatchError,
-                     KeyShareSet, LevelExhaustedError, MaskTable,
-                     MissingPartyError, OpCounter, Plaintext, SlotVector,
-                     new_context)
+                     KeyShareSet, LevelExhaustedError, MissingPartyError,
+                     OpCounter, Plaintext, SlotVector, new_context)
 from .matrix import (PackedMatrix, PermutationSpec, apply_permutation,
                      build_permutation, decode_matrix, encode_matrix,
                      encode_rect_matrix, he_lin_trans, he_lin_trans_bsgs,
                      he_mat_mult, he_rect_mat_mult, he_transpose,
-                     pack_matrices, register_context)
+                     pack_matrices)
 from .approx import (CompositePolySpec, IntervalMap, SmoothFit, app_abs,
                      app_max, app_relu, app_sign, eval_composite,
                      gd_coefficients, interval_denormalize, interval_normalize,

@@ -35,8 +35,7 @@ from .matrix import matmul_rotation_formula
 
 
 def _context_for(h: int, beta: int = 1, level: int = 6, parties: int = 1):
-    ctx = new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
-    return matrix.register_context(ctx)
+    return new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
 
 
 def cmd_matmul_bench(args) -> list:

@@ -14,16 +14,14 @@ shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
 Every homomorphic call increments exactly one tally of the context's
-``OpCounter`` by one, except the four calls that fuse a chain and tally it:
+``OpCounter`` by one, except the two calls that fuse a chain and tally it:
 
-* ``mul_pt_sum`` bumps ``mul_pt`` by k and ``adds`` by k - 1 for its k terms,
-  the ``mul_pt``/``add`` chain it fuses;
-* ``rot_many`` bumps ``rotations`` by one per offset, as a list of ``rot``;
 * ``lin_trans`` runs a baby-step/giant-step transform described by a
-  ``GatherPlan``: the baby rotations, then per giant step one ``mul_pt_sum``
-  over the baby terms and one giant rotation, the giant terms summed by
-  ``add``.  The plan composes that chain into one gather, built once, and
-  derives the chain's tallies from the same description;
+  ``GatherPlan``: the baby rotations, then per giant step a masked sum of the
+  baby terms (one ``mul_pt`` by a 0/1 plaintext per baby term, summed by
+  ``add``) and one giant rotation, the giant terms summed by ``add``.  The
+  plan composes that chain into one gather, built once, and derives the
+  chain's tallies from the same description;
 * ``shift_mul_sum`` runs the t column-shift stages of a packed product.  Per
   stage it meters the chain ``m = rescale(mul_pt(a0, mask))``, ``sub(a0,
   m)``, two rotations and an ``add`` for the shifted left factor, one
@@ -33,15 +31,12 @@ The meter is the ground truth for all operation-count benchmarks.  Each fused
 call makes every check of its chain before it tallies anything, and returns
 the chain's bytes, level and scale.
 
-``mul_pt_sum`` takes its 0/1 plaintexts as a ``MaskTable``: a read-only bool
-table whose rows are checked once, when it is built, to select pairwise
-disjoint slots.  Each slot of the sum then comes from at most one term, so the
-kernel copies each term's selected slots into a zeroed accumulator
-(``np.copyto(..., where=row)``) instead of multiplying and adding, and skips
-the rows that select nothing.  A ``GatherPlan`` takes the same argument one
-step further: its giant steps' images are disjoint too, so each output slot
-of the whole transform reads one input slot or none, and ``lin_trans`` is a
-single ``np.take`` and masked copy.
+A ``GatherPlan`` describes the 0/1 plaintexts of each giant step as one label
+per slot: the baby term that the step keeps there, or -1 for none.  The masks
+of one step are therefore disjoint by construction, and the plan refuses
+giant steps whose images overlap.  Each output slot of the whole transform
+then reads one input slot or none, so ``lin_trans`` is a single ``np.take``
+and masked copy.
 
 Ciphertexts and plaintexts are immutable, and every slot array the engine
 puts in one is read-only.  Operations that leave slot values untouched
@@ -57,6 +52,7 @@ import itertools
 import json
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -155,47 +151,20 @@ _set_slot = object.__setattr__
 _BLOCK_BYTES = 256 * 1024
 
 
-class MaskTable:
-    """Read-only 2-D bool table of 0/1 plaintext rows that never overlap.
-
-    Handed whole to ``CryptoContext.mul_pt_sum``; the disjointness check runs
-    here, once per table, never per call.  The constructor never casts: it
-    raises ``EngineError`` for a non-bool dtype, for a table that is not 2-D
-    and for two rows that select the same slot.  A writable array is copied
-    once and the copy frozen, so the caller keeps a writable array.
-    ``live`` lists the rows that select any slot; a masked copy by any other
-    row copies nothing, so ``mul_pt_sum`` skips them.
-    """
-
-    __slots__ = ("rows", "live")
-
-    def __init__(self, rows):
-        rows = np.asarray(rows)
-        if rows.dtype != np.bool_:
-            raise EngineError(f"mask table must be bool, got {rows.dtype}")
-        if rows.ndim != 2:
-            raise EngineError(f"mask table must be 2-D, got shape {rows.shape}")
-        if np.count_nonzero(rows) != np.count_nonzero(rows.any(axis=0)):
-            raise EngineError("mask table rows overlap")
-        _set_slot(self, "rows", _shared(rows))
-        _set_slot(self, "live", np.flatnonzero(rows.any(axis=1)).tolist())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MaskTable is immutable; cannot set {name!r}")
-
-
 class GatherPlan:
     """A baby-step/giant-step transform composed into one fixed gather.
 
     Describes the chain ``ct_j = rot(ct, baby[j])``, then per giant step
-    ``(shift, table)`` the term ``rot(mul_pt_sum([ct_0, ct_1, ...], table),
-    shift)``, the terms summed in order by ``add``.  A baby offset of
+    ``(shift, labels)`` the term ``rot(sum_j mul_pt(ct_j, encode(labels ==
+    j)), shift)``, the terms summed in order by ``add``.  A baby offset of
     ``None`` is ``ct`` itself and a shift of ``None`` no giant rotation; both
-    cost no rotation.  Each table is a ``MaskTable`` with one row per baby
-    step, so its rows select disjoint slots; the constructor refuses giant
-    steps whose images overlap.  Every output slot ``s`` then takes at most
-    one input slot: ``idx[s]`` when ``selected[s]``, else +0.0.  Both arrays
-    are read-only.
+    cost no rotation.  ``labels`` is an int vector of ``slot_count`` entries:
+    the baby index whose term the giant step keeps at that slot, or -1 for
+    none.  The constructor raises ``EngineError`` for labels that are not
+    ints and for giant steps whose images overlap, and ``CapacityError`` for
+    labels of the wrong shape or outside ``[-1, len(baby))``.  Every output
+    slot ``s`` then takes at most one input slot: ``idx[s]`` when
+    ``selected[s]``, else +0.0.  Both arrays are read-only.
 
     ``tallies`` are the chain's: one rotation per rotated baby offset and
     giant shift, ``len(baby)`` mul_pt per giant step, and one add fewer than
@@ -210,24 +179,27 @@ class GatherPlan:
         if not baby or not giants:
             raise EngineError("a gather plan needs a baby and a giant step")
         n = slot_count
-        idx = np.zeros(n, dtype=np.intp)
-        selected = np.zeros(n, dtype=bool)
-        for shift, table in giants:
-            if not isinstance(table, MaskTable):
+        labels = [np.asarray(step_labels) for _, step_labels in giants]
+        for step_labels in labels:
+            if not np.issubdtype(step_labels.dtype, np.integer):
                 raise EngineError(
-                    f"giant steps take a MaskTable, got {type(table).__name__}")
-            if table.rows.shape != (len(baby), n):
-                raise CapacityError(
-                    f"giant step rows have shape {table.rows.shape}, expected "
-                    f"{(len(baby), n)}")
-            g = 0 if shift is None else shift
-            image = np.roll(table.rows.any(axis=0), -g)
-            if (selected & image).any():
-                raise EngineError("giant step images overlap")
-            selected |= image
-            for j in table.live:
-                u = np.flatnonzero(table.rows[j])
-                idx[(u - g) % n] = (u + (baby[j] or 0)) % n
+                    f"giant step labels must be ints, got {step_labels.dtype}")
+            if step_labels.shape != (n,):
+                raise CapacityError(f"giant step labels have shape "
+                                    f"{step_labels.shape}, expected {(n,)}")
+        table = np.stack(labels)
+        if table.min() < -1 or table.max() >= len(baby):
+            raise CapacityError(f"giant step labels must lie in [-1, {len(baby)})")
+        step, u = np.nonzero(table >= 0)
+        shifts = np.array([shift or 0 for shift, _ in giants], dtype=np.intp)
+        offsets = np.array([b or 0 for b in baby], dtype=np.intp)
+        out = (u - shifts[step]) % n
+        selected = np.zeros(n, dtype=bool)
+        selected[out] = True
+        if np.count_nonzero(selected) != out.size:
+            raise EngineError("giant step images overlap")
+        idx = np.zeros(n, dtype=np.intp)
+        idx[out] = (u + offsets[table[step, u]]) % n
         mul_pt = len(baby) * len(giants)
         rotations = (sum(b is not None for b in baby)
                      + sum(shift is not None for shift, _ in giants))
@@ -298,6 +270,17 @@ class _ScopeStacks(threading.local):
 
 _context_ids = itertools.count()
 
+# Every context enters itself here; an entry goes when its context is collected.
+_live_contexts = weakref.WeakValueDictionary()
+
+
+def context_of(context_id: str) -> CryptoContext:
+    """The live context named ``context_id``; ``EngineError`` once it is gone."""
+    ctx = _live_contexts.get(context_id)
+    if ctx is None:
+        raise EngineError(f"context {context_id} is not alive")
+    return ctx
+
 
 class CryptoContext:
     """Ring/slot parameters, key roster, and the operation meter.
@@ -342,6 +325,7 @@ class CryptoContext:
         self.noise_sigma = float(noise_sigma)
         self._rng = np.random.default_rng(noise_seed)
         self.context_id = f"ctx{next(_context_ids)}-n{self.slot_count}"
+        _live_contexts[self.context_id] = self
 
         self.meter = OpCounter()
         self._meter_lock = threading.Lock()
@@ -477,56 +461,6 @@ class CryptoContext:
         self._tally("mul_pt")
         return self._derive(ct, ct.slots * pt.slots, scale=ct.scale * pt.scale)
 
-    def mul_pt_sum(self, cts: Sequence[SlotVector], table: MaskTable) -> SlotVector:
-        """Sum of ``cts[j] * table.rows[j]``, each row a 0/1 plaintext.
-
-        Each row enters at the context scale, and the tallies are those of
-        the chain ``mul_pt(cts[0], encode(rows[0])) + mul_pt(cts[1], ...) +
-        ...``: ``len(cts)`` mul_pt and ``len(cts) - 1`` adds.  Because the
-        rows are disjoint, the kernel copies the slots row j selects from
-        ``cts[j]`` into a zeroed accumulator, and the result relates to the
-        chain as follows:
-
-        * every slot a row selects holds that term's value bit for bit.  It
-          is byte-equal to the chain's whenever the chain's terms are
-          finite, except for a selected -0.0 that the chain may turn into +0.0;
-        * every slot no row selects is +0.0, as in ``apply_permutation``.
-          The chain gave +-0.0 there, or NaN for an inf or NaN term;
-        * so for finite terms the result equals the chain under IEEE
-          equality.
-
-        The operands must share key, level (>= 1) and scale, and the table
-        must be a ``MaskTable`` of shape ``(len(cts), slot_count)``.  Every
-        check runs before the tally, so a rejected call meters nothing.
-        """
-        if not cts:
-            raise EngineError("mul_pt_sum needs at least one term")
-        if not isinstance(table, MaskTable):
-            raise EngineError(
-                f"mul_pt_sum takes a MaskTable, got {type(table).__name__}")
-        first = cts[0]
-        self._check_context(first)
-        want = (first.context_id, first.key_tag, first.level, first.scale,
-                first.slots.shape)
-        for ct in cts:
-            if (ct.context_id, ct.key_tag, ct.level, ct.scale,
-                    ct.slots.shape) != want:
-                self._check_pair(first, ct)
-                raise EngineError("mul_pt_sum operands differ in level or scale")
-        if first.level < 1:
-            raise LevelExhaustedError("mul_pt_sum requires level >= 1")
-        rows = table.rows
-        if rows.shape != (len(cts), self.slot_count):
-            raise CapacityError(
-                f"mul_pt_sum rows have shape {rows.shape}, expected "
-                f"{(len(cts), self.slot_count)}")
-        self._tally("mul_pt", len(cts))
-        self._tally("adds", len(cts) - 1)
-        acc = np.zeros(self.slot_count)
-        for j in table.live:
-            np.copyto(acc, cts[j].slots, where=rows[j])
-        return self._derive(first, acc, scale=first.scale * self.initial_scale)
-
     def lin_trans(self, ct: SlotVector, plan: GatherPlan) -> SlotVector:
         """The baby-step/giant-step chain ``plan`` describes, as one gather.
 
@@ -534,8 +468,9 @@ class CryptoContext:
         and its scale, ``ct.scale`` times the context scale of the 0/1 rows:
         each selected slot holds its input slot bit for bit, turned from
         -0.0 into +0.0 where the chain's giant-step adds would, and every
-        other slot is +0.0, as in ``mul_pt_sum``.  Every check runs before
-        the tally, so a rejected call meters nothing.
+        other slot is +0.0, as in ``apply_permutation``.  The chain itself
+        gives +-0.0 there, or NaN where a term holds inf or NaN.  Every check
+        runs before the tally, so a rejected call meters nothing.
         """
         if not isinstance(plan, GatherPlan):
             raise EngineError(
@@ -560,9 +495,11 @@ class CryptoContext:
                       a_shifts: tuple, b_shifts: range) -> SlotVector:
         """Sum over stages k of ``a_k * rot(b0, b_shifts[k])``, in one call.
 
-        With ``up, down = a_shifts`` and ``m_k = rescale(mul_pt_sum([a0],
-        masks[k:k+1]))``, ``a_k = add(rot(m_k, up[k]), rot(sub(a0, m_k),
-        down[k]))``.  The result, its level, scale and tallies are those of
+        With ``up, down = a_shifts`` and ``m_k = rescale(mul_pt(a0,
+        encode(masks[k])))``, ``a_k = add(rot(m_k, up[k]), rot(sub(a0, m_k),
+        down[k]))``.  The ``mul_pt`` in ``m_k`` is the masked copy of ``a0``:
+        the slots ``masks[k]`` selects keep their value bit for bit and the
+        rest are +0.0.  The result, its level, scale and tallies are those of
         that chain with the stage products summed in order by ``add``: per
         stage one mul_pt, rescale, sub and mul_ct, three rotations and one
         add, plus ``t - 1`` adds for the sum of ``t`` stages.  In gaussian
@@ -647,20 +584,6 @@ class CryptoContext:
         k = int(k) % self.slot_count
         self._tally("rotations")
         return self._derive(ct, np.concatenate((ct.slots[k:], ct.slots[:k])))
-
-    def rot_many(self, ct: SlotVector, offsets: Iterable[int]) -> list:
-        """``[rot(ct, k) for k in offsets]``, tallying one rotation per offset.
-
-        The rotations share one read-only doubled copy of ``ct``'s slots:
-        each result's slots are a view into it, byte-equal to ``rot``'s.
-        """
-        self._check_context(ct)
-        n = self.slot_count
-        offsets = [int(k) % n for k in offsets]
-        self._tally("rotations", len(offsets))
-        doubled = _freeze(np.concatenate((ct.slots, ct.slots)))
-        return [SlotVector(doubled[k:k + n], ct.level, ct.scale,
-                           self.context_id, ct.key_tag) for k in offsets]
 
     def rescale(self, ct: SlotVector) -> SlotVector:
         self._check_context(ct)

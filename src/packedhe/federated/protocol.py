@@ -199,7 +199,6 @@ def prepare(config: TrainingConfig, feature_dim: int, party_ids=None):
     plan = build_plan(config, feature_dim)
     ctx = new_context(plan.ring_dim, config.initial_level,
                       2.0 ** config.scale_bits, config.party_count)
-    matrix.register_context(ctx)
     logical, dims = init_weights(config, feature_dim)
     weights = [matrix.encode_matrix(pad_square(w, plan.h), ctx) for w in logical]
     model = ModelState(weights, 0, plan)

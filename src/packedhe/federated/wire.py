@@ -9,10 +9,12 @@ Frame layout (all integers big-endian):
     payload   optional ciphertext: level and scale as IEEE-754 doubles,
               a 16-byte key tag, then the slot values as consecutive doubles
 
-Unknown message types and length mismatches are rejected at decode time.  A
-stream reader takes a maximum body length and rejects a longer frame from
-its length prefix, before it reads the body; ``max_frame_body`` gives the
-longest body the protocol sends, a header plus one ciphertext.
+Unknown message types, length mismatches and ciphertexts with a level, scale
+or slot that no real ciphertext has (a NaN or infinite slot, say) are
+rejected at decode time.  A stream reader takes a maximum body length and
+rejects a longer frame from its length prefix, before it reads the body;
+``max_frame_body`` gives the longest body the protocol sends, a header plus
+one ciphertext.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ def decode_ciphertext(payload: bytes, ctx: CryptoContext) -> SlotVector:
             f"[0, {ctx.initial_level}]")
     if not 0 < scale < math.inf:
         raise WireError(f"ciphertext scale {scale} is not finite and positive")
+    if not np.isfinite(slots).all():
+        raise WireError("ciphertext carries a non-finite slot")
     slots.setflags(write=False)
     return SlotVector(slots, int(level), scale, ctx.context_id,
                       tag.rstrip(b"\0").decode("utf-8"))

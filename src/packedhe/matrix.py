@@ -20,21 +20,23 @@ alignment, column shifts, transpose) work with any capacity.
 
 Each permutation transform is one gather plan per geometry.  Its
 description is the chain it stands for: the baby rotation offsets, and per
-giant step a shift and a ``MaskTable`` of slot-expanded baby masks,
-pre-rolled against that shift.  The diagonals of a permutation select
-disjoint slots, and so do the images of its giant steps, so
+giant step a shift and a label vector that names, for each slot, the baby
+mask that selects it (or -1), slot-expanded and pre-rolled against that
+shift.  The diagonals of a permutation select disjoint slots, which
+``_labels`` checks, and so do the images of its giant steps, so
 ``engine.GatherPlan`` composes the whole chain into one map from output to
-input slot and derives the chain's tallies from the same description; the
-masks themselves are dropped once the plan is built.  ``ctx.lin_trans``
-then meters that chain and computes one gather.  A permutation's plans live
-on its spec, keyed by evaluation form, beta and slot_count;
-``build_permutation`` shares one spec per (kind, h, k).  The plans hold no
-context, so a plan serves every context of its geometry.
+input slot and derives the chain's tallies from the same description.
+``ctx.lin_trans`` then meters that chain and computes one gather.  A
+permutation's plans live on its spec, keyed by evaluation form, beta and
+slot_count; ``build_permutation`` shares one spec per (kind, h, k).  The
+plans hold no context, so a plan serves every context of its geometry.
+Matrix ops find the context of a ciphertext by its ``context_id`` among the
+live contexts (``engine.context_of``).
 
 ``he_mat_mult`` and ``he_rect_mat_mult`` share one product core and its stage
 masks.  Row k keeps columns >= k; the rows nest rather than partition, so
-they are not a ``MaskTable`` but a single read-only ``(h, slot_count)`` bool
-table, keyed by (h, beta, slot_count).  Stage k shifts the aligned left
+they are not labels but a single read-only ``(h, slot_count)`` bool table,
+keyed by (h, beta, slot_count).  Stage k shifts the aligned left
 factor a0 by k columns: the masked term ``m_k`` (one ``mul_pt``) goes one way
 and ``a0 - m_k`` the other way round the row boundary.  ``m_k`` is rescaled
 before the subtraction, so every add and sub in a product sees its operands
@@ -54,8 +56,8 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .engine import (CapacityError, CryptoContext, GatherPlan,
-                     LevelExhaustedError, MaskTable, SlotVector)
+from .engine import (CapacityError, CryptoContext, EngineError, GatherPlan,
+                     LevelExhaustedError, SlotVector, context_of)
 
 PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpose")
 
@@ -293,37 +295,46 @@ def decode_matrix(pm: PackedMatrix, beta_slot: int = 0, roster=None) -> np.ndarr
     return window.reshape(h, h)
 
 
-_contexts: dict = {}
-
-
 def _ctx_of(pm_or_ct) -> CryptoContext:
     ct = pm_or_ct.ct if isinstance(pm_or_ct, PackedMatrix) else pm_or_ct
-    ctx = _contexts.get(ct.context_id)
-    if ctx is None:
-        raise CapacityError(f"context {ct.context_id} is not registered")
-    return ctx
+    return context_of(ct.context_id)
 
 
 def register_context(ctx: CryptoContext) -> CryptoContext:
-    """Matrix ops resolve their context through this registry."""
-    _contexts[ctx.context_id] = ctx
+    """Return ``ctx``: matrix ops find every live context without help."""
     return ctx
 
 
 # ------------------------------------------------------------ linear transform
 
 
-def _expand_mask(mask: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
-    """Repeat each window slot ``beta`` times and zero-pad to ``slot_count``.
+def _labels(masks, beta: int, slot_count: int) -> np.ndarray:
+    """One label per slot for disjoint 0/1 window masks: the index of the
+    mask that selects the slot, or -1.
 
-    The result is a read-only bool array.  A mask of another dtype must hold
-    only 0 and 1.
+    Each window slot is repeated ``beta`` times and the labels are padded
+    with -1 to ``slot_count``.  Raises ``ValueError`` for a mask that holds
+    anything but 0 and 1, and ``EngineError`` when two masks select the same
+    slot.
     """
-    bits = mask.astype(bool, copy=False)
-    if not np.array_equal(bits, mask):
+    window = np.stack(masks)
+    bits = window.astype(bool, copy=False)
+    if not np.array_equal(bits, window):
         raise ValueError("a 0/1 mask may hold only 0 and 1")
-    full = np.zeros(slot_count, dtype=bool)
-    full[: mask.size * beta] = np.repeat(bits, beta)
+    owner, slot = np.nonzero(bits)
+    labels = np.full(bits.shape[1], -1, dtype=np.intp)
+    labels[slot] = owner
+    if np.count_nonzero(labels >= 0) != slot.size:
+        raise EngineError("diagonal masks overlap")
+    full = np.full(slot_count, -1, dtype=np.intp)
+    full[: labels.size * beta] = np.repeat(labels, beta)
+    return full
+
+
+def _expand_mask(mask: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
+    """The read-only bool array of one 0/1 window mask, expanded as
+    ``_labels`` expands it."""
+    full = _labels([mask], beta, slot_count) == 0
     full.setflags(write=False)
     return full
 
@@ -348,10 +359,10 @@ def _diagonal_plan(spec: PermutationSpec, beta: int,
     The zero diagonal is the input itself, not rotated.
     """
     offsets = sorted(spec.diagonals)
-    rows = MaskTable(np.stack([_expand_mask(spec.diagonals[offset], beta,
-                                            slot_count) for offset in offsets]))
+    labels = _labels([spec.diagonals[offset] for offset in offsets], beta,
+                     slot_count)
     baby = [None if offset == 0 else beta * offset for offset in offsets]
-    return GatherPlan(baby, [(None, rows)], slot_count)
+    return GatherPlan(baby, [(None, labels)], slot_count)
 
 
 def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
@@ -388,12 +399,12 @@ def bsgs_split(h: int) -> tuple[int, int]:
 
 @_per_spec
 def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
-    """Baby rotations by unit*j and, per giant step, its shift and masks.
+    """Baby rotations by unit*j and, per giant step, its shift and labels.
 
-    Writing each diagonal offset as unit*(baby_count*i + j), row j of giant
-    step i is the slot-expanded mask of baby rotation j, rolled by -gshift so
-    that it pre-compensates the outer giant rotation.  Every baby offset,
-    0 included, is rotated.
+    Writing each diagonal offset as unit*(baby_count*i + j), label j of giant
+    step i marks the slot-expanded mask of baby rotation j; the labels are
+    rolled by -gshift so that they pre-compensate the outer giant rotation.
+    Every baby offset, 0 included, is rotated.
     """
     h = spec.dim_h
     baby, giant = bsgs_split(h)
@@ -402,10 +413,9 @@ def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
     steps = []
     for i in giants:
         gshift = beta * unit * baby * i
-        masks = [np.roll(_expand_mask(spec.mask(unit * (baby * i + j)), beta,
-                                      slot_count), gshift % slot_count)
-                 for j in range(baby)]
-        steps.append((gshift, MaskTable(np.stack(masks))))
+        labels = _labels([spec.mask(unit * (baby * i + j)) for j in range(baby)],
+                         beta, slot_count)
+        steps.append((gshift, np.roll(labels, gshift % slot_count)))
     return GatherPlan(range(0, beta * unit * baby, beta * unit), steps,
                       slot_count)
 

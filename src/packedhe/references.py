@@ -13,19 +13,18 @@ the rotation profiles of the approaches they stand in for:
   and out of that layout is performed (and metered) under encryption as part
   of the method's cost.
 
-Outputs are exact and are validated against the plain product in the tests;
-only the meters differ.
+Each masked-rotation sum of a baseline is one ``ctx.lin_trans`` over a
+``GatherPlan`` with a single giant step, which meters the chain of
+rotations, mul_pt and adds it stands for.  Outputs are exact and are
+validated against the plain product in the tests; only the meters differ.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import CryptoContext, MaskTable, SlotVector
+from .engine import CryptoContext, GatherPlan, SlotVector
 from .matrix import PackedMatrix, _require_product_layout
-
-# Diagonals per masked-rotation sum of the naive baseline.
-_DIAGONAL_BLOCK = 64
 
 
 def _generic_lin_trans(ctx: CryptoContext, ct: SlotVector,
@@ -33,27 +32,16 @@ def _generic_lin_trans(ctx: CryptoContext, ct: SlotVector,
     """Masked rotation over every diagonal index of the slot space.
 
     ``perm[r]`` is the source slot feeding output slot r, so slot r belongs
-    to diagonal ``(perm[r] - r) mod n`` alone and the n diagonal masks are
-    disjoint.  No sparsity is exploited: all n diagonals are processed, zero
-    masks included, ``_DIAGONAL_BLOCK`` at a time as one ``rot_many`` and one
-    ``mul_pt_sum``.  Diagonal 0 is not rotated, so the tallies are n - 1
-    rotations, n mul_pt and n - 1 adds.
+    to diagonal ``(perm[r] - r) mod n`` alone, and that diagonal is its
+    label.  No sparsity is exploited: all n diagonals are rotated and
+    masked, zero masks included, as one giant step of one ``lin_trans``.
+    Diagonal 0 is not rotated, so the tallies are n - 1 rotations, n mul_pt
+    and n - 1 adds.
     """
     n = ctx.slot_count
-    diagonal_of = (perm - np.arange(n)) % n
-    acc = None
-    for start in range(0, n, _DIAGONAL_BLOCK):
-        offsets = np.arange(start, min(start + _DIAGONAL_BLOCK, n))
-        terms = ctx.rot_many(ct, offsets[1:] if start == 0 else offsets)
-        if start == 0:
-            terms.insert(0, ct)
-        rows = np.zeros((len(offsets), n), dtype=bool)
-        here = np.flatnonzero((diagonal_of >= start) & (diagonal_of <= offsets[-1]))
-        rows[diagonal_of[here] - start, here] = True
-        rows.setflags(write=False)
-        part = ctx.mul_pt_sum(terms, MaskTable(rows))
-        acc = part if acc is None else ctx.add(acc, part)
-    return acc
+    labels = (perm - np.arange(n)) % n
+    plan = GatherPlan([None, *range(1, n)], [(None, labels)], n)
+    return ctx.lin_trans(ct, plan)
 
 
 def _perm_row_aligned(h: int, k: int, n: int) -> np.ndarray:
@@ -86,10 +74,16 @@ def naive_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 
 
 def _extract(ctx: CryptoContext, ct: SlotVector, sources: np.ndarray) -> SlotVector:
-    """Gather scattered slots into positions 0..len(sources)-1, one rotation each."""
-    rotated = ctx.rot_many(ct, [int(src) - i for i, src in enumerate(sources)])
-    units = np.eye(len(sources), ctx.slot_count, dtype=bool)
-    return ctx.mul_pt_sum(rotated, MaskTable(units))
+    """Gather scattered slots into positions 0..len(sources)-1, one rotation each.
+
+    Slot i keeps the term of its own rotation, by ``sources[i] - i``; every
+    offset is rotated, 0 included.
+    """
+    k, n = len(sources), ctx.slot_count
+    labels = np.full(n, -1, dtype=np.intp)
+    labels[:k] = np.arange(k)
+    plan = GatherPlan(list(sources - np.arange(k)), [(None, labels)], n)
+    return ctx.lin_trans(ct, plan)
 
 
 def diagonal_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:

@@ -229,159 +229,26 @@ def test_mul_at_level_zero_rejected():
         ctx.mul_pt(a0, ctx.encode([1.0]))
 
 
-# ----------------------------------------------------------- fused products
-
-def _mul_pt_chain(ctx, cts, rows):
-    acc = ctx.mul_pt(cts[0], ctx.encode(rows[0]))
-    for ct, row in zip(cts[1:], rows[1:]):
-        acc = ctx.add(acc, ctx.mul_pt(ct, ctx.encode(row)))
-    return acc
-
-
-def _fused_operands(ctx, k, seed):
-    """k random ciphertexts and a random disjoint table: each slot goes to
-    one of the k rows or to none."""
-    rng = np.random.default_rng(seed)
-    cts = [ctx.encrypt(ctx.encode(rng.standard_normal(ctx.slot_count)))
-           for _ in range(k)]
-    owner = rng.integers(-1, k, ctx.slot_count)
-    return cts, engine.MaskTable(owner == np.arange(k)[:, None])
-
-
-@pytest.mark.parametrize("k", [1, 2, 8])
-@pytest.mark.parametrize("mode", ["exact", "gaussian"])
-def test_mul_pt_sum_is_bit_equal_to_chain(k, mode):
-    ctx = make_ctx(ring_dim=256, noise_mode=mode,
-                   noise_sigma=1e-3 if mode == "gaussian" else 0)
-    cts, table = _fused_operands(ctx, k, seed=k)
-    selected = table.rows.any(axis=0)
-    want = _mul_pt_chain(ctx, cts, table.rows)
-    got = ctx.mul_pt_sum(cts, table)
-    assert np.array_equal(got.slots, want.slots)
-    assert got.slots[selected].tobytes() == want.slots[selected].tobytes()
-    assert (got.level, got.scale, got.key_tag) == \
-        (want.level, want.scale, want.key_tag)
-
-    # A slot no row selects is +0.0, whatever the terms hold there.
-    idle = np.flatnonzero(~selected)
-    special = np.array([-1.5, -0.0, np.inf, -np.inf, np.nan])
-    assert idle.size >= special.size
-    spiked = []
-    for ct in cts:
-        slots = ct.slots.copy()
-        slots[idle] = np.resize(special, idle.size)
-        spiked.append(engine.SlotVector(slots, ct.level, ct.scale,
-                                        ct.context_id, ct.key_tag))
-    out = ctx.mul_pt_sum(spiked, table).slots
-    assert out[idle].tobytes() == np.zeros(idle.size).tobytes()
-    assert out[selected].tobytes() == want.slots[selected].tobytes()
-
-
-@pytest.mark.parametrize("k", [1, 2, 8])
-def test_mul_pt_sum_meters_its_chain(k):
-    ctx = make_ctx()
-    cts, table = _fused_operands(ctx, k, seed=0)
-    before = ctx.meter.snapshot()
-    with ctx.meter_scope() as outer:
-        with ctx.meter_scope() as inner:
-            ctx.mul_pt_sum(cts, table)
-    after = ctx.meter.snapshot()
-    want = dict.fromkeys(engine.COUNTER_FIELDS, 0)
-    want.update(mul_pt=k, adds=k - 1)
-    assert {f: after[f] - before[f] for f in after} == want
-    assert outer.snapshot() == inner.snapshot() == want
-
-
-def _fused_misuse(case):
-    ctx = make_ctx(initial_level=1 if case == "level 0" else 6)
-    cts, table = _fused_operands(ctx, 2, seed=1)
-    ones = ctx.encode(np.ones(ctx.slot_count))
-    if case == "empty":
-        cts, table = [], engine.MaskTable(table.rows[:0])
-    elif case == "other context":
-        other = make_ctx()
-        cts[1] = other.encrypt(other.encode([1.0]))
-    elif case == "key tags":
-        ctx.register_key("other", ctx.parties)
-        cts[1] = ctx.encrypt(ctx.encode([1.0]), "other")
-    elif case == "level 0":
-        cts = [ctx.rescale(ctx.mul_pt(ct, ones)) for ct in cts]
-    elif case == "mixed levels":
-        cts[1] = ctx.rescale(ctx.mul_pt(cts[1], ones))
-    elif case == "mixed scales":
-        cts[1] = ctx.mul_pt(cts[1], ones)
-    elif case == "rows shape":
-        table = engine.MaskTable(table.rows[:, :-1])
-    elif case == "row count":
-        table = engine.MaskTable(table.rows[:1])
-    elif case == "bare bool array":
-        table = table.rows
-    elif case == "bare float array":
-        table = table.rows.astype(float)
-    return ctx, cts, table
-
-
-@pytest.mark.parametrize("case, error", [
-    ("empty", EngineError),
-    ("other context", EngineError),
-    ("key tags", KeyMismatchError),
-    ("level 0", LevelExhaustedError),
-    ("mixed levels", EngineError),
-    ("mixed scales", EngineError),
-    ("rows shape", CapacityError),
-    ("row count", CapacityError),
-    ("bare bool array", EngineError),
-    ("bare float array", EngineError),
-])
-def test_mul_pt_sum_rejects_misuse(case, error):
-    ctx, cts, table = _fused_misuse(case)
-    before = ctx.meter.snapshot()
-    with pytest.raises(error):
-        ctx.mul_pt_sum(cts, table)
-    assert ctx.meter.snapshot() == before
-
-
-@pytest.mark.parametrize("rows", [
-    np.eye(2, 4),
-    np.eye(2, 4, dtype=np.uint8),
-    np.ones(4, dtype=bool),
-    np.ones((1, 2, 4), dtype=bool),
-    np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=bool),
-], ids=["float", "uint8", "1-D", "3-D", "overlap"])
-def test_mask_table_rejects_malformed_tables(rows):
-    with pytest.raises(EngineError):
-        engine.MaskTable(rows)
-
-
-def test_mask_table_is_read_only_and_keeps_callers_array():
-    rows = np.array([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
-    table = engine.MaskTable(rows)
-    assert rows.flags.writeable and table.rows is not rows
-    assert np.array_equal(table.rows, rows)
-    with pytest.raises(ValueError):
-        table.rows[0, 0] = False
-    with pytest.raises(AttributeError):
-        table.rows = rows
-    frozen = table.rows
-    assert engine.MaskTable(frozen).rows is frozen
-
-
-def test_mul_pt_sum_skips_rows_that_select_nothing():
-    ctx = make_ctx()
-    cts, table = _fused_operands(ctx, 4, seed=2)
-    rows = table.rows.copy()
-    rows[[0, 2]] = False
-    sparse = engine.MaskTable(rows)
-    assert sparse.live == [1, 3]
-    with ctx.meter_scope() as fused:
-        got = ctx.mul_pt_sum(cts, sparse)
-    with ctx.meter_scope() as chain:
-        want = _mul_pt_chain(ctx, cts, rows)
-    assert np.array_equal(got.slots, want.slots)
-    assert fused.snapshot() == chain.snapshot()
-
-
 # ------------------------------------------------------------- gather plans
+
+def _masked_sum(ctx, terms, rows):
+    """Sum of ``mul_pt(terms[j], encode(rows[j]))``, one engine op each.
+
+    The chain is metered as it runs, but the slots come by masked copy: a
+    slot that row j selects holds ``terms[j]``'s value bit for bit and every
+    other slot is +0.0.  The chain gives +-0.0 there, or NaN for an inf term.
+    """
+    acc = None
+    with np.errstate(invalid="ignore"):  # inf * 0 in the unselected slots
+        for ct, row in zip(terms, rows):
+            part = ctx.mul_pt(ct, ctx.encode(row))
+            acc = part if acc is None else ctx.add(acc, part)
+    slots = np.zeros(ctx.slot_count)
+    for ct, row in zip(terms, rows):
+        np.copyto(slots, ct.slots, where=row)
+    return engine.SlotVector(slots, acc.level, acc.scale, acc.context_id,
+                             acc.key_tag)
+
 
 def _random_plan(n, baby, shifts, seed):
     """Giant steps whose images split the output slots at random: each slot
@@ -390,16 +257,17 @@ def _random_plan(n, baby, shifts, seed):
     owner = rng.integers(-1, len(shifts) * len(baby), n)
     steps = []
     for i, shift in enumerate(shifts):
-        rows = owner == (i * len(baby) + np.arange(len(baby)))[:, None]
-        steps.append((shift, engine.MaskTable(np.roll(rows, shift or 0, axis=1))))
+        mine = owner // len(baby) == i
+        labels = np.where(mine, owner - i * len(baby), -1)
+        steps.append((shift, np.roll(labels, shift or 0)))
     return steps
 
 
 def _gather_chain(ctx, ct, baby, steps):
     terms = [ct if b is None else ctx.rot(ct, b) for b in baby]
     acc = None
-    for shift, table in steps:
-        part = ctx.mul_pt_sum(terms, table)
+    for shift, labels in steps:
+        part = _masked_sum(ctx, terms, labels == np.arange(len(terms))[:, None])
         part = part if shift is None else ctx.rot(part, shift)
         acc = part if acc is None else ctx.add(acc, part)
     return acc
@@ -418,7 +286,7 @@ def test_lin_trans_equals_its_chain(baby, shifts):
     plan = engine.GatherPlan(baby, steps, n)
     slots = np.random.default_rng(3).standard_normal(n)
     slots[::3] = -0.0
-    slots[1] = np.inf
+    slots[1:6:2] = [np.inf, -np.inf, np.nan]
     ct = engine.SlotVector(slots, 2, ctx.initial_scale, ctx.context_id, "pk")
     with ctx.meter_scope() as fused:
         got = ctx.lin_trans(ct, plan)
@@ -433,21 +301,30 @@ def test_lin_trans_equals_its_chain(baby, shifts):
 
 @pytest.mark.parametrize("case, error", [
     ("overlapping images", EngineError),
-    ("bool array rows", EngineError),
-    ("row count", CapacityError),
+    ("bool labels", EngineError),
+    ("float labels", EngineError),
+    ("labels shape", CapacityError),
+    ("label past the baby steps", CapacityError),
+    ("label below -1", CapacityError),
     ("no giant steps", EngineError),
     ("no baby steps", EngineError),
 ])
 def test_gather_plan_rejects_malformed_descriptions(case, error):
     n = 8
-    rows = engine.MaskTable(np.eye(2, n, dtype=bool))  # slots 0 and 1
-    baby, steps = [0, 1], [(0, rows), (4, rows)]
+    labels = np.array([0, 1, -1, -1, -1, -1, -1, -1])  # slots 0 and 1
+    baby, steps = [0, 1], [(0, labels), (4, labels)]
     if case == "overlapping images":
-        steps = [(0, rows), (n + 1, rows)]  # the second reads slots n-1 and 0
-    elif case == "bool array rows":
-        steps = [(0, rows.rows)]
-    elif case == "row count":
-        baby = [0, 1, 2]
+        steps = [(0, labels), (n + 1, labels)]  # the second reads slots n-1 and 0
+    elif case == "bool labels":
+        steps = [(0, labels >= 0)]
+    elif case == "float labels":
+        steps = [(0, labels.astype(float))]
+    elif case == "labels shape":
+        steps = [(0, labels[:-1])]
+    elif case == "label past the baby steps":
+        baby = [0]
+    elif case == "label below -1":
+        steps = [(0, np.where(labels < 0, -2, labels))]
     elif case == "no giant steps":
         steps = []
     elif case == "no baby steps":
@@ -472,8 +349,8 @@ def _lin_trans_misuse(case):
         ct = engine.SlotVector(ct.slots[:-1], 2, ct.scale, ct.context_id, "pk")
     elif case == "plan slot count":
         plan = engine.GatherPlan([0], _random_plan(2 * n, [0], [0], seed=6), 2 * n)
-    elif case == "mask table":
-        plan = engine.MaskTable(np.eye(1, n, dtype=bool))
+    elif case == "labels":
+        plan = _random_plan(n, [0], [None], seed=7)[0][1]
     return ctx, ct, plan
 
 
@@ -483,7 +360,7 @@ def _lin_trans_misuse(case):
     ("unknown key", KeyMismatchError),
     ("slot shape", CapacityError),
     ("plan slot count", CapacityError),
-    ("mask table", EngineError),
+    ("labels", EngineError),
 ])
 def test_lin_trans_rejects_misuse_before_any_tally(case, error):
     ctx, ct, plan = _lin_trans_misuse(case)
@@ -525,27 +402,6 @@ def test_rotation_group_property():
         left = ctx.rot(ctx.rot(v, int(k1)), int(k2))
         right = ctx.rot(v, int(k1 + k2) % n)
         assert np.array_equal(left.slots, right.slots)
-
-
-def test_rot_many_equals_a_list_of_rot():
-    rng = np.random.default_rng(12)
-    ctx = make_ctx()
-    n = ctx.slot_count
-    ct = ctx.encrypt(ctx.encode(rng.standard_normal(n)))
-    offsets = [0, 1, 5, -3, n, 2 * n + 7]
-    with ctx.meter_scope() as many:
-        got = ctx.rot_many(ct, offsets)
-    with ctx.meter_scope() as single:
-        want = [ctx.rot(ct, k) for k in offsets]
-    assert many.snapshot() == single.snapshot()
-    assert many.rotations == len(offsets)
-    for g, w in zip(got, want):
-        assert g.slots.tobytes() == w.slots.tobytes()
-        assert (g.level, g.scale, g.key_tag, g.context_id) == \
-            (w.level, w.scale, w.key_tag, w.context_id)
-        assert not g.slots.flags.writeable
-    with pytest.raises(EngineError):
-        make_ctx().rot_many(ct, [1])
 
 
 # ------------------------------------------------------------------- rescale

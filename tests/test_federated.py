@@ -1,6 +1,7 @@
 """Federated protocol: preparation, local passes, aggregation, training runs."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -430,6 +431,37 @@ def test_frame_claiming_another_party_is_rejected(msg_type):
         wait()
     for link in links:
         link.close()
+
+
+def test_tcp_frame_with_a_nan_slot_fails_fast():
+    from packedhe.engine import SlotVector
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.transport import open_tcp_links
+    from packedhe.federated.wire import (MsgType, WireError, encode_ciphertext,
+                                         encode_frame, max_frame_body)
+    config = small_config(party_count=2, global_iters=1)
+    server, _ = prepare(config, feature_dim=2)
+    ctx = server.ctx
+    server_links, party_links, _, listener = open_tcp_links(
+        2, max_frame_body(ctx.slot_count))
+    srv = ServerRuntime(server, server_links, timeout=30.0)
+    srv.start()
+    try:
+        slots = np.zeros(ctx.slot_count)
+        slots[3] = np.nan
+        spoofed = SlotVector(slots, ctx.initial_level, ctx.initial_scale,
+                             ctx.context_id, ctx.DEFAULT_KEY)
+        party_links[0].send(encode_frame(MsgType.GRADIENT, 0, 0,
+                                         encode_ciphertext(spoofed)))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="non-finite") as err:
+            srv.collect_gradients(0, lambda: [])
+        assert time.monotonic() - start < 10.0
+        assert isinstance(err.value.__cause__, WireError)
+    finally:
+        for link in server_links + party_links:
+            link.close()
+        listener.close()
 
 
 def test_dataset_count_must_match_parties():

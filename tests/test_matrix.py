@@ -16,8 +16,7 @@ from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
 
 
 def exact_ctx(h, beta=1, level=6, parties=1):
-    ctx = engine.new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
-    return matrix.register_context(ctx)
+    return engine.new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
 
 
 # ----------------------------------------------------- permutation structure
@@ -112,7 +111,7 @@ def test_worked_example_shifted_matrices():
 def test_worked_example_on_engine_row_alignment():
     # The row-diagonal alignment never wraps the window, so it also runs on a
     # 16-slot engine vector for the 3x3 example.
-    ctx = matrix.register_context(engine.new_context(32))
+    ctx = engine.new_context(32)
     ct = ctx.encrypt(ctx.encode(tokens(3)))
     out = he_lin_trans(ct, build_permutation("sigma_mu", 3))
     got = ctx.decode(ctx.ddec(out, ctx.parties))[:9]
@@ -205,7 +204,7 @@ def test_lin_trans_identity_spec():
 
 
 def test_lin_trans_wrapping_requires_exact_fit():
-    ctx = matrix.register_context(engine.new_context(2 ** 8))  # 128 slots
+    ctx = engine.new_context(2 ** 8)  # 128 slots
     ct = ctx.encrypt(ctx.encode(np.arange(16.0)))
     with pytest.raises(CapacityError):
         he_lin_trans(ct, build_permutation("tau_zeta", 4))
@@ -305,7 +304,7 @@ def test_cached_transforms_match_plain_oracle(h, beta):
 
 
 def test_cached_transpose_in_larger_context():
-    ctx = matrix.register_context(engine.new_context(2 * 4 * 64))  # 256 slots
+    ctx = engine.new_context(2 * 4 * 64)  # 256 slots
     rng = np.random.default_rng(21)
     for beta in (1, 2):
         _check_transforms(ctx, build_permutation("transpose", 4), beta, rng)
@@ -317,17 +316,19 @@ def test_cached_masks_take_each_context_scale(monkeypatch):
     a = np.arange(h * h, dtype=float).reshape(h, h)
     built = []
     for scale in (2.0 ** 40, 2.0 ** 30):
-        ctx = matrix.register_context(engine.new_context(2 * h * h, 6, scale))
+        ctx = engine.new_context(2 * h * h, 6, scale)
         ct = ctx.encrypt(ctx.encode(a.ravel()))
         out = he_lin_trans_bsgs(ct, spec)
         assert out.scale == scale * scale
         prod = he_mat_mult(encode_matrix(a, ctx), encode_matrix(a, ctx))
         assert prod.ct.scale == scale
         assert np.allclose(decode_matrix(prod), a @ a, atol=1e-9)
-        # From here on, every mask must come from a table the first built.
-        expand = matrix._expand_mask
-        monkeypatch.setattr(matrix, "_expand_mask",
-                            lambda *args: built.append(args) or expand(*args))
+        # From here on, every mask and label vector must come from a table
+        # or plan the first context built.
+        for name in ("_expand_mask", "_labels"):
+            real = getattr(matrix, name)
+            monkeypatch.setattr(matrix, name, lambda *args, real=real:
+                                built.append(args) or real(*args))
     assert built == []
 
 
@@ -343,6 +344,43 @@ def test_cached_masks_live_with_their_spec():
     del spec
     gc.collect()
     assert ref() is None
+
+
+def test_overlapping_diagonals_are_refused_before_any_tally():
+    h = 4
+    ctx = exact_ctx(h)
+    ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
+    ones = np.ones(h * h, dtype=bool)
+    spec = matrix.PermutationSpec("sigma_mu", h, None, {0: ones, 1: ones})
+    before = ctx.meter.snapshot()
+    for transform in (he_lin_trans, he_lin_trans_bsgs):
+        with pytest.raises(engine.EngineError, match="overlap"):
+            transform(ct, spec)
+    assert ctx.meter.snapshot() == before
+    with pytest.raises(engine.EngineError, match="overlap"):
+        matrix._labels([ones, ~ones, np.eye(1, h * h, dtype=bool)[0]], 1, 16)
+
+
+def test_labels_name_the_mask_of_each_slot():
+    masks = [np.array([1, 0, 0, 1]), np.array([0, 0, 1, 0])]
+    assert matrix._labels(masks, 2, 10).tolist() == \
+        [0, 0, -1, -1, 1, 1, 0, 0, -1, -1]
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        matrix._labels([np.array([2, 0, 0, 0])], 1, 4)
+
+
+def test_matrix_ops_do_not_keep_their_context_alive():
+    ctx = exact_ctx(4)
+    pm = encode_matrix(np.eye(4), ctx)
+    assert matrix._ctx_of(pm) is ctx
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
+    with pytest.raises(engine.EngineError, match="not alive"):
+        matrix._ctx_of(pm)
+    with pytest.raises(engine.EngineError):
+        he_transpose(pm)
 
 
 def test_cached_masks_are_read_only():
@@ -366,6 +404,25 @@ def test_cached_masks_are_read_only():
 
 # ----------------------------------------------------------- fused transform
 
+def _masked_sum(ctx, terms, rows):
+    """Sum of ``mul_pt(terms[j], encode(rows[j]))``, one engine op each.
+
+    The chain is metered as it runs, but the slots come by masked copy: a
+    slot that row j selects holds ``terms[j]``'s value bit for bit and every
+    other slot is +0.0.  The chain gives +-0.0 there, or NaN for an inf term.
+    """
+    acc = None
+    with np.errstate(invalid="ignore"):  # inf * 0 in the unselected slots
+        for ct, row in zip(terms, rows):
+            part = ctx.mul_pt(ct, ctx.encode(row))
+            acc = part if acc is None else ctx.add(acc, part)
+    slots = np.zeros(ctx.slot_count)
+    for ct, row in zip(terms, rows):
+        np.copyto(slots, ct.slots, where=row)
+    return engine.SlotVector(slots, acc.level, acc.scale, acc.context_id,
+                             acc.key_tag)
+
+
 def _bsgs_chain(ctx, ct, spec, beta):
     """The BSGS transform one engine call per op, as it ran before fusion:
     shared baby rotations, then per giant step a masked sum and a rotation."""
@@ -373,14 +430,14 @@ def _bsgs_chain(ctx, ct, spec, beta):
     baby, giant = bsgs_split(h)
     unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
     giants = range(giant) if spec.kind == "tau_zeta" else range(-giant, giant)
-    baby_rots = ctx.rot_many(ct, range(0, beta * unit * baby, beta * unit))
+    baby_rots = [ctx.rot(ct, k) for k in range(0, beta * unit * baby, beta * unit)]
     acc = None
     for i in giants:
         gshift = beta * unit * baby * i
         rows = [np.roll(matrix._expand_mask(spec.mask(unit * (baby * i + j)),
                                             beta, n), gshift % n)
                 for j in range(baby)]
-        part = ctx.mul_pt_sum(baby_rots, engine.MaskTable(np.stack(rows)))
+        part = _masked_sum(ctx, baby_rots, rows)
         shifted = ctx.rot(part, gshift)
         acc = shifted if acc is None else ctx.add(acc, shifted)
     return acc
@@ -389,11 +446,11 @@ def _bsgs_chain(ctx, ct, spec, beta):
 def _diagonal_chain(ctx, ct, spec, beta):
     """One rotation per nonzero diagonal and one masked sum."""
     offsets = sorted(spec.diagonals)
-    rows = np.stack([matrix._expand_mask(spec.diagonals[offset], beta,
-                                         ctx.slot_count) for offset in offsets])
+    rows = [matrix._expand_mask(spec.diagonals[offset], beta, ctx.slot_count)
+            for offset in offsets]
     rotated = [ct if offset == 0 else ctx.rot(ct, beta * offset)
                for offset in offsets]
-    return ctx.mul_pt_sum(rotated, engine.MaskTable(rows))
+    return _masked_sum(ctx, rotated, rows)
 
 
 def _transform_operand(h, beta, mode, slot_count):
@@ -402,9 +459,9 @@ def _transform_operand(h, beta, mode, slot_count):
     The ciphertext is built by hand so that gaussian encryption noise does
     not wash out the signed zeros.
     """
-    ctx = matrix.register_context(engine.new_context(
+    ctx = engine.new_context(
         2 * slot_count, 6, 2.0 ** 40, 1, mode,
-        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h))
+        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h)
     rng = np.random.default_rng(h + beta)
     slots = np.zeros(slot_count)
     for b in range(beta):
@@ -475,7 +532,7 @@ def test_encode_matrix_layout():
 
 
 def test_encode_matrix_trailing_zeros_in_larger_context():
-    ctx = matrix.register_context(engine.new_context(64))
+    ctx = engine.new_context(64)
     pm = encode_matrix([[1, 2], [3, 4]], ctx)
     slots = ctx.decode(ctx.ddec(pm.ct, ctx.parties))
     assert slots[:4].tolist() == [1, 2, 3, 4]
@@ -577,7 +634,7 @@ def test_matmul_insufficient_level():
 
 
 def test_matmul_requires_exact_fit():
-    ctx = matrix.register_context(engine.new_context(256))  # 128 slots
+    ctx = engine.new_context(256)  # 128 slots
     pa = encode_matrix(np.eye(4), ctx)
     with pytest.raises(CapacityError):
         he_mat_mult(pa, pa)
@@ -635,7 +692,7 @@ def _stage_chain(ctx, a0, b0, masks, beta, h):
     """The column-shift stages one engine call per op, as products ran them."""
     acc = None
     for k in range(len(masks)):
-        masked = ctx.rescale(ctx.mul_pt_sum([a0], engine.MaskTable(masks[k:k + 1])))
+        masked = ctx.rescale(_masked_sum(ctx, [a0], masks[k:k + 1]))
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
         prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
@@ -645,9 +702,9 @@ def _stage_chain(ctx, a0, b0, masks, beta, h):
 
 def _stage_operands(h, beta, mode, level=6):
     """Context and two packed operands, each with a zero row and a -0.0 column."""
-    ctx = matrix.register_context(engine.new_context(
+    ctx = engine.new_context(
         2 * beta * h * h, level, 2.0 ** 40, 1, mode,
-        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h))
+        noise_sigma=1e-6 if mode == "gaussian" else 0.0, noise_seed=h)
     rng = np.random.default_rng(h + beta)
     mats = [rng.uniform(-3, 3, (h, h)) for _ in range(2 * beta)]
     for m in mats:
@@ -920,15 +977,46 @@ def test_reference_paths_correct_and_dominated(h):
     assert diag.rotations > fast.rotations
 
 
+# adds / mul_pt / mul_ct / rotations / rescales of one product.
+_REFERENCE_TALLIES = {
+    "naive_mat_mult": {4: (123, 128, 4, 120, 9),
+                       8: (1015, 1024, 8, 1008, 17),
+                       16: (8175, 8192, 16, 8160, 33),
+                       64: (524223, 524288, 64, 524160, 129)},
+    "diagonal_mat_mult": {4: (55, 48, 16, 68, 13),
+                          8: (239, 192, 64, 264, 25),
+                          16: (991, 768, 256, 1040, 49),
+                          64: (16255, 12288, 4096, 16448, 193)},
+}
+
+
+@pytest.mark.parametrize("h", [4, 8, 16, 64])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TALLIES))
+def test_reference_tallies_are_pinned(name, h):
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(h)
+    a = rng.uniform(-3, 3, (h, h))
+    b = rng.uniform(-3, 3, (h, h))
+    a[1, :] = -0.0
+    b[:, 0] = 0.0
+    with ctx.meter_scope() as scope:
+        out = getattr(references, name)(encode_matrix(a, ctx),
+                                        encode_matrix(b, ctx))
+    fields = ("adds", "mul_pt", "mul_ct", "rotations", "rescales")
+    assert tuple(getattr(scope, f) for f in fields) == _REFERENCE_TALLIES[name][h]
+    assert (scope.subs, scope.bootstraps, scope.keyswitches) == (0, 0, 0)
+    assert np.allclose(decode_matrix(out), a @ b, atol=1e-8)
+
+
 def test_alternating_packing_analytic_values():
     assert references.alternating_packing_rotations(64, 64) == 768
 
 
 def test_matmul_under_gaussian_noise_stays_close():
     h, sigma = 4, 1e-9
-    ctx = matrix.register_context(engine.new_context(
+    ctx = engine.new_context(
         2 * h * h, 6, 2.0 ** 40, 1, noise_mode="gaussian", noise_sigma=sigma,
-        noise_seed=7))
+        noise_seed=7)
     rng = np.random.default_rng(7)
     a = rng.standard_normal((h, h))
     b = rng.standard_normal((h, h))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from packedhe import engine, matrix
+from packedhe import engine
 from packedhe.federated.config import (ActivationConfig, TrainingConfig,
                                        make_synthetic_classification,
                                        split_parties)
@@ -65,8 +65,7 @@ def _mismatched(seen):
 
 
 def _ctx(h, beta=1):
-    return matrix.register_context(
-        engine.new_context(2 * beta * h * h, 6, 2.0 ** 40, 1))
+    return engine.new_context(2 * beta * h * h, 6, 2.0 ** 40, 1)
 
 
 @pytest.mark.parametrize("h, beta", [(4, 1), (8, 1), (16, 1), (4, 2)])

@@ -95,6 +95,15 @@ def test_ciphertext_bad_scale_rejected(scale):
         decode_ciphertext(_ct_payload(4.0, scale, ctx), ctx)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_ciphertext_non_finite_slot_rejected(bad):
+    ctx = engine.new_context(8, initial_level=4)
+    payload = bytearray(_ct_payload(4.0, 2.0 ** 40, ctx))
+    struct.pack_into(">d", payload, len(payload) - 16, bad)  # slot 2 of 4
+    with pytest.raises(WireError, match="non-finite"):
+        decode_ciphertext(bytes(payload), ctx)
+
+
 @pytest.mark.parametrize("level", [0.0, 4.0])
 def test_ciphertext_level_range_inclusive(level):
     ctx = engine.new_context(8, initial_level=4)
