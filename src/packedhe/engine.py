@@ -31,6 +31,15 @@ The meter is the ground truth for all operation-count benchmarks.  Each fused
 call makes every check of its chain before it tallies anything, and returns
 the chain's bytes, level and scale.
 
+The shifted left factor of stage k, ``add(rot(m, beta*k), rot(sub(a0, m),
+beta*(k - h)))`` with ``m`` keeping the columns >= k of ``a0``, is slot for
+slot the column window ``[beta*k, beta*k + beta*h)`` of each row of one
+row-doubled image of ``a0``: ``a0[r] + (a0[r-1] - a0[r-1])`` beside ``0.0 +
+(a0[r] - 0.0)``, operands in the chain's order and row -1 wrapping to row
+h - 1.  ``shift_mul_sum`` builds that image once per call and multiplies
+strided windows of it; it keeps the chain's operand order in every add, so
+even the sign bits of NaN slots are the chain's.
+
 A ``GatherPlan`` describes the 0/1 plaintexts of each giant step as one label
 per slot: the baby term that the step keeps there, or -1 for none.  The masks
 of one step are therefore disjoint by construction, and the plan refuses
@@ -145,9 +154,11 @@ class Plaintext:
 
 _set_slot = object.__setattr__
 
-# Byte budget of each work array of ``shift_mul_sum``.  The arrays are made
-# once per call and reused by every block of stages: a block array allocated
-# afresh above glibc's 128 KiB mmap threshold would page-fault on each block.
+# Byte budget of the one stage-product array of ``shift_mul_sum``, made once
+# per call and reused by every block of stages.  Block size does not change
+# the bytes.  Median exact-mode call at h = 64, t = 64 (2-vCPU VM): 0.68 ms
+# at 128 KiB, 0.48-0.56 at 256 KiB, 0.45-0.56 at 512 KiB and 0.53 at 1 MiB;
+# 256 KiB is the smallest budget within noise of the best.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -491,44 +502,45 @@ class CryptoContext:
             out += 0.0
         return self._derive(ct, out, scale=ct.scale * self.initial_scale)
 
-    def shift_mul_sum(self, a0: SlotVector, b0: SlotVector, masks: np.ndarray,
-                      a_shifts: tuple, b_shifts: range) -> SlotVector:
-        """Sum over stages k of ``a_k * rot(b0, b_shifts[k])``, in one call.
+    def shift_mul_sum(self, a0: SlotVector, b0: SlotVector, h: int,
+                      beta: int, t: int) -> SlotVector:
+        """The ``t`` column-shift stages of a packed product, in one call.
 
-        With ``up, down = a_shifts`` and ``m_k = rescale(mul_pt(a0,
-        encode(masks[k])))``, ``a_k = add(rot(m_k, up[k]), rot(sub(a0, m_k),
-        down[k]))``.  The ``mul_pt`` in ``m_k`` is the masked copy of ``a0``:
-        the slots ``masks[k]`` selects keep their value bit for bit and the
-        rest are +0.0.  The result, its level, scale and tallies are those of
-        that chain with the stage products summed in order by ``add``: per
+        ``a0`` and ``b0`` hold ``beta`` interleaved ``h x h`` images that
+        fill the ring exactly (``beta * h**2 == slot_count``), so a matrix
+        row is ``w = beta * h`` slots.  With ``m_k = rescale(mul_pt(a0,
+        encode(mask_k)))``, ``mask_k`` keeping columns >= k, stage k is
+        ``mul_ct(add(rot(m_k, beta*k), rot(sub(a0, m_k), beta*(k - h))),
+        rot(b0, w*k))``, and the stages are summed in order by ``add``: per
         stage one mul_pt, rescale, sub and mul_ct, three rotations and one
-        add, plus ``t - 1`` adds for the sum of ``t`` stages.  In gaussian
-        mode each stage product draws its noise row from the same stream, in
-        the same order, as the chain's ``mul_ct``.
+        add, plus ``t - 1`` adds for the sum.  The ``mul_pt`` is the masked
+        copy of ``a0``: selected slots keep their value bit for bit and the
+        rest are +0.0.  The result, its level, scale and tallies are the
+        chain's.
 
-        ``masks`` is a bool array of shape ``(t, slot_count)``.  Each shift
-        sequence is a ``range`` of length ``t`` whose values, taken mod
-        slot_count, stay in ``[0, slot_count)`` as one progression, so the
-        rotations of a block of stages are one strided view of a doubled
-        array.  The stages run in blocks whose work arrays are allocated once
-        per call and reused; each stays within ``_BLOCK_BYTES``.  Every check
-        runs before the tally, so a rejected call meters nothing.
+        Stage k's shifted left factor is, slot for slot, the column window
+        ``[beta*k, beta*k + w)`` of each row of the ``(h, 2w)`` row-doubled
+        image ``D`` of ``a0``, with operands in the chain's order:
+        ``D[r, :w] = a0[r] + (a0[r-1] - a0[r-1])`` (row -1 is row h - 1)
+        and ``D[r, w:] = 0.0 + (a0[r] - 0.0)``.  So a block of stages is one
+        multiply of strided views of ``D`` and of doubled ``b0``, then its
+        noise rows (in gaussian mode, from the stream and in the order of
+        the chain's ``mul_ct``) and an in-order sum whose operands, NaN
+        payloads included, are added in the chain's order.  The blocks share
+        one work array of at most ``_BLOCK_BYTES``.  Every check runs before
+        the tally, so a rejected call meters nothing.
         """
         self._check_pair(a0, b0)
         if a0.level < 2 or b0.level < 1:
             raise LevelExhaustedError(
                 "shift_mul_sum requires a0 at level >= 2 and b0 at level >= 1")
-        masks = np.asarray(masks)
-        if masks.dtype != np.bool_:
-            raise EngineError(f"stage masks must be bool, got {masks.dtype}")
         n = self.slot_count
-        t = len(masks) if masks.ndim == 2 else 0
-        if masks.shape != (t, n) or t == 0:
+        if min(h, beta) < 1 or beta * h * h != n or a0.slots.shape != (n,):
             raise CapacityError(
-                f"stage masks have shape {masks.shape}, expected (t, {n}), t >= 1")
-        up, down = a_shifts
-        (s_up, step_up), (s_down, step_down), (s_b, step_b) = (
-            self._progression(shifts, t) for shifts in (up, down, b_shifts))
+                f"shift_mul_sum needs beta * h**2 == {n} slots; got beta "
+                f"{beta}, h {h} and {a0.slots.shape} operands")
+        if not 1 <= t <= h:
+            raise CapacityError(f"stage count {t} outside [1, {h}]")
         masked_scale = a0.scale * self.initial_scale / self.initial_scale
         a_scale = max(a0.scale, masked_scale)
         for name, times in (("mul_pt", t), ("rescales", t), ("subs", t),
@@ -536,30 +548,28 @@ class CryptoContext:
                             ("mul_ct", t)):
             self._tally(name, times)
 
-        # Row r of a block is stage k + r.  The chain's rot(a0 - m, down) is
-        # rot(a0, down) - rot(m, down), the same subtraction slot by slot, and
-        # p += rot(m, up) is the chain's add: IEEE addition commutes exactly.
-        rows = max(1, min(t, _BLOCK_BYTES // (2 * n * 8)))
-        a2 = np.concatenate((a0.slots, a0.slots))
+        w = beta * h
+        a = a0.slots.reshape(h, w)
+        d = np.empty((h, 2 * w))
+        z = a - a
+        np.add(a[1:], z[:-1], out=d[1:, :w])
+        np.add(a[0], z[-1], out=d[0, :w])  # row -1 wraps to row h - 1
+        np.add(0.0, a - 0.0, out=d[:, w:])
         b2 = np.concatenate((b0.slots, b0.slots))
-        m2 = np.empty((rows, 2 * n))  # the largest work array: one doubled m_k per row
+        rows = max(1, min(t, _BLOCK_BYTES // (n * 8)))
         prod = np.empty((rows, n))
         acc = np.empty(n)
         for k in range(0, t, rows):
             r = min(rows, t - k)
-            m, p = m2[:r], prod[:r]
-            m[:, :n] = 0.0
-            np.copyto(m[:, :n], a0.slots, where=masks[k:k + r])
-            m[:, n:] = m[:, :n]
-            down = s_down + k * step_down
-            np.subtract(_rows(a2, down, step_down, r, n),
-                        _rows(m, down, step_down, r, n), out=p)
-            p += _rows(m, s_up + k * step_up, step_up, r, n)
-            p *= _rows(b2, s_b + k * step_b, step_b, r, n)
+            p = prod[:r]
+            # Row q of a block is stage k + q.
+            np.multiply(_windows(d, beta * k, beta, 2 * w, (r, h, w)),
+                        _windows(b2, w * k, w, w, (r, h, w)),
+                        out=p.reshape(r, h, w))
             if self.noise_mode == "gaussian":
                 p += self._rng.normal(0.0, self.noise_sigma, (r, n))
             if k:
-                p[0] += acc
+                np.add(acc, p[0], out=p[0])
             # Rows fold in order; -0.0 is the additive identity that keeps a
             # -0.0 sum as the chain's adds leave it (numpy starts from +0.0).
             np.add.reduce(p, axis=0, out=acc, initial=-0.0)
@@ -628,21 +638,6 @@ class CryptoContext:
             ct.key_tag,
         )
 
-    def _progression(self, shifts: range, t: int) -> tuple:
-        """(start mod slot_count, step) of a range of ``t`` stage shifts.
-
-        Refuses a range that leaves ``[0, slot_count)`` once its start is
-        reduced, since its rotations would not be one strided view.
-        """
-        if not isinstance(shifts, range) or len(shifts) != t:
-            raise EngineError(f"stage shifts must be a range of length {t}, "
-                              f"got {shifts!r}")
-        start = shifts.start % self.slot_count
-        last = start + (t - 1) * shifts.step
-        if min(start, last) < 0 or max(start, last) >= self.slot_count:
-            raise CapacityError(f"stage shifts {shifts!r} wrap the slot ring")
-        return start, shifts.step
-
     def _check_context(self, obj) -> None:
         if obj.context_id != self.context_id:
             raise EngineError(
@@ -658,19 +653,16 @@ class CryptoContext:
             raise CapacityError("operand slot counts differ")
 
 
-def _rows(base: np.ndarray, start: int, step: int, count: int,
-          n: int) -> np.ndarray:
-    """``(count, n)`` view of ``base`` whose row r starts at ``start + r*step``.
+def _windows(base: np.ndarray, start: int, step: int, row_stride: int,
+             shape: tuple) -> np.ndarray:
+    """``(count, rows, width)`` view of the contiguous ``base``: entry
+    ``[q, i, j]`` is flat element ``start + q*step + i*row_stride + j``.
 
-    ``base`` is a contiguous doubled array, 1-D or one doubled row per view
-    row, so row r is the rotation of that row by ``start + r*step`` when the
-    offset is in ``[0, n)``.  ``np.ndarray`` refuses a view that would read
-    past the end of ``base``.
+    ``np.ndarray`` refuses a view that would read past the end of ``base``.
     """
     item = base.itemsize
-    row_stride = (base.strides[0] if base.ndim == 2 else 0) + step * item
-    return np.ndarray((count, n), base.dtype, base, start * item,
-                      (row_stride, item))
+    return np.ndarray(shape, base.dtype, base, start * item,
+                      (step * item, row_stride * item, item))
 
 
 def new_context(ring_dim: int, initial_level: int = 6,

@@ -10,11 +10,11 @@ Frame layout (all integers big-endian):
               a 16-byte key tag, then the slot values as consecutive doubles
 
 Unknown message types, length mismatches and ciphertexts with a level, scale
-or slot that no real ciphertext has (a NaN or infinite slot, say) are
-rejected at decode time.  A stream reader takes a maximum body length and
-rejects a longer frame from its length prefix, before it reads the body;
-``max_frame_body`` gives the longest body the protocol sends, a header plus
-one ciphertext.
+or slot that no real ciphertext has (a NaN or infinite slot, say) or a key
+tag that is not UTF-8 are rejected at decode time.  A stream reader takes a
+maximum body length and rejects a longer frame from its length prefix, before
+it reads the body; ``max_frame_body`` gives the longest body the protocol
+sends, a header plus one ciphertext.
 """
 
 from __future__ import annotations
@@ -103,9 +103,12 @@ def decode_ciphertext(payload: bytes, ctx: CryptoContext) -> SlotVector:
         raise WireError(f"ciphertext scale {scale} is not finite and positive")
     if not np.isfinite(slots).all():
         raise WireError("ciphertext carries a non-finite slot")
+    try:
+        key_tag = tag.rstrip(b"\0").decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireError(f"ciphertext key tag {tag!r} is not UTF-8") from None
     slots.setflags(write=False)
-    return SlotVector(slots, int(level), scale, ctx.context_id,
-                      tag.rstrip(b"\0").decode("utf-8"))
+    return SlotVector(slots, int(level), scale, ctx.context_id, key_tag)
 
 
 def read_exact(recv_fn, count: int) -> bytes:

@@ -33,19 +33,16 @@ plans hold no context, so a plan serves every context of its geometry.
 Matrix ops find the context of a ciphertext by its ``context_id`` among the
 live contexts (``engine.context_of``).
 
-``he_mat_mult`` and ``he_rect_mat_mult`` share one product core and its stage
-masks.  Row k keeps columns >= k; the rows nest rather than partition, so
-they are not labels but a single read-only ``(h, slot_count)`` bool table,
-keyed by (h, beta, slot_count).  Stage k shifts the aligned left
-factor a0 by k columns: the masked term ``m_k`` (one ``mul_pt``) goes one way
-and ``a0 - m_k`` the other way round the row boundary.  ``m_k`` is rescaled
-before the subtraction, so every add and sub in a product sees its operands
-at one scale, as CKKS requires.  All t stages are one engine call,
-``ctx.shift_mul_sum``, which meters each stage as that chain and returns its
-bytes.  It works through the stages in blocks of a fixed size, reusing work
-arrays of at most 256 KiB that it allocates once per call: a block array
-above glibc's 128 KiB mmap threshold, allocated afresh for each block, would
-page-fault on every block and cost more than the fusion saves.
+``he_mat_mult`` and ``he_rect_mat_mult`` share one product core.  Stage k
+shifts the aligned left factor a0 by k columns: the masked term ``m_k``
+(one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
+other way round the row boundary.  ``m_k`` is rescaled before the
+subtraction, so every add and sub in a product sees its operands at one
+scale, as CKKS requires.  All t stages are one engine call,
+``ctx.shift_mul_sum(a0, b0, h, beta, t)``, which meters each stage as that
+chain and returns its bytes.  It needs no mask table: stage k's shifted
+left factor is a column window of one row-doubled image of a0, so a block
+of stages is a single strided multiply.
 """
 
 from __future__ import annotations
@@ -331,14 +328,6 @@ def _labels(masks, beta: int, slot_count: int) -> np.ndarray:
     return full
 
 
-def _expand_mask(mask: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
-    """The read-only bool array of one 0/1 window mask, expanded as
-    ``_labels`` expands it."""
-    full = _labels([mask], beta, slot_count) == 0
-    full.setflags(write=False)
-    return full
-
-
 def _per_spec(build):
     """Memoize ``build(spec, beta, slot_count)`` in ``spec.tables``."""
     @wraps(build)
@@ -463,17 +452,6 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
     return ctx
 
 
-@lru_cache(maxsize=None)
-def _stage_masks(h: int, beta: int, slot_count: int) -> np.ndarray:
-    """Read-only ``(h, slot_count)`` bool table whose row k keeps columns
-    >= k: R(v_k, -k) in closed form, one row per column-shift stage."""
-    col = np.arange(h * h) % h
-    table = np.stack([_expand_mask(col >= k, beta, slot_count)
-                      for k in range(h)])
-    table.setflags(write=False)
-    return table
-
-
 def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
              t: int) -> SlotVector:
     """sigma/tau alignment, then ``t`` column-shift stages; the rescaled sum.
@@ -485,10 +463,7 @@ def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
     h, beta = a.dim_h, a.batch_beta
     a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation("sigma_mu", h), beta))
     b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, build_permutation("tau_zeta", h), beta))
-    stages = _stage_masks(h, beta, ctx.slot_count)[:t]
-    a_shifts = (range(0, beta * t, beta), range(-beta * h, beta * (t - h), beta))
-    b_shifts = range(0, beta * h * t, beta * h)
-    return ctx.rescale(ctx.shift_mul_sum(a0, b0, stages, a_shifts, b_shifts))
+    return ctx.rescale(ctx.shift_mul_sum(a0, b0, h, beta, t))
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:

@@ -323,12 +323,11 @@ def test_cached_masks_take_each_context_scale(monkeypatch):
         prod = he_mat_mult(encode_matrix(a, ctx), encode_matrix(a, ctx))
         assert prod.ct.scale == scale
         assert np.allclose(decode_matrix(prod), a @ a, atol=1e-9)
-        # From here on, every mask and label vector must come from a table
-        # or plan the first context built.
-        for name in ("_expand_mask", "_labels"):
-            real = getattr(matrix, name)
-            monkeypatch.setattr(matrix, name, lambda *args, real=real:
-                                built.append(args) or real(*args))
+        # From here on, every label vector must come from a plan the first
+        # context built.
+        real = matrix._labels
+        monkeypatch.setattr(matrix, "_labels", lambda *args:
+                            built.append(args) or real(*args))
     assert built == []
 
 
@@ -389,8 +388,7 @@ def test_cached_masks_are_read_only():
     shift = build_permutation("col_shift", h, 1)
     plans = [matrix._bsgs_plan(spec, 1, n), matrix._diagonal_plan(spec, 1, n),
              matrix._diagonal_plan(shift, 1, n)]
-    arrays = [spec.diagonals[0], matrix._stage_masks(h, 1, n)]
-    arrays += [plan.selected for plan in plans]
+    arrays = [spec.diagonals[0]] + [plan.selected for plan in plans]
     for arr in arrays:
         assert arr.dtype == bool
         with pytest.raises(ValueError):
@@ -403,6 +401,12 @@ def test_cached_masks_are_read_only():
 
 
 # ----------------------------------------------------------- fused transform
+
+def _expand(mask, beta, slot_count):
+    """The bool slot row of one 0/1 window mask, expanded as ``_labels``
+    expands it."""
+    return matrix._labels([mask], beta, slot_count) == 0
+
 
 def _masked_sum(ctx, terms, rows):
     """Sum of ``mul_pt(terms[j], encode(rows[j]))``, one engine op each.
@@ -434,8 +438,8 @@ def _bsgs_chain(ctx, ct, spec, beta):
     acc = None
     for i in giants:
         gshift = beta * unit * baby * i
-        rows = [np.roll(matrix._expand_mask(spec.mask(unit * (baby * i + j)),
-                                            beta, n), gshift % n)
+        rows = [np.roll(_expand(spec.mask(unit * (baby * i + j)), beta, n),
+                        gshift % n)
                 for j in range(baby)]
         part = _masked_sum(ctx, baby_rots, rows)
         shifted = ctx.rot(part, gshift)
@@ -446,7 +450,7 @@ def _bsgs_chain(ctx, ct, spec, beta):
 def _diagonal_chain(ctx, ct, spec, beta):
     """One rotation per nonzero diagonal and one masked sum."""
     offsets = sorted(spec.diagonals)
-    rows = [matrix._expand_mask(spec.diagonals[offset], beta, ctx.slot_count)
+    rows = [_expand(spec.diagonals[offset], beta, ctx.slot_count)
             for offset in offsets]
     rotated = [ct if offset == 0 else ctx.rot(ct, beta * offset)
                for offset in offsets]
@@ -688,11 +692,14 @@ def test_matmul_encodes_nothing_and_matches_encoding_chain(h, beta, monkeypatch)
     assert fused.snapshot() == chain.snapshot()
 
 
-def _stage_chain(ctx, a0, b0, masks, beta, h):
-    """The column-shift stages one engine call per op, as products ran them."""
+def _stage_chain(ctx, a0, b0, h, beta, t):
+    """The column-shift stages one engine call per op, as products ran them:
+    stage k masks the columns >= k of ``a0``."""
+    col = np.arange(h * h) % h
     acc = None
-    for k in range(len(masks)):
-        masked = ctx.rescale(_masked_sum(ctx, [a0], masks[k:k + 1]))
+    for k in range(t):
+        mask = _expand(col >= k, beta, ctx.slot_count)
+        masked = ctx.rescale(_masked_sum(ctx, [a0], [mask]))
         a_k = ctx.add(ctx.rot(masked, beta * k),
                       ctx.rot(ctx.sub(a0, masked), beta * (k - h)))
         prod = ctx.mul_ct(a_k, ctx.rot(b0, beta * h * k))
@@ -713,35 +720,59 @@ def _stage_operands(h, beta, mode, level=6):
     return ctx, pack_matrices(mats[:beta], ctx).ct, pack_matrices(mats[beta:], ctx).ct
 
 
-def _stage_args(ctx, h, beta, t):
-    masks = matrix._stage_masks(h, beta, ctx.slot_count)[:t]
-    return (masks, (range(0, beta * t, beta), range(-beta * h, beta * (t - h), beta)),
-            range(0, beta * h * t, beta * h))
+def _non_finite(ct, h, beta):
+    """``ct`` by hand with inf, -inf and NaN of both signs in its first and
+    last rows and columns, some stacked so that stage sums add NaN to NaN
+    and the wrapped row h - 1 meets row 0 as two NaNs of opposite sign.
+
+    inf - inf is a NaN whose sign differs from ``np.nan``'s, so a fused
+    call that swaps the operands of a chain add changes a NaN's sign bit.
+    """
+    slots = ct.slots.copy().reshape(h, h, beta)
+    slots[0, 0] = np.inf
+    slots[1, 0] = np.nan
+    slots[h - 1, h - 1] = -np.inf
+    slots[0, h - 1] = -np.nan
+    slots[h - 1, 0] = np.nan
+    slots[h // 2, 1] = np.inf
+    slots[h // 2 + 1, 1] = -np.inf
+    slots[0, 1] = np.nan
+    slots[h - 1, 1] = -np.inf
+    return engine.SlotVector(slots.ravel(), ct.level, ct.scale, ct.context_id,
+                             ct.key_tag)
+
+
+def _check_stage_chain(h, beta, t, mode):
+    ctx, a0, b0 = _stage_operands(h, beta, mode)
+    for a, b in ((a0, b0), (_non_finite(a0, h, beta), _non_finite(b0, h, beta))):
+        noise = ctx._rng.bit_generator.state
+        with ctx.meter_scope() as fused, np.errstate(invalid="ignore"):
+            got = ctx.shift_mul_sum(a, b, h, beta, t)
+        ctx._rng.bit_generator.state = noise
+        with ctx.meter_scope() as chain, np.errstate(invalid="ignore"):
+            want = _stage_chain(ctx, a, b, h, beta, t)
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                       want.key_tag)
+        assert fused.snapshot() == chain.snapshot()
+        assert fused.rotations == 3 * t and fused.adds == 2 * t - 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "gaussian"])
 @pytest.mark.parametrize("h, t", [(h, t) for h in (4, 8, 16, 32, 64)
                                   for t in (1, 2, 4, 8, 16, 32, 64) if t <= h])
 def test_shift_mul_sum_equals_stage_chain(h, t, mode):
-    beta = 2
-    ctx, a0, b0 = _stage_operands(h, beta, mode)
-    masks, a_shifts, b_shifts = _stage_args(ctx, h, beta, t)
-    noise = ctx._rng.bit_generator.state
-    with ctx.meter_scope() as fused:
-        got = ctx.shift_mul_sum(a0, b0, masks, a_shifts, b_shifts)
-    ctx._rng.bit_generator.state = noise
-    with ctx.meter_scope() as chain:
-        want = _stage_chain(ctx, a0, b0, masks, beta, h)
-    assert got.slots.tobytes() == want.slots.tobytes()
-    assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
-                                                   want.key_tag)
-    assert fused.snapshot() == chain.snapshot()
-    assert fused.rotations == 3 * t and fused.adds == 2 * t - 1
+    _check_stage_chain(h, 2, t, mode)
+
+
+@pytest.mark.parametrize("h, t", [(4, 1), (4, 3), (4, 4), (64, 64)])
+def test_shift_mul_sum_of_one_image_equals_stage_chain(h, t):
+    _check_stage_chain(h, 1, t, "gaussian")
 
 
 def _stage_misuse(case):
     ctx, a0, b0 = _stage_operands(4, 1, "exact")
-    masks, a_shifts, b_shifts = _stage_args(ctx, 4, 1, 4)
+    h, beta, t = 4, 1, 4
     ones = ctx.encode(np.ones(ctx.slot_count))
     if case == "a0 level 1":
         for _ in range(5):
@@ -753,21 +784,18 @@ def _stage_misuse(case):
         b0 = ctx.dkey_switch(b0, ctx.SERVER_KEY, ctx.parties)
     elif case == "other context":
         _, _, b0 = _stage_operands(4, 1, "exact")
-    elif case == "float masks":
-        masks = masks.astype(float)
-    elif case == "mask width":
-        masks = masks[:, :-1]
-    elif case == "1-D masks":
-        masks = masks[0]
+    elif case == "geometry":
+        h, t = 2, 2
+    elif case == "negative h":
+        h = -4
+    elif case == "operand width":
+        a0, b0 = (engine.SlotVector(ct.slots[:-1], ct.level, ct.scale,
+                                    ct.context_id, ct.key_tag) for ct in (a0, b0))
     elif case == "no stages":
-        masks = masks[:0]
-    elif case == "stage count":
-        b_shifts = range(0, 12, 4)
-    elif case == "shift list":
-        b_shifts = list(b_shifts)
-    elif case == "wrapping shifts":
-        b_shifts = range(0, 64, 16)
-    return ctx, (a0, b0, masks, a_shifts, b_shifts)
+        t = 0
+    elif case == "t above h":
+        t = 5
+    return ctx, (a0, b0, h, beta, t)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -775,13 +803,11 @@ def _stage_misuse(case):
     ("b0 level 0", LevelExhaustedError),
     ("key tags", engine.KeyMismatchError),
     ("other context", engine.EngineError),
-    ("float masks", engine.EngineError),
-    ("mask width", CapacityError),
-    ("1-D masks", CapacityError),
+    ("geometry", CapacityError),
+    ("negative h", CapacityError),
+    ("operand width", CapacityError),
     ("no stages", CapacityError),
-    ("stage count", engine.EngineError),
-    ("shift list", engine.EngineError),
-    ("wrapping shifts", CapacityError),
+    ("t above h", CapacityError),
 ])
 def test_shift_mul_sum_rejects_misuse_before_any_tally(case, error):
     ctx, args = _stage_misuse(case)

@@ -41,13 +41,12 @@ def scales(monkeypatch):
         monkeypatch.setattr(engine.CryptoContext, name, recording)
     fused = engine.CryptoContext.shift_mul_sum
 
-    def recording_fused(self, a0, b0, masks, a_shifts, b_shifts):
-        out = fused(self, a0, b0, masks, a_shifts, b_shifts)
+    def recording_fused(self, a0, b0, h, beta, t):
+        out = fused(self, a0, b0, h, beta, t)
         masked = a0.scale * self.initial_scale / self.initial_scale
-        stages = len(masks)
         seen.extend([("sub", a0.scale, masked),
-                     ("add", masked, out.scale / b0.scale)] * stages)
-        seen.extend([("add", out.scale, out.scale)] * (stages - 1))
+                     ("add", masked, out.scale / b0.scale)] * t)
+        seen.extend([("add", out.scale, out.scale)] * (t - 1))
         return out
     monkeypatch.setattr(engine.CryptoContext, "shift_mul_sum", recording_fused)
     transform = engine.CryptoContext.lin_trans

@@ -111,6 +111,14 @@ def test_ciphertext_level_range_inclusive(level):
     assert ct.level == int(level)
 
 
+def test_ciphertext_key_tag_not_utf8_rejected():
+    ctx = engine.new_context(8, initial_level=4)
+    payload = bytearray(_ct_payload(4.0, 2.0 ** 40, ctx))
+    payload[16:32] = b"\xff\xfe".ljust(16, b"\0")
+    with pytest.raises(WireError, match="not UTF-8"):
+        decode_ciphertext(bytes(payload), ctx)
+
+
 def test_read_frame_from_stream():
     frames = [encode_frame(MsgType.MODEL_BCAST, r, 0, b"p" * r)
               for r in range(3)]
