@@ -1,24 +1,34 @@
 """Composite-polynomial approximation of sign, abs, max and ReLU.
 
-The building block is the odd polynomial family g_d of degree 2d+1 defined by
+Two odd polynomial families of degree 2d+1 build the sign approximation.  The
+sharpening family g_d (Cheon et al.'s f_n) is
 
     g_d(m) = sum_{i=0..d} (1/4^i) * C(2i, i) * m * (1 - m^2)^i,
 
 whose k-fold composition converges to the sign function on [-1,1] outside a
-shrinking dead zone around zero.  ``min_depth`` finds the smallest composition
-depth reaching a 2**-sigma error outside [-delta, delta] by dense grid search,
-with the closed-form depth bound
+shrinking dead zone around zero.  ``min_depth`` finds the smallest g_d-only
+composition depth reaching a 2**-sigma error outside [-delta, delta] by dense
+grid search, with the closed-form depth bound
 
     ceil(log2(1/delta) / log2(p_d)) + ceil(log2(sigma - 1) / log2(d + 1)) + C
 
 serving as an asserted ceiling (p_d is g_d's linear coefficient; the additive
 constant C defaults to 2).
 
+The escape family esc_d (Cheon-Kim-Kim-Lee-Lee, ASIACRYPT 2020, section 3.5;
+their g_n) has a far steeper slope at zero but only lifts [x0, 1] into
+[0.748, 1).  A ``CompositePolySpec`` is one schedule: ``k_escape`` esc_d
+stages that carry the delta-neighbourhood of zero out to about 3/4, then
+``k_sharpen`` g_d stages that sharpen toward 1.  ``for_closeness`` picks the
+shortest such schedule meeting the grid check; it never exceeds ``min_depth``.
+The escape stages are safe only on [-1, 1], so every sign evaluation refuses
+inputs beyond 1 + 2**-sigma.
+
 Every approximation is evaluable both on plain arrays and on slot-engine
-ciphertexts; the two paths share one arithmetic schedule so the exact backend
-reproduces the plain evaluation bit for bit.  A Chebyshev-interpolation fit is
-provided for smooth activations (sigmoid and friends), where a low-degree
-single polynomial is the cheaper tool.
+ciphertexts; the two paths walk one schedule with one arithmetic order per
+stage, so the exact backend reproduces the plain evaluation bit for bit.  A
+Chebyshev-interpolation fit is provided for smooth activations (sigmoid and
+friends), where a low-degree single polynomial is the cheaper tool.
 """
 
 from __future__ import annotations
@@ -65,6 +75,24 @@ def pd_constant(d: int) -> float:
     return float(Fraction((2 * d + 1) * math.comb(2 * d, d), 4 ** d))
 
 
+# Numerators over 2**10 of esc_d's odd-power coefficients (x, x^3, ...), from
+# Cheon-Kim-Kim-Lee-Lee section 3.5.  Dyadic, so every stage is exact in float64.
+_ESCAPE_NUMERATORS = {
+    1: (2126, -1359),
+    2: (3334, -6108, 3796),
+    3: (4589, -16577, 25614, -12860),
+    4: (5850, -34974, 97015, -113492, 46623),
+}
+
+
+def escape_coefficients(d: int) -> tuple:
+    """Float odd-power coefficients of the escape stage esc_d (d = 1..4)."""
+    if d not in _ESCAPE_NUMERATORS:
+        raise ValueError(f"no escape polynomial for degree parameter {d}; "
+                         f"tabulated: {sorted(_ESCAPE_NUMERATORS)}")
+    return tuple(n / 1024 for n in _ESCAPE_NUMERATORS[d])
+
+
 def eval_gd(m, d: int):
     """Evaluate one g_d stage on a float or array (same schedule as ciphertexts)."""
     return _stage_plain(np.asarray(m, dtype=np.float64), gd_coefficients(d))
@@ -85,13 +113,17 @@ def _stage_plain(m: np.ndarray, coeffs: tuple) -> np.ndarray:
 
 
 def stage_depth(d: int) -> int:
-    """Multiplicative levels consumed by one g_d stage under ciphertext."""
+    """Multiplicative levels one stage of degree 2d+1 consumes under ciphertext."""
     return 3 if d == 1 else 3 + math.ceil(math.log2(d))
 
 
 @dataclass(frozen=True)
 class CompositePolySpec:
-    """Parameters of a k-fold g_d composition targeting (sigma, delta)-closeness."""
+    """A k-stage sign schedule targeting (sigma, delta)-closeness.
+
+    The schedule is ``k_escape`` esc_d stages followed by ``k_sharpen`` g_d
+    stages; ``coeffs`` and ``p_d`` describe g_d.
+    """
 
     d: int
     k: int
@@ -99,9 +131,21 @@ class CompositePolySpec:
     delta: float
     coeffs: tuple
     p_d: float
+    k_escape: int = 0
+
+    @property
+    def k_sharpen(self) -> int:
+        return self.k - self.k_escape
+
+    @property
+    def schedule(self) -> tuple:
+        """Odd-power coefficients of every stage, in evaluation order."""
+        escape = (escape_coefficients(self.d),) if self.k_escape else ()
+        return escape * self.k_escape + (self.coeffs,) * self.k_sharpen
 
     @classmethod
     def with_depth(cls, d: int, k: int) -> "CompositePolySpec":
+        """k stages of g_d alone."""
         if k < 1:
             raise ValueError(f"composition depth must be >= 1, got {k}")
         return cls(d, k, float("nan"), float("nan"), gd_coefficients(d), pd_constant(d))
@@ -109,18 +153,42 @@ class CompositePolySpec:
     @classmethod
     def for_closeness(cls, d: int, sigma: float, delta: float,
                       slack: int = 2) -> "CompositePolySpec":
-        k = min_depth(d, sigma, delta, slack=slack)
-        return cls(d, k, sigma, delta, gd_coefficients(d), pd_constant(d))
+        """The shortest escape-then-sharpen schedule passing the grid check."""
+        k_escape, k = (_shortest_schedule(d, sigma, delta, slack)
+                       if d in _ESCAPE_NUMERATORS
+                       else (0, min_depth(d, sigma, delta, slack=slack)))
+        return cls(d, k, sigma, delta, gd_coefficients(d), pd_constant(d),
+                   k_escape)
+
+
+def _check_sign_domain(values, spec: CompositePolySpec) -> None:
+    """Raise ValueError, naming the worst slot, if any |value| > 1 + 2**-sigma.
+
+    The escape stages diverge just outside [-1, 1]; a spec without a sigma
+    (``with_depth``) allows 1e-12 of rounding instead.
+    """
+    flat = np.ravel(values)
+    if flat.size == 0:
+        return
+    limit = 1.0 + (1e-12 if math.isnan(spec.sigma) else 2.0 ** -spec.sigma)
+    worst = int(np.argmax(np.abs(flat)))
+    if not abs(flat[worst]) <= limit:
+        raise ValueError(
+            f"sign input out of domain: slot {worst} holds "
+            f"{float(flat[worst])!r}, beyond the bound {limit!r} on |m|")
+
+
+def _sign_plain(m: np.ndarray, spec: CompositePolySpec) -> np.ndarray:
+    """Every stage of ``spec`` on a plain array, after the domain check."""
+    _check_sign_domain(m, spec)
+    for coeffs in spec.schedule:
+        m = _stage_plain(m, coeffs)
+    return m
 
 
 def eval_composite(m, spec: CompositePolySpec):
-    """k-fold composition of g_d on plain values in [-1, 1]."""
-    arr = np.asarray(m, dtype=np.float64)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
-        raise ValueError("composite sign approximation is defined on [-1, 1]")
-    out = arr
-    for _ in range(spec.k):
-        out = _stage_plain(out, spec.coeffs)
+    """The composite sign approximation on plain values in [-1, 1]."""
+    out = _sign_plain(np.asarray(m, dtype=np.float64), spec)
     if np.isscalar(m) or np.ndim(m) == 0:
         return float(out)
     return out
@@ -166,6 +234,59 @@ def min_depth(d: int, sigma: float, delta: float, slack: int = 2,
         f"grid search did not reach 2**-{sigma} within the depth bound {bound}")
 
 
+@lru_cache(maxsize=None)
+def _shortest_schedule(d: int, sigma: float, delta: float, slack: int = 2,
+                       grid_points: int = 100_000) -> tuple:
+    """(k_escape, k) of the shortest esc_d-then-g_d schedule on the grid.
+
+    Escape stages step the grid one at a time.  g_d is monotone on [0, 1]
+    with g_d(1) = 1, so the sharpening count after each escape prefix follows
+    from the image's minimum alone.  Stepping stops once no longer prefix can
+    win, since no minimum exceeds esc_d's maximum on [0, 1].  The chosen
+    schedule is then checked once on the full grid, continuing from the
+    stepped grid when it holds the chosen prefix.
+    """
+    bound = depth_bound_formula(d, sigma, delta, slack)
+    tol = 2.0 ** (-sigma)
+    coeffs = gd_coefficients(d)
+    escape = escape_coefficients(d)
+
+    def sharpen_stages(low: float) -> int:
+        v = np.array([low])
+        for k in range(bound + 1):
+            if 1.0 - v[0] <= tol:
+                return k
+            v = _stage_plain(v, coeffs)
+        return bound + 1
+
+    fewest = sharpen_stages(np.max(_stage_plain(np.linspace(0.0, 1.0, 10_001),
+                                                escape)))
+    vals = closeness_grid(delta, grid_points)
+    best = (0, sharpen_stages(vals[0]))
+    stepped = 0
+    while stepped + 1 + fewest < best[1]:
+        vals = _stage_plain(vals, escape)
+        stepped += 1
+        k = stepped + sharpen_stages(vals.min())
+        if k < best[1]:
+            best = (stepped, k)
+    if best[1] > bound:
+        raise RuntimeError(
+            f"grid search did not reach 2**-{sigma} within the depth bound {bound}")
+    if stepped != best[0]:
+        del vals
+        vals, stepped = closeness_grid(delta, grid_points), 0
+    spec = CompositePolySpec(d, best[1], sigma, delta, coeffs, pd_constant(d),
+                             best[0])
+    for stage in spec.schedule[stepped:]:
+        vals = _stage_plain(vals, stage)
+    err = np.max(np.abs(vals - 1.0))
+    if not err <= tol:
+        raise RuntimeError(
+            f"schedule {best} misses 2**-{sigma} on the grid (error {err:.3e})")
+    return best
+
+
 # ------------------------------------------------------------ ciphertext path
 
 
@@ -192,7 +313,7 @@ def make_local_bootstrapper(ctx: CryptoContext, roster=None) -> BootstrapFn:
 
 def _stage_ct(ctx: CryptoContext, m: SlotVector, coeffs: tuple,
               coeff_pts: list, bootstrap: BootstrapFn | None) -> SlotVector:
-    """One g_d stage; ``coeff_pts[j - 1]`` is coefficient j encoded in every slot."""
+    """One stage; ``coeff_pts[j - 1]`` is coefficient j encoded in every slot."""
     d = len(coeffs) - 1
     m = _ensure_level(ctx, m, stage_depth(d), bootstrap)
     u = ctx.rescale(ctx.mul_ct(m, m))
@@ -208,15 +329,21 @@ def _stage_ct(ctx: CryptoContext, m: SlotVector, coeffs: tuple,
 
 def app_sign(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
              bootstrap: BootstrapFn | None = None) -> SlotVector:
-    """Slot-wise g_d^(k) of a ciphertext whose decoded values lie in [-1, 1].
+    """Slot-wise sign schedule of a ciphertext whose values lie in [-1, 1].
 
-    Bootstraps between stages whenever the remaining level is short of the
-    stage depth; without a bootstrap path that condition raises.
+    Raises ValueError if a slot lies outside the domain.  Bootstraps between
+    stages whenever the remaining level is short of the stage depth; without
+    a bootstrap path that condition raises.  Each family's coefficients are
+    encoded once per call.
     """
-    coeff_pts = [ctx.encode(np.full(ctx.slot_count, c)) for c in spec.coeffs[1:]]
+    _check_sign_domain(ct.slots, spec)
+    schedule = spec.schedule
+    coeff_pts = {coeffs: [ctx.encode(np.full(ctx.slot_count, c))
+                          for c in coeffs[1:]]
+                 for coeffs in dict.fromkeys(schedule)}
     out = ct
-    for _ in range(spec.k):
-        out = _stage_ct(ctx, out, spec.coeffs, coeff_pts, bootstrap)
+    for coeffs in schedule:
+        out = _stage_ct(ctx, out, coeffs, coeff_pts[coeffs], bootstrap)
     return out
 
 
@@ -228,7 +355,7 @@ def _half_scale(ctx: CryptoContext, ct: SlotVector,
 
 def app_abs(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
             bootstrap: BootstrapFn | None = None) -> SlotVector:
-    """m * g_d^(k)(m): slot-wise absolute value on normalized inputs."""
+    """m * sign(m): slot-wise absolute value on normalized inputs."""
     s = app_sign(ct, spec, ctx, bootstrap)
     ct = _ensure_level(ctx, ct, 1, bootstrap)
     return ctx.rescale(ctx.mul_ct(ct, s))
@@ -236,7 +363,7 @@ def app_abs(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
 
 def app_max(a: SlotVector, b: SlotVector, spec: CompositePolySpec,
             ctx: CryptoContext, bootstrap: BootstrapFn | None = None) -> SlotVector:
-    """(a+b)/2 + (a-b)/2 * g_d^(k)(a-b); exact on ties since g_d(0) = 0."""
+    """(a+b)/2 + (a-b)/2 * sign(a-b); exact on ties: every stage maps 0 to 0."""
     diff = ctx.sub(a, b)
     s = app_sign(diff, spec, ctx, bootstrap)
     half_sum = _half_scale(ctx, ctx.add(a, b), bootstrap)
@@ -248,7 +375,7 @@ def app_max(a: SlotVector, b: SlotVector, spec: CompositePolySpec,
 
 def app_relu(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
              bootstrap: BootstrapFn | None = None) -> SlotVector:
-    """max(0, m) as (m + m * g_d^(k)(m)) / 2 on normalized inputs."""
+    """max(0, m) as (m + m * sign(m)) / 2 on normalized inputs."""
     s = app_sign(ct, spec, ctx, bootstrap)
     ct = _ensure_level(ctx, ct, 1, bootstrap)
     prod = ctx.rescale(ctx.mul_ct(ct, s))
@@ -260,9 +387,7 @@ def plain_max(a, b, spec: CompositePolySpec):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     diff = a - b
-    s = diff
-    for _ in range(spec.k):
-        s = _stage_plain(s, spec.coeffs)
+    s = _sign_plain(diff, spec)
     return (a + b) * 0.5 + (diff * 0.5) * s
 
 

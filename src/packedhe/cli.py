@@ -4,8 +4,8 @@ Subcommands:
 
 * ``matmul-bench``  packed matrix product vs. the naive and diagonal reference
                     paths, plus the analytic replication-packing cost row
-* ``sign-bench``    composite sign approximation: minimal depth, depth bound,
-                    grid error, CSV error profile
+* ``sign-bench``    composite sign approximation: shortest escape-then-sharpen
+                    schedule, depth bound, grid error, CSV error profile
 * ``train``         end-to-end encrypted federated training from a JSON config
                     and per-party CSV datasets
 * ``microbench``    wall time and meter deltas of individual operations
@@ -118,7 +118,8 @@ def cmd_sign_bench(args) -> list:
     report = BenchReport("sign-bench",
                          {"d": args.d, "sigma": args.sigma, "delta": args.delta,
                           "grid_size": args.grid_size, "seed": args.seed})
-    report.add_row("composite", depth_k=spec.k, bound=bound,
+    report.add_row("composite", depth_k=spec.k, k_escape=spec.k_escape,
+                   k_sharpen=spec.k_sharpen, bound=bound,
                    stage_levels=stage_depth(args.d), max_error=max_err)
     report.check("closeness", "max grid error <= 2**-sigma",
                  2.0 ** -args.sigma, max_err)
@@ -219,7 +220,8 @@ def _micro_case(op: str, h: int, rng) -> tuple:
         ct = ctx.encrypt(ctx.encode(
             rng.uniform(-1, 1, size=min(h, ctx.slot_count))))
         refresh = make_local_bootstrapper(ctx)
-        extras["depth_k"] = spec.k
+        extras.update(depth_k=spec.k, k_escape=spec.k_escape,
+                      k_sharpen=spec.k_sharpen)
         fn = lambda: app_sign(ct, spec, ctx, refresh)
     else:
         raise ValueError(f"unknown microbench op {op!r}; "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..approx import (CompositePolySpec, _stage_plain, polyval_plain,
+from ..approx import (CompositePolySpec, _sign_plain, polyval_plain,
                       smooth_fit)
 from .config import ActivationConfig, TrainingConfig, one_hot
 
@@ -40,9 +40,7 @@ class PlainActivation:
         if kind == "approx_relu":
             if self.exact:
                 return np.maximum(e, 0.0), (e > 0).astype(np.float64)
-            s = e * (1.0 / self.act.input_range)
-            for _ in range(self.spec.k):
-                s = _stage_plain(s, self.spec.coeffs)
+            s = _sign_plain(e * (1.0 / self.act.input_range), self.spec)
             prod = e * s
             return (e + prod) * 0.5, (s + 1.0) * 0.5
         if self.exact:

@@ -562,7 +562,7 @@ class ServerRuntime:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
-        self._ks_acks: set = set()
+        self._ks_acks: dict = {}   # round -> ids of the parties that consented
         self._reader_errors: list = []
         self._readers = [threading.Thread(target=self._read_loop, args=(p,),
                                           daemon=True)
@@ -598,7 +598,7 @@ class ServerRuntime:
                         self._arrived.notify_all()
                 elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
                     with self._arrived:
-                        self._ks_acks.add(pid)
+                        self._ks_acks.setdefault(frame.round, set()).add(pid)
                         self._arrived.notify_all()
                 else:
                     raise ProtocolError(
@@ -659,11 +659,20 @@ class ServerRuntime:
                     MsgType.KEYSWITCH_REQ, round_no, SERVER_ID,
                     encode_ciphertext(w.ct)))
         with self._arrived:
-            while len(self._ks_acks) < config.party_count:
+            while True:
                 self._check_readers()
+                stale = sorted(set(self._ks_acks) - {round_no})
+                if stale:
+                    raise ProtocolError(
+                        f"key-switch share for round {stale[0]} while "
+                        f"finalizing round {round_no}")
+                acked = self._ks_acks.get(round_no, set())
+                if len(acked) == config.party_count:
+                    break
                 if not self._arrived.wait(self.timeout):
                     raise TransportError("key switch timed out")
-        return finalize(self.server)
+        parties = self.server.ctx.parties
+        return finalize(self.server, [parties[p] for p in sorted(acked)])
 
     def shutdown(self) -> None:
         for link in self.links:

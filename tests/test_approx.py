@@ -9,13 +9,16 @@ import pytest
 from packedhe import engine
 from packedhe.approx import (CompositePolySpec, IntervalMap, app_abs, app_max,
                              app_relu, app_sign, closeness_grid,
-                             eval_composite, eval_gd, gd_coefficient_fractions,
+                             escape_coefficients, eval_composite, eval_gd,
+                             gd_coefficient_fractions,
                              gd_coefficients, interval_denormalize,
                              interval_normalize, make_local_bootstrapper,
                              min_depth, pd_constant, plain_max, polyval_ct,
                              polyval_plain, smooth_fit, stage_depth,
                              depth_bound_formula)
 from packedhe.engine import LevelExhaustedError
+from packedhe.federated.config import ActivationConfig
+from packedhe.federated.mirror import PlainActivation
 
 
 def make_ctx(parties=2, slots=256, level=6):
@@ -184,10 +187,12 @@ def test_app_sign_matches_plain_composite():
     spec = CompositePolySpec.for_closeness(4, 20.0, 2.0 ** -20)
     rng = np.random.default_rng(0)
     values = rng.uniform(-1, 1, ctx.slot_count)
+    values[:3] = (0.0, 1.0, -1.0)
     ct = ctx.encrypt(ctx.encode(values))
     out = app_sign(ct, spec, ctx, make_local_bootstrapper(ctx))
     got = ctx.decode(ctx.ddec(out, ctx.parties))
-    assert np.max(np.abs(got - eval_composite(values, spec))) < 1e-9
+    assert spec.k_escape > 0
+    assert got.tobytes() == eval_composite(values, spec).tobytes()
 
 
 def test_app_sign_sign_accuracy():
@@ -214,6 +219,7 @@ def test_app_sign_requires_bootstrap_path():
 def test_app_max_pair_and_tie():
     ctx = make_ctx()
     spec = CompositePolySpec.for_closeness(4, 20.0, 2.0 ** -20)
+    assert spec.k_escape > 0    # ties pass through the escape stages too
     refresh = make_local_bootstrapper(ctx)
     a = ctx.encrypt(ctx.encode([0.8, 0.25, 0.5]))
     b = ctx.encrypt(ctx.encode([0.3, 0.9, 0.5]))
@@ -255,23 +261,27 @@ def test_plain_max_oracle_agrees():
 def _app_sign_encoding_coeffs(ct, spec, ctx, bootstrap):
     """app_sign with each coefficient plaintext encoded on the spot."""
     out = ct
-    for _ in range(spec.k):
+    for coeffs in spec.schedule:
         m = out if out.level >= stage_depth(spec.d) else bootstrap(out)
         powers = {1: ctx.rescale(ctx.mul_ct(m, m))}
         for j in range(2, spec.d + 1):
             powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
-        psum = ctx.constant(spec.coeffs[0], m.key_tag)
+        psum = ctx.constant(coeffs[0], m.key_tag)
         for j in range(1, spec.d + 1):
-            pt = ctx.encode(np.full(ctx.slot_count, spec.coeffs[j]))
+            pt = ctx.encode(np.full(ctx.slot_count, coeffs[j]))
             psum = ctx.add(psum, ctx.rescale(ctx.mul_pt(powers[j], pt)))
         out = ctx.rescale(ctx.mul_ct(m, psum))
     return out
 
 
-@pytest.mark.parametrize("d, k", [(1, 3), (3, 4), (4, 17)])
+@pytest.mark.parametrize("d, k", [(1, 3), (3, 4), (4, 17), (4, None)])
 def test_app_sign_encodes_coefficients_once(d, k, monkeypatch):
+    # k = None: the escape-then-sharpen schedule, whose two families are
+    # each encoded once.
     ctx = make_ctx()
-    spec = CompositePolySpec.with_depth(d, k)
+    spec = (CompositePolySpec.with_depth(d, k) if k else
+            CompositePolySpec.for_closeness(d, 20.0, 2.0 ** -20))
+    families = len(set(spec.schedule))
     ct = ctx.encrypt(ctx.encode(np.random.default_rng(d).uniform(
         -1, 1, ctx.slot_count)))
     calls = []
@@ -281,12 +291,80 @@ def test_app_sign_encodes_coefficients_once(d, k, monkeypatch):
     boot = make_local_bootstrapper(ctx)
     with ctx.meter_scope() as once:
         out = app_sign(ct, spec, ctx, boot)
-    assert len(calls) == d + k      # d coefficients, plus one constant per stage
+    assert len(calls) == d * families + spec.k   # plus one constant per stage
     with ctx.meter_scope() as chain:
         want = _app_sign_encoding_coeffs(ct, spec, ctx, boot)
     assert out.slots.tobytes() == want.slots.tobytes()
     assert (out.level, out.scale) == (want.level, want.scale)
     assert once.snapshot() == chain.snapshot()
+
+
+# ------------------------------------------------------ escape-then-sharpen
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_escape_stage_properties(d):
+    x = np.linspace(0.0, 1.0, 1_000_001)
+    one_stage = CompositePolySpec(d, 1, float("nan"), float("nan"),
+                                  gd_coefficients(d), pd_constant(d), k_escape=1)
+    g = eval_composite(x, one_stage)
+    assert np.all(g >= 0.0) and np.all(g < 1.0)
+    first = int(np.argmax(g >= 0.75))          # x0: the first point reaching 3/4
+    assert first > 0
+    assert np.all(g[1:first] > x[1:first])
+    assert np.all((g[first:] >= 0.748) & (g[first:] < 1.0))
+    assert escape_coefficients(d)[0] > pd_constant(d)
+
+
+def test_escape_table_stops_at_four():
+    with pytest.raises(ValueError):
+        escape_coefficients(5)
+    spec = CompositePolySpec.for_closeness(5, 20.0, 2.0 ** -20)
+    assert spec.k_escape == 0 and spec.k == min_depth(5, 20.0, 2.0 ** -20)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("sigma, delta", [(20.0, 2.0 ** -20), (10.0, 2.0 ** -10),
+                                          (12.0, 2.0 ** -6)])
+def test_schedule_meets_closeness_within_min_depth(d, sigma, delta):
+    spec = CompositePolySpec.for_closeness(d, sigma, delta)
+    assert spec.k_escape + spec.k_sharpen == spec.k == len(spec.schedule)
+    err = np.max(np.abs(eval_composite(closeness_grid(delta), spec) - 1.0))
+    assert err <= 2.0 ** -sigma
+    assert spec.k <= min_depth(d, sigma, delta)
+
+
+@pytest.mark.parametrize("d, k", [(1, 23), (2, 15), (3, 12), (4, 10)])
+def test_schedule_lengths_at_sigma_20(d, k):
+    spec = CompositePolySpec.for_closeness(d, 20.0, 2.0 ** -20)
+    assert spec.k == k and spec.k_escape > 0
+
+
+def test_with_depth_stays_sharpen_only():
+    spec = CompositePolySpec.with_depth(4, 17)
+    assert (spec.k_escape, spec.k_sharpen) == (0, 17)
+    assert spec.schedule == (gd_coefficients(4),) * 17
+
+
+def test_sign_input_out_of_domain_raises():
+    ctx = make_ctx()
+    spec = CompositePolySpec.for_closeness(4, 20.0, 2.0 ** -20)
+    values = np.zeros(ctx.slot_count)
+    values[7] = -1.001
+    values[9] = 1.0 + 2.0 ** -21        # inside the 2**-sigma allowance
+    ct = ctx.encrypt(ctx.encode(values))
+    with pytest.raises(ValueError, match="slot 7"):
+        app_sign(ct, spec, ctx, make_local_bootstrapper(ctx))
+    with pytest.raises(ValueError, match="slot 7"):
+        eval_composite(values, spec)
+    with pytest.raises(ValueError, match="slot 7"):
+        plain_max(values, np.zeros_like(values), spec)
+    with pytest.raises(ValueError, match="slot 0"):
+        eval_composite([np.nan], spec)
+    relu = PlainActivation(ActivationConfig(kind="approx_relu", input_range=2.0))
+    with pytest.raises(ValueError, match="slot 3"):
+        relu(np.array([[0.5, -1.0], [1.5, -2.5]]))
+    values[7] = 0.0
+    assert np.all(np.isfinite(eval_composite(values, spec)))
 
 
 # -------------------------------------------------------------- interval map

@@ -325,6 +325,22 @@ def test_mirror_equivalence_short_relu_run():
             assert np.allclose(a, b, rtol=1e-6, atol=1e-9)
 
 
+def test_relu_round_counts_at_benchmark_shape():
+    # Two parties, h = 16, two approx_relu layers of 8 + 2 stages each.
+    x, y = make_synthetic_classification(699, 9, 2, seed=1)
+    act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
+                           delta=2.0 ** -20)
+    config = TrainingConfig(neurons=(16, 2), learning_rate=0.1, global_iters=2,
+                            batch_size=8, party_count=2, activation=act, seed=1)
+    rounds = run_training(config, split_parties(x, y, 2, seed=1)).metrics["rounds"]
+    prev = dict.fromkeys(rounds[0]["ops"], 0)
+    for r in rounds:
+        per_round = {k: r["ops"][k] - prev[k] for k in prev}
+        prev = r["ops"]
+        assert (per_round["bootstraps"], per_round["mul_ct"],
+                per_round["mul_pt"], per_round["rotations"]) == (62, 320, 970, 614)
+
+
 def test_sigmoid_activation_run_and_mirror():
     x, y = blob_data(samples=24, features=3, seed=12)
     act = ActivationConfig(kind="approx_sigmoid", degree=5, input_range=8.0)
@@ -462,6 +478,69 @@ def test_tcp_frame_with_a_nan_slot_fails_fast():
         for link in server_links + party_links:
             link.close()
         listener.close()
+
+
+def _open_server(transport, server, timeout):
+    """(runtime, party-side links, closer) for a started ServerRuntime."""
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.transport import (open_in_process_links,
+                                              open_tcp_links)
+    from packedhe.federated.wire import max_frame_body
+    count = server.config.party_count
+    if transport == "tcp":
+        server_links, party_links, _, listener = open_tcp_links(
+            count, max_frame_body(server.ctx.slot_count))
+    else:
+        server_links, _, listener = open_in_process_links(count)
+        party_links = server_links
+    srv = ServerRuntime(server, server_links, timeout=timeout)
+    srv.start()
+
+    def close():
+        for link in set(server_links) | set(party_links):
+            link.close()
+        if listener is not None:
+            listener.close()
+    return srv, party_links, close
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_finalize_rekeys_with_the_acked_roster(transport, monkeypatch):
+    from packedhe.federated.wire import MsgType, encode_frame
+    config = small_config(party_count=2, global_iters=1)
+    server, _ = prepare(config, feature_dim=2)
+    server.model.iteration = config.global_iters
+    rosters = []
+    monkeypatch.setattr(protocol, "finalize",
+                        lambda srv_state, roster=None: rosters.append(roster))
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        for p in (1, 0):
+            party_links[p].send(encode_frame(MsgType.KEYSWITCH_SHARE,
+                                             config.global_iters, p))
+        srv.finalize_over_wire()
+    finally:
+        close()
+    assert rosters == [list(server.ctx.parties)]
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_keyswitch_share_for_another_round_fails_fast(transport):
+    from packedhe.federated.wire import MsgType, encode_frame
+    config = small_config(party_count=2, global_iters=2)
+    server, _ = prepare(config, feature_dim=2)
+    server.model.iteration = config.global_iters
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        party_links[0].send(encode_frame(MsgType.KEYSWITCH_SHARE,
+                                         config.global_iters, 0))
+        party_links[1].send(encode_frame(MsgType.KEYSWITCH_SHARE, 0, 1))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="round 0"):
+            srv.finalize_over_wire()
+        assert time.monotonic() - start < 10.0
+    finally:
+        close()
 
 
 def test_dataset_count_must_match_parties():
