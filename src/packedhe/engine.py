@@ -110,9 +110,6 @@ class OpCounter:
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
 
-    def bump(self, name: str, times: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + times)
-
     def reset(self) -> None:
         """Zero all tallies, starting a fresh metering scope."""
         for name in COUNTER_FIELDS:

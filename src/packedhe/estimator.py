@@ -14,7 +14,8 @@ import numpy as np
 
 from .federated.config import ActivationConfig, TrainingConfig
 from .federated.mirror import PlainActivation, scores_with_weights
-from .federated.protocol import build_plan, pad_square, run_training
+from .federated.protocol import build_plan, run_training
+from .matrix import pad_matrix
 from .validation import check_array, check_x_y
 
 
@@ -98,7 +99,8 @@ class FederatedPolyMLP:
         self.metrics_ = result.metrics
         plan = build_plan(config, X.shape[1])
         self.plan_ = plan
-        self.weights_ = [pad_square(w, plan.h) for w in result.final_weights]
+        self.weights_ = [pad_matrix(w, plan.h, plan.h)
+                         for w in result.final_weights]
         self._activation = PlainActivation(config.activation)
         return self
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..approx import (CompositePolySpec, _sign_plain, polyval_plain,
                       smooth_fit)
+from ..matrix import pad_matrix
 from .config import ActivationConfig, TrainingConfig, one_hot
 
 
@@ -66,10 +67,8 @@ class PlainPipeline:
     def party_gradients(self, party: int, rows: np.ndarray) -> list:
         plan = self.plan
         x, y = self.shards[party]
-        xb = np.zeros((plan.t, plan.h))
-        xb[: len(rows), : plan.features] = x[rows]
-        yb = np.zeros((plan.t, plan.h))
-        yb[: len(rows), : plan.classes] = one_hot(y[rows], plan.classes)
+        xb = pad_matrix(x[rows], plan.t, plan.h)
+        yb = pad_matrix(one_hot(y[rows], plan.classes), plan.t, plan.h)
 
         acts = [xb]
         gates = []
@@ -117,8 +116,7 @@ class PlainPipeline:
 def scores_with_weights(weights, plan, activation: PlainActivation,
                         x: np.ndarray) -> np.ndarray:
     """Forward pass with explicit padded weights (decoded ciphertext model)."""
-    m = np.zeros((len(x), plan.h))
-    m[:, : plan.features] = x
+    m = pad_matrix(x, len(x), plan.h)
     for j, w in enumerate(weights):
         e = m @ w
         m, _ = activation(e)

@@ -26,9 +26,9 @@ import numpy as np
 from .. import matrix
 from ..approx import (CompositePolySpec, app_sign, make_local_bootstrapper,
                       polyval_ct, smooth_fit)
-from ..engine import (CryptoContext, EngineError, MissingPartyError,
-                      Plaintext, new_context)
-from ..matrix import PackedMatrix, he_mat_mult, he_rect_mat_mult, he_transpose
+from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
+from ..matrix import (PackedMatrix, he_mat_mult, he_rect_mat_mult, he_transpose,
+                      pad_matrix)
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (TransportError, open_in_process_links,
@@ -177,12 +177,6 @@ def init_weights(config: TrainingConfig, feature_dim: int):
     return mats, dims
 
 
-def pad_square(mat: np.ndarray, h: int) -> np.ndarray:
-    out = np.zeros((h, h))
-    out[: mat.shape[0], : mat.shape[1]] = mat
-    return out
-
-
 def prepare(config: TrainingConfig, feature_dim: int, party_ids=None):
     """Key ceremony and model initialization.
 
@@ -200,7 +194,8 @@ def prepare(config: TrainingConfig, feature_dim: int, party_ids=None):
     ctx = new_context(plan.ring_dim, config.initial_level,
                       2.0 ** config.scale_bits, config.party_count)
     logical, dims = init_weights(config, feature_dim)
-    weights = [matrix.encode_matrix(pad_square(w, plan.h), ctx) for w in logical]
+    weights = [matrix.encode_matrix(pad_matrix(w, plan.h, plan.h), ctx)
+               for w in logical]
     model = ModelState(weights, 0, plan)
     factor = config.learning_rate / (config.batch_size * config.party_count)
     server = ServerState(ctx, config, plan, model, dims,
@@ -231,10 +226,6 @@ class _Compute:
     def lvl(self, ct, need: int):
         if ct.level >= need:
             return ct
-        if self.bootstrap is None:
-            raise EngineError(
-                f"level exhausted: {ct.level} < {need} and no refresh path; "
-                f"the bootstrap schedule is mis-placed")
         return self.bootstrap(ct)
 
     def mul(self, a, b):
@@ -311,9 +302,10 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     if rows > config.batch_size:
         raise ProtocolError(f"batch of {rows} rows exceeds batch_size "
                             f"{config.batch_size}")
-    xb = np.zeros((plan.t, plan.h))
-    xb[:rows, : plan.features] = batch_x
-    x_ct = matrix.encode_rect_matrix(xb, ctx)
+    if np.shape(batch_x)[1:] != (plan.features,):
+        raise ProtocolError(f"batch rows of shape {np.shape(batch_x)[1:]} "
+                            f"do not hold {plan.features} features")
+    x_ct = matrix.encode_rect_matrix(pad_matrix(batch_x, plan.t, plan.h), ctx)
 
     acts = []
     gates = []
@@ -324,8 +316,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         e = he_rect_mat_mult(lhs, rhs)
         m_ct, gate_ct = activation(comp, e.ct)
         m_ct = comp.mul_const(m_ct, party.consts.col_masks[j])
-        if bootstrap is not None:
-            m_ct = bootstrap(m_ct)
+        m_ct = bootstrap(m_ct)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
         acts.append(m)
         gates.append(None if gate_ct is None
@@ -348,8 +339,7 @@ def local_backward(party: PartyState, trace: ForwardTrace,
         bootstrap = make_local_bootstrapper(ctx)
     comp = _Compute(ctx, config, bootstrap)
 
-    yb = np.zeros((plan.t, plan.h))
-    yb[: len(batch_labels), : plan.classes] = one_hot(batch_labels, plan.classes)
+    yb = pad_matrix(one_hot(batch_labels, plan.classes), plan.t, plan.h)
     y_ct = matrix.encode_rect_matrix(yb, ctx)
 
     m_last = trace.activations[-1]
@@ -738,6 +728,9 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     else:
         test_x = np.asarray(test_set[0], dtype=np.float64)
         test_y = np.asarray(test_set[1], dtype=np.int64)
+        if test_x.shape[1:] != (feature_dim,):
+            raise ProtocolError("test set feature dimension differs from "
+                                "the parties'")
     poly_act = PlainActivation(config.activation)
 
     if transport == "in_process":

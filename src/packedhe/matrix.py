@@ -18,14 +18,18 @@ require the matrix image to fill the ciphertext exactly (slot_count ==
 beta * h^2).  Maps that never read across the window edge (row-diagonal
 alignment, column shifts, transpose) work with any capacity.
 
-Each permutation transform is one gather plan per geometry.  Its
-description is the chain it stands for: the baby rotation offsets, and per
-giant step a shift and a label vector that names, for each slot, the baby
-mask that selects it (or -1), slot-expanded and pre-rolled against that
-shift.  The diagonals of a permutation select disjoint slots, which
-``_labels`` checks, and so do the images of its giant steps, so
-``engine.GatherPlan`` composes the whole chain into one map from output to
-input slot and derives the chain's tallies from the same description.
+A permutation is stored as one offset per window slot: the signed rotation
+offset of the diagonal that selects the slot, taken from the map's index
+map (``build_permutation``).  Its diagonals are the slots sharing an
+offset, so they are disjoint by construction.  Each permutation transform
+is one gather plan per geometry.  Its description is the chain it stands
+for: the baby rotation offsets, and per giant step a shift and a label
+vector that names, for each slot, the baby rotation whose term keeps it
+(or -1), slot-expanded and pre-rolled against that shift.  Both plans read
+those labels off the offsets.  The images of the giant steps are disjoint
+too, so ``engine.GatherPlan`` composes the whole chain into one map from
+output to input slot and derives the chain's tallies from the same
+description.
 ``ctx.lin_trans`` then meters that chain and computes one gather.  A
 permutation's plans live on its spec, keyed by evaluation form, beta and
 slot_count; ``build_permutation`` shares one spec per (kind, h, k).  The
@@ -63,96 +67,56 @@ PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpos
 _WRAPPING_KINDS = ("tau_zeta", "row_shift")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationSpec:
     """Diagonal decomposition of one matrix permutation.
 
-    ``diagonals`` maps a signed rotation offset to its 0/1 mask over the
-    h*h-slot window; only nonzero masks are stored, and they must not change
-    once the spec is in use.  ``tables`` holds the gather plans built from
-    them, so they live exactly as long as the spec.
+    ``offsets`` holds, for each slot of the h*h window, the signed rotation
+    offset of the one diagonal that selects it: output slot t reads input
+    slot t + offsets[t].  The constructor stores a read-only copy and raises
+    ``EngineError`` for offsets that are not ints or not one per window slot.
+    ``tables`` holds the gather plans built from them, so they live exactly
+    as long as the spec.  Specs compare and hash by identity.
     """
 
     kind: str
     dim_h: int
     shift: int | None
-    diagonals: dict
-    tables: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    offsets: np.ndarray
+    tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        offsets = np.array(self.offsets)
+        if not np.issubdtype(offsets.dtype, np.integer):
+            raise EngineError(f"diagonal offsets must be ints, got {offsets.dtype}")
+        n = self.dim_h * self.dim_h
+        if offsets.shape != (n,):
+            raise EngineError(f"diagonal offsets have shape {offsets.shape}, "
+                              f"expected {(n,)}")
+        offsets.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def wraps_window(self) -> bool:
         return self.kind in _WRAPPING_KINDS
 
-    def mask(self, offset: int) -> np.ndarray:
-        """Mask for ``offset``, an all-zero window if the diagonal is empty."""
-        got = self.diagonals.get(offset)
-        if got is None:
-            return np.zeros(self.dim_h * self.dim_h, dtype=bool)
-        return got
-
-
-def _sigma_masks(h: int) -> dict:
-    n = h * h
-    t = np.arange(n)
-    out = {}
-    for k in range(-(h - 1), h):
-        if k >= 0:
-            mask = (0 <= t - h * k) & (t - h * k < h - k)
-        else:
-            mask = (-k <= t - (h + k) * h) & (t - (h + k) * h < h)
-        out[k] = mask
-    return out
-
-
-def _tau_masks(h: int) -> dict:
-    n = h * h
-    t = np.arange(n)
-    return {h * k: t % h == k for k in range(h)}
-
-
-def _col_shift_masks(h: int, k: int) -> dict:
-    t = np.arange(h * h)
-    out = {k: (t % h) < h - k}
-    low = (t % h) >= h - k
-    if low.any():
-        out[k - h] = low
-    return out
-
-
-def _row_shift_masks(h: int, k: int) -> dict:
-    return {h * k: np.ones(h * h, dtype=bool)}
-
-
-def _transpose_masks(h: int) -> dict:
-    # Diagonal (h-1)*i selects the entries whose column exceeds the row by i.
-    # For i < 0 the member slots satisfy t + h*i = (h+1)*j with 0 <= j < h+i.
-    n = h * h
-    t = np.arange(n)
-    out = {}
-    for i in range(-(h - 1), h):
-        if i >= 0:
-            rem = t - i
-            j = rem // (h + 1)
-            mask = (rem >= 0) & (rem % (h + 1) == 0) & (j < h - i)
-        else:
-            rem = t + h * i
-            j = rem // (h + 1)
-            mask = (rem >= 0) & (rem % (h + 1) == 0) & (j < h + i)
-        out[(h - 1) * i] = mask
-    return out
+    @property
+    def diagonals(self) -> dict:
+        """Each offset in use mapped to its bool mask over the window."""
+        return {int(o): self.offsets == o for o in np.unique(self.offsets)}
 
 
 @lru_cache(maxsize=None)
 def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpec:
-    """Build the diagonal masks of one of the five packed-matrix permutations.
+    """Build the diagonal offsets of one of the five packed-matrix permutations.
 
     ``sigma_mu`` aligns each row of the left factor on its own diagonal
     (2h-1 nonzero diagonals), ``tau_zeta`` does the column analogue for the
     right factor (h diagonals), ``col_shift(k)``/``row_shift(k)`` are cyclic
     intra-row / block-row shifts (2 resp. 1 diagonals), and ``transpose``
-    realizes the transpose map (2h-1 diagonals).  Masks are read-only bool
-    arrays.
+    realizes the transpose map (2h-1 diagonals).  Where output entry (i, j)
+    reads input entry (src_i, src_j), its offset is h*(src_i - i) +
+    (src_j - j), taken mod h*h for the two kinds that wrap the window.
     """
     if kind not in PERMUTATION_KINDS:
         raise ValueError(f"unknown permutation kind {kind!r}")
@@ -164,19 +128,21 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
     elif k is not None:
         raise ValueError(f"{kind} takes no shift parameter")
 
+    i, j = np.divmod(np.arange(h * h), h)
     if kind == "sigma_mu":
-        diags = _sigma_masks(h)
+        src_i, src_j = i, (i + j) % h
     elif kind == "tau_zeta":
-        diags = _tau_masks(h)
+        src_i, src_j = (i + j) % h, j
     elif kind == "col_shift":
-        diags = _col_shift_masks(h, k)
+        src_i, src_j = i, (j + k) % h
     elif kind == "row_shift":
-        diags = _row_shift_masks(h, k)
+        src_i, src_j = (i + k) % h, j
     else:
-        diags = _transpose_masks(h)
-    for m in diags.values():
-        m.setflags(write=False)
-    return PermutationSpec(kind, h, k, diags)
+        src_i, src_j = j, i
+    offsets = h * (src_i - i) + (src_j - j)
+    if kind in _WRAPPING_KINDS:
+        offsets %= h * h
+    return PermutationSpec(kind, h, k, offsets)
 
 
 def apply_permutation(spec: PermutationSpec, vec) -> np.ndarray:
@@ -305,24 +271,9 @@ def register_context(ctx: CryptoContext) -> CryptoContext:
 # ------------------------------------------------------------ linear transform
 
 
-def _labels(masks, beta: int, slot_count: int) -> np.ndarray:
-    """One label per slot for disjoint 0/1 window masks: the index of the
-    mask that selects the slot, or -1.
-
-    Each window slot is repeated ``beta`` times and the labels are padded
-    with -1 to ``slot_count``.  Raises ``ValueError`` for a mask that holds
-    anything but 0 and 1, and ``EngineError`` when two masks select the same
-    slot.
-    """
-    window = np.stack(masks)
-    bits = window.astype(bool, copy=False)
-    if not np.array_equal(bits, window):
-        raise ValueError("a 0/1 mask may hold only 0 and 1")
-    owner, slot = np.nonzero(bits)
-    labels = np.full(bits.shape[1], -1, dtype=np.intp)
-    labels[slot] = owner
-    if np.count_nonzero(labels >= 0) != slot.size:
-        raise EngineError("diagonal masks overlap")
+def _expand(labels: np.ndarray, beta: int, slot_count: int) -> np.ndarray:
+    """Repeat each window label ``beta`` times and pad with -1 to
+    ``slot_count``."""
     full = np.full(slot_count, -1, dtype=np.intp)
     full[: labels.size * beta] = np.repeat(labels, beta)
     return full
@@ -347,11 +298,10 @@ def _diagonal_plan(spec: PermutationSpec, beta: int,
 
     The zero diagonal is the input itself, not rotated.
     """
-    offsets = sorted(spec.diagonals)
-    labels = _labels([spec.diagonals[offset] for offset in offsets], beta,
-                     slot_count)
-    baby = [None if offset == 0 else beta * offset for offset in offsets]
-    return GatherPlan(baby, [(None, labels)], slot_count)
+    offsets, labels = np.unique(spec.offsets, return_inverse=True)
+    baby = [None if offset == 0 else beta * int(offset) for offset in offsets]
+    return GatherPlan(baby, [(None, _expand(labels, beta, slot_count))],
+                      slot_count)
 
 
 def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
@@ -390,20 +340,25 @@ def bsgs_split(h: int) -> tuple[int, int]:
 def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
     """Baby rotations by unit*j and, per giant step, its shift and labels.
 
-    Writing each diagonal offset as unit*(baby_count*i + j), label j of giant
-    step i marks the slot-expanded mask of baby rotation j; the labels are
-    rolled by -gshift so that they pre-compensate the outer giant rotation.
-    Every baby offset, 0 included, is rotated.
+    Writing each slot's offset as unit*(baby_count*i + j), the slot takes
+    label j in giant step i; each step's slot-expanded labels are rolled by
+    -gshift so that they pre-compensate the outer giant rotation.  Every
+    baby offset, 0 included, is rotated.  Raises ``EngineError`` for an
+    offset outside that form.
     """
     h = spec.dim_h
     baby, giant = bsgs_split(h)
     unit = h if spec.kind == "tau_zeta" else (h - 1 if spec.kind == "transpose" else 1)
     giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
+    quot, rem = np.divmod(spec.offsets, unit)
+    step, label = np.divmod(quot, baby)
+    if rem.any() or step.min() < giants.start or step.max() >= giants.stop:
+        raise EngineError(f"{spec.kind} offsets must be {unit}*({baby}*i + j) "
+                          f"with i in {giants} and 0 <= j < {baby}")
     steps = []
     for i in giants:
         gshift = beta * unit * baby * i
-        labels = _labels([spec.mask(unit * (baby * i + j)) for j in range(baby)],
-                         beta, slot_count)
+        labels = _expand(np.where(step == i, label, -1), beta, slot_count)
         steps.append((gshift, np.roll(labels, gshift % slot_count)))
     return GatherPlan(range(0, beta * unit * baby, beta * unit), steps,
                       slot_count)
@@ -526,17 +481,16 @@ def matmul_rotation_formula(h: int) -> int:
     return 3 * h + 2 * baby + 3 * giant
 
 
-def pad_matrix_pow2(values) -> np.ndarray:
-    """Zero-pad a matrix to the next power-of-two square side (min 2).
+def pad_matrix(values, rows: int, cols: int) -> np.ndarray:
+    """Zero-pad a 2-d matrix to ``rows`` x ``cols``.
 
-    Product routines assume power-of-two sides so rotation strides stay
-    aligned; callers with odd shapes pad first and un-pad after decoding.
+    Raises ``CapacityError`` when the matrix does not fit.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise CapacityError(f"expected a 2-d matrix, got shape {arr.shape}")
-    side = 1 << max(int(max(arr.shape)) - 1, 1).bit_length()
-    out = np.zeros((side, side))
+    if arr.ndim != 2 or arr.shape[0] > rows or arr.shape[1] > cols:
+        raise CapacityError(f"a matrix of shape {arr.shape} does not fit "
+                            f"{rows} x {cols}")
+    out = np.zeros((rows, cols))
     out[: arr.shape[0], : arr.shape[1]] = arr
     return out
 

@@ -51,6 +51,27 @@ def test_matmul_bench_reproducible(tmp_path):
     assert json.loads(a)["verdicts"] == json.loads(b)["verdicts"]
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("wrong_call", [0, 1])
+def test_matmul_bench_fails_on_a_wrong_product(monkeypatch, tmp_path, beta,
+                                               wrong_call):
+    from packedhe import matrix
+
+    real, calls = matrix.he_mat_mult, []
+
+    def product(a, b):
+        calls.append(None)
+        return real(b, a) if len(calls) - 1 == wrong_call else real(a, b)
+
+    monkeypatch.setattr(matrix, "he_mat_mult", product)
+    code = run_cli("matmul-bench", "--sizes", "4", "--beta", str(beta),
+                   "--repeat", "2", "--out", str(tmp_path))
+    assert code == 1 and len(calls) == 2
+    report = json.loads((tmp_path / "matmul-bench-h4.json").read_text())
+    failed = [v["name"] for v in report["verdicts"] if not v["passed"]]
+    assert failed == ["correctness"]
+
+
 def test_sign_bench_outputs_profile(tmp_path, capsys):
     code = run_cli("sign-bench", "--d", "2", "--sigma", "10",
                    "--delta", str(2.0 ** -10), "--grid-size", "20000",

@@ -163,6 +163,12 @@ def test_forward_rejects_oversized_batch():
     _, (party,) = prepare(config, feature_dim=2)
     with pytest.raises(ProtocolError):
         local_forward(party, np.zeros((5, 2)))
+    # The padded side is 4 here, so a row of 1 or 3 values would fit it.
+    _, (party,) = prepare(small_config(neurons=(4,), party_count=1,
+                                       batch_size=2), feature_dim=2)
+    for batch in (np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(ProtocolError, match="features"):
+            local_forward(party, batch)
 
 
 # -------------------------------------------------------------- aggregation
@@ -286,6 +292,14 @@ def test_three_parties_match_single_party_full_batch():
     res1 = run_training(config1, [(merged_x, merged_y)])
     for w3, w1 in zip(res3.final_weights, res1.final_weights):
         assert np.allclose(w3, w1, rtol=1e-6, atol=1e-9)
+
+
+def test_training_rejects_a_test_set_of_another_width():
+    x, y = blob_data(samples=16, features=3, seed=1)
+    config = small_config(party_count=1)
+    for bad in (x[:, :1], np.hstack([x, x[:, :1]])):
+        with pytest.raises(ProtocolError, match="test set"):
+            run_training(config, [(x, y)], test_set=(bad, y))
 
 
 def test_fixed_seed_identical_metrics():

@@ -8,6 +8,7 @@ import pytest
 
 from packedhe import engine, matrix, references
 from packedhe.engine import CapacityError, LevelExhaustedError
+from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
                              he_lin_trans, he_lin_trans_bsgs, he_mat_mult,
@@ -173,6 +174,26 @@ def test_permutation_specs_match_dense_maps(h):
             pi(a, k).ravel())
 
 
+@pytest.mark.parametrize("h", range(2, 17))
+def test_offsets_follow_the_index_maps(h):
+    # Output slot t reads input slot src[t]: the offset is src[t] - t, taken
+    # mod h*h for the two kinds that wrap the window.
+    n = h * h
+    a = np.arange(n).reshape(h, h)
+    dense = {("sigma_mu", None): mu(a), ("tau_zeta", None): zeta(a),
+             ("transpose", None): a.T}
+    for k in range(1, h):
+        dense[("col_shift", k)] = phi(a, k)
+        dense[("row_shift", k)] = pi(a, k)
+    for (kind, k), image in dense.items():
+        spec = build_permutation(kind, h, k)
+        want = image.ravel() - np.arange(n)
+        if spec.wraps_window:
+            want %= n
+        assert np.array_equal(spec.offsets, want), (kind, k)
+        assert spec.offsets.shape == (n,) and not spec.offsets.flags.writeable
+
+
 # ----------------------------------------------------------- linear transform
 
 @pytest.mark.parametrize("kind", ["sigma_mu", "tau_zeta", "transpose"])
@@ -197,7 +218,7 @@ def test_lin_trans_identity_spec():
     vec = np.arange(h * h, dtype=float)
     ct = ctx.encrypt(ctx.encode(vec))
     spec = matrix.PermutationSpec("sigma_mu", h, None,
-                                  {0: np.ones(h * h)})
+                                  np.zeros(h * h, dtype=int))
     out = he_lin_trans(ct, spec)
     got = ctx.decode(ctx.ddec(out, ctx.parties))[: h * h]
     assert np.array_equal(got, vec)
@@ -325,8 +346,8 @@ def test_cached_masks_take_each_context_scale(monkeypatch):
         assert np.allclose(decode_matrix(prod), a @ a, atol=1e-9)
         # From here on, every label vector must come from a plan the first
         # context built.
-        real = matrix._labels
-        monkeypatch.setattr(matrix, "_labels", lambda *args:
+        real = matrix._expand
+        monkeypatch.setattr(matrix, "_expand", lambda *args:
                             built.append(args) or real(*args))
     assert built == []
 
@@ -336,7 +357,7 @@ def test_cached_masks_live_with_their_spec():
     ctx = exact_ctx(h)
     ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
     spec = matrix.PermutationSpec("sigma_mu", h, None,
-                                  {0: np.ones(h * h, dtype=bool)})
+                                  np.zeros(h * h, dtype=int))
     he_lin_trans(ct, spec)
     assert len(spec.tables) == 1
     ref = weakref.ref(spec)
@@ -345,27 +366,63 @@ def test_cached_masks_live_with_their_spec():
     assert ref() is None
 
 
-def test_overlapping_diagonals_are_refused_before_any_tally():
+def test_malformed_specs_are_refused_before_any_tally():
     h = 4
+    with pytest.raises(engine.EngineError, match="ints"):
+        matrix.PermutationSpec("sigma_mu", h, None, np.zeros(h * h))
+    with pytest.raises(engine.EngineError, match="ints"):
+        matrix.PermutationSpec("sigma_mu", h, None, np.zeros(h * h, dtype=bool))
+    for shape in ((h * h - 1,), (h, h), ()):
+        with pytest.raises(engine.EngineError, match="shape"):
+            matrix.PermutationSpec("sigma_mu", h, None,
+                                   np.zeros(shape, dtype=int))
     ctx = exact_ctx(h)
     ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
-    ones = np.ones(h * h, dtype=bool)
-    spec = matrix.PermutationSpec("sigma_mu", h, None, {0: ones, 1: ones})
     before = ctx.meter.snapshot()
-    for transform in (he_lin_trans, he_lin_trans_bsgs):
-        with pytest.raises(engine.EngineError, match="overlap"):
-            transform(ct, spec)
+    # Offsets the giant steps of each kind cannot reach, and a tau_zeta
+    # offset that is not a multiple of its unit h.
+    for kind, bad in (("sigma_mu", 2 * h), ("sigma_mu", -2 * h - 1),
+                      ("transpose", (h - 1) * 2 * h), ("transpose", 1),
+                      ("tau_zeta", 1), ("tau_zeta", -h)):
+        offsets = np.zeros(h * h, dtype=int)
+        offsets[5] = bad
+        spec = matrix.PermutationSpec(kind, h, None, offsets)
+        with pytest.raises(engine.EngineError, match="offsets must be"):
+            he_lin_trans_bsgs(ct, spec)
+        assert spec.tables == {}
     assert ctx.meter.snapshot() == before
-    with pytest.raises(engine.EngineError, match="overlap"):
-        matrix._labels([ones, ~ones, np.eye(1, h * h, dtype=bool)[0]], 1, 16)
+
+
+def test_spec_keeps_a_read_only_copy_of_its_offsets():
+    h = 4
+    offsets = np.zeros(h * h, dtype=int)
+    spec = matrix.PermutationSpec("sigma_mu", h, None, offsets)
+    offsets[0] = 1
+    assert not spec.offsets.any()
+    with pytest.raises(ValueError):
+        spec.offsets[0] = 1
+    twin = matrix.PermutationSpec("sigma_mu", h, None, spec.offsets)
+    assert spec == spec and spec != twin and len({spec, twin}) == 2
 
 
 def test_labels_name_the_mask_of_each_slot():
-    masks = [np.array([1, 0, 0, 1]), np.array([0, 0, 1, 0])]
-    assert matrix._labels(masks, 2, 10).tolist() == \
+    assert matrix._expand(np.array([0, -1, 1, 0]), 2, 10).tolist() == \
         [0, 0, -1, -1, 1, 1, 0, 0, -1, -1]
-    with pytest.raises(ValueError, match="only 0 and 1"):
-        matrix._labels([np.array([2, 0, 0, 0])], 1, 4)
+    # Both plans send window slot w of batch position b to the input slot
+    # that the offset of w names, and select nothing past the window.
+    h = 4
+    for beta in (1, 2):
+        n = 2 * beta * h * h
+        for spec in _spec_cases(h):
+            s = np.arange(beta * h * h)
+            want = (s + beta * spec.offsets[s // beta]) % n
+            plans = [matrix._diagonal_plan(spec, beta, n)]
+            if spec.kind in ("sigma_mu", "tau_zeta", "transpose"):
+                plans.append(matrix._bsgs_plan(spec, beta, n))
+            for plan in plans:
+                assert plan.selected.tolist() == [True] * s.size + \
+                    [False] * (n - s.size)
+                assert np.array_equal(plan.idx[s], want)
 
 
 def test_matrix_ops_do_not_keep_their_context_alive():
@@ -388,11 +445,10 @@ def test_cached_masks_are_read_only():
     shift = build_permutation("col_shift", h, 1)
     plans = [matrix._bsgs_plan(spec, 1, n), matrix._diagonal_plan(spec, 1, n),
              matrix._diagonal_plan(shift, 1, n)]
-    arrays = [spec.diagonals[0]] + [plan.selected for plan in plans]
-    for arr in arrays:
-        assert arr.dtype == bool
+    for arr in [spec.offsets] + [plan.selected for plan in plans]:
         with pytest.raises(ValueError):
-            arr[0] = True
+            arr[0] = 1
+    assert all(plan.selected.dtype == bool for plan in plans)
     for plan in plans:
         with pytest.raises(ValueError):
             plan.idx[0] = 1
@@ -403,9 +459,11 @@ def test_cached_masks_are_read_only():
 # ----------------------------------------------------------- fused transform
 
 def _expand(mask, beta, slot_count):
-    """The bool slot row of one 0/1 window mask, expanded as ``_labels``
-    expands it."""
-    return matrix._labels([mask], beta, slot_count) == 0
+    """The bool slot row of one window mask: each window slot repeated
+    ``beta`` times, padded with False to ``slot_count``."""
+    row = np.zeros(slot_count, dtype=bool)
+    row[: mask.size * beta] = np.repeat(mask, beta)
+    return row
 
 
 def _masked_sum(ctx, terms, rows):
@@ -438,7 +496,7 @@ def _bsgs_chain(ctx, ct, spec, beta):
     acc = None
     for i in giants:
         gshift = beta * unit * baby * i
-        rows = [np.roll(_expand(spec.mask(unit * (baby * i + j)), beta, n),
+        rows = [np.roll(_expand(spec.offsets == unit * (baby * i + j), beta, n),
                         gshift % n)
                 for j in range(baby)]
         part = _masked_sum(ctx, baby_rots, rows)
@@ -1054,18 +1112,28 @@ def test_matmul_under_gaussian_noise_stays_close():
 
 # ----------------------------------------------------------------- CSV forms
 
+def _pad_pow2(values):
+    side = next_pow2(max(np.shape(values)))
+    return matrix.pad_matrix(values, side, side)
+
+
 def test_pad_matrix_pow2():
-    out = matrix.pad_matrix_pow2(np.ones((3, 3)))
+    out = _pad_pow2(np.ones((3, 3)))
     assert out.shape == (4, 4)
     assert np.all(out[:3, :3] == 1) and np.all(out[3:, :] == 0)
-    assert matrix.pad_matrix_pow2(np.ones((4, 4))).shape == (4, 4)
-    assert matrix.pad_matrix_pow2(np.ones((1, 5))).shape == (8, 8)
+    assert _pad_pow2(np.ones((4, 4))).shape == (4, 4)
+    assert _pad_pow2(np.ones((1, 5))).shape == (8, 8)
+    assert matrix.pad_matrix(np.ones((2, 3)), 2, 5).tolist() == \
+        [[1, 1, 1, 0, 0], [1, 1, 1, 0, 0]]
+    for bad in (np.ones((3, 3)), np.ones((2, 6)), np.ones(4)):
+        with pytest.raises(CapacityError, match="does not fit"):
+            matrix.pad_matrix(bad, 2, 5)
 
 
 def test_padded_odd_dims_product_round_trip():
     a = np.arange(9.0).reshape(3, 3)
     b = np.arange(9.0, 18.0).reshape(3, 3)
-    pa, pb = matrix.pad_matrix_pow2(a), matrix.pad_matrix_pow2(b)
+    pa, pb = _pad_pow2(a), _pad_pow2(b)
     ctx = exact_ctx(4)
     got = decode_matrix(he_mat_mult(encode_matrix(pa, ctx),
                                     encode_matrix(pb, ctx)))[:3, :3]
