@@ -26,7 +26,9 @@ inputs beyond 1 + 2**-sigma.
 
 Every approximation is evaluable both on plain arrays and on slot-engine
 ciphertexts; the two paths walk one schedule with one arithmetic order per
-stage, so the exact backend reproduces the plain evaluation bit for bit.  A
+stage, so the exact backend reproduces the plain evaluation bit for bit.  On
+ciphertexts a stage is one ``CryptoContext.odd_poly_stage`` call, which
+meters the stage's chain of products, rescales and adds.  A
 Chebyshev-interpolation fit is provided for smooth activations (sigmoid and
 friends), where a low-degree single polynomial is the cheaper tool.
 """
@@ -311,20 +313,11 @@ def make_local_bootstrapper(ctx: CryptoContext, roster=None) -> BootstrapFn:
     return _refresh
 
 
-def _stage_ct(ctx: CryptoContext, m: SlotVector, coeffs: tuple,
-              coeff_pts: list, bootstrap: BootstrapFn | None) -> SlotVector:
-    """One stage; ``coeff_pts[j - 1]`` is coefficient j encoded in every slot."""
-    d = len(coeffs) - 1
-    m = _ensure_level(ctx, m, stage_depth(d), bootstrap)
-    u = ctx.rescale(ctx.mul_ct(m, m))
-    powers = {1: u}
-    for j in range(2, d + 1):
-        powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
-    psum = ctx.constant(coeffs[0], m.key_tag)
-    for j in range(1, d + 1):
-        term = ctx.rescale(ctx.mul_pt(powers[j], coeff_pts[j - 1]))
-        psum = ctx.add(psum, term)
-    return ctx.rescale(ctx.mul_ct(m, psum))
+def _stage_ct(ctx: CryptoContext, m: SlotVector, coeff_pts: tuple,
+              bootstrap: BootstrapFn | None) -> SlotVector:
+    """One stage; ``coeff_pts[j]`` is coefficient j encoded in every slot."""
+    m = _ensure_level(ctx, m, stage_depth(len(coeff_pts) - 1), bootstrap)
+    return ctx.odd_poly_stage(m, coeff_pts)
 
 
 def app_sign(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
@@ -333,17 +326,17 @@ def app_sign(ct: SlotVector, spec: CompositePolySpec, ctx: CryptoContext,
 
     Raises ValueError if a slot lies outside the domain.  Bootstraps between
     stages whenever the remaining level is short of the stage depth; without
-    a bootstrap path that condition raises.  Each family's coefficients are
-    encoded once per call.
+    a bootstrap path that condition raises.  Each family's coefficients, the
+    constant one included, are encoded once per call.
     """
     _check_sign_domain(ct.slots, spec)
     schedule = spec.schedule
-    coeff_pts = {coeffs: [ctx.encode(np.full(ctx.slot_count, c))
-                          for c in coeffs[1:]]
+    coeff_pts = {coeffs: tuple(ctx.encode(np.full(ctx.slot_count, c))
+                               for c in coeffs)
                  for coeffs in dict.fromkeys(schedule)}
     out = ct
     for coeffs in schedule:
-        out = _stage_ct(ctx, out, coeffs, coeff_pts[coeffs], bootstrap)
+        out = _stage_ct(ctx, out, coeff_pts[coeffs], bootstrap)
     return out
 
 

@@ -14,7 +14,7 @@ shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
 Every homomorphic call increments exactly one tally of the context's
-``OpCounter`` by one, except the two calls that fuse a chain and tally it:
+``OpCounter`` by one, except the three calls that fuse a chain and tally it:
 
 * ``lin_trans`` runs a baby-step/giant-step transform described by a
   ``GatherPlan``: the baby rotations, then per giant step a masked sum of the
@@ -25,7 +25,12 @@ Every homomorphic call increments exactly one tally of the context's
 * ``shift_mul_sum`` runs the t column-shift stages of a packed product.  Per
   stage it meters the chain ``m = rescale(mul_pt(a0, mask))``, ``sub(a0,
   m)``, two rotations and an ``add`` for the shifted left factor, one
-  rotation of ``b0`` and a ``mul_ct``; plus t - 1 ``adds`` for the sum.
+  rotation of ``b0`` and a ``mul_ct``; plus t - 1 ``adds`` for the sum;
+* ``odd_poly_stage`` runs one stage of the composite sign approximation,
+  ``m * (c_0 + c_1 u + ... + c_d u^d)`` with ``u = m*m``: the powers of
+  ``u`` by ``mul_ct``, each times its coefficient plaintext by ``mul_pt``,
+  the terms summed by ``add`` onto the trivially encrypted ``c_0``, and a
+  last ``mul_ct`` by ``m``, every product rescaled.
 
 The meter is the ground truth for all operation-count benchmarks.  Each fused
 call makes every check of its chain before it tallies anything, and returns
@@ -235,11 +240,9 @@ class SlotVector:
                  context_id: str, key_tag: str):
         if level < 0:
             raise LevelExhaustedError("ciphertext level may not be negative")
-        if not 0 < scale < math.inf:
-            raise EngineError("ciphertext scale must be finite and positive")
         _set_slot(self, "slots", slots)
         _set_slot(self, "level", level)
-        _set_slot(self, "scale", scale)
+        _set_slot(self, "scale", _checked_scale(scale))
         _set_slot(self, "context_id", context_id)
         _set_slot(self, "key_tag", key_tag)
 
@@ -257,6 +260,12 @@ class SlotVector:
         return (f"SlotVector(n={self.slots.size}, level={self.level}, "
                 f"scale={self.scale!r}, key_tag={self.key_tag!r}, "
                 f"context_id={self.context_id!r})")
+
+
+def _checked_scale(scale: float) -> float:
+    if not 0 < scale < math.inf:
+        raise EngineError("ciphertext scale must be finite and positive")
+    return scale
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -572,6 +581,74 @@ class CryptoContext:
             np.add.reduce(p, axis=0, out=acc, initial=-0.0)
         return self._derive(a0, acc, level=min(a0.level - 1, b0.level),
                             scale=a_scale * b0.scale)
+
+    def odd_poly_stage(self, m: SlotVector, coeffs: Sequence[Plaintext]) -> SlotVector:
+        """One odd-polynomial stage ``m * sum_j c_j * (m*m)**j``, in one call.
+
+        ``coeffs[j]`` holds ``c_j`` in every slot, for j = 0..d with d >= 1.
+        The chain is ``p_1 = rescale(mul_ct(m, m))``, ``p_j =
+        rescale(mul_ct(p_{j//2}, p_{j - j//2}))`` for j = 2..d, ``psum =
+        constant(c_0)`` (``encrypt(coeffs[0])`` under ``m``'s key) plus each
+        ``rescale(mul_pt(p_j, coeffs[j]))`` in order by ``add``, and last
+        ``rescale(mul_ct(m, psum))``: d + 1 mul_ct, 2d + 1 rescales, d
+        mul_pt and d adds.  ``m`` needs level ``3 + ceil(log2 d)``.
+
+        The result's slots, level and scale are the chain's, the larger
+        scale of every ``add`` included, and so is every operand order.  In
+        gaussian mode the noise rows come from the stream in the chain's
+        order: ``p_1``, ``p_2`` .. ``p_d``, the encryption of ``c_0``, then
+        the last product.  Every check runs before the tally, so a rejected
+        call meters nothing.
+        """
+        self._check_context(m)
+        for pt in coeffs:
+            self._check_context(pt)
+        self.key_owners(m.key_tag)
+        n, d = self.slot_count, len(coeffs) - 1
+        if d < 1:
+            raise EngineError("an odd-polynomial stage needs c_0 and c_1 at least")
+        if m.slots.shape != (n,) or any(pt.slots.shape != (n,) for pt in coeffs):
+            raise CapacityError(f"odd_poly_stage needs {n}-slot operands")
+
+        def rescaled(level: int, scale: float) -> tuple:
+            # (level, scale) of rescale(x) for a product x; checked like the
+            # records that the chain would build.
+            if level < 1:
+                raise LevelExhaustedError(
+                    f"a degree-{2 * d + 1} stage exhausts level {m.level}")
+            return level - 1, _checked_scale(_checked_scale(scale)
+                                             / self.initial_scale)
+
+        powers = [None, rescaled(m.level, m.scale * m.scale)]
+        for j in range(2, d + 1):
+            (la, sa), (lb, sb) = powers[j // 2], powers[j - j // 2]
+            powers.append(rescaled(min(la, lb), sa * sb))
+        level, scale = self.initial_level, self.initial_scale
+        for j in range(1, d + 1):
+            lt, st = rescaled(powers[j][0], powers[j][1] * coeffs[j].scale)
+            level, scale = min(level, lt), max(scale, st)
+        level, scale = rescaled(min(m.level, level), m.scale * scale)
+        for name, times in (("mul_ct", d + 1), ("rescales", 2 * d + 1),
+                            ("mul_pt", d), ("adds", d)):
+            self._tally(name, times)
+
+        noise = (self._rng.normal(0.0, self.noise_sigma, (d + 2, n))
+                 if self.noise_mode == "gaussian" else None)
+        x = m.slots
+        powers = [None]
+        for j in range(1, d + 1):
+            p = x * x if j == 1 else powers[j // 2] * powers[j - j // 2]
+            if noise is not None:
+                p += noise[j - 1]
+            powers.append(p)
+        c0 = coeffs[0].slots if noise is None else coeffs[0].slots + noise[d]
+        psum = c0 + powers[1] * coeffs[1].slots
+        for j in range(2, d + 1):
+            psum += powers[j] * coeffs[j].slots
+        out = x * psum
+        if noise is not None:
+            out += noise[d + 1]
+        return self._derive(m, out, level=level, scale=scale)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)

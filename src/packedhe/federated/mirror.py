@@ -115,12 +115,16 @@ class PlainPipeline:
 
 def scores_with_weights(weights, plan, activation: PlainActivation,
                         x: np.ndarray) -> np.ndarray:
-    """Forward pass with explicit padded weights (decoded ciphertext model)."""
+    """Forward pass with explicit padded weights (decoded ciphertext model).
+
+    The activation runs on each layer's logical columns (``plan.neurons``)
+    only; the padded columns, which the column mask would zero, stay +0.0.
+    """
     m = pad_matrix(x, len(x), plan.h)
-    for j, w in enumerate(weights):
+    for w, n in zip(weights, plan.neurons):
         e = m @ w
-        m, _ = activation(e)
-        m = m * plan.col_masks[j]
+        m = np.zeros_like(e)
+        m[:, :n], _ = activation(e[:, :n])
     return m[:, : plan.classes]
 
 

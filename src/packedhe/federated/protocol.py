@@ -13,7 +13,9 @@ Level maintenance follows a fixed schedule: a rescale after every ciphertext
 product (relaxable via ``rescale_every_r``) and a collective refresh after
 each activation plus wherever a product chain would exhaust the budget.
 Mid-training refreshes travel the wire as BOOTSTRAP_REQ/BOOTSTRAP_SHARE
-frames, so both transports account the same bytes.
+frames, so both transports account the same bytes.  Refresh requests,
+refresh shares and gradients name their round; a frame of another round
+than the current one raises ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -496,6 +498,10 @@ class PartyRuntime:
         if frame.msg_type != MsgType.BOOTSTRAP_SHARE:
             raise ProtocolError(
                 f"expected a bootstrap share, got {frame.msg_type.name}")
+        if frame.round != self._round:
+            raise ProtocolError(
+                f"party {self.state.party_id} got a bootstrap share for round "
+                f"{frame.round} during round {self._round}")
         return self._decode_ct(frame.payload)
 
     def _run_round(self, round_no: int, weight_cts: list) -> None:
@@ -574,6 +580,11 @@ class ServerRuntime:
                     raise ProtocolError(
                         f"{frame.msg_type.name} on party {pid}'s link claims "
                         f"party {frame.party_id}")
+                if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT)
+                        and frame.round != self.server.model.iteration):
+                    raise ProtocolError(
+                        f"{frame.msg_type.name} for round {frame.round} while "
+                        f"the server is at round {self.server.model.iteration}")
                 if frame.msg_type == MsgType.BOOTSTRAP_REQ:
                     ct = decode_ciphertext(frame.payload, self.server.ctx)
                     out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)

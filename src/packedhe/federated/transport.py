@@ -9,9 +9,14 @@ Each frame is one ``sendall``.  Both ends of every TCP socket set
 MODEL_BCAST, GRADIENT or KEYSWITCH_REQ per layer) and then reads the reply.
 That write-write-read pattern is what Nagle's algorithm and the peer's
 delayed ACK stall: the second write waits for the ACK of the first, which the
-peer holds back for up to about 40 ms on Linux.  A TCP reader refuses a frame
-whose length prefix exceeds the link's maximum body length, before it reads
-the body.
+peer holds back for up to about 40 ms on Linux.
+
+A TCP link reads through a buffer of its own: one ``recv_into`` takes
+whatever has arrived, usually a whole frame and sometimes several, and
+``wire.read_frame_from`` takes the prefix and the body from that buffer.  The
+reader still refuses a frame whose length prefix exceeds the link's maximum
+body length before it waits for the body.  A link calls ``settimeout`` only
+when the timeout it is asked for changes.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class ByteAccounting:
 
 
 _CLOSED = object()
+_RECV_BYTES = 1 << 16   # per-link read buffer; holds a whole frame up to h = 64
 
 
 class QueueLink:
@@ -89,6 +95,28 @@ class QueueLink:
         self._to_server.put(_CLOSED)
 
 
+class _RecvBuffer:
+    """A recv-like callable that serves a socket's bytes from one buffer.
+
+    It reads from the socket only when the buffer is empty, and then takes
+    everything that has arrived, up to the buffer's size.  A call returns at
+    most ``count`` bytes, and ``b""`` once the peer has closed.
+    """
+
+    def __init__(self, sock: socket.socket, size: int = _RECV_BYTES):
+        self._sock = sock
+        self._view = memoryview(bytearray(size))
+        self._start = self._end = 0
+
+    def __call__(self, count: int) -> bytes:
+        if self._start == self._end:
+            self._start, self._end = 0, self._sock.recv_into(self._view)
+        stop = min(self._start + count, self._end)
+        chunk = bytes(self._view[self._start:stop])
+        self._start = stop
+        return chunk
+
+
 class SocketLink:
     """One party's duplex TCP channel (either endpoint).
 
@@ -104,6 +132,8 @@ class SocketLink:
         self.accounting = accounting
         self.max_body = max_body
         self._send_lock = threading.Lock()
+        self._reader = _RecvBuffer(sock)
+        self._timeout = sock.gettimeout()
 
     def _peer(self) -> tuple[str, str]:
         me = f"party-{self.party_id}" if self.side == "party" else "server"
@@ -119,9 +149,11 @@ class SocketLink:
             self.sock.sendall(frame)
 
     def _recv(self, timeout: float | None = None) -> bytes:
-        self.sock.settimeout(timeout)
+        if timeout != self._timeout:
+            self.sock.settimeout(timeout)
+            self._timeout = timeout
         try:
-            return read_frame_from(self.sock.recv, self.max_body)
+            return read_frame_from(self._reader, self.max_body)
         except socket.timeout:
             me, _ = self._peer()
             raise TransportError(f"{me} timed out on the wire") from None

@@ -291,12 +291,97 @@ def test_app_sign_encodes_coefficients_once(d, k, monkeypatch):
     boot = make_local_bootstrapper(ctx)
     with ctx.meter_scope() as once:
         out = app_sign(ct, spec, ctx, boot)
-    assert len(calls) == d * families + spec.k   # plus one constant per stage
+    assert len(calls) == (d + 1) * families   # the constant c_0 included
     with ctx.meter_scope() as chain:
         want = _app_sign_encoding_coeffs(ct, spec, ctx, boot)
     assert out.slots.tobytes() == want.slots.tobytes()
     assert (out.level, out.scale) == (want.level, want.scale)
     assert once.snapshot() == chain.snapshot()
+
+
+FAMILIES = ([pytest.param(gd_coefficients(d), id=f"g{d}") for d in range(1, 9)]
+            + [pytest.param(escape_coefficients(d), id=f"esc{d}")
+               for d in range(1, 5)])
+
+
+def _stage_chain(ctx, m, pts):
+    """The per-op chain that ``odd_poly_stage`` fuses."""
+    d = len(pts) - 1
+    powers = {1: ctx.rescale(ctx.mul_ct(m, m))}
+    for j in range(2, d + 1):
+        powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
+    psum = ctx.encrypt(pts[0], m.key_tag)
+    for j in range(1, d + 1):
+        psum = ctx.add(psum, ctx.rescale(ctx.mul_pt(powers[j], pts[j])))
+    return ctx.rescale(ctx.mul_ct(m, psum))
+
+
+def _stage_operands(ctx, coeffs, scale):
+    values = np.random.default_rng(len(coeffs)).uniform(-1, 1, ctx.slot_count)
+    values[:4] = (0.0, -0.0, 1.0, -1.0)
+    m = engine.SlotVector(values, stage_depth(len(coeffs) - 1), scale,
+                          ctx.context_id, ctx.DEFAULT_KEY)
+    return m, tuple(ctx.encode(np.full(ctx.slot_count, c)) for c in coeffs)
+
+
+@pytest.mark.parametrize("coeffs", FAMILIES)
+@pytest.mark.parametrize("mode", ["exact", "gaussian"])
+def test_odd_poly_stage_equals_its_chain(coeffs, mode):
+    # Half the context scale leaves c_0's scale the largest in the sum;
+    # twice it makes the top power's term the largest.
+    noise = dict(noise_mode=mode, noise_sigma=1e-3 if mode == "gaussian" else 0.0,
+                 noise_seed=11)
+    fused_ctx = engine.new_context(512, 6, 2.0 ** 40, 2, **noise)
+    chain_ctx = engine.new_context(512, 6, 2.0 ** 40, 2, **noise)
+    for scale in (2.0 ** 39, 2.0 ** 41):
+        m, pts = _stage_operands(fused_ctx, coeffs, scale)
+        with fused_ctx.meter_scope() as fused:
+            got = fused_ctx.odd_poly_stage(m, pts)
+        m, pts = _stage_operands(chain_ctx, coeffs, scale)
+        with chain_ctx.meter_scope() as chain:
+            want = _stage_chain(chain_ctx, m, pts)
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                       want.key_tag)
+        assert got.level == 0
+        assert fused.snapshot() == chain.snapshot()
+        assert not got.slots.flags.writeable
+    assert (fused_ctx._rng.bit_generator.state
+            == chain_ctx._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("level", LevelExhaustedError),
+    ("other context", engine.EngineError),
+    ("coefficient of another context", engine.EngineError),
+    ("unknown key", engine.KeyMismatchError),
+    ("slot shape", engine.CapacityError),
+    ("no c_1", engine.EngineError),
+    ("scale overflow", engine.EngineError),
+])
+def test_odd_poly_stage_refusal_meters_nothing(case, error):
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, gd_coefficients(4), ctx.initial_scale)
+    fields = (m.slots, m.level, m.scale, m.context_id, m.key_tag)
+    if case == "level":
+        fields = (m.slots, m.level - 1) + fields[2:]
+    elif case == "other context":
+        fields = fields[:3] + (make_ctx().context_id, m.key_tag)
+    elif case == "coefficient of another context":
+        pts = pts[:-1] + (make_ctx().encode([1.0]),)
+    elif case == "unknown key":
+        fields = fields[:4] + ("nobody",)
+    elif case == "slot shape":
+        fields = (m.slots[:-1],) + fields[1:]
+    elif case == "no c_1":
+        pts = pts[:1]
+    elif case == "scale overflow":
+        fields = fields[:2] + (2.0 ** 600,) + fields[3:]
+    m = engine.SlotVector(*fields)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.odd_poly_stage(m, pts)
+    assert ctx.meter.snapshot() == before
 
 
 # ------------------------------------------------------ escape-then-sharpen

@@ -1,6 +1,7 @@
 """Federated protocol: preparation, local passes, aggregation, training runs."""
 
 import json
+import threading
 import time
 
 import numpy as np
@@ -339,6 +340,33 @@ def test_mirror_equivalence_short_relu_run():
             assert np.allclose(a, b, rtol=1e-6, atol=1e-9)
 
 
+def _full_width_scores(weights, plan, activation, x):
+    """The accuracy pass with the activation on every padded column."""
+    m = matrix.pad_matrix(x, len(x), plan.h)
+    for j, w in enumerate(weights):
+        m, _ = activation(m @ w)
+        m = m * plan.col_masks[j]
+    return m[:, : plan.classes]
+
+
+@pytest.mark.parametrize("kind", ["identity", "approx_relu", "approx_sigmoid"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_scores_equal_the_full_width_pass(kind, exact):
+    from packedhe.federated.mirror import PlainActivation, scores_with_weights
+    from packedhe.federated.protocol import build_plan, init_weights
+    config = small_config(neurons=(6, 5, 3),
+                          activation=ActivationConfig(kind=kind, input_range=4.0))
+    x, _ = blob_data(samples=50, features=5, seed=9)
+    plan = build_plan(config, 5)
+    logical, _ = init_weights(config, 5)
+    weights = [matrix.pad_matrix(w, plan.h, plan.h) for w in logical]
+    activation = PlainActivation(config.activation, exact)
+    got = scores_with_weights(weights, plan, activation, x)
+    want = _full_width_scores(weights, plan, activation, x)
+    assert got.shape == (50, 3)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_relu_round_counts_at_benchmark_shape():
     # Two parties, h = 16, two approx_relu layers of 8 + 2 stages each.
     x, y = make_synthetic_classification(699, 9, 2, seed=1)
@@ -494,27 +522,33 @@ def test_tcp_frame_with_a_nan_slot_fails_fast():
         listener.close()
 
 
-def _open_server(transport, server, timeout):
-    """(runtime, party-side links, closer) for a started ServerRuntime."""
-    from packedhe.federated.protocol import ServerRuntime
+def _open_links(transport, count, slot_count):
+    """(server-side links, party-side links, closer) of one transport."""
     from packedhe.federated.transport import (open_in_process_links,
                                               open_tcp_links)
     from packedhe.federated.wire import max_frame_body
-    count = server.config.party_count
     if transport == "tcp":
         server_links, party_links, _, listener = open_tcp_links(
-            count, max_frame_body(server.ctx.slot_count))
+            count, max_frame_body(slot_count))
     else:
         server_links, _, listener = open_in_process_links(count)
         party_links = server_links
-    srv = ServerRuntime(server, server_links, timeout=timeout)
-    srv.start()
 
     def close():
         for link in set(server_links) | set(party_links):
             link.close()
         if listener is not None:
             listener.close()
+    return server_links, party_links, close
+
+
+def _open_server(transport, server, timeout):
+    """(runtime, party-side links, closer) for a started ServerRuntime."""
+    from packedhe.federated.protocol import ServerRuntime
+    server_links, party_links, close = _open_links(
+        transport, server.config.party_count, server.ctx.slot_count)
+    srv = ServerRuntime(server, server_links, timeout=timeout)
+    srv.start()
     return srv, party_links, close
 
 
@@ -555,6 +589,63 @@ def test_keyswitch_share_for_another_round_fails_fast(transport):
         assert time.monotonic() - start < 10.0
     finally:
         close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("msg_type", ["BOOTSTRAP_REQ", "GRADIENT"])
+def test_server_refuses_a_frame_for_another_round(transport, msg_type):
+    from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
+    config = small_config(party_count=2, global_iters=2)
+    server, _ = prepare(config, feature_dim=2)
+    server.model.iteration = 1
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        # Unchecked, the stale request would be answered and the stale
+        # gradient filed under round 0: either way a 30 s wait.
+        party_links[1].send(encode_frame(
+            MsgType[msg_type], 0, 1,
+            encode_ciphertext(server.model.weights[0].ct)))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError,
+                           match="round 0 while the server is at round 1"):
+            srv.collect_gradients(1, lambda: [])
+        assert time.monotonic() - start < 10.0
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_party_refuses_a_bootstrap_share_for_another_round(transport):
+    from packedhe.federated.protocol import PartyRuntime
+    from packedhe.federated.wire import (SERVER_ID, MsgType, decode_frame,
+                                         encode_ciphertext, encode_frame)
+    x, y = blob_data(samples=8, features=2, seed=3)
+    config = small_config(party_count=1, global_iters=1)
+    server, (party,) = prepare(config, feature_dim=2)
+    party.shard = (x, y)
+    party.schedule = build_schedule(config, [len(x)])
+    server_links, party_links, close = _open_links(transport, 1,
+                                                   server.ctx.slot_count)
+    runtime = PartyRuntime(party, party_links[0], timeout=30.0)
+    thread = threading.Thread(target=runtime.run, daemon=True)
+    thread.start()
+    try:
+        for w in server.model.weights:
+            server_links[0].server_send(encode_frame(
+                MsgType.MODEL_BCAST, 0, SERVER_ID, encode_ciphertext(w.ct)))
+        req = decode_frame(server_links[0].server_recv(30.0))
+        assert (req.msg_type, req.round) == (MsgType.BOOTSTRAP_REQ, 0)
+        start = time.monotonic()
+        server_links[0].server_send(encode_frame(
+            MsgType.BOOTSTRAP_SHARE, 1, SERVER_ID, req.payload))
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - start < 10.0
+        assert isinstance(runtime.error, ProtocolError)
+        assert "round 1 during round 0" in str(runtime.error)
+    finally:
+        close()
+        thread.join(10.0)
 
 
 def test_dataset_count_must_match_parties():

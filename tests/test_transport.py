@@ -1,7 +1,10 @@
-"""Transports: socket options, frame round trips, and a handshake that fails fast."""
+"""Transports: socket options, frame round trips, the buffered TCP reader, and
+a handshake that fails fast."""
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -54,6 +57,79 @@ def test_tcp_reader_refuses_an_oversized_frame_at_once(tcp_links):
     # Reading the body would time out with a TransportError instead.
     with pytest.raises(WireError, match="limit is 1048576"):
         server_links[0].server_recv(10.0)
+
+
+def test_frame_fed_one_byte_per_segment_is_reassembled(tcp_links):
+    server_links, party_links, _ = tcp_links
+    frame = encode_frame(MsgType.GRADIENT, 2, 0, bytes(range(40)))
+
+    def dribble():
+        for i in range(len(frame)):
+            party_links[0].sock.sendall(frame[i:i + 1])
+            time.sleep(0.001)
+    writer = threading.Thread(target=dribble)
+    writer.start()
+    try:
+        assert server_links[0].server_recv(10.0) == frame
+    finally:
+        writer.join(10.0)
+    assert not writer.is_alive()
+
+
+def test_two_frames_in_one_segment_come_back_in_order(tcp_links):
+    server_links, party_links, _ = tcp_links
+    first = encode_frame(MsgType.BOOTSTRAP_REQ, 1, 0, b"a" * 300)
+    second = encode_frame(MsgType.GRADIENT, 1, 0, b"b" * 20)
+    party_links[0].sock.sendall(first + second)
+    assert server_links[0].server_recv(10.0) == first
+    assert server_links[0].server_recv(10.0) == second
+
+
+def test_close_in_mid_frame_raises_wire_error(tcp_links):
+    server_links, party_links, _ = tcp_links
+    frame = encode_frame(MsgType.GRADIENT, 0, 0, bytes(100))
+    party_links[0].sock.sendall(frame[:-3])
+    party_links[0].sock.shutdown(socket.SHUT_WR)
+    with pytest.raises(WireError, match="closed mid-frame"):
+        server_links[0].server_recv(10.0)
+
+
+def test_oversized_prefix_is_refused_before_any_body_byte(tcp_links):
+    server_links, party_links, _ = tcp_links
+    party_links[0].sock.sendall(struct.pack(">I", MAX_BODY + 1))
+    start = time.monotonic()
+    with pytest.raises(WireError, match="limit is 1048576"):
+        server_links[0].server_recv(10.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_arrived_frame_is_read_with_one_recv(tcp_links, monkeypatch):
+    server_links, party_links, _ = tcp_links
+    frame = encode_frame(MsgType.BOOTSTRAP_SHARE, 4, SERVER_ID, bytes(2048))
+    server_links[1].server_send(frame)
+    time.sleep(0.05)    # let the whole frame arrive before the read
+    reads = []
+    real = socket.socket.recv_into
+    monkeypatch.setattr(socket.socket, "recv_into",
+                        lambda sock, *a: reads.append(1) or real(sock, *a))
+    assert party_links[1].recv(10.0) == frame
+    assert len(reads) == 1
+
+
+def test_link_sets_a_constant_timeout_once(tcp_links, monkeypatch):
+    server_links, party_links, _ = tcp_links
+    calls = []
+    real = socket.socket.settimeout
+    monkeypatch.setattr(socket.socket, "settimeout",
+                        lambda sock, t: calls.append((sock, t)) or real(sock, t))
+    frame = encode_frame(MsgType.GRADIENT, 0, 0, b"x" * 64)
+    for _ in range(4):
+        party_links[0].send(frame)
+        assert server_links[0].server_recv(7.0) == frame
+    assert calls == [(server_links[0].sock, 7.0)]
+    party_links[0].send(frame)
+    server_links[0].server_recv(8.0)
+    assert calls[1:] == [(server_links[0].sock, 8.0)]
 
 
 def _connect_after_sending(prefix: bytes):
