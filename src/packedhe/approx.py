@@ -498,8 +498,7 @@ def polyval_ct(ct: SlotVector, coeffs, ctx: CryptoContext,
     acc = ctx.constant(coeffs[-1], ct.key_tag)
     for c in reversed(coeffs[:-1]):
         acc = _ensure_level(ctx, acc, 2, bootstrap)
-        if x.level < 2:
-            x = _ensure_level(ctx, x, 2, bootstrap)
+        x = _ensure_level(ctx, x, 2, bootstrap)
         acc = ctx.add(ctx.rescale(ctx.mul_ct(acc, x)),
                       ctx.constant(c, ct.key_tag))
     return acc

@@ -13,28 +13,23 @@ N-of-N contract: they refuse to run unless every holder of the key's secret
 shares is presented.  Key material itself is symbolic (string tags mapped to
 owner rosters); no lattice arithmetic is performed.
 
-Every homomorphic call increments exactly one tally of the context's
-``OpCounter`` by one, except the three calls that fuse a chain and tally it:
+Every op has one rule, ``CryptoContext._rule``: over the ``(level, scale)``
+of its operands it makes the op's level and scale checks, gives its ``(level,
+scale)`` out and books its meter row.  Each per-op method applies its rule
+once.  Three calls fuse a chain of ops: ``lin_trans`` (the baby-step/giant-step
+transform of a ``GatherPlan``), ``shift_mul_sum`` (the column-shift stages of a
+packed product) and ``odd_poly_stage`` (one stage of the composite sign
+approximation).  Each states its chain, given in its docstring, as rule
+applications over metadata only (terms of a sum that share metadata as one
+application times their count), then runs one slot kernel.
 
-* ``lin_trans`` runs a baby-step/giant-step transform described by a
-  ``GatherPlan``: the baby rotations, then per giant step a masked sum of the
-  baby terms (one ``mul_pt`` by a 0/1 plaintext per baby term, summed by
-  ``add``) and one giant rotation, the giant terms summed by ``add``.  The
-  plan composes that chain into one gather, built once, and derives the
-  chain's tallies from the same description;
-* ``shift_mul_sum`` runs the t column-shift stages of a packed product.  Per
-  stage it meters the chain ``m = rescale(mul_pt(a0, mask))``, ``sub(a0,
-  m)``, two rotations and an ``add`` for the shifted left factor, one
-  rotation of ``b0`` and a ``mul_ct``; plus t - 1 ``adds`` for the sum;
-* ``odd_poly_stage`` runs one stage of the composite sign approximation,
-  ``m * (c_0 + c_1 u + ... + c_d u^d)`` with ``u = m*m``: the powers of
-  ``u`` by ``mul_ct``, each times its coefficient plaintext by ``mul_pt``,
-  the terms summed by ``add`` onto the trivially encrypted ``c_0``, and a
-  last ``mul_ct`` by ``m``, every product rescaled.
-
-The meter is the ground truth for all operation-count benchmarks.  Each fused
-call makes every check of its chain before it tallies anything, and returns
-the chain's bytes, level and scale.
+A chain's description depends only on metadata, so each context memoises
+its ``(level, scale)`` out and meter rows (``_chain``), keyed by the call, its
+counts (a plan's rotations and terms, or the stage count), each coefficient's
+scale and each input's ``(level, scale)``; never by a plan object, which
+callers may build afresh per call.  All checks run before anything is stored
+or booked, so a rejected call stores and meters nothing.  The meter is the
+ground truth for all operation-count benchmarks.
 
 The shifted left factor of stage k, ``add(rot(m, beta*k), rot(sub(a0, m),
 beta*(k - h)))`` with ``m`` keeping the columns >= k of ``a0``, is slot for
@@ -68,6 +63,7 @@ import math
 import threading
 import weakref
 from contextlib import contextmanager
+from functools import partial
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -179,13 +175,14 @@ class GatherPlan:
     slot ``s`` then takes at most one input slot: ``idx[s]`` when
     ``selected[s]``, else +0.0.  Both arrays are read-only.
 
-    ``tallies`` are the chain's: one rotation per rotated baby offset and
-    giant shift, ``len(baby)`` mul_pt per giant step, and one add fewer than
-    mul_pt.  ``plus_zero`` says the chain has giant-step adds, which turn
-    every selected -0.0 into +0.0.
+    ``rotations`` counts the rotated baby offsets and giant shifts, and
+    ``terms`` the chain's ``mul_pt``: ``len(baby)`` per giant step.
+    ``plus_zero`` says the chain has giant-step adds, which turn every
+    selected -0.0 into +0.0.
     """
 
-    __slots__ = ("slot_count", "idx", "selected", "tallies", "plus_zero")
+    __slots__ = ("slot_count", "idx", "selected", "rotations", "terms",
+                 "plus_zero")
 
     def __init__(self, baby, giants, slot_count: int):
         baby, giants = list(baby), list(giants)
@@ -213,14 +210,12 @@ class GatherPlan:
             raise EngineError("giant step images overlap")
         idx = np.zeros(n, dtype=np.intp)
         idx[out] = (u + offsets[table[step, u]]) % n
-        mul_pt = len(baby) * len(giants)
-        rotations = (sum(b is not None for b in baby)
-                     + sum(shift is not None for shift, _ in giants))
         _set_slot(self, "slot_count", n)
         _set_slot(self, "idx", _freeze(idx))
         _set_slot(self, "selected", _freeze(selected))
-        _set_slot(self, "tallies", (("rotations", rotations),
-                                    ("mul_pt", mul_pt), ("adds", mul_pt - 1)))
+        _set_slot(self, "rotations", sum(b is not None for b in baby)
+                  + sum(shift is not None for shift, _ in giants))
+        _set_slot(self, "terms", len(baby) * len(giants))
         _set_slot(self, "plus_zero", len(giants) > 1)
 
     def __setattr__(self, name, value):
@@ -347,6 +342,7 @@ class CryptoContext:
         self.meter = OpCounter()
         self._meter_lock = threading.Lock()
         self._scopes = _ScopeStacks()
+        self._chains: dict = {}  # chain memo, see the module docstring
 
         parties = tuple(f"party-{i}" for i in range(party_count))
         self._key_owners: dict[str, tuple] = {}
@@ -384,12 +380,48 @@ class CryptoContext:
 
     # ----------------------------------------------------------------- meter
 
-    def _tally(self, name: str, times: int = 1) -> None:
-        meter = self.meter
+    def _rule(self, op: str, x: tuple, y: tuple | None = None, times: int = 1,
+              rows: list | None = None) -> tuple:
+        """``(level, scale)`` out of ``times`` ops ``op`` (a meter field) on
+        ``(level, scale)`` operands ``x``, ``y`` (a plaintext at level inf);
+        checks them, then books the row ``(op, x, y, times)`` or appends it
+        to a chain's ``rows``."""
+        level, scale = x  # conditional expressions: min and max are slower
+        if op == "rotations" or op == "keyswitches":
+            out = x
+        elif op == "adds" or op == "subs":
+            out = (y[0] if y[0] < level else level, y[1] if y[1] > scale else scale)
+        elif op == "bootstraps":
+            out = self.initial_level, self.initial_scale
+        elif level < 1 or y is not None and y[0] < 1:
+            raise LevelExhaustedError(f"{op} requires operands at level >= 1")
+        elif op == "rescales":
+            out = level - 1, _checked_scale(scale / self.initial_scale)
+        else:  # mul_pt and mul_ct
+            out = y[0] if y[0] < level else level, _checked_scale(scale * y[1])
+        if rows is None:
+            self._book(((op, x, y, times),))
+        else:
+            rows.append((op, x, y, times))
+        return out
+
+    def _chain(self, key: tuple, describe) -> tuple:
+        """``(level, scale)`` out of the chain ``describe(chain)`` states by
+        ``_rule``, booked; memoised under ``key``, which names its inputs."""
+        hit = self._chains.get(key)
+        if hit is None:
+            rows = []
+            out = describe(partial(self._rule, rows=rows))
+            hit = self._chains[key] = out, tuple(rows)
+        self._book(hit[1])
+        return hit[0]
+
+    def _book(self, rows) -> None:
+        """Tally each row ``(field, x, y, times)`` on the meter and open scopes."""
         with self._meter_lock:
-            setattr(meter, name, getattr(meter, name) + times)
-        for counter in self._scopes.stack:
-            setattr(counter, name, getattr(counter, name) + times)
+            for counter in (self.meter, *self._scopes.stack):
+                for name, _, _, times in rows:
+                    setattr(counter, name, getattr(counter, name) + times)
 
     @contextmanager
     def meter_scope(self):
@@ -458,36 +490,29 @@ class CryptoContext:
 
     def add(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)
-        self._tally("adds")
-        return self._derive(a, a.slots + b.slots,
-                            level=min(a.level, b.level),
-                            scale=max(a.scale, b.scale))
+        out = self._rule("adds", (a.level, a.scale), (b.level, b.scale))
+        return self._derive(a, a.slots + b.slots, out)
 
     def sub(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)
-        self._tally("subs")
-        return self._derive(a, a.slots - b.slots,
-                            level=min(a.level, b.level),
-                            scale=max(a.scale, b.scale))
+        out = self._rule("subs", (a.level, a.scale), (b.level, b.scale))
+        return self._derive(a, a.slots - b.slots, out)
 
     def mul_pt(self, ct: SlotVector, pt: Plaintext) -> SlotVector:
         self._check_context(ct)
         self._check_context(pt)
-        if ct.level < 1:
-            raise LevelExhaustedError("mul_pt requires level >= 1")
-        self._tally("mul_pt")
-        return self._derive(ct, ct.slots * pt.slots, scale=ct.scale * pt.scale)
+        out = self._rule("mul_pt", (ct.level, ct.scale), (math.inf, pt.scale))
+        return self._derive(ct, ct.slots * pt.slots, out)
 
     def lin_trans(self, ct: SlotVector, plan: GatherPlan) -> SlotVector:
         """The baby-step/giant-step chain ``plan`` describes, as one gather.
 
-        Tallies the chain (``plan.tallies``) and returns its bytes, its level
-        and its scale, ``ct.scale`` times the context scale of the 0/1 rows:
-        each selected slot holds its input slot bit for bit, turned from
-        -0.0 into +0.0 where the chain's giant-step adds would, and every
-        other slot is +0.0, as in ``apply_permutation``.  The chain itself
-        gives +-0.0 there, or NaN where a term holds inf or NaN.  Every check
-        runs before the tally, so a rejected call meters nothing.
+        Meters the chain and returns its bytes, its level and its scale,
+        ``ct.scale`` times the context scale of the 0/1 rows: each selected
+        slot holds its input slot bit for bit, turned from -0.0 into +0.0
+        where the chain's giant-step adds would, and every other slot is
+        +0.0, as in ``apply_permutation``.  The chain itself gives +-0.0
+        there, or NaN where a term holds inf or NaN.
         """
         if not isinstance(plan, GatherPlan):
             raise EngineError(
@@ -498,15 +523,18 @@ class CryptoContext:
             raise CapacityError(
                 f"lin_trans needs {self.slot_count} slots, got a "
                 f"{ct.slots.shape} ciphertext and a {plan.slot_count}-slot plan")
-        if ct.level < 1:
-            raise LevelExhaustedError("lin_trans requires level >= 1")
-        for name, times in plan.tallies:
-            self._tally(name, times)
+        x = (ct.level, ct.scale)
+
+        def describe(chain):
+            chain("rotations", x, times=plan.rotations)
+            term = chain("mul_pt", x, (math.inf, self.initial_scale), times=plan.terms)
+            return chain("adds", term, term, times=plan.terms - 1)
+        meta = self._chain(("lin_trans", plan.rotations, plan.terms, x), describe)
         out = np.zeros(self.slot_count)
         np.copyto(out, ct.slots.take(plan.idx), where=plan.selected)
         if plan.plus_zero:
             out += 0.0
-        return self._derive(ct, out, scale=ct.scale * self.initial_scale)
+        return self._derive(ct, out, meta)
 
     def shift_mul_sum(self, a0: SlotVector, b0: SlotVector, h: int,
                       beta: int, t: int) -> SlotVector:
@@ -517,12 +545,10 @@ class CryptoContext:
         row is ``w = beta * h`` slots.  With ``m_k = rescale(mul_pt(a0,
         encode(mask_k)))``, ``mask_k`` keeping columns >= k, stage k is
         ``mul_ct(add(rot(m_k, beta*k), rot(sub(a0, m_k), beta*(k - h))),
-        rot(b0, w*k))``, and the stages are summed in order by ``add``: per
-        stage one mul_pt, rescale, sub and mul_ct, three rotations and one
-        add, plus ``t - 1`` adds for the sum.  The ``mul_pt`` is the masked
-        copy of ``a0``: selected slots keep their value bit for bit and the
-        rest are +0.0.  The result, its level, scale and tallies are the
-        chain's.
+        rot(b0, w*k))``, and the stages are summed in order by ``add``.  The
+        ``mul_pt`` is the masked copy of ``a0``: selected slots keep their
+        value bit for bit and the rest are +0.0.  The result, its level,
+        scale and tallies are the chain's.
 
         Stage k's shifted left factor is, slot for slot, the column window
         ``[beta*k, beta*k + w)`` of each row of the ``(h, 2w)`` row-doubled
@@ -533,13 +559,9 @@ class CryptoContext:
         noise rows (in gaussian mode, from the stream and in the order of
         the chain's ``mul_ct``) and an in-order sum whose operands, NaN
         payloads included, are added in the chain's order.  The blocks share
-        one work array of at most ``_BLOCK_BYTES``.  Every check runs before
-        the tally, so a rejected call meters nothing.
+        one work array of at most ``_BLOCK_BYTES``.
         """
         self._check_pair(a0, b0)
-        if a0.level < 2 or b0.level < 1:
-            raise LevelExhaustedError(
-                "shift_mul_sum requires a0 at level >= 2 and b0 at level >= 1")
         n = self.slot_count
         if min(h, beta) < 1 or beta * h * h != n or a0.slots.shape != (n,):
             raise CapacityError(
@@ -547,12 +569,19 @@ class CryptoContext:
                 f"{beta}, h {h} and {a0.slots.shape} operands")
         if not 1 <= t <= h:
             raise CapacityError(f"stage count {t} outside [1, {h}]")
-        masked_scale = a0.scale * self.initial_scale / self.initial_scale
-        a_scale = max(a0.scale, masked_scale)
-        for name, times in (("mul_pt", t), ("rescales", t), ("subs", t),
-                            ("rotations", 3 * t), ("adds", 2 * t - 1),
-                            ("mul_ct", t)):
-            self._tally(name, times)
+        a, b = (a0.level, a0.scale), (b0.level, b0.scale)
+
+        def describe(chain):
+            masked = chain("mul_pt", a, (math.inf, self.initial_scale), times=t)
+            m = chain("rescales", masked, times=t)
+            rest = chain("subs", a, m, times=t)
+            chain("rotations", m, times=t)
+            chain("rotations", rest, times=t)
+            left = chain("adds", m, rest, times=t)
+            chain("rotations", b, times=t)
+            prod = chain("mul_ct", left, b, times=t)
+            return chain("adds", prod, prod, times=t - 1)
+        meta = self._chain(("shift_mul_sum", t, a, b), describe)
 
         w = beta * h
         a = a0.slots.reshape(h, w)
@@ -579,8 +608,7 @@ class CryptoContext:
             # Rows fold in order; -0.0 is the additive identity that keeps a
             # -0.0 sum as the chain's adds leave it (numpy starts from +0.0).
             np.add.reduce(p, axis=0, out=acc, initial=-0.0)
-        return self._derive(a0, acc, level=min(a0.level - 1, b0.level),
-                            scale=a_scale * b0.scale)
+        return self._derive(a0, acc, meta)
 
     def odd_poly_stage(self, m: SlotVector, coeffs: Sequence[Plaintext]) -> SlotVector:
         """One odd-polynomial stage ``m * sum_j c_j * (m*m)**j``, in one call.
@@ -597,8 +625,7 @@ class CryptoContext:
         scale of every ``add`` included, and so is every operand order.  In
         gaussian mode the noise rows come from the stream in the chain's
         order: ``p_1``, ``p_2`` .. ``p_d``, the encryption of ``c_0``, then
-        the last product.  Every check runs before the tally, so a rejected
-        call meters nothing.
+        the last product.
         """
         self._check_context(m)
         for pt in coeffs:
@@ -609,28 +636,20 @@ class CryptoContext:
             raise EngineError("an odd-polynomial stage needs c_0 and c_1 at least")
         if m.slots.shape != (n,) or any(pt.slots.shape != (n,) for pt in coeffs):
             raise CapacityError(f"odd_poly_stage needs {n}-slot operands")
+        m_meta = (m.level, m.scale)
 
-        def rescaled(level: int, scale: float) -> tuple:
-            # (level, scale) of rescale(x) for a product x; checked like the
-            # records that the chain would build.
-            if level < 1:
-                raise LevelExhaustedError(
-                    f"a degree-{2 * d + 1} stage exhausts level {m.level}")
-            return level - 1, _checked_scale(_checked_scale(scale)
-                                             / self.initial_scale)
-
-        powers = [None, rescaled(m.level, m.scale * m.scale)]
-        for j in range(2, d + 1):
-            (la, sa), (lb, sb) = powers[j // 2], powers[j - j // 2]
-            powers.append(rescaled(min(la, lb), sa * sb))
-        level, scale = self.initial_level, self.initial_scale
-        for j in range(1, d + 1):
-            lt, st = rescaled(powers[j][0], powers[j][1] * coeffs[j].scale)
-            level, scale = min(level, lt), max(scale, st)
-        level, scale = rescaled(min(m.level, level), m.scale * scale)
-        for name, times in (("mul_ct", d + 1), ("rescales", 2 * d + 1),
-                            ("mul_pt", d), ("adds", d)):
-            self._tally(name, times)
+        def describe(chain):
+            powers = [None, chain("rescales", chain("mul_ct", m_meta, m_meta))]
+            for j in range(2, d + 1):
+                powers.append(chain("rescales", chain(
+                    "mul_ct", powers[j // 2], powers[j - j // 2])))
+            psum = (self.initial_level, self.initial_scale)  # encrypt(c_0)
+            for j in range(1, d + 1):
+                term = chain("mul_pt", powers[j], (math.inf, coeffs[j].scale))
+                psum = chain("adds", psum, chain("rescales", term))
+            return chain("rescales", chain("mul_ct", m_meta, psum))
+        meta = self._chain(("odd_poly_stage", m_meta,
+                            *[pt.scale for pt in coeffs]), describe)
 
         noise = (self._rng.normal(0.0, self.noise_sigma, (d + 2, n))
                  if self.noise_mode == "gaussian" else None)
@@ -648,35 +667,27 @@ class CryptoContext:
         out = x * psum
         if noise is not None:
             out += noise[d + 1]
-        return self._derive(m, out, level=level, scale=scale)
+        return self._derive(m, out, meta)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:
         self._check_pair(a, b)
-        if a.level < 1 or b.level < 1:
-            raise LevelExhaustedError("mul_ct requires both operands at level >= 1")
-        self._tally("mul_ct")
+        out = self._rule("mul_ct", (a.level, a.scale), (b.level, b.scale))
         slots = a.slots * b.slots
         if self.noise_mode == "gaussian":
             slots = slots + self._rng.normal(0.0, self.noise_sigma, self.slot_count)
-        return self._derive(a, slots,
-                            level=min(a.level, b.level),
-                            scale=a.scale * b.scale)
+        return self._derive(a, slots, out)
 
     def rot(self, ct: SlotVector, k: int) -> SlotVector:
         """Cyclic left rotation: result slot i holds input slot (i + k) mod n."""
         self._check_context(ct)
         k = int(k) % self.slot_count
-        self._tally("rotations")
-        return self._derive(ct, np.concatenate((ct.slots[k:], ct.slots[:k])))
+        out = self._rule("rotations", (ct.level, ct.scale))
+        return self._derive(ct, np.concatenate((ct.slots[k:], ct.slots[:k])), out)
 
     def rescale(self, ct: SlotVector) -> SlotVector:
         self._check_context(ct)
-        if ct.level < 1:
-            raise LevelExhaustedError("rescale at level 0")
-        self._tally("rescales")
-        return self._derive(ct, _shared(ct.slots),
-                            level=ct.level - 1,
-                            scale=ct.scale / self.initial_scale)
+        out = self._rule("rescales", (ct.level, ct.scale))
+        return self._derive(ct, _shared(ct.slots), out)
 
     # ------------------------------------------------------------ collective
 
@@ -684,9 +695,8 @@ class CryptoContext:
         """Collective refresh: level and scale reset, slots preserved."""
         self._check_context(ct)
         self._require_roster(ct.key_tag, roster, "dbootstrap")
-        self._tally("bootstraps")
-        return self._derive(ct, _shared(ct.slots),
-                            level=self.initial_level, scale=self.initial_scale)
+        out = self._rule("bootstraps", (ct.level, ct.scale))
+        return self._derive(ct, _shared(ct.slots), out)
 
     def dkey_switch(self, ct: SlotVector, target_key_tag: str,
                     roster: Iterable[str]) -> SlotVector:
@@ -696,21 +706,13 @@ class CryptoContext:
         if owners is None:
             raise KeyMismatchError(f"unknown target key {target_key_tag!r}")
         self._require_roster(ct.key_tag, roster, "dkey_switch")
-        self._tally("keyswitches")
-        return SlotVector(_shared(ct.slots), ct.level, ct.scale,
-                          self.context_id, target_key_tag)
+        meta = self._rule("keyswitches", (ct.level, ct.scale))
+        return SlotVector(_shared(ct.slots), *meta, self.context_id, target_key_tag)
 
     # --------------------------------------------------------------- helpers
 
-    def _derive(self, ct: SlotVector, slots: np.ndarray, level: int | None = None,
-                scale: float | None = None) -> SlotVector:
-        return SlotVector(
-            _freeze(slots),
-            ct.level if level is None else level,
-            ct.scale if scale is None else scale,
-            self.context_id,
-            ct.key_tag,
-        )
+    def _derive(self, ct: SlotVector, slots: np.ndarray, meta: tuple) -> SlotVector:
+        return SlotVector(_freeze(slots), *meta, self.context_id, ct.key_tag)
 
     def _check_context(self, obj) -> None:
         if obj.context_id != self.context_id:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import matrix
-from ..approx import (CompositePolySpec, app_sign, make_local_bootstrapper,
-                      polyval_ct, smooth_fit)
+from ..approx import (CompositePolySpec, _ensure_level, app_sign,
+                      make_local_bootstrapper, polyval_ct, smooth_fit)
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
 from ..matrix import (PackedMatrix, he_mat_mult, he_rect_mat_mult, he_transpose,
                       pad_matrix)
@@ -225,16 +225,14 @@ class _Compute:
             ct = self.ctx.rescale(ct)
         return ct
 
-    def lvl(self, ct, need: int):
-        if ct.level >= need:
-            return ct
-        return self.bootstrap(ct)
-
     def mul(self, a, b):
-        return self.rs(self.ctx.mul_ct(self.lvl(a, 2), self.lvl(b, 2)))
+        a = _ensure_level(self.ctx, a, 2, self.bootstrap)
+        b = _ensure_level(self.ctx, b, 2, self.bootstrap)
+        return self.rs(self.ctx.mul_ct(a, b))
 
     def mul_const(self, ct, pt: Plaintext):
-        return self.rs(self.ctx.mul_pt(self.lvl(ct, 2), pt))
+        ct = _ensure_level(self.ctx, ct, 2, self.bootstrap)
+        return self.rs(self.ctx.mul_pt(ct, pt))
 
 
 class CipherActivation:
@@ -279,7 +277,7 @@ def _as_rect(pm: PackedMatrix, t: int) -> PackedMatrix:
 
 
 def _ensure_pm(comp: _Compute, pm: PackedMatrix, need: int) -> PackedMatrix:
-    ct = comp.lvl(pm.ct, need)
+    ct = _ensure_level(comp.ctx, pm.ct, need, comp.bootstrap)
     return PackedMatrix(ct, pm.dim_h, pm.rows_t, pm.batch_beta) \
         if ct is not pm.ct else pm
 
@@ -346,11 +344,13 @@ def local_backward(party: PartyState, trace: ForwardTrace,
 
     m_last = trace.activations[-1]
     if config.fig5_squared_loss:
-        err = ctx.sub(comp.lvl(y_ct.ct, 2), comp.lvl(m_last.ct, 2))
+        err = ctx.sub(_ensure_level(ctx, y_ct.ct, 2, bootstrap),
+                      _ensure_level(ctx, m_last.ct, 2, bootstrap))
         delta = comp.mul(err, err)
     else:
-        delta = comp.mul_const(
-            ctx.sub(comp.lvl(m_last.ct, 2), comp.lvl(y_ct.ct, 2)), consts.two)
+        err = ctx.sub(_ensure_level(ctx, m_last.ct, 2, bootstrap),
+                      _ensure_level(ctx, y_ct.ct, 2, bootstrap))
+        delta = comp.mul_const(err, consts.two)
     if trace.gates[-1] is not None:
         delta = comp.mul(delta, trace.gates[-1].ct)
     delta = comp.mul_const(delta, consts.label_mask)
@@ -405,8 +405,7 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
         for p in range(config.party_count):
             g = by_party[p].grads[j].ct
             total = g if total is None else ctx.add(total, g)
-        if total.level < 1:
-            total = ctx.dbootstrap(total, ctx.parties)
+        total = _ensure_level(ctx, total, 1, make_local_bootstrapper(ctx))
         upd = ctx.rescale(ctx.mul_pt(total, server.lr_factor))
         new_ct = ctx.sub(w.ct, upd)
         # Refresh so the next round's products have their full budget.
@@ -479,7 +478,7 @@ class PartyRuntime:
         self.link = link
         self.timeout = timeout
         self.error: BaseException | None = None
-        self._round = 0
+        self._round = 0   # the round in progress, or else the next one
 
     def _decode_ct(self, payload):
         ct = decode_ciphertext(payload, self.state.ctx)
@@ -498,11 +497,14 @@ class PartyRuntime:
         if frame.msg_type != MsgType.BOOTSTRAP_SHARE:
             raise ProtocolError(
                 f"expected a bootstrap share, got {frame.msg_type.name}")
-        if frame.round != self._round:
-            raise ProtocolError(
-                f"party {self.state.party_id} got a bootstrap share for round "
-                f"{frame.round} during round {self._round}")
+        self._require_round(frame, self._round)
         return self._decode_ct(frame.payload)
+
+    def _require_round(self, frame, round_no: int) -> None:
+        if frame.round != round_no:
+            raise ProtocolError(
+                f"party {self.state.party_id} got {frame.msg_type.name} for "
+                f"round {frame.round} during round {round_no}")
 
     def _run_round(self, round_no: int, weight_cts: list) -> None:
         state = self.state
@@ -512,7 +514,6 @@ class PartyRuntime:
             round_no, plan)
         x, y = state.shard
         rows = state.schedule[round_no][state.party_id]
-        self._round = round_no
         trace = local_forward(state, x[rows], bootstrap=self._bootstrap)
         msg = local_backward(state, trace, y[rows], bootstrap=self._bootstrap)
         for g in msg.grads:
@@ -526,11 +527,16 @@ class PartyRuntime:
             while True:
                 frame = decode_frame(self.link.recv(self.timeout))
                 if frame.msg_type == MsgType.MODEL_BCAST:
+                    # The party's next round, which every frame of one
+                    # model must name.
+                    self._require_round(frame, self._round)
                     pending.append(self._decode_ct(frame.payload))
                     if len(pending) == layers:
                         self._run_round(frame.round, pending)
                         pending = []
+                        self._round += 1
                 elif frame.msg_type == MsgType.KEYSWITCH_REQ:
+                    self._require_round(frame, self.state.config.global_iters)
                     # The request carries the collective-key ciphertext being
                     # re-keyed; the party answers with its consent share.
                     self._decode_ct(frame.payload)

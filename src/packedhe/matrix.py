@@ -441,8 +441,6 @@ def he_transpose(a: PackedMatrix) -> PackedMatrix:
     if a.rows_t != a.dim_h:
         raise CapacityError("he_transpose expects a square payload")
     ctx = _ctx_of(a)
-    if a.ct.level < 1:
-        raise LevelExhaustedError("he_transpose consumes one multiplicative level")
     spec = build_permutation("transpose", a.dim_h)
     out = ctx.rescale(he_lin_trans_bsgs(a.ct, spec, a.batch_beta))
     return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta)

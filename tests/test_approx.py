@@ -384,6 +384,42 @@ def test_odd_poly_stage_refusal_meters_nothing(case, error):
     assert ctx.meter.snapshot() == before
 
 
+def test_odd_poly_stage_memo_hit_equals_first_call_and_chain():
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, gd_coefficients(4), ctx.initial_scale)
+    calls = []
+    for _ in range(2):
+        with ctx.meter_scope() as scope:
+            calls.append((ctx.odd_poly_stage(m, pts), scope.snapshot()))
+        assert len(ctx._chains) == 1
+    with ctx.meter_scope() as chain:
+        want = _stage_chain(ctx, m, pts)
+    for got, tally in calls:
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale) == (want.level, want.scale)
+        assert tally == chain.snapshot()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("level one short", LevelExhaustedError),
+    ("scale overflow", engine.EngineError),
+])
+def test_rejected_odd_poly_stage_stores_and_meters_nothing(case, error):
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, gd_coefficients(4), ctx.initial_scale)
+    level, scale = ((m.level - 1, m.scale) if case == "level one short"
+                    else (m.level, 2.0 ** 600))
+    bad = engine.SlotVector(m.slots, level, scale, m.context_id, m.key_tag)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.odd_poly_stage(bad, pts)
+    assert ctx._chains == {}
+    assert ctx.meter.snapshot() == before
+    assert ctx.odd_poly_stage(m, pts).level == 0
+    assert len(ctx._chains) == 1
+    assert ctx.meter.mul_ct - before["mul_ct"] == 5
+
+
 # ------------------------------------------------------ escape-then-sharpen
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -370,6 +370,50 @@ def test_lin_trans_rejects_misuse_before_any_tally(case, error):
     assert ctx.meter.snapshot() == before
 
 
+def test_lin_trans_memo_hit_equals_first_call_and_chain():
+    # A fresh plan per call, as the reference baselines build them: the memo
+    # keys on the plan's counts, so the second call is a hit all the same.
+    ctx = make_ctx()
+    n = ctx.slot_count
+    baby, shifts = (0, 2, 4), (0, 6, -6, 12)
+    steps = _random_plan(n, baby, shifts, seed=9)
+    ct = ctx.encrypt(ctx.encode(np.random.default_rng(9).standard_normal(n)))
+    calls = []
+    for _ in range(2):
+        with ctx.meter_scope() as scope:
+            calls.append((ctx.lin_trans(ct, engine.GatherPlan(baby, steps, n)),
+                          scope.snapshot()))
+        assert len(ctx._chains) == 1
+    with ctx.meter_scope() as chain:
+        want = _gather_chain(ctx, ct, baby, steps)
+    for got, tally in calls:
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale) == (want.level, want.scale)
+        assert tally == chain.snapshot()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("level one short", LevelExhaustedError),
+    ("scale overflow", EngineError),
+])
+def test_rejected_lin_trans_stores_and_meters_nothing(case, error):
+    ctx = make_ctx()
+    n = ctx.slot_count
+    plan = engine.GatherPlan([0, 1], _random_plan(n, [0, 1], [0, 4], seed=5), n)
+    ct = ctx.encrypt(ctx.encode(np.arange(n, dtype=float)))
+    level, scale = (0, ct.scale) if case == "level one short" else (1, 2.0 ** 1000)
+    bad = engine.SlotVector(ct.slots, level, scale, ct.context_id, ct.key_tag)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.lin_trans(bad, plan)
+    assert ctx._chains == {}
+    assert ctx.meter.snapshot() == before
+    good = engine.SlotVector(ct.slots, 1, ct.scale, ct.context_id, ct.key_tag)
+    assert ctx.lin_trans(good, plan).level == 1
+    assert len(ctx._chains) == 1
+    assert ctx.meter.mul_pt - before["mul_pt"] == plan.terms
+
+
 # ------------------------------------------------------------------ rotation
 
 def test_rot_left_by_one():

@@ -648,6 +648,50 @@ def test_party_refuses_a_bootstrap_share_for_another_round(transport):
         thread.join(10.0)
 
 
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("case, want", [
+    ("model of a later round", "MODEL_BCAST for round 1 during round 0"),
+    ("model of mixed rounds", "MODEL_BCAST for round 1 during round 0"),
+    ("key switch before the last round", "KEYSWITCH_REQ for round 1 during round 2"),
+], ids=["later round", "mixed rounds", "early key switch"])
+def test_party_refuses_a_frame_for_another_round(transport, case, want):
+    from packedhe.federated.protocol import PartyRuntime
+    from packedhe.federated.wire import (SERVER_ID, MsgType, encode_ciphertext,
+                                         encode_frame)
+    x, y = blob_data(samples=8, features=2, seed=3)
+    config = small_config(party_count=1, global_iters=2, neurons=(2, 2))
+    server, (party,) = prepare(config, feature_dim=2)
+    party.shard = (x, y)
+    party.schedule = build_schedule(config, [len(x)])
+    weights = [encode_ciphertext(w.ct) for w in server.model.weights]
+    # Unchecked, the party would run round 1 first, assemble one model from
+    # two rounds, or consent to re-key a model still in training.
+    if case == "model of a later round":
+        frames = [(MsgType.MODEL_BCAST, 1, ct) for ct in weights]
+    elif case == "model of mixed rounds":
+        frames = [(MsgType.MODEL_BCAST, r, ct) for r, ct in enumerate(weights)]
+    else:
+        frames = [(MsgType.KEYSWITCH_REQ, 1, weights[0])]
+    server_links, party_links, close = _open_links(transport, 1,
+                                                   server.ctx.slot_count)
+    runtime = PartyRuntime(party, party_links[0], timeout=30.0)
+    thread = threading.Thread(target=runtime.run, daemon=True)
+    thread.start()
+    try:
+        start = time.monotonic()
+        for msg_type, round_no, payload in frames:
+            server_links[0].server_send(encode_frame(msg_type, round_no,
+                                                     SERVER_ID, payload))
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - start < 10.0
+        assert isinstance(runtime.error, ProtocolError)
+        assert want in str(runtime.error)
+    finally:
+        close()
+        thread.join(10.0)
+
+
 def test_dataset_count_must_match_parties():
     x, y = blob_data(samples=10, features=2, seed=16)
     config = small_config(party_count=3)

@@ -875,6 +875,41 @@ def test_shift_mul_sum_rejects_misuse_before_any_tally(case, error):
     assert ctx.meter.snapshot() == before
 
 
+def test_shift_mul_sum_memo_hit_equals_first_call_and_chain():
+    h, beta, t = 8, 2, 8
+    ctx, a0, b0 = _stage_operands(h, beta, "exact")
+    calls = []
+    for _ in range(2):
+        with ctx.meter_scope() as scope:
+            calls.append((ctx.shift_mul_sum(a0, b0, h, beta, t), scope.snapshot()))
+        assert len(ctx._chains) == 1
+    with ctx.meter_scope() as chain:
+        want = _stage_chain(ctx, a0, b0, h, beta, t)
+    for got, tally in calls:
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert (got.level, got.scale) == (want.level, want.scale)
+        assert tally == chain.snapshot()
+
+
+@pytest.mark.parametrize("case, error", [
+    ("a0 level one short", LevelExhaustedError),
+    ("scale overflow", engine.EngineError),
+])
+def test_rejected_shift_mul_sum_stores_and_meters_nothing(case, error):
+    ctx, a0, b0 = _stage_operands(4, 1, "exact")
+    level, scale = (1, a0.scale) if case == "a0 level one short" else (2, 2.0 ** 1000)
+    bad = engine.SlotVector(a0.slots, level, scale, a0.context_id, a0.key_tag)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        ctx.shift_mul_sum(bad, b0, 4, 1, 4)
+    assert ctx._chains == {}
+    assert ctx.meter.snapshot() == before
+    good = engine.SlotVector(a0.slots, 2, a0.scale, a0.context_id, a0.key_tag)
+    assert ctx.shift_mul_sum(good, b0, 4, 1, 4).level == 1
+    assert len(ctx._chains) == 1
+    assert ctx.meter.mul_ct - before["mul_ct"] == 4
+
+
 # ---------------------------------------------------------------- transpose
 
 def test_transpose_symmetric_fixed_point():
@@ -1090,6 +1125,19 @@ def test_reference_tallies_are_pinned(name, h):
     assert tuple(getattr(scope, f) for f in fields) == _REFERENCE_TALLIES[name][h]
     assert (scope.subs, scope.bootstraps, scope.keyswitches) == (0, 0, 0)
     assert np.allclose(decode_matrix(out), a @ b, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_TALLIES))
+def test_repeated_reference_products_do_not_grow_the_chain_memo(name):
+    # Each call builds fresh gather plans; the memo keys on their counts.
+    ctx = exact_ctx(4)
+    rng = np.random.default_rng(4)
+    pa, pb = (encode_matrix(rng.uniform(-3, 3, (4, 4)), ctx) for _ in range(2))
+    getattr(references, name)(pa, pb)
+    size = len(ctx._chains)
+    for _ in range(3):
+        getattr(references, name)(pa, pb)
+    assert len(ctx._chains) == size
 
 
 def test_alternating_packing_analytic_values():

@@ -24,38 +24,21 @@ from packedhe.matrix import (encode_matrix, encode_rect_matrix, he_mat_mult,
 def scales(monkeypatch):
     """(op, scale_a, scale_b) of every add and sub, fused ones included.
 
-    ``shift_mul_sum`` fuses the column-shift stages of a product, so the
-    recorder books the chain it meters: per stage the sub of ``a0`` and the
-    rescaled masked term, then the add of the two rotated halves, and the
-    ``t - 1`` adds of the stage products.  ``lin_trans`` fuses a
-    baby-step/giant-step transform whose adds all sum masked products at the
-    output's scale, so it books that many adds at that scale.
+    Every engine op books its rule's meter rows ``(field, x, y, times)``,
+    with ``x`` and ``y`` the operands' ``(level, scale)``; a fused call books
+    the rows of the chain it describes, also when they come from the
+    context's memo.  So the recorder reads the add and sub rows there.
     """
     seen = []
-    for name in ("add", "sub"):
-        real = getattr(engine.CryptoContext, name)
+    names = {"adds": "add", "subs": "sub"}
+    book = engine.CryptoContext._book
 
-        def recording(self, a, b, real=real, name=name):
-            seen.append((name, a.scale, b.scale))
-            return real(self, a, b)
-        monkeypatch.setattr(engine.CryptoContext, name, recording)
-    fused = engine.CryptoContext.shift_mul_sum
-
-    def recording_fused(self, a0, b0, h, beta, t):
-        out = fused(self, a0, b0, h, beta, t)
-        masked = a0.scale * self.initial_scale / self.initial_scale
-        seen.extend([("sub", a0.scale, masked),
-                     ("add", masked, out.scale / b0.scale)] * t)
-        seen.extend([("add", out.scale, out.scale)] * (t - 1))
-        return out
-    monkeypatch.setattr(engine.CryptoContext, "shift_mul_sum", recording_fused)
-    transform = engine.CryptoContext.lin_trans
-
-    def recording_transform(self, ct, plan):
-        out = transform(self, ct, plan)
-        seen.extend([("add", out.scale, out.scale)] * dict(plan.tallies)["adds"])
-        return out
-    monkeypatch.setattr(engine.CryptoContext, "lin_trans", recording_transform)
+    def recording(self, rows):
+        for field, x, y, times in rows:
+            if field in names:
+                seen.extend([(names[field], x[1], y[1])] * times)
+        return book(self, rows)
+    monkeypatch.setattr(engine.CryptoContext, "_book", recording)
     return seen
 
 
@@ -92,6 +75,20 @@ def test_rect_product_adds_at_one_scale(t, h, scales):
     assert [op for op, _, _ in scales].count("sub") == t
     assert [op for op, _, _ in scales].count("add") == scope.adds
     assert _mismatched(scales) == []
+
+
+def test_memo_hits_are_recorded(scales):
+    ctx = _ctx(8)
+    rng = np.random.default_rng(8)
+    pa, pb = (pack_matrices([rng.uniform(-3, 3, (8, 8))], ctx) for _ in range(2))
+    he_mat_mult(pa, pb)
+    first, chains = len(scales), dict(ctx._chains)
+    with ctx.meter_scope() as scope:
+        he_mat_mult(pa, pb)
+    assert ctx._chains == chains  # every fused call was a memo hit
+    assert scales[first:] == scales[:first]
+    assert [op for op, _, _ in scales[first:]].count("add") == scope.adds
+    assert [op for op, _, _ in scales[first:]].count("sub") == scope.subs
 
 
 def _short_job(rescale_every_r):

@@ -136,7 +136,13 @@ def _connect_after_sending(prefix: bytes):
     """A create_connection that writes ``prefix`` before the party's own id."""
     def create_connection(address, timeout=None):
         s = _real_create_connection(address, timeout=timeout)
-        s.sendall(prefix)
+        try:
+            # The server may already have refused the other party's id and
+            # closed its listener, resetting this connection.
+            s.sendall(prefix)
+        except OSError:
+            s.close()
+            raise
         return s
     return create_connection
 
