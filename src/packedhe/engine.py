@@ -423,6 +423,11 @@ class CryptoContext:
                 for name, _, _, times in rows:
                     setattr(counter, name, getattr(counter, name) + times)
 
+    def book_tallies(self, counts: dict) -> None:
+        """Add ``{meter field: count}`` tallies, counted on a copy of this
+        context in another process, to the meter and this thread's scopes."""
+        self._book([(name, None, None, times) for name, times in counts.items()])
+
     @contextmanager
     def meter_scope(self):
         """Private counter covering the ops issued by this thread inside the scope.

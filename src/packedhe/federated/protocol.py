@@ -16,10 +16,22 @@ Mid-training refreshes travel the wire as BOOTSTRAP_REQ/BOOTSTRAP_SHARE
 frames, so both transports account the same bytes.  Refresh requests,
 refresh shares and gradients name their round; a frame of another round
 than the current one raises ``ProtocolError``.
+
+``run_training`` hosts each in-process party on a thread of its own and each
+TCP party in a forked child process, so over TCP the parties, the server's
+link readers and its main thread run on separate interpreters.  A child
+meters its ops on its forked copy of the context and reports them to the
+server over an unmetered pipe before each round's gradients; the server
+books them on its own meter, so ``metrics["rounds"][i]["ops"]`` covers
+every node on both transports.  A party that fails closes its link (a child
+by exiting), which wakes the waiting server: it raises ``ProtocolError``
+from the party's error at once, and every job reaps its children.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import threading
 from dataclasses import dataclass
 
@@ -35,10 +47,11 @@ from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (TransportError, open_in_process_links,
                         open_tcp_links)
-from .wire import SERVER_ID, MsgType, decode_ciphertext, decode_frame, \
-    encode_ciphertext, encode_frame, max_frame_body
+from .wire import SERVER_ID, MsgType, WireError, decode_ciphertext, \
+    decode_frame, encode_ciphertext, encode_frame, max_frame_body
 
 DEFAULT_TIMEOUT = 300.0
+_REAP_S = 10.0   # how long a job waits for a party or reader to end
 
 
 class ProtocolError(RuntimeError):
@@ -471,14 +484,23 @@ def build_schedule(config: TrainingConfig, shard_sizes: list) -> list:
 
 
 class PartyRuntime:
-    """Thread body executing one party's side of the wire protocol."""
+    """One party's side of the wire protocol, run by ``run``.
 
-    def __init__(self, state: PartyState, link, timeout: float = DEFAULT_TIMEOUT):
+    With ``tally_pipe`` set, the party runs in a process of its own on a
+    forked copy of the context: before each round's gradients it sends the
+    ops its meter counted since the last report, ``{meter field: count}``,
+    over that pipe, which no byte accounting sees.
+    """
+
+    def __init__(self, state: PartyState, link, timeout: float = DEFAULT_TIMEOUT,
+                 tally_pipe=None):
         self.state = state
         self.link = link
         self.timeout = timeout
+        self.tally_pipe = tally_pipe
         self.error: BaseException | None = None
         self._round = 0   # the round in progress, or else the next one
+        self._reported = state.ctx.meter.snapshot()
 
     def _decode_ct(self, payload):
         ct = decode_ciphertext(payload, self.state.ctx)
@@ -516,6 +538,12 @@ class PartyRuntime:
         rows = state.schedule[round_no][state.party_id]
         trace = local_forward(state, x[rows], bootstrap=self._bootstrap)
         msg = local_backward(state, trace, y[rows], bootstrap=self._bootstrap)
+        if self.tally_pipe is not None:
+            # Ahead of the gradients, so the server holds the round's tallies
+            # once it holds its gradients.  A party meters only in rounds.
+            now = state.ctx.meter.snapshot()
+            self.tally_pipe.send({k: now[k] - self._reported[k] for k in now})
+            self._reported = now
         for g in msg.grads:
             self.link.send(encode_frame(MsgType.GRADIENT, round_no,
                                         state.party_id, encode_ciphertext(g.ct)))
@@ -554,18 +582,27 @@ class PartyRuntime:
 
 
 class ServerRuntime:
-    """Server side: broadcast, collect, aggregate, finalize."""
+    """Server side: broadcast, collect, aggregate, finalize.
+
+    One reader thread per link answers refresh requests and files gradients
+    and key-switch shares.  A reader whose link fails, closes included, wakes
+    the waiting server unless the server is shutting down; the server then
+    raises ``ProtocolError`` from the party's own error, which
+    ``party_failure(pid)`` returns (``None`` when the party reports none).
+    """
 
     def __init__(self, server: ServerState, links: list,
-                 timeout: float = DEFAULT_TIMEOUT):
+                 timeout: float = DEFAULT_TIMEOUT, party_failure=None):
         self.server = server
         self.links = links
         self.timeout = timeout
+        self._party_failure = party_failure or (lambda pid: None)
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
         self._ks_acks: dict = {}   # round -> ids of the parties that consented
         self._reader_errors: list = []
+        self._closing = False
         self._readers = [threading.Thread(target=self._read_loop, args=(p,),
                                           daemon=True)
                          for p in range(len(links))]
@@ -580,7 +617,9 @@ class ServerRuntime:
         link = self.links[pid]
         try:
             while True:
-                frame = decode_frame(link.server_recv(self.timeout))
+                # No timeout: a party may rightly be silent for as long as
+                # the server waits; the link's close ends the loop.
+                frame = decode_frame(link.server_recv())
                 # A link speaks only for the party it was opened for.
                 if frame.party_id != pid:
                     raise ProtocolError(
@@ -610,12 +649,30 @@ class ServerRuntime:
                 else:
                     raise ProtocolError(
                         f"server cannot handle {frame.msg_type.name}")
-        except TransportError:
-            return  # link closed at shutdown
         except BaseException as exc:
+            if self._closing and isinstance(exc, (TransportError, WireError)):
+                return  # the link closed at shutdown
             with self._arrived:
                 self._reader_errors.append((pid, exc))
                 self._arrived.notify_all()
+
+    def _wait(self, done, timeout_error) -> None:
+        """Wait until ``done()`` holds (under the arrival lock).
+
+        Raises ``ProtocolError`` once a reader has failed, and
+        ``TransportError(timeout_error())`` after ``timeout`` s without news.
+        """
+        with self._arrived:
+            while not self._reader_errors and not done():
+                if not self._arrived.wait(self.timeout):
+                    raise TransportError(timeout_error())
+            failed = self._reader_errors[:1]
+        if failed:
+            (pid, exc), = failed
+            err = self._party_failure(pid)
+            if err is not None:
+                raise ProtocolError(f"party {pid} failed: {err!r}") from err
+            raise ProtocolError(f"party {pid} link failed: {exc}") from exc
 
     def broadcast_model(self, round_no: int) -> None:
         for link in self.links:
@@ -624,38 +681,22 @@ class ServerRuntime:
                     MsgType.MODEL_BCAST, round_no, SERVER_ID,
                     encode_ciphertext(w.ct)))
 
-    def _check_readers(self) -> None:
-        if self._reader_errors:
-            pid, exc = self._reader_errors[0]
-            raise ProtocolError(f"party {pid} link failed: {exc}") from exc
-
-    def collect_gradients(self, round_no: int, party_errors) -> list:
+    def collect_gradients(self, round_no: int) -> list:
         config = self.server.config
-        needed = {(round_no, p) for p in range(config.party_count)}
+        layers = config.layers
+
+        def missing():
+            return [p for p in range(config.party_count)
+                    if len(self._gradients.get((round_no, p), [])) < layers]
+        self._wait(lambda: not missing(), lambda: (
+            f"round {round_no} timed out waiting for parties {missing()}"))
+        plan = self.server.plan
         with self._arrived:
-            while True:
-                self._check_readers()
-                for p, err in party_errors():
-                    raise ProtocolError(
-                        f"party {p} failed during round {round_no}") from err
-                done = all(len(self._gradients.get(key, [])) == config.layers
-                           for key in needed)
-                if done:
-                    break
-                if not self._arrived.wait(self.timeout):
-                    missing = sorted(p for (r, p) in needed
-                                     if len(self._gradients.get((r, p), []))
-                                     < config.layers)
-                    raise TransportError(
-                        f"round {round_no} timed out waiting for parties "
-                        f"{missing}")
-            plan = self.server.plan
-            msgs = []
-            for p in range(config.party_count):
-                cts = self._gradients.pop((round_no, p))
-                msgs.append(GradientMsg(p, round_no, [
-                    PackedMatrix(ct, plan.h, plan.h, 1) for ct in cts]))
-            return msgs
+            cts = [self._gradients.pop((round_no, p))
+                   for p in range(config.party_count)]
+        return [GradientMsg(p, round_no, [PackedMatrix(ct, plan.h, plan.h, 1)
+                                          for ct in party_cts])
+                for p, party_cts in enumerate(cts)]
 
     def finalize_over_wire(self) -> list:
         config = self.server.config
@@ -665,23 +706,24 @@ class ServerRuntime:
                 link.server_send(encode_frame(
                     MsgType.KEYSWITCH_REQ, round_no, SERVER_ID,
                     encode_ciphertext(w.ct)))
-        with self._arrived:
-            while True:
-                self._check_readers()
-                stale = sorted(set(self._ks_acks) - {round_no})
-                if stale:
-                    raise ProtocolError(
-                        f"key-switch share for round {stale[0]} while "
-                        f"finalizing round {round_no}")
-                acked = self._ks_acks.get(round_no, set())
-                if len(acked) == config.party_count:
-                    break
-                if not self._arrived.wait(self.timeout):
-                    raise TransportError("key switch timed out")
+
+        def acked():
+            stale = sorted(set(self._ks_acks) - {round_no})
+            if stale:
+                raise ProtocolError(
+                    f"key-switch share for round {stale[0]} while "
+                    f"finalizing round {round_no}")
+            return len(self._ks_acks.get(round_no, ())) == config.party_count
+        self._wait(acked, lambda: "key switch timed out")
         parties = self.server.ctx.parties
-        return finalize(self.server, [parties[p] for p in sorted(acked)])
+        with self._arrived:
+            roster = [parties[p] for p in sorted(self._ks_acks[round_no])]
+        return finalize(self.server, roster)
 
     def shutdown(self) -> None:
+        """Tell every party the job is over; from now on a closing link is
+        no failure."""
+        self._closing = True
         for link in self.links:
             try:
                 link.server_send(encode_frame(MsgType.DONE,
@@ -689,6 +731,125 @@ class ServerRuntime:
                                               SERVER_ID))
             except Exception:
                 pass
+
+    def close(self) -> None:
+        """Close every server-side link and wait for the readers to end."""
+        self._closing = True
+        for link in self.links:
+            link.close()
+        for t in self._readers:
+            if t.is_alive():
+                t.join(_REAP_S)
+
+
+class _PartyThread:
+    """A party on a thread of this process, over an in-process link."""
+
+    def __init__(self, runtime: PartyRuntime):
+        self.runtime = runtime
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        self.runtime.run()
+        if self.runtime.error is not None:
+            self.runtime.link.close()   # the server's reader sees the close
+
+    def book_round(self, ctx: CryptoContext) -> None:
+        pass    # the party meters on the server's own context
+
+    def failure(self) -> BaseException | None:
+        return self.runtime.error
+
+    def stop(self) -> None:
+        self._thread.join(_REAP_S)
+
+
+class _PartyProcess:
+    """A party in a forked child process, over a TCP link.
+
+    The child runs on its forked copy of the party's state and context, that
+    party's own replica.  It first closes ``inherited``, the parent's
+    descriptors it holds copies of, with ``close``: a ``shutdown`` would end
+    the connection for the parent too.  It sends its tallies, then any
+    error, over a one-way pipe, and ends with ``os._exit``, so no exit
+    handler of the parent's runs in it.  Fork is used because the copy is
+    the replica; the parent holds no other thread of the job while it forks.
+    """
+
+    def __init__(self, state: PartyState, link, timeout: float, inherited: list):
+        import multiprocessing  # here: only TCP jobs pay for the import
+        fork = multiprocessing.get_context("fork")
+        self.pipe, child_end = fork.Pipe(duplex=False)
+        self._proc = fork.Process(
+            target=_serve_party, daemon=True,
+            args=(state, link, timeout, child_end, inherited + [self.pipe]))
+        try:
+            self._proc.start()
+        finally:
+            child_end.close()
+        self._error: BaseException | None = None
+        self._stopped = False
+
+    def book_round(self, ctx: CryptoContext) -> None:
+        # The party sent the round's tallies before its gradients, which
+        # the server already holds, so this read does not wait.
+        ctx.book_tallies(self.pipe.recv())
+
+    def failure(self) -> BaseException | None:
+        """The party's error; reaps the child (see ``stop``) to read it."""
+        self.stop()
+        return self._error
+
+    def stop(self) -> None:
+        """Wait ``_REAP_S`` for the child to end, kill it if it has not, reap
+        it and keep its error: the one it reported, else a non-zero exit."""
+        if self._stopped:
+            return
+        self._stopped = True
+        self._proc.join(_REAP_S)
+        if self._proc.exitcode is None:
+            self._proc.kill()
+            self._proc.join()
+        try:
+            while self.pipe.poll():
+                msg = self.pipe.recv()
+                if isinstance(msg, BaseException):
+                    self._error = msg
+        except EOFError:
+            pass
+        if self._error is None and self._proc.exitcode != 0:
+            self._error = ChildProcessError(
+                f"party process exited with code {self._proc.exitcode}")
+        self.pipe.close()
+        self._proc.close()
+
+
+def _serve_party(state: PartyState, link, timeout: float, pipe,
+                 inherited: list) -> None:
+    """Body of a party's child process; see ``_PartyProcess``."""
+    code = 1
+    try:
+        for end in inherited:
+            end.close()
+        runtime = PartyRuntime(state, link, timeout, tally_pipe=pipe)
+        runtime.run()
+        if runtime.error is None:
+            code = 0
+        else:
+            pipe.send(_portable(runtime.error))
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a ``RuntimeError``
+    that names it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 @dataclass
@@ -709,8 +870,16 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
 
     ``party_datasets`` is one (features, labels) pair per party.  The metrics
     report carries per-round train/test accuracy, cumulative meter snapshots
-    and byte accounting; a plaintext run with ideal activations on the same
-    seed supplies the accuracy-gap figure.
+    of every node and byte accounting; a plaintext run with ideal
+    activations on the same seed supplies the accuracy-gap figure.
+
+    With ``transport="tcp"`` every party runs in a child process forked
+    after its links open and before any server reader starts, which needs a
+    platform with ``fork``; ``"in_process"`` runs them on threads.  A party
+    that fails makes the job raise ``ProtocolError`` from the party's error
+    without waiting out ``timeout``, which bounds the wait for a silent
+    party.  No child outlives the call: each is joined, and killed if it has
+    not ended within 10 s of the job's end.
     """
     if len(party_datasets) != config.party_count:
         raise ProtocolError(
@@ -752,34 +921,38 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
 
     if transport == "in_process":
         links, acct, listener = open_in_process_links(config.party_count)
-        server_links = links
-        party_links = links
+        server_links = party_links = links
     elif transport == "tcp":
         server_links, party_links, acct, listener = open_tcp_links(
             config.party_count, max_frame_body(server.ctx.slot_count))
     else:
         raise ProtocolError(f"unknown transport {transport!r}")
 
-    runtimes = [PartyRuntime(parties[p], party_links[p], timeout)
-                for p in range(config.party_count)]
-    threads = [threading.Thread(target=rt.run, daemon=True) for rt in runtimes]
-    for t in threads:
-        t.start()
-    srv = ServerRuntime(server, server_links, timeout)
-    srv.start()
-
-    def party_errors():
-        return [(p, rt.error) for p, rt in enumerate(runtimes)
-                if rt.error is not None]
-
+    hosts: list = []
+    srv = ServerRuntime(server, server_links, timeout,
+                        party_failure=lambda p: hosts[p].failure())
     rounds = []
     ct_traj = []
     mirror_traj = []
     prev_tx = prev_rx = 0
     try:
+        for p, state in enumerate(parties):
+            if transport == "in_process":
+                hosts.append(_PartyThread(
+                    PartyRuntime(state, party_links[p], timeout)))
+                continue
+            inherited = [listener, *(h.pipe for h in hosts),
+                         *(link.sock for link in server_links + party_links
+                           if link is not party_links[p])]
+            hosts.append(_PartyProcess(state, party_links[p], timeout,
+                                       inherited))
+            party_links[p].sock.close()   # the child's end now
+        srv.start()
         for r in range(config.global_iters):
             srv.broadcast_model(r)
-            msgs = srv.collect_gradients(r, party_errors)
+            msgs = srv.collect_gradients(r)
+            for host in hosts:
+                host.book_round(server.ctx)
             aggregate(server, msgs)
             mirror.step()
             exact_ref.step()
@@ -802,14 +975,17 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         final = srv.finalize_over_wire()
     finally:
         srv.shutdown()
-        for t in threads:
-            t.join(timeout=10.0)
-        for link in set(server_links) | set(party_links):
+        for host in hosts:
+            host.stop()
+        srv.close()
+        for link in party_links:
             link.close()
         if listener is not None:
             listener.close()
-    for p, err in party_errors():
-        raise ProtocolError(f"party {p} failed") from err
+    for p, host in enumerate(hosts):
+        err = host.failure()
+        if err is not None:
+            raise ProtocolError(f"party {p} failed") from err
 
     # finalize leaves server.model as the last round decoded it.
     last = rounds[-1]

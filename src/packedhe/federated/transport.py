@@ -1,8 +1,16 @@
 """Party/server message transports: in-process queues and localhost TCP.
 
 Both transports move the identical frame stream, so trajectories and byte
-accounting match between them.  Parties always run in their own threads; the
-transports differ only in how bytes travel.
+accounting match between them.  An in-process party runs on a thread of the
+server's process, and a TCP party in a process of its own (see
+``protocol.run_training``); the transports differ only in how bytes travel.
+
+Each frame is counted once, by whichever process can see it.  A queue link
+counts a frame when either end puts it on the queue.  A TCP link counts
+every frame at its server end: before it sends one, and after it has read
+one, before it returns it.  Its party end counts nothing, so a party in
+another process need not report bytes, and the server's totals at any point
+hold every frame it has sent or read.
 
 Each frame is one ``sendall``.  Both ends of every TCP socket set
 ``TCP_NODELAY``: the protocol writes several small frames back to back (one
@@ -120,7 +128,8 @@ class _RecvBuffer:
 class SocketLink:
     """One party's duplex TCP channel (either endpoint).
 
-    ``max_body`` bounds the body of every frame it reads.
+    ``max_body`` bounds the body of every frame it reads.  Only the server
+    end counts frames; see the module docstring.
     """
 
     def __init__(self, sock: socket.socket, party_id: int, side: str,
@@ -131,20 +140,12 @@ class SocketLink:
         self.side = side  # "party" or "server"
         self.accounting = accounting
         self.max_body = max_body
+        self._party = f"party-{party_id}"
         self._send_lock = threading.Lock()
         self._reader = _RecvBuffer(sock)
         self._timeout = sock.gettimeout()
 
-    def _peer(self) -> tuple[str, str]:
-        me = f"party-{self.party_id}" if self.side == "party" else "server"
-        other = "server" if self.side == "party" else f"party-{self.party_id}"
-        return me, other
-
     def _send(self, frame: bytes) -> None:
-        # Count before the write so a frame observed by the receiver is
-        # always already accounted (round snapshots read the totals).
-        me, other = self._peer()
-        self.accounting.count(me, other, len(frame))
         with self._send_lock:
             self.sock.sendall(frame)
 
@@ -155,7 +156,7 @@ class SocketLink:
         try:
             return read_frame_from(self._reader, self.max_body)
         except socket.timeout:
-            me, _ = self._peer()
+            me = self._party if self.side == "party" else "server"
             raise TransportError(f"{me} timed out on the wire") from None
         except WireError:
             raise
@@ -171,12 +172,17 @@ class SocketLink:
 
     # server side
     def server_send(self, frame: bytes) -> None:
+        # Count before the write, so a frame the party has seen is counted.
+        self.accounting.count("server", self._party, len(frame))
         self._send(frame)
 
     def server_recv(self, timeout: float | None = None) -> bytes:
-        return self._recv(timeout)
+        frame = self._recv(timeout)
+        self.accounting.count(self._party, "server", len(frame))
+        return frame
 
     def close(self) -> None:
+        """Shut the connection down and close this descriptor."""
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -383,23 +383,22 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
 # ----------------------------------------------------------- matrix products
 
 
-def _require_product_layout(a: PackedMatrix, b: PackedMatrix | None,
+def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
                             min_level: int) -> CryptoContext:
     ctx = _ctx_of(a)
-    if b is not None:
-        if b.ct.context_id != a.ct.context_id:
-            raise CapacityError("operands live in different contexts")
-        if a.dim_h != b.dim_h:
-            raise CapacityError(
-                f"matrix sides differ: {a.dim_h} vs {b.dim_h}")
-        if a.batch_beta != b.batch_beta:
-            raise CapacityError(
-                f"batch sizes differ: {a.batch_beta} vs {b.batch_beta}")
+    if b.ct.context_id != a.ct.context_id:
+        raise CapacityError("operands live in different contexts")
+    if a.dim_h != b.dim_h:
+        raise CapacityError(
+            f"matrix sides differ: {a.dim_h} vs {b.dim_h}")
+    if a.batch_beta != b.batch_beta:
+        raise CapacityError(
+            f"batch sizes differ: {a.batch_beta} vs {b.batch_beta}")
     if a.window != ctx.slot_count:
         raise CapacityError(
             f"matrix products need an exact-fit packing (cyclic row shifts): "
             f"window {a.window} != slot_count {ctx.slot_count}")
-    levels = a.ct.level if b is None else min(a.ct.level, b.ct.level)
+    levels = min(a.ct.level, b.ct.level)
     if levels < min_level:
         raise LevelExhaustedError(
             f"operation consumes {min_level} multiplicative levels; "

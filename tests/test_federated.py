@@ -1,6 +1,8 @@
 """Federated protocol: preparation, local passes, aggregation, training runs."""
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -367,20 +369,45 @@ def test_scores_equal_the_full_width_pass(kind, exact):
     assert got.tobytes() == want.tobytes()
 
 
-def test_relu_round_counts_at_benchmark_shape():
+@pytest.fixture(scope="module")
+def relu_benchmark_metrics():
+    """``metrics`` of one run per transport at the benchmark's relu shape."""
     # Two parties, h = 16, two approx_relu layers of 8 + 2 stages each.
     x, y = make_synthetic_classification(699, 9, 2, seed=1)
     act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
                            delta=2.0 ** -20)
     config = TrainingConfig(neurons=(16, 2), learning_rate=0.1, global_iters=2,
                             batch_size=8, party_count=2, activation=act, seed=1)
-    rounds = run_training(config, split_parties(x, y, 2, seed=1)).metrics["rounds"]
+    shards = split_parties(x, y, 2, seed=1)
+    runs = {}
+
+    def metrics(transport):
+        if transport not in runs:
+            runs[transport] = run_training(config, shards,
+                                           transport=transport).metrics
+        return runs[transport]
+    return metrics
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_relu_round_counts_at_benchmark_shape(transport, relu_benchmark_metrics):
+    metrics = relu_benchmark_metrics(transport)
+    rounds = metrics["rounds"]
     prev = dict.fromkeys(rounds[0]["ops"], 0)
     for r in rounds:
         per_round = {k: r["ops"][k] - prev[k] for k in prev}
         prev = r["ops"]
         assert (per_round["bootstraps"], per_round["mul_ct"],
                 per_round["mul_pt"], per_round["rotations"]) == (62, 320, 970, 614)
+    # TCP parties meter in their own processes and report to the server,
+    # and only the server end of a TCP link counts bytes: every node's ops
+    # and every frame still land in the same round.
+    other = relu_benchmark_metrics("tcp" if transport == "in_process"
+                                   else "in_process")
+    assert [(r["ops"], r["bytes_tx"], r["bytes_rx"]) for r in rounds] == \
+        [(r["ops"], r["bytes_tx"], r["bytes_rx"]) for r in other["rounds"]]
+    assert json.dumps({**metrics, "transport": None}, sort_keys=True) == \
+        json.dumps({**other, "transport": None}, sort_keys=True)
 
 
 def test_sigmoid_activation_run_and_mirror():
@@ -447,6 +474,84 @@ def test_transports_identical_trajectories_and_bytes():
     rounds_q = [r["bytes_tx"] for r in res_q.metrics["rounds"]]
     rounds_t = [r["bytes_tx"] for r in res_t.metrics["rounds"]]
     assert rounds_q == rounds_t
+    assert_no_party_outlives_the_job()
+
+
+def assert_no_party_outlives_the_job():
+    # waitpid first: active_children() would reap a child left unjoined.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def _fail_party_1_at_its_5th_refresh(monkeypatch, fail):
+    from packedhe.federated.protocol import PartyRuntime
+    real = PartyRuntime._bootstrap
+    calls = []
+
+    def bootstrap(runtime, ct):
+        if runtime.state.party_id == 1:
+            calls.append(ct)
+            if len(calls) == 5:
+                fail()
+        return real(runtime, ct)
+    monkeypatch.setattr(PartyRuntime, "_bootstrap", bootstrap)
+
+
+def _crash():
+    raise RuntimeError("party 1 crashed in a refresh")
+
+
+@pytest.mark.parametrize("transport, fail, cause", [
+    ("tcp", lambda: os._exit(1), "exited with code 1"),
+    ("in_process", _crash, "crashed in a refresh"),
+], ids=["tcp process exits", "in-process thread raises"])
+def test_a_party_that_dies_in_a_refresh_fails_the_job_fast(
+        transport, fail, cause, monkeypatch):
+    # Over TCP the fork inherits the patch; the kill leaves no error report.
+    x, y = blob_data(samples=20, features=3, seed=15)
+    act = ActivationConfig(kind="approx_relu", d=2, sigma=10.0,
+                           delta=2.0 ** -10, input_range=16.0)
+    config = small_config(party_count=2, global_iters=2, neurons=(4, 2),
+                          activation=act)
+    _fail_party_1_at_its_5th_refresh(monkeypatch, fail)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 1 failed") as err:
+        run_training(config, split_parties(x, y, 2, seed=5),
+                     transport=transport, timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert cause in str(err.value.__cause__)
+    assert_no_party_outlives_the_job()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_party_that_fails_after_the_others_reported_wakes_the_server(
+        transport, monkeypatch):
+    # Nothing else wakes a server waiting for the last gradients: without
+    # the party's failure it would wait out the timeout, TransportError.
+    from packedhe.federated.protocol import PartyRuntime
+    reported = multiprocessing.get_context("fork").Event()
+    real = PartyRuntime._run_round
+
+    def run_round(runtime, round_no, weight_cts):
+        if runtime.state.party_id == 0:
+            real(runtime, round_no, weight_cts)
+            reported.set()
+            return
+        reported.wait(10.0)
+        raise RuntimeError(f"party 1 gave up, party 0 reported: "
+                           f"{reported.is_set()}")
+    monkeypatch.setattr(PartyRuntime, "_run_round", run_round)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 1 failed") as err:
+        run_training(small_config(party_count=2, global_iters=2),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert "party 0 reported: True" in str(err.value.__cause__)
+    assert_no_party_outlives_the_job()
 
 
 def test_round_timeout_names_missing_parties():
@@ -458,8 +563,11 @@ def test_round_timeout_names_missing_parties():
     links, _, _ = open_in_process_links(2)
     srv = ServerRuntime(server, links, timeout=0.05)
     srv.start()
-    with pytest.raises(TransportError) as err:
-        srv.collect_gradients(0, lambda: [])
+    try:
+        with pytest.raises(TransportError) as err:
+            srv.collect_gradients(0)
+    finally:
+        srv.close()     # readers wait on their links with no timeout
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
@@ -484,7 +592,7 @@ def test_frame_claiming_another_party_is_rejected(msg_type):
         wait = srv.finalize_over_wire
     else:
         def wait():
-            return srv.collect_gradients(0, lambda: [])
+            return srv.collect_gradients(0)
     with pytest.raises(ProtocolError, match="claims party 0"):
         wait()
     for link in links:
@@ -513,7 +621,7 @@ def test_tcp_frame_with_a_nan_slot_fails_fast():
                                          encode_ciphertext(spoofed)))
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="non-finite") as err:
-            srv.collect_gradients(0, lambda: [])
+            srv.collect_gradients(0)
         assert time.monotonic() - start < 10.0
         assert isinstance(err.value.__cause__, WireError)
     finally:
@@ -608,7 +716,7 @@ def test_server_refuses_a_frame_for_another_round(transport, msg_type):
         start = time.monotonic()
         with pytest.raises(ProtocolError,
                            match="round 0 while the server is at round 1"):
-            srv.collect_gradients(1, lambda: [])
+            srv.collect_gradients(1)
         assert time.monotonic() - start < 10.0
     finally:
         close()

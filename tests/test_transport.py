@@ -51,6 +51,24 @@ def test_frame_round_trip_same_bytes_on_both_transports(tcp_links):
     assert tcp_acct.rx == queue_acct.rx
 
 
+def test_tcp_link_counts_each_frame_at_its_server_end(tcp_links):
+    # A TCP party runs in its own process, so its end of the link counts
+    # nothing; the server end counts a frame before sending it and after
+    # reading it.
+    server_links, party_links, acct = tcp_links
+    up = encode_frame(MsgType.GRADIENT, 0, 0, b"u" * 30)
+    party_links[0].send(up)
+    assert acct.totals() == (0, 0)
+    assert server_links[0].server_recv(10.0) == up
+    assert (acct.tx, acct.rx) == ({"party-0": len(up)}, {"server": len(up)})
+    down = encode_frame(MsgType.BOOTSTRAP_SHARE, 0, SERVER_ID, b"d" * 20)
+    server_links[0].server_send(down)
+    assert (acct.tx, acct.rx) == ({"party-0": len(up), "server": len(down)},
+                                  {"server": len(up), "party-0": len(down)})
+    assert party_links[0].recv(10.0) == down
+    assert acct.totals() == (len(up) + len(down), len(up) + len(down))
+
+
 def test_tcp_reader_refuses_an_oversized_frame_at_once(tcp_links):
     server_links, party_links, _ = tcp_links
     party_links[0].sock.sendall(struct.pack(">I", 2 ** 31) + bytes(64))
