@@ -14,8 +14,8 @@ on it:
 """
 
 from .engine import (CapacityError, CryptoContext, EngineError, KeyMismatchError,
-                     KeyShareSet, LevelExhaustedError, MissingPartyError,
-                     OpCounter, Plaintext, SlotVector, new_context)
+                     LevelExhaustedError, MissingPartyError, OpCounter,
+                     Plaintext, SlotVector, new_context)
 from .matrix import (PackedMatrix, PermutationSpec, apply_permutation,
                      build_permutation, decode_matrix, encode_matrix,
                      encode_rect_matrix, he_lin_trans, he_lin_trans_bsgs,

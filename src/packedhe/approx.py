@@ -6,23 +6,24 @@ sharpening family g_d (Cheon et al.'s f_n) is
     g_d(m) = sum_{i=0..d} (1/4^i) * C(2i, i) * m * (1 - m^2)^i,
 
 whose k-fold composition converges to the sign function on [-1,1] outside a
-shrinking dead zone around zero.  ``min_depth`` finds the smallest g_d-only
-composition depth reaching a 2**-sigma error outside [-delta, delta] by dense
-grid search, with the closed-form depth bound
+shrinking dead zone around zero.  The escape family esc_d
+(Cheon-Kim-Kim-Lee-Lee, ASIACRYPT 2020, section 3.5; their g_n, tabulated for
+d = 1..4) has a far steeper slope at zero but only lifts [x0, 1] into
+[0.748, 1).  A ``CompositePolySpec`` is one schedule: ``k_escape`` esc_d
+stages that carry the delta-neighbourhood of zero out to about 3/4, then
+``k_sharpen`` g_d stages that sharpen toward 1.
+
+One grid search finds every schedule.  ``for_closeness`` asks it for the
+shortest schedule reaching a 2**-sigma error outside [-delta, delta];
+``min_depth`` asks it for the shortest g_d-only one, so a schedule never
+exceeds ``min_depth``.  Without an escape table (d > 4) the two agree.  The
+closed-form depth bound
 
     ceil(log2(1/delta) / log2(p_d)) + ceil(log2(sigma - 1) / log2(d + 1)) + C
 
-serving as an asserted ceiling (p_d is g_d's linear coefficient; the additive
-constant C defaults to 2).
-
-The escape family esc_d (Cheon-Kim-Kim-Lee-Lee, ASIACRYPT 2020, section 3.5;
-their g_n) has a far steeper slope at zero but only lifts [x0, 1] into
-[0.748, 1).  A ``CompositePolySpec`` is one schedule: ``k_escape`` esc_d
-stages that carry the delta-neighbourhood of zero out to about 3/4, then
-``k_sharpen`` g_d stages that sharpen toward 1.  ``for_closeness`` picks the
-shortest such schedule meeting the grid check; it never exceeds ``min_depth``.
-The escape stages are safe only on [-1, 1], so every sign evaluation refuses
-inputs beyond 1 + 2**-sigma.
+caps the search with C = 2 (p_d is g_d's linear coefficient).  The escape
+stages are safe only on [-1, 1], so every sign evaluation refuses inputs
+beyond 1 + 2**-sigma.
 
 Every approximation is evaluable both on plain arrays and on slot-engine
 ciphertexts; the two paths walk one schedule with one arithmetic order per
@@ -124,15 +125,13 @@ class CompositePolySpec:
     """A k-stage sign schedule targeting (sigma, delta)-closeness.
 
     The schedule is ``k_escape`` esc_d stages followed by ``k_sharpen`` g_d
-    stages; ``coeffs`` and ``p_d`` describe g_d.
+    stages.
     """
 
     d: int
     k: int
     sigma: float
     delta: float
-    coeffs: tuple
-    p_d: float
     k_escape: int = 0
 
     @property
@@ -143,24 +142,22 @@ class CompositePolySpec:
     def schedule(self) -> tuple:
         """Odd-power coefficients of every stage, in evaluation order."""
         escape = (escape_coefficients(self.d),) if self.k_escape else ()
-        return escape * self.k_escape + (self.coeffs,) * self.k_sharpen
+        sharpen = (gd_coefficients(self.d),)
+        return escape * self.k_escape + sharpen * self.k_sharpen
 
     @classmethod
     def with_depth(cls, d: int, k: int) -> "CompositePolySpec":
         """k stages of g_d alone."""
         if k < 1:
             raise ValueError(f"composition depth must be >= 1, got {k}")
-        return cls(d, k, float("nan"), float("nan"), gd_coefficients(d), pd_constant(d))
+        return cls(d, k, float("nan"), float("nan"))
 
     @classmethod
-    def for_closeness(cls, d: int, sigma: float, delta: float,
-                      slack: int = 2) -> "CompositePolySpec":
+    def for_closeness(cls, d: int, sigma: float,
+                      delta: float) -> "CompositePolySpec":
         """The shortest escape-then-sharpen schedule passing the grid check."""
-        k_escape, k = (_shortest_schedule(d, sigma, delta, slack)
-                       if d in _ESCAPE_NUMERATORS
-                       else (0, min_depth(d, sigma, delta, slack=slack)))
-        return cls(d, k, sigma, delta, gd_coefficients(d), pd_constant(d),
-                   k_escape)
+        k_escape, k = _shortest_schedule(d, sigma, delta, escape=True)
+        return cls(d, k, sigma, delta, k_escape)
 
 
 def _check_sign_domain(values, spec: CompositePolySpec) -> None:
@@ -216,42 +213,32 @@ def depth_bound_formula(d: int, sigma: float, delta: float, slack: int = 2) -> i
     return escape + sharpen + slack
 
 
-@lru_cache(maxsize=None)
-def min_depth(d: int, sigma: float, delta: float, slack: int = 2,
-              grid_points: int = 100_000) -> int:
-    """Smallest k with max_{grid of [delta,1]} |g_d^(k) - 1| <= 2**-sigma.
+def min_depth(d: int, sigma: float, delta: float) -> int:
+    """Smallest k >= 1 with max_{grid of [delta,1]} |g_d^(k) - 1| <= 2**-sigma.
 
-    The grid search is the definition; the closed-form bound (plus ``slack``)
-    caps the search and is never exceeded in the supported domain.
+    The grid check is the definition; this is the schedule search without
+    escape stages, capped by the closed-form bound.
     """
-    bound = depth_bound_formula(d, sigma, delta, slack)
-    tol = 2.0 ** (-sigma)
-    vals = closeness_grid(delta, grid_points)
-    coeffs = gd_coefficients(d)
-    for k in range(1, bound + 1):
-        vals = _stage_plain(vals, coeffs)
-        if np.max(np.abs(vals - 1.0)) <= tol:
-            return k
-    raise RuntimeError(
-        f"grid search did not reach 2**-{sigma} within the depth bound {bound}")
+    return _shortest_schedule(d, sigma, delta, escape=False)[1]
 
 
 @lru_cache(maxsize=None)
-def _shortest_schedule(d: int, sigma: float, delta: float, slack: int = 2,
-                       grid_points: int = 100_000) -> tuple:
+def _shortest_schedule(d: int, sigma: float, delta: float, *,
+                       escape: bool) -> tuple:
     """(k_escape, k) of the shortest esc_d-then-g_d schedule on the grid.
 
-    Escape stages step the grid one at a time.  g_d is monotone on [0, 1]
-    with g_d(1) = 1, so the sharpening count after each escape prefix follows
-    from the image's minimum alone.  Stepping stops once no longer prefix can
-    win, since no minimum exceeds esc_d's maximum on [0, 1].  The chosen
-    schedule is then checked once on the full grid, continuing from the
-    stepped grid when it holds the chosen prefix.
+    g_d is monotone on [0, 1] with g_d(1) = 1, so the sharpening count after
+    each escape prefix follows from the image's minimum alone; with no prefix
+    that minimum is delta.  When ``escape`` holds and esc_d is tabulated,
+    escape stages step the grid one at a time.  Stepping stops once no
+    longer prefix can win, since no minimum exceeds esc_d's maximum on
+    [0, 1].  The chosen schedule, of at least one stage, is then checked once
+    on the full grid, continuing from the stepped grid when it holds the
+    chosen prefix.
     """
-    bound = depth_bound_formula(d, sigma, delta, slack)
+    bound = depth_bound_formula(d, sigma, delta)
     tol = 2.0 ** (-sigma)
     coeffs = gd_coefficients(d)
-    escape = escape_coefficients(d)
 
     def sharpen_stages(low: float) -> int:
         v = np.array([low])
@@ -261,25 +248,26 @@ def _shortest_schedule(d: int, sigma: float, delta: float, slack: int = 2,
             v = _stage_plain(v, coeffs)
         return bound + 1
 
-    fewest = sharpen_stages(np.max(_stage_plain(np.linspace(0.0, 1.0, 10_001),
-                                                escape)))
-    vals = closeness_grid(delta, grid_points)
-    best = (0, sharpen_stages(vals[0]))
+    vals = closeness_grid(delta)
+    best = (0, max(1, sharpen_stages(vals[0])))
     stepped = 0
-    while stepped + 1 + fewest < best[1]:
-        vals = _stage_plain(vals, escape)
-        stepped += 1
-        k = stepped + sharpen_stages(vals.min())
-        if k < best[1]:
-            best = (stepped, k)
+    if escape and d in _ESCAPE_NUMERATORS:
+        esc = escape_coefficients(d)
+        fewest = sharpen_stages(
+            np.max(_stage_plain(np.linspace(0.0, 1.0, 10_001), esc)))
+        while stepped + 1 + fewest < best[1]:
+            vals = _stage_plain(vals, esc)
+            stepped += 1
+            k = stepped + sharpen_stages(vals.min())
+            if k < best[1]:
+                best = (stepped, k)
     if best[1] > bound:
         raise RuntimeError(
             f"grid search did not reach 2**-{sigma} within the depth bound {bound}")
     if stepped != best[0]:
         del vals
-        vals, stepped = closeness_grid(delta, grid_points), 0
-    spec = CompositePolySpec(d, best[1], sigma, delta, coeffs, pd_constant(d),
-                             best[0])
+        vals, stepped = closeness_grid(delta), 0
+    spec = CompositePolySpec(d, best[1], sigma, delta, best[0])
     for stage in spec.schedule[stepped:]:
         vals = _stage_plain(vals, stage)
     err = np.max(np.abs(vals - 1.0))
@@ -303,12 +291,11 @@ def _ensure_level(ctx: CryptoContext, ct: SlotVector, need: int,
     return bootstrap(ct)
 
 
-def make_local_bootstrapper(ctx: CryptoContext, roster=None) -> BootstrapFn:
+def make_local_bootstrapper(ctx: CryptoContext) -> BootstrapFn:
     """Bootstrap callback that invokes the collective refresh directly."""
-    roster = tuple(ctx.parties) if roster is None else tuple(roster)
 
     def _refresh(ct: SlotVector) -> SlotVector:
-        return ctx.dbootstrap(ct, roster)
+        return ctx.dbootstrap(ct, ctx.parties)
 
     return _refresh
 

@@ -127,20 +127,6 @@ class OpCounter:
         return f"OpCounter({body})"
 
 
-@dataclass(frozen=True)
-class KeyShareSet:
-    """Roster binding for a collective key pair.
-
-    ``collective_key_tag`` is owned jointly by ``party_ids`` (all of them are
-    required for decryption, bootstrapping and key switching) while
-    ``server_key_tag`` is owned by the aggregation server alone.
-    """
-
-    party_ids: tuple
-    collective_key_tag: str
-    server_key_tag: str
-
-
 @dataclass(frozen=True, eq=False)
 class Plaintext:
     """Encoded (packed) plaintext vector at a fixed scale."""
@@ -344,17 +330,12 @@ class CryptoContext:
         self._scopes = _ScopeStacks()
         self._chains: dict = {}  # chain memo, see the module docstring
 
-        parties = tuple(f"party-{i}" for i in range(party_count))
+        self.parties = tuple(f"party-{i}" for i in range(party_count))
         self._key_owners: dict[str, tuple] = {}
-        self.keyset = KeyShareSet(parties, self.DEFAULT_KEY, self.SERVER_KEY)
-        self.register_key(self.DEFAULT_KEY, parties)
+        self.register_key(self.DEFAULT_KEY, self.parties)
         self.register_key(self.SERVER_KEY, ("server",))
 
     # ------------------------------------------------------------------ keys
-
-    @property
-    def parties(self) -> tuple:
-        return self.keyset.party_ids
 
     def register_key(self, tag: str, owners: Iterable[str]) -> None:
         owners = tuple(owners)

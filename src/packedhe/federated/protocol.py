@@ -41,8 +41,8 @@ from .. import matrix
 from ..approx import (CompositePolySpec, _ensure_level, app_sign,
                       make_local_bootstrapper, polyval_ct, smooth_fit)
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
-from ..matrix import (PackedMatrix, he_mat_mult, he_rect_mat_mult, he_transpose,
-                      pad_matrix)
+from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
+                      he_rect_mat_mult, he_transpose, pad_matrix)
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (TransportError, open_in_process_links,
@@ -96,10 +96,9 @@ class ModelState:
 
     weights: list           # per-layer PackedMatrix under the collective key
     iteration: int
-    plan: PadPlan
 
     def clone(self) -> "ModelState":
-        return ModelState(list(self.weights), self.iteration, self.plan)
+        return ModelState(list(self.weights), self.iteration)
 
 
 @dataclass
@@ -192,26 +191,20 @@ def init_weights(config: TrainingConfig, feature_dim: int):
     return mats, dims
 
 
-def prepare(config: TrainingConfig, feature_dim: int, party_ids=None):
+def prepare(config: TrainingConfig, feature_dim: int):
     """Key ceremony and model initialization.
 
     Creates the shared context (collective key owned by the N parties, a
     separate server key), encrypts the seeded initial weights, and hands every
     party an identical model copy.
     """
-    if party_ids is not None:
-        party_ids = list(party_ids)
-        if len(party_ids) != len(set(party_ids)):
-            raise ProtocolError(f"duplicate party ids: {party_ids}")
-        if len(party_ids) != config.party_count:
-            raise ProtocolError("party id list does not match party_count")
     plan = build_plan(config, feature_dim)
     ctx = new_context(plan.ring_dim, config.initial_level,
                       2.0 ** config.scale_bits, config.party_count)
     logical, dims = init_weights(config, feature_dim)
     weights = [matrix.encode_matrix(pad_matrix(w, plan.h, plan.h), ctx)
                for w in logical]
-    model = ModelState(weights, 0, plan)
+    model = ModelState(weights, 0)
     factor = config.learning_rate / (config.batch_size * config.party_count)
     server = ServerState(ctx, config, plan, model, dims,
                          ctx.encode(np.full(ctx.slot_count, factor)))
@@ -324,8 +317,8 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     gates = []
     current = x_ct
     for j, w in enumerate(party.model.weights):
-        lhs = _ensure_pm(comp, _as_rect(current, plan.t), 3)
-        rhs = _ensure_pm(comp, w, 3)
+        lhs = _ensure_pm(comp, _as_rect(current, plan.t), PRODUCT_DEPTH)
+        rhs = _ensure_pm(comp, w, PRODUCT_DEPTH)
         e = he_rect_mat_mult(lhs, rhs)
         m_ct, gate_ct = activation(comp, e.ct)
         m_ct = comp.mul_const(m_ct, party.consts.col_masks[j])
@@ -374,16 +367,18 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     for j in reversed(range(len(weights))):
         m_prev = _ensure_pm(comp, _as_square(below[j]), 2)
         m_t = he_transpose(m_prev)
-        g = he_mat_mult(_ensure_pm(comp, m_t, 3),
+        g = he_mat_mult(_ensure_pm(comp, m_t, PRODUCT_DEPTH),
                         _ensure_pm(comp, _as_square(
-                            PackedMatrix(delta, plan.h, plan.h, 1)), 3))
+                            PackedMatrix(delta, plan.h, plan.h, 1)),
+                            PRODUCT_DEPTH))
         grads[j] = PackedMatrix(comp.mul_const(g.ct, consts.grad_scale),
                                 plan.h, plan.h, 1)
         if j > 0:
             w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
             d_pm = he_rect_mat_mult(
-                _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1), 3),
-                _ensure_pm(comp, w_t, 3))
+                _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
+                           PRODUCT_DEPTH),
+                _ensure_pm(comp, w_t, PRODUCT_DEPTH))
             delta = d_pm.ct
             if trace.gates[j - 1] is not None:
                 delta = comp.mul(delta, trace.gates[j - 1].ct)
@@ -424,7 +419,7 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
         # Refresh so the next round's products have their full budget.
         new_ct = ctx.dbootstrap(new_ct, ctx.parties)
         new_weights.append(PackedMatrix(new_ct, plan.h, plan.h, 1))
-    server.model = ModelState(new_weights, server.model.iteration + 1, plan)
+    server.model = ModelState(new_weights, server.model.iteration + 1)
     return server.model
 
 
@@ -533,7 +528,7 @@ class PartyRuntime:
         plan = state.plan
         state.model = ModelState(
             [PackedMatrix(ct, plan.h, plan.h, 1) for ct in weight_cts],
-            round_no, plan)
+            round_no)
         x, y = state.shard
         rows = state.schedule[round_no][state.party_id]
         trace = local_forward(state, x[rows], bootstrap=self._bootstrap)
@@ -920,10 +915,10 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     poly_act = PlainActivation(config.activation)
 
     if transport == "in_process":
-        links, acct, listener = open_in_process_links(config.party_count)
-        server_links = party_links = links
+        server_links, party_links, acct = open_in_process_links(
+            config.party_count)
     elif transport == "tcp":
-        server_links, party_links, acct, listener = open_tcp_links(
+        server_links, party_links, acct = open_tcp_links(
             config.party_count, max_frame_body(server.ctx.slot_count))
     else:
         raise ProtocolError(f"unknown transport {transport!r}")
@@ -941,7 +936,7 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
                 hosts.append(_PartyThread(
                     PartyRuntime(state, party_links[p], timeout)))
                 continue
-            inherited = [listener, *(h.pipe for h in hosts),
+            inherited = [*(h.pipe for h in hosts),
                          *(link.sock for link in server_links + party_links
                            if link is not party_links[p])]
             hosts.append(_PartyProcess(state, party_links[p], timeout,
@@ -980,8 +975,6 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         srv.close()
         for link in party_links:
             link.close()
-        if listener is not None:
-            listener.close()
     for p, host in enumerate(hosts):
         err = host.failure()
         if err is not None:

@@ -191,20 +191,24 @@ class SocketLink:
 
 
 def open_in_process_links(party_count: int):
+    """(server_links, party_links, accounting); one queue pair per party
+    serves as both ends."""
     acct = ByteAccounting()
-    return [QueueLink(p, acct) for p in range(party_count)], acct, None
+    links = [QueueLink(p, acct) for p in range(party_count)]
+    return links, links, acct
 
 
 def open_tcp_links(party_count: int, max_body: int, host: str = "127.0.0.1",
                    connect_timeout: float = 10.0):
     """Listen on an ephemeral port and connect one socket pair per party.
 
-    Returns (server_links, party_links, accounting, listener): server_links
-    are the server-side endpoints indexed by party id, party_links the party
+    Returns (server_links, party_links, accounting): server_links are the
+    server-side endpoints indexed by party id, party_links the party
     endpoints.  Every link reads frames of at most ``max_body`` body bytes.
     Each party names itself with a 2-byte id.  Raises ``TransportError`` when
     a party does not connect and name itself within ``connect_timeout``, or
-    names an id that is out of range or already taken.
+    names an id that is out of range or already taken.  The listener is
+    closed once every party has connected, or on the first failure.
     """
     acct = ByteAccounting()
     listener = socket.create_server((host, 0))
@@ -255,6 +259,7 @@ def open_tcp_links(party_count: int, max_body: int, host: str = "127.0.0.1",
         for s in accepted + list(party_socks.values()):
             s.close()
         raise
+    listener.close()
     for t in threads:
         t.join()
 
@@ -262,4 +267,4 @@ def open_tcp_links(party_count: int, max_body: int, host: str = "127.0.0.1",
                     for p in range(party_count)]
     party_links = [SocketLink(party_socks[p], p, "party", acct, max_body)
                    for p in range(party_count)]
-    return server_links, party_links, acct, listener
+    return server_links, party_links, acct

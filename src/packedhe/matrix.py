@@ -66,6 +66,10 @@ PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpos
 # therefore needs the packed image to wrap exactly at the slot boundary.
 _WRAPPING_KINDS = ("tau_zeta", "row_shift")
 
+# Multiplicative levels one packed product consumes: the sigma/tau alignment,
+# the masked shift stages and the stage products, one rescale each.
+PRODUCT_DEPTH = 3
+
 
 @dataclass(frozen=True, eq=False)
 class PermutationSpec:
@@ -194,23 +198,17 @@ def _validate_dims(ctx: CryptoContext, h: int, beta: int) -> None:
             f"context offers {ctx.slot_count}")
 
 
-def encode_matrix(values, ctx: CryptoContext, beta: int = 1, beta_slot: int = 0,
-                  key_tag: str | None = None) -> PackedMatrix:
-    """Encrypt one square matrix at batch position ``beta_slot`` (stride beta)."""
+def encode_matrix(values, ctx: CryptoContext) -> PackedMatrix:
+    """Encrypt one square matrix; ``pack_matrices`` interleaves several."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CapacityError(f"expected a square matrix, got shape {arr.shape}")
     h = arr.shape[0]
-    _validate_dims(ctx, h, beta)
-    if not 0 <= beta_slot < beta:
-        raise CapacityError(f"batch position {beta_slot} outside 0..{beta - 1}")
-    window = np.zeros(beta * h * h)
-    window[beta_slot::beta][: h * h] = arr.ravel()
-    return PackedMatrix(ctx.encrypt(ctx.encode(window), key_tag), h, h, beta)
+    _validate_dims(ctx, h, 1)
+    return PackedMatrix(ctx.encrypt(ctx.encode(arr)), h, h, 1)
 
 
-def pack_matrices(matrices, ctx: CryptoContext,
-                  key_tag: str | None = None) -> PackedMatrix:
+def pack_matrices(matrices, ctx: CryptoContext) -> PackedMatrix:
     """Encrypt a list of equal-sized square matrices interleaved in one ciphertext."""
     mats = [np.asarray(m, dtype=np.float64) for m in matrices]
     beta = len(mats)
@@ -222,37 +220,28 @@ def pack_matrices(matrices, ctx: CryptoContext,
     window = np.zeros(beta * h * h)
     for slot, m in enumerate(mats):
         window[slot::beta][: h * h] = m.ravel()
-    return PackedMatrix(ctx.encrypt(ctx.encode(window), key_tag), h, h, beta)
+    return PackedMatrix(ctx.encrypt(ctx.encode(window)), h, h, beta)
 
 
-def encode_rect_matrix(values, ctx: CryptoContext, h: int | None = None,
-                       key_tag: str | None = None) -> PackedMatrix:
+def encode_rect_matrix(values, ctx: CryptoContext) -> PackedMatrix:
     """Encrypt a t x h matrix as h/t vertically stacked copies (t must divide h)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise CapacityError(f"expected a 2-d matrix, got shape {arr.shape}")
-    t, width = arr.shape
-    h = width if h is None else h
-    if width != h:
-        raise CapacityError(f"row width {width} must equal the packing side {h}")
+    t, h = arr.shape
     if h % t != 0:
         raise CapacityError(f"logical row count {t} must divide the side {h}")
     _validate_dims(ctx, h, 1)
     image = np.tile(arr, (h // t, 1))
-    return PackedMatrix(ctx.encrypt(ctx.encode(image.ravel()), key_tag), h, t, 1)
+    return PackedMatrix(ctx.encrypt(ctx.encode(image.ravel())), h, t, 1)
 
 
-def decode_matrix(pm: PackedMatrix, beta_slot: int = 0, roster=None) -> np.ndarray:
-    """Collectively decrypt one h x h image from a packed matrix.
-
-    The roster defaults to the full party set of the owning context, which is
-    always available inside the simulation.
-    """
+def decode_matrix(pm: PackedMatrix, beta_slot: int = 0) -> np.ndarray:
+    """Collectively decrypt one h x h image with every owner of its key."""
     ctx = _ctx_of(pm)
     if not 0 <= beta_slot < pm.batch_beta:
         raise CapacityError(f"batch position {beta_slot} outside the packing")
-    roster = ctx.key_owners(pm.ct.key_tag) if roster is None else roster
-    slots = ctx.decode(ctx.ddec(pm.ct, roster))
+    slots = ctx.decode(ctx.ddec(pm.ct, ctx.key_owners(pm.ct.key_tag)))
     h = pm.dim_h
     window = slots[: pm.window][beta_slot::pm.batch_beta][: h * h]
     return window.reshape(h, h)
@@ -383,8 +372,7 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
 # ----------------------------------------------------------- matrix products
 
 
-def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
-                            min_level: int) -> CryptoContext:
+def _require_product_layout(a: PackedMatrix, b: PackedMatrix) -> CryptoContext:
     ctx = _ctx_of(a)
     if b.ct.context_id != a.ct.context_id:
         raise CapacityError("operands live in different contexts")
@@ -399,9 +387,9 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
             f"matrix products need an exact-fit packing (cyclic row shifts): "
             f"window {a.window} != slot_count {ctx.slot_count}")
     levels = min(a.ct.level, b.ct.level)
-    if levels < min_level:
+    if levels < PRODUCT_DEPTH:
         raise LevelExhaustedError(
-            f"operation consumes {min_level} multiplicative levels; "
+            f"operation consumes {PRODUCT_DEPTH} multiplicative levels; "
             f"operands are at level {levels}")
     return ctx
 
@@ -430,7 +418,7 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     if a.rows_t != a.dim_h or b.rows_t != b.dim_h:
         raise CapacityError("he_mat_mult expects square payloads; "
                             "use he_rect_mat_mult for stacked rectangular forms")
-    ctx = _require_product_layout(a, b, 3)
+    ctx = _require_product_layout(a, b)
     return PackedMatrix(_product(ctx, a, b, a.dim_h), a.dim_h, a.dim_h,
                         a.batch_beta)
 
@@ -461,7 +449,7 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     h = a.dim_h
     if h % t != 0:
         raise CapacityError(f"logical row count {t} must divide the side {h}")
-    ctx = _require_product_layout(a, b, 3)
+    ctx = _require_product_layout(a, b)
     acc = _product(ctx, a, b, t)
 
     # Fold the h/t stacked partial blocks; exact-fit packing makes the

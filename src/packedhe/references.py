@@ -62,7 +62,7 @@ def _perm_col_aligned(h: int, k: int, n: int) -> np.ndarray:
 
 def naive_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """O(h^3)-rotation product: 2h generic transforms of h^2 diagonals each."""
-    ctx = _require_product_layout(a, b, 3)
+    ctx = _require_product_layout(a, b)
     h, n = a.dim_h, ctx.slot_count
     acc = None
     for k in range(h):
@@ -88,7 +88,7 @@ def _extract(ctx: CryptoContext, ct: SlotVector, sources: np.ndarray) -> SlotVec
 
 def diagonal_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """O(h^2)-rotation product via per-diagonal / per-column ciphertexts."""
-    ctx = _require_product_layout(a, b, 3)
+    ctx = _require_product_layout(a, b)
     h = a.dim_h
     i = np.arange(h)
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from packedhe import engine
-from packedhe.approx import (CompositePolySpec, IntervalMap, app_abs, app_max,
-                             app_relu, app_sign, closeness_grid,
-                             escape_coefficients, eval_composite, eval_gd,
+from packedhe.approx import (MAX_DEGREE_PARAM, CompositePolySpec, IntervalMap,
+                             app_abs, app_max, app_relu, app_sign,
+                             closeness_grid, escape_coefficients,
+                             eval_composite, eval_gd,
                              gd_coefficient_fractions,
                              gd_coefficients, interval_denormalize,
                              interval_normalize, make_local_bootstrapper,
@@ -425,8 +426,7 @@ def test_rejected_odd_poly_stage_stores_and_meters_nothing(case, error):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_escape_stage_properties(d):
     x = np.linspace(0.0, 1.0, 1_000_001)
-    one_stage = CompositePolySpec(d, 1, float("nan"), float("nan"),
-                                  gd_coefficients(d), pd_constant(d), k_escape=1)
+    one_stage = CompositePolySpec(d, 1, float("nan"), float("nan"), k_escape=1)
     g = eval_composite(x, one_stage)
     assert np.all(g >= 0.0) and np.all(g < 1.0)
     first = int(np.argmax(g >= 0.75))          # x0: the first point reaching 3/4
@@ -458,6 +458,27 @@ def test_schedule_meets_closeness_within_min_depth(d, sigma, delta):
 def test_schedule_lengths_at_sigma_20(d, k):
     spec = CompositePolySpec.for_closeness(d, 20.0, 2.0 ** -20)
     assert spec.k == k and spec.k_escape > 0
+
+
+@pytest.mark.parametrize("d, sigma, delta, depth, schedule", [
+    (1, 20.0, 2.0 ** -20, 38, (19, 23)),
+    (2, 10.0, 2.0 ** -10, 13, (6, 8)),
+    (3, 12.0, 2.0 ** -6, 7, (2, 5)),
+    (5, 20.0, 2.0 ** -20, 16, (0, 16)),
+    (6, 12.0, 2.0 ** -6, 5, (0, 5)),
+    (7, 16.0, 2.0 ** -14, 10, (0, 10)),
+    (8, 30.0, 2.0 ** -30, 19, (0, 19)),
+])
+def test_search_depths_and_schedules(d, sigma, delta, depth, schedule):
+    spec = CompositePolySpec.for_closeness(d, sigma, delta)
+    assert min_depth(d, sigma, delta) == depth
+    assert (spec.k_escape, spec.k) == schedule
+
+
+@pytest.mark.parametrize("d", range(1, MAX_DEGREE_PARAM + 1))
+def test_schedule_has_at_least_one_stage(d):
+    # At sigma = 1, delta = 1/2 the grid already passes with no stage.
+    assert CompositePolySpec.for_closeness(d, 1.0, 0.5).k == 1
 
 
 def test_with_depth_stays_sharpen_only():

@@ -62,12 +62,6 @@ def test_prepare_rejects_zero_parties():
         small_config(party_count=0)
 
 
-def test_prepare_rejects_duplicate_ids():
-    config = small_config(party_count=2)
-    with pytest.raises(ProtocolError):
-        prepare(config, 4, party_ids=["a", "a"])
-
-
 def test_weight_init_bounds():
     config = small_config(neurons=(8, 2), seed=11)
     server, _ = prepare(config, feature_dim=9)
@@ -608,7 +602,7 @@ def test_tcp_frame_with_a_nan_slot_fails_fast():
     config = small_config(party_count=2, global_iters=1)
     server, _ = prepare(config, feature_dim=2)
     ctx = server.ctx
-    server_links, party_links, _, listener = open_tcp_links(
+    server_links, party_links, _ = open_tcp_links(
         2, max_frame_body(ctx.slot_count))
     srv = ServerRuntime(server, server_links, timeout=30.0)
     srv.start()
@@ -627,7 +621,6 @@ def test_tcp_frame_with_a_nan_slot_fails_fast():
     finally:
         for link in server_links + party_links:
             link.close()
-        listener.close()
 
 
 def _open_links(transport, count, slot_count):
@@ -635,18 +628,13 @@ def _open_links(transport, count, slot_count):
     from packedhe.federated.transport import (open_in_process_links,
                                               open_tcp_links)
     from packedhe.federated.wire import max_frame_body
-    if transport == "tcp":
-        server_links, party_links, _, listener = open_tcp_links(
-            count, max_frame_body(slot_count))
-    else:
-        server_links, _, listener = open_in_process_links(count)
-        party_links = server_links
+    server_links, party_links, _ = (
+        open_tcp_links(count, max_frame_body(slot_count)) if transport == "tcp"
+        else open_in_process_links(count))
 
     def close():
         for link in set(server_links) | set(party_links):
             link.close()
-        if listener is not None:
-            listener.close()
     return server_links, party_links, close
 
 

@@ -18,11 +18,10 @@ MAX_BODY = 1 << 20
 
 @pytest.fixture
 def tcp_links():
-    server_links, party_links, acct, listener = open_tcp_links(2, MAX_BODY)
+    server_links, party_links, acct = open_tcp_links(2, MAX_BODY)
     yield server_links, party_links, acct
     for link in server_links + party_links:
         link.close()
-    listener.close()
 
 
 def test_tcp_links_set_nodelay_on_both_ends(tcp_links):
