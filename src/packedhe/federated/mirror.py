@@ -18,6 +18,34 @@ from ..approx import (CompositePolySpec, _sign_plain, polyval_plain,
 from ..matrix import pad_matrix
 from .config import ActivationConfig, TrainingConfig, one_hot
 
+# Multiply-adds per BLAS call.  OpenBLAS runs a product of up to about 1M
+# multiply-adds on the calling thread; above that it wakes a worker thread,
+# which goes on spinning after the product (about 140 ms of CPU per training
+# job on a 2-vCPU VM) and so takes a core from the parties.  2**18 keeps a
+# safe margin under that ceiling.
+_MATMUL_BUDGET = 2 ** 18
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in row blocks of at most ``_MATMUL_BUDGET`` multiply-adds.
+
+    For the twin's shapes OpenBLAS's gemm sums each output row in the same
+    order whatever block holds it, so the result equals one ``a @ b`` bit
+    for bit.  The blocks are of even size: a one-row block would go to
+    gemv, which sums in another order.
+    """
+    rows = max(1, _MATMUL_BUDGET // b.size)
+    if len(a) <= rows:
+        # One block: the loop's own cost would exceed that of the small
+        # products a training step makes.
+        return a @ b
+    blocks = -(-len(a) // rows)
+    edges = [len(a) * i // blocks for i in range(blocks + 1)]
+    out = np.empty((len(a), b.shape[1]), np.result_type(a, b))
+    for lo, hi in zip(edges, edges[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
 
 class PlainActivation:
     """Plain forward value and derivative gate for one activation config."""
@@ -73,7 +101,7 @@ class PlainPipeline:
         acts = [xb]
         gates = []
         for j, w in enumerate(self.weights):
-            e = acts[-1] @ w
+            e = _matmul(acts[-1], w)
             m, gate = self.activation(e)
             m = m * plan.col_masks[j]
             acts.append(m)
@@ -89,9 +117,9 @@ class PlainPipeline:
 
         grads = [None] * len(self.weights)
         for j in reversed(range(len(self.weights))):
-            grads[j] = acts[j].T @ delta
+            grads[j] = _matmul(acts[j].T, delta)
             if j > 0:
-                delta = delta @ self.weights[j].T
+                delta = _matmul(delta, self.weights[j].T)
                 if gates[j - 1] is not None:
                     delta = delta * gates[j - 1]
         return grads
@@ -122,7 +150,7 @@ def scores_with_weights(weights, plan, activation: PlainActivation,
     """
     m = pad_matrix(x, len(x), plan.h)
     for w, n in zip(weights, plan.neurons):
-        e = m @ w
+        e = _matmul(m, w)
         m = np.zeros_like(e)
         m[:, :n], _ = activation(e[:, :n])
     return m[:, : plan.classes]

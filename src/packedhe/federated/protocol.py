@@ -43,6 +43,7 @@ from ..approx import (CompositePolySpec, _ensure_level, app_sign,
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
                       he_rect_mat_mult, he_transpose, pad_matrix)
+from ..validation import check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (TransportError, open_in_process_links,
@@ -595,7 +596,7 @@ class ServerRuntime:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
-        self._ks_acks: dict = {}   # round -> ids of the parties that consented
+        self._ks_shares: dict = {}   # round -> {party id: key-switch shares}
         self._reader_errors: list = []
         self._closing = False
         self._readers = [threading.Thread(target=self._read_loop, args=(p,),
@@ -638,8 +639,15 @@ class ServerRuntime:
                             (frame.round, pid), []).append(ct)
                         self._arrived.notify_all()
                 elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
+                    # One share answers one weight's request.
+                    layers = self.server.config.layers
                     with self._arrived:
-                        self._ks_acks.setdefault(frame.round, set()).add(pid)
+                        shares = self._ks_shares.setdefault(frame.round, {})
+                        if shares.get(pid, 0) == layers:
+                            raise ProtocolError(
+                                f"party {pid} sent more than {layers} "
+                                f"key-switch shares for round {frame.round}")
+                        shares[pid] = shares.get(pid, 0) + 1
                         self._arrived.notify_all()
                 else:
                     raise ProtocolError(
@@ -703,16 +711,19 @@ class ServerRuntime:
                     encode_ciphertext(w.ct)))
 
         def acked():
-            stale = sorted(set(self._ks_acks) - {round_no})
+            # Every party consents to re-key every weight, or none is.
+            stale = sorted(set(self._ks_shares) - {round_no})
             if stale:
                 raise ProtocolError(
                     f"key-switch share for round {stale[0]} while "
                     f"finalizing round {round_no}")
-            return len(self._ks_acks.get(round_no, ())) == config.party_count
+            shares = self._ks_shares.get(round_no, {})
+            return all(shares.get(p, 0) == config.layers
+                       for p in range(config.party_count))
         self._wait(acked, lambda: "key switch timed out")
         parties = self.server.ctx.parties
         with self._arrived:
-            roster = [parties[p] for p in sorted(self._ks_acks[round_no])]
+            roster = [parties[p] for p in sorted(self._ks_shares[round_no])]
         return finalize(self.server, roster)
 
     def shutdown(self) -> None:
@@ -847,6 +858,18 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
+def _class_labels(y, classes: int, name: str) -> np.ndarray:
+    """``y`` as int64 class indices in ``[0, classes)``, else ``ProtocolError``."""
+    try:
+        y = check_labels(y, name)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+    if len(y) and y.max() >= classes:
+        raise ProtocolError(f"{name} holds label {y.max()}, but the model "
+                            f"has {classes} classes")
+    return y
+
+
 @dataclass
 class TrainingResult:
     final_weights: list          # logical (unpadded) numpy arrays
@@ -874,13 +897,17 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     that fails makes the job raise ``ProtocolError`` from the party's error
     without waiting out ``timeout``, which bounds the wait for a silent
     party.  No child outlives the call: each is joined, and killed if it has
-    not ended within 10 s of the job's end.
+    not ended within 10 s of the job's end.  Labels that are not integers
+    in ``[0, config.neurons[-1])``, in a shard or the test set, raise
+    ``ProtocolError`` before any party starts.
     """
     if len(party_datasets) != config.party_count:
         raise ProtocolError(
             f"{len(party_datasets)} datasets for {config.party_count} parties")
-    shards = [(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64))
-              for x, y in party_datasets]
+    classes = config.neurons[-1]
+    shards = [(np.asarray(x, dtype=np.float64),
+               _class_labels(y, classes, f"party {p}'s y"))
+              for p, (x, y) in enumerate(party_datasets)]
     feature_dim = shards[0][0].shape[1]
     for x, y in shards:
         if x.shape[1] != feature_dim:
@@ -889,6 +916,12 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
             raise ProtocolError("feature/label row counts differ")
         if len(x) < 1:
             raise ProtocolError("every party needs at least one sample")
+    if test_set is not None:
+        test_x = np.asarray(test_set[0], dtype=np.float64)
+        test_y = _class_labels(test_set[1], classes, "the test set's y")
+        if test_x.shape[1:] != (feature_dim,):
+            raise ProtocolError("test set feature dimension differs from "
+                                "the parties'")
 
     server, parties = prepare(config, feature_dim)
     plan = server.plan
@@ -906,12 +939,6 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     train_y = np.concatenate([y for _, y in shards])
     if test_set is None:
         test_x, test_y = train_x[:0], train_y[:0]
-    else:
-        test_x = np.asarray(test_set[0], dtype=np.float64)
-        test_y = np.asarray(test_set[1], dtype=np.int64)
-        if test_x.shape[1:] != (feature_dim,):
-            raise ProtocolError("test set feature dimension differs from "
-                                "the parties'")
     poly_act = PlainActivation(config.activation)
 
     if transport == "in_process":

@@ -28,8 +28,8 @@ def check_labels(y, name: str = "y") -> np.ndarray:
         if not np.array_equal(cast, arr):
             raise ValueError(f"{name} must hold integer class labels")
         arr = cast
-    if arr.min() < 0:
-        raise ValueError(f"{name} labels must be non-negative")
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{name} must hold non-negative class labels")
     return arr.astype(np.int64)
 
 

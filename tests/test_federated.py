@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -363,6 +365,79 @@ def test_scores_equal_the_full_width_pass(kind, exact):
     assert got.tobytes() == want.tobytes()
 
 
+def _one_product_scores(weights, plan, activation, x):
+    """The accuracy pass with each layer's product as one ``@``."""
+    m = matrix.pad_matrix(x, len(x), plan.h)
+    for w, n in zip(weights, plan.neurons):
+        e = m @ w
+        m = np.zeros_like(e)
+        m[:, :n], _ = activation(e[:, :n])
+    return m[:, : plan.classes]
+
+
+def test_blocked_scores_equal_one_product_per_layer():
+    from packedhe.federated import mirror
+    x, y = make_synthetic_classification(600, 60, 2, seed=7)
+    est = FederatedPolyMLP(hidden_neurons=(32,), activation="identity",
+                           rounds=1, parties=2, batch_size=16, seed=7).fit(x, y)
+    assert est.plan_.h == 64
+    # The pass is blocked: 600 rows of a 64 x 64 product exceed the budget.
+    assert 600 * 64 * 64 > mirror._MATMUL_BUDGET
+    want = _one_product_scores(est.weights_, est.plan_, est._activation, x)
+    assert est.decision_function(x).tobytes() == want.tobytes()
+    for kind in ("approx_relu", "approx_sigmoid"):
+        activation = mirror.PlainActivation(ActivationConfig(kind=kind))
+        got = mirror.scores_with_weights(est.weights_, est.plan_, activation, x)
+        want = _one_product_scores(est.weights_, est.plan_, activation, x)
+        assert got.tobytes() == want.tobytes()
+
+
+_IDLE_WORKER_JOB = """
+import os, threading, time
+from packedhe.federated import config as fc, protocol
+
+def cpu_ns(tids):
+    out = {}
+    for tid in tids:
+        try:
+            with open(f"/proc/self/task/{tid}/schedstat") as fh:
+                out[tid] = int(fh.read().split()[0])
+        except FileNotFoundError:   # the thread has ended
+            pass
+    return out
+
+x, y = fc.make_synthetic_classification(600, 60, 2, seed=3)
+shards = fc.split_parties(x, y, 2, seed=3)
+config = fc.TrainingConfig(neurons=(32, 2), learning_rate=0.1, global_iters=3,
+                           batch_size=16, party_count=2, seed=3,
+                           activation=fc.ActivationConfig(kind="identity"))
+time.sleep(0.5)
+main = threading.get_native_id()
+before = cpu_ns(t for t in os.listdir("/proc/self/task") if int(t) != main)
+protocol.run_training(config, shards)
+time.sleep(0.3)     # a spinning worker goes on after the job's last product
+after = cpu_ns(before)
+print(sum(after[t] - before[t] for t in after) / 1e6)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task/%d/schedstat"
+                                       % threading.get_native_id()),
+                    reason="needs per-thread CPU times in /proc")
+def test_no_blas_worker_runs_during_a_wide_job():
+    # The threads that exist before the job, the main thread aside, are
+    # the BLAS library's workers.  A product large enough for OpenBLAS to
+    # thread leaves one spinning: about 140 ms of CPU on a 2-vCPU VM.
+    import packedhe
+    src = os.path.dirname(os.path.dirname(packedhe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IDLE_WORKER_JOB], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert float(out.stdout) < 10.0
+
+
 @pytest.fixture(scope="module")
 def relu_benchmark_metrics():
     """``metrics`` of one run per transport at the benchmark's relu shape."""
@@ -688,6 +763,79 @@ def test_keyswitch_share_for_another_round_fails_fast(transport):
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_duplicated_keyswitch_share_fails_fast(transport):
+    from packedhe.federated.wire import MsgType, encode_frame
+    config = small_config(party_count=2, global_iters=1, neurons=(4, 2))
+    server, _ = prepare(config, feature_dim=2)
+    server.model.iteration = config.global_iters
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        # Party 0 answers its first request twice; party 1 has not answered.
+        for _ in range(config.layers + 1):
+            party_links[0].send(encode_frame(MsgType.KEYSWITCH_SHARE,
+                                             config.global_iters, 0))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="more than 2 key-switch"):
+            srv.finalize_over_wire()
+        assert time.monotonic() - start < 10.0
+    finally:
+        close()
+
+
+class _OneShareThenClose:
+    """A party's link that, once the party has sent one key-switch share,
+    stays silent for half a second, closes and hands the party DONE, so
+    the party ends without an error."""
+
+    def __init__(self, link):
+        self.link = link
+        self.closed = False
+
+    def send(self, frame):
+        from packedhe.federated.wire import MsgType, decode_frame
+        self.link.send(frame)
+        if decode_frame(frame).msg_type == MsgType.KEYSWITCH_SHARE:
+            # Time enough for a server that counts one share as consent to
+            # every weight to re-key before the close wakes it.
+            time.sleep(0.5)
+            self.link.close()
+            self.closed = True
+
+    def recv(self, timeout=None):
+        from packedhe.federated.wire import SERVER_ID, MsgType, encode_frame
+        if self.closed:
+            return encode_frame(MsgType.DONE, 0, SERVER_ID)
+        return self.link.recv(timeout)
+
+    def close(self):
+        self.link.close()
+
+
+def test_a_party_that_consents_to_one_weight_of_two_fails_the_job(
+        monkeypatch):
+    from packedhe.federated.protocol import PartyRuntime
+    real_run = PartyRuntime.run
+
+    def run(runtime):
+        if runtime.state.party_id == 1:
+            runtime.link = _OneShareThenClose(runtime.link)
+        real_run(runtime)
+    monkeypatch.setattr(PartyRuntime, "run", run)
+    finalized = []
+    monkeypatch.setattr(protocol, "finalize",
+                        lambda *args, **kw: finalized.append(1))
+    x, y = blob_data(samples=20, features=3, seed=15)
+    config = small_config(party_count=2, global_iters=1, neurons=(4, 2))
+    assert config.layers == 2
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 1 link failed"):
+        run_training(config, split_parties(x, y, 2, seed=5),
+                     transport="in_process", timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert finalized == []
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
 @pytest.mark.parametrize("msg_type", ["BOOTSTRAP_REQ", "GRADIENT"])
 def test_server_refuses_a_frame_for_another_round(transport, msg_type):
     from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
@@ -793,6 +941,30 @@ def test_dataset_count_must_match_parties():
     config = small_config(party_count=3)
     with pytest.raises(ProtocolError):
         run_training(config, [(x, y)])
+
+
+@pytest.mark.parametrize("where", ["shard", "test set"])
+@pytest.mark.parametrize("label, want", [
+    (1.7, "integer class labels"),
+    (-1, "non-negative class labels"),
+    (2, "holds label 2, but the model has 2 classes"),
+], ids=["fraction", "negative", "beyond the classes"])
+def test_bad_labels_are_refused_before_any_party_starts(where, label, want):
+    # Unchecked, 1.7 would train as 1, -1 as the last class, and 2 would
+    # fail inside a party with IndexError.
+    x, y = blob_data(samples=20, features=3, seed=15)
+    shards = split_parties(x, y.astype(np.float64), 2, seed=5)
+    test_set = (x[:6], y[:6].astype(np.float64))
+    if where == "shard":
+        shards[1][1][3] = label
+    else:
+        test_set[1][2] = label
+    threads = set(threading.enumerate())
+    with pytest.raises(ProtocolError, match=want):
+        run_training(small_config(party_count=2, global_iters=1), shards,
+                     transport="tcp", test_set=test_set, timeout=30.0)
+    assert set(threading.enumerate()) == threads
+    assert_no_party_outlives_the_job()
 
 
 def test_schedule_is_deterministic_and_cyclic():
