@@ -10,7 +10,8 @@ Subcommands:
                     and per-party CSV datasets
 * ``microbench``    wall time and meter deltas of individual operations
 
-Exit status is 0 iff every assertion embedded in the produced reports passed.
+Exit status is 0 iff every assertion embedded in the produced reports passed;
+input the program refuses prints an ``error:`` line and exits with 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .approx import (CompositePolySpec, app_sign, closeness_grid,
 from .bench import BenchReport, write_report
 from .engine import new_context
 from .federated.config import config_from_dict, load_dataset_csv
-from .federated.protocol import run_training
+from .federated.protocol import ProtocolError, run_training
 from .matrix import matmul_rotation_formula
 
 
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         reports = args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = True

@@ -18,10 +18,13 @@ refresh shares and gradients name their round; a frame of another round
 than the current one raises ``ProtocolError``.
 
 ``run_training`` hosts each in-process party on a thread of its own and each
-TCP party in a forked child process, so over TCP the parties, the server's
-link readers and its main thread run on separate interpreters.  A child
-meters its ops on its forked copy of the context and reports them to the
-server over an unmetered pipe before each round's gradients; the server
+TCP party in a forked child process.  In process, the server handles each
+party frame on the thread that sends it, so a job runs the main thread and
+one thread per party, and a refresh is a call, not a hop between threads.
+Over TCP, a reader thread of the server's serves each link, so the parties,
+the readers and the server's main thread run on separate interpreters.  A
+child meters its ops on its forked copy of the context and reports them to
+the server over an unmetered pipe before each round's gradients; the server
 books them on its own meter, so ``metrics["rounds"][i]["ops"]`` covers
 every node on both transports.  A party that fails closes its link (a child
 by exiting), which wakes the waiting server: it raises ``ProtocolError``
@@ -30,6 +33,7 @@ from the party's error at once, and every job reaps its children.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import threading
@@ -46,10 +50,11 @@ from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
 from ..validation import check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
-from .transport import (TransportError, open_in_process_links,
+from .transport import (QueueLink, TransportError, open_in_process_links,
                         open_tcp_links)
-from .wire import SERVER_ID, MsgType, WireError, decode_ciphertext, \
-    decode_frame, encode_ciphertext, encode_frame, max_frame_body
+from .wire import (SERVER_ID, MsgType, WireError, decode_ciphertext,
+                   decode_frame, decode_share_index, encode_ciphertext,
+                   encode_frame, encode_share_index, max_frame_body)
 
 DEFAULT_TIMEOUT = 300.0
 _REAP_S = 10.0   # how long a job waits for a party or reader to end
@@ -548,6 +553,7 @@ class PartyRuntime:
         try:
             layers = self.state.config.layers
             pending: list = []
+            requests = 0   # key-switch requests answered
             while True:
                 frame = decode_frame(self.link.recv(self.timeout))
                 if frame.msg_type == MsgType.MODEL_BCAST:
@@ -562,11 +568,13 @@ class PartyRuntime:
                 elif frame.msg_type == MsgType.KEYSWITCH_REQ:
                     self._require_round(frame, self.state.config.global_iters)
                     # The request carries the collective-key ciphertext being
-                    # re-keyed; the party answers with its consent share.
+                    # re-keyed; the party answers with its consent share,
+                    # which names the request by its place in the stream.
                     self._decode_ct(frame.payload)
                     self.link.send(encode_frame(
                         MsgType.KEYSWITCH_SHARE, frame.round,
-                        self.state.party_id))
+                        self.state.party_id, encode_share_index(requests)))
+                    requests += 1
                 elif frame.msg_type == MsgType.DONE:
                     return
                 else:
@@ -580,10 +588,13 @@ class PartyRuntime:
 class ServerRuntime:
     """Server side: broadcast, collect, aggregate, finalize.
 
-    One reader thread per link answers refresh requests and files gradients
-    and key-switch shares.  A reader whose link fails, closes included, wakes
-    the waiting server unless the server is shutting down; the server then
-    raises ``ProtocolError`` from the party's own error, which
+    ``_handle`` serves every party frame: it answers refresh requests and
+    files gradients and key-switch shares.  An in-process link calls it on
+    the sending party's thread; a TCP link has a reader thread, started by
+    ``start``, that calls it on each frame it reads.  A frame the handler
+    refuses, or a link that fails or closes, wakes the waiting server unless
+    the server is shutting down, and the link is served no more; the server
+    then raises ``ProtocolError`` from the party's own error, which
     ``party_failure(pid)`` returns (``None`` when the party reports none).
     """
 
@@ -596,12 +607,16 @@ class ServerRuntime:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
-        self._ks_shares: dict = {}   # round -> {party id: key-switch shares}
-        self._reader_errors: list = []
+        self._ks_shares: dict = {}   # round -> {party id: answered requests}
+        self._link_errors: list = []
         self._closing = False
-        self._readers = [threading.Thread(target=self._read_loop, args=(p,),
-                                          daemon=True)
-                         for p in range(len(links))]
+        self._readers = []
+        for pid, link in enumerate(links):
+            if isinstance(link, QueueLink):
+                link.attach(functools.partial(self._deliver, pid))
+            else:
+                self._readers.append(threading.Thread(
+                    target=self._read_loop, args=(pid,), daemon=True))
 
     # ---------------------------------------------------------------- wiring
 
@@ -615,61 +630,83 @@ class ServerRuntime:
             while True:
                 # No timeout: a party may rightly be silent for as long as
                 # the server waits; the link's close ends the loop.
-                frame = decode_frame(link.server_recv())
-                # A link speaks only for the party it was opened for.
-                if frame.party_id != pid:
-                    raise ProtocolError(
-                        f"{frame.msg_type.name} on party {pid}'s link claims "
-                        f"party {frame.party_id}")
-                if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT)
-                        and frame.round != self.server.model.iteration):
-                    raise ProtocolError(
-                        f"{frame.msg_type.name} for round {frame.round} while "
-                        f"the server is at round {self.server.model.iteration}")
-                if frame.msg_type == MsgType.BOOTSTRAP_REQ:
-                    ct = decode_ciphertext(frame.payload, self.server.ctx)
-                    out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)
-                    link.server_send(encode_frame(
-                        MsgType.BOOTSTRAP_SHARE, frame.round, SERVER_ID,
-                        encode_ciphertext(out)))
-                elif frame.msg_type == MsgType.GRADIENT:
-                    ct = decode_ciphertext(frame.payload, self.server.ctx)
-                    with self._arrived:
-                        self._gradients.setdefault(
-                            (frame.round, pid), []).append(ct)
-                        self._arrived.notify_all()
-                elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
-                    # One share answers one weight's request.
-                    layers = self.server.config.layers
-                    with self._arrived:
-                        shares = self._ks_shares.setdefault(frame.round, {})
-                        if shares.get(pid, 0) == layers:
-                            raise ProtocolError(
-                                f"party {pid} sent more than {layers} "
-                                f"key-switch shares for round {frame.round}")
-                        shares[pid] = shares.get(pid, 0) + 1
-                        self._arrived.notify_all()
-                else:
-                    raise ProtocolError(
-                        f"server cannot handle {frame.msg_type.name}")
+                self._handle(pid, link.server_recv())
         except BaseException as exc:
-            if self._closing and isinstance(exc, (TransportError, WireError)):
-                return  # the link closed at shutdown
+            self._fail(pid, exc)
+
+    def _deliver(self, pid: int, data: bytes | None) -> bool:
+        """Serve one frame an in-process party sent, ``None`` for the link's
+        close; False once the link is served no more."""
+        try:
+            if data is None:
+                raise TransportError("channel to server closed")
+            self._handle(pid, data)
+        except BaseException as exc:
+            self._fail(pid, exc)
+            return False
+        return True
+
+    def _fail(self, pid: int, exc: BaseException) -> None:
+        if self._closing and isinstance(exc, (TransportError, WireError)):
+            return  # the link closed at shutdown
+        with self._arrived:
+            self._link_errors.append((pid, exc))
+            self._arrived.notify_all()
+
+    def _handle(self, pid: int, data: bytes) -> None:
+        frame = decode_frame(data)
+        # A link speaks only for the party it was opened for.
+        if frame.party_id != pid:
+            raise ProtocolError(
+                f"{frame.msg_type.name} on party {pid}'s link claims "
+                f"party {frame.party_id}")
+        if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT)
+                and frame.round != self.server.model.iteration):
+            raise ProtocolError(
+                f"{frame.msg_type.name} for round {frame.round} while "
+                f"the server is at round {self.server.model.iteration}")
+        if frame.msg_type == MsgType.BOOTSTRAP_REQ:
+            ct = decode_ciphertext(frame.payload, self.server.ctx)
+            out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)
+            self.links[pid].server_send(encode_frame(
+                MsgType.BOOTSTRAP_SHARE, frame.round, SERVER_ID,
+                encode_ciphertext(out)))
+        elif frame.msg_type == MsgType.GRADIENT:
+            ct = decode_ciphertext(frame.payload, self.server.ctx)
             with self._arrived:
-                self._reader_errors.append((pid, exc))
+                self._gradients.setdefault((frame.round, pid), []).append(ct)
                 self._arrived.notify_all()
+        elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
+            # One share answers one weight's request, which it names.
+            index = decode_share_index(frame.payload)
+            layers = self.server.config.layers
+            if index >= layers:
+                raise ProtocolError(
+                    f"party {pid} answered key-switch request {index}, but "
+                    f"the model has {layers} weights")
+            with self._arrived:
+                answered = self._ks_shares.setdefault(
+                    frame.round, {}).setdefault(pid, set())
+                if index in answered:
+                    raise ProtocolError(
+                        f"party {pid} answered key-switch request {index} of "
+                        f"round {frame.round} twice")
+                answered.add(index)
+                self._arrived.notify_all()
+        else:
+            raise ProtocolError(f"server cannot handle {frame.msg_type.name}")
 
     def _wait(self, done, timeout_error) -> None:
         """Wait until ``done()`` holds (under the arrival lock).
 
-        Raises ``ProtocolError`` once a reader has failed, and
+        Raises ``ProtocolError`` once a link has failed, and
         ``TransportError(timeout_error())`` after ``timeout`` s without news.
         """
         with self._arrived:
-            while not self._reader_errors and not done():
+            while not self._link_errors and not done():
                 if not self._arrived.wait(self.timeout):
                     raise TransportError(timeout_error())
-            failed = self._reader_errors[:1]
+            failed = self._link_errors[:1]
         if failed:
             (pid, exc), = failed
             err = self._party_failure(pid)
@@ -718,7 +755,7 @@ class ServerRuntime:
                     f"key-switch share for round {stale[0]} while "
                     f"finalizing round {round_no}")
             shares = self._ks_shares.get(round_no, {})
-            return all(shares.get(p, 0) == config.layers
+            return all(len(shares.get(p, ())) == config.layers
                        for p in range(config.party_count))
         self._wait(acked, lambda: "key switch timed out")
         parties = self.server.ctx.parties
@@ -739,7 +776,8 @@ class ServerRuntime:
                 pass
 
     def close(self) -> None:
-        """Close every server-side link and wait for the readers to end."""
+        """Close every server-side link, which detaches the handler from an
+        in-process one, and wait for the readers to end."""
         self._closing = True
         for link in self.links:
             link.close()
@@ -759,7 +797,7 @@ class _PartyThread:
     def _run(self) -> None:
         self.runtime.run()
         if self.runtime.error is not None:
-            self.runtime.link.close()   # the server's reader sees the close
+            self.runtime.link.close()   # the server's handler sees the close
 
     def book_round(self, ctx: CryptoContext) -> None:
         pass    # the party meters on the server's own context

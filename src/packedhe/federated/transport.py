@@ -5,8 +5,14 @@ accounting match between them.  An in-process party runs on a thread of the
 server's process, and a TCP party in a process of its own (see
 ``protocol.run_training``); the transports differ only in how bytes travel.
 
+A queue link carries the party's frames to the server without a queue or a
+thread of the server's: once the server has attached its handler, ``send``
+calls it on the party's own thread, and ``close`` tells it the link closed.
+Frames to the party still travel on a queue, which the party reads.  A TCP
+link has no handler; a reader thread of the server's reads its frames.
+
 Each frame is counted once, by whichever process can see it.  A queue link
-counts a frame when either end puts it on the queue.  A TCP link counts
+counts a frame when either end sends it.  A TCP link counts
 every frame at its server end: before it sends one, and after it has read
 one, before it returns it.  Its party end counts nothing, so a party in
 another process need not report bytes, and the server's totals at any point
@@ -71,6 +77,17 @@ class QueueLink:
         self.accounting = accounting
         self._to_party: queue.Queue = queue.Queue()
         self._to_server: queue.Queue = queue.Queue()
+        self._handler = None
+
+    def attach(self, handler) -> None:
+        """Serve the party's frames with ``handler`` on the sending thread.
+
+        ``send`` hands each frame to ``handler(frame)`` in place of the
+        queue, and ``close`` calls ``handler(None)``.  The link detaches the
+        handler once it returns False, and at ``close``; frames sent after
+        that wait on the queue, unread unless ``server_recv`` reads them.
+        """
+        self._handler = handler
 
     def _take(self, q: queue.Queue, waiter: str, timeout):
         try:
@@ -84,7 +101,11 @@ class QueueLink:
     # party side
     def send(self, frame: bytes) -> None:
         self.accounting.count(f"party-{self.party_id}", "server", len(frame))
-        self._to_server.put(frame)
+        handler = self._handler
+        if handler is None:
+            self._to_server.put(frame)
+        elif not handler(frame):
+            self._handler = None
 
     def recv(self, timeout: float | None = None) -> bytes:
         return self._take(self._to_party, f"party-{self.party_id}", timeout)
@@ -98,9 +119,14 @@ class QueueLink:
         return self._take(self._to_server, "server", timeout)
 
     def close(self) -> None:
-        # Unblock any thread parked on either direction.
+        # Unblock any thread parked on either direction, and tell the
+        # server's handler; detaching it drops the handler's hold on the
+        # server.
         self._to_party.put(_CLOSED)
         self._to_server.put(_CLOSED)
+        handler, self._handler = self._handler, None
+        if handler is not None:
+            handler(None)
 
 
 class _RecvBuffer:

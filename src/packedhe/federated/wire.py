@@ -7,7 +7,8 @@ Frame layout (all integers big-endian):
     4 bytes   round number
     2 bytes   party id (0xFFFF for the server)
     payload   optional ciphertext: level and scale as IEEE-754 doubles,
-              a 16-byte key tag, then the slot values as consecutive doubles
+              a 16-byte key tag, then the slot values as consecutive doubles;
+              in a KEYSWITCH_SHARE, the 2-byte index of the request it answers
 
 Unknown message types, length mismatches and ciphertexts with a level, scale
 or slot that no real ciphertext has (a NaN or infinite slot, say) or a key
@@ -32,6 +33,7 @@ SERVER_ID = 0xFFFF
 
 _HEADER = struct.Struct(">BIH")
 _CT_META = struct.Struct(">dd16s")
+_SHARE_INDEX = struct.Struct(">H")
 
 
 class MsgType(IntEnum):
@@ -109,6 +111,17 @@ def decode_ciphertext(payload: bytes, ctx: CryptoContext) -> SlotVector:
         raise WireError(f"ciphertext key tag {tag!r} is not UTF-8") from None
     slots.setflags(write=False)
     return SlotVector(slots, int(level), scale, ctx.context_id, key_tag)
+
+
+def encode_share_index(index: int) -> bytes:
+    return _SHARE_INDEX.pack(index)
+
+
+def decode_share_index(payload: bytes) -> int:
+    if len(payload) != _SHARE_INDEX.size:
+        raise WireError(f"key-switch share payload of {len(payload)} bytes, "
+                        f"expected {_SHARE_INDEX.size}")
+    return _SHARE_INDEX.unpack(payload)[0]
 
 
 def read_exact(recv_fn, count: int) -> bytes:

@@ -215,6 +215,18 @@ def test_train_missing_dataset_names_path(tmp_path, capsys):
     assert "party_1.csv" in capsys.readouterr().err
 
 
+def test_train_refused_input_exits_2_with_an_error_line(tmp_path, capsys):
+    cfg = _write_train_fixture(tmp_path)
+    lines = (tmp_path / "party_0.csv").read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[-1] = "5"     # a label beyond the config's 2 classes
+    lines[-1] = ",".join(cells)
+    (tmp_path / "party_0.csv").write_text("\n".join(lines) + "\n")
+    code = run_cli("train", "--config", str(cfg), "--data-dir", str(tmp_path))
+    assert code == 2
+    assert "error: party 0's y holds label 5" in capsys.readouterr().err
+
+
 def test_train_unknown_config_key(tmp_path, capsys):
     cfg = _write_train_fixture(tmp_path)
     raw = json.loads(cfg.read_text())

@@ -623,6 +623,72 @@ def test_a_party_that_fails_after_the_others_reported_wakes_the_server(
     assert_no_party_outlives_the_job()
 
 
+def test_an_in_process_job_runs_one_thread_per_party_and_no_other(
+        monkeypatch):
+    # The server handles each frame on the party thread that sends it.
+    from packedhe.federated.protocol import PartyRuntime
+    before = set(threading.enumerate())
+    seen, party_threads = set(), set()
+    real = PartyRuntime._run_round
+
+    def run_round(runtime, round_no, weight_cts):
+        seen.update(threading.enumerate())
+        party_threads.add(threading.current_thread())
+        real(runtime, round_no, weight_cts)
+    monkeypatch.setattr(PartyRuntime, "_run_round", run_round)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    act = ActivationConfig(kind="approx_relu", d=2, sigma=10.0,
+                           delta=2.0 ** -10, input_range=16.0)
+    run_training(small_config(party_count=2, global_iters=2, activation=act),
+                 split_parties(x, y, 2, seed=5), transport="in_process",
+                 timeout=30.0)
+    assert len(party_threads) == 2
+    assert seen - before == party_threads
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_job_leaves_no_cycle_that_holds_its_server(transport, monkeypatch):
+    # A link that kept the server's handler would hold the runtime, and
+    # through it the context, until the cycle collector ran.
+    import gc
+    import weakref
+    from packedhe.federated.protocol import ServerRuntime
+    refs = []
+    real_init = ServerRuntime.__init__
+
+    def init(runtime, server, *args, **kwargs):
+        real_init(runtime, server, *args, **kwargs)
+        refs.extend([weakref.ref(runtime), weakref.ref(server.ctx)])
+    monkeypatch.setattr(ServerRuntime, "__init__", init)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    gc.disable()
+    try:
+        run_training(small_config(party_count=2, global_iters=2),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_gradient_behind_a_refused_frame_is_not_filed():
+    from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
+    config = small_config(party_count=2, global_iters=1)
+    server, _ = prepare(config, feature_dim=2)
+    payload = encode_ciphertext(server.model.weights[0].ct)
+    srv, party_links, close = _open_server("in_process", server, 30.0)
+    try:
+        party_links[0].send(encode_frame(MsgType.GRADIENT, 0, 0, payload))
+        # Party 1's first frame claims party 0; its send must not raise.
+        party_links[1].send(encode_frame(MsgType.GRADIENT, 0, 0, payload))
+        party_links[1].send(encode_frame(MsgType.GRADIENT, 0, 1, payload))
+        with pytest.raises(ProtocolError, match="claims party 0"):
+            srv.collect_gradients(0)
+        assert list(srv._gradients) == [(0, 0)]
+    finally:
+        close()
+
+
 def test_round_timeout_names_missing_parties():
     from packedhe.federated.protocol import ServerRuntime
     from packedhe.federated.transport import (TransportError,
@@ -723,10 +789,17 @@ def _open_server(transport, server, timeout):
     return srv, party_links, close
 
 
+def _share(round_no, party_id, index):
+    """A KEYSWITCH_SHARE frame answering request ``index``."""
+    from packedhe.federated.wire import (MsgType, encode_frame,
+                                         encode_share_index)
+    return encode_frame(MsgType.KEYSWITCH_SHARE, round_no, party_id,
+                        encode_share_index(index))
+
+
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_finalize_rekeys_with_the_acked_roster(transport, monkeypatch):
-    from packedhe.federated.wire import MsgType, encode_frame
-    config = small_config(party_count=2, global_iters=1)
+    config = small_config(party_count=2, global_iters=1, neurons=(4, 2))
     server, _ = prepare(config, feature_dim=2)
     server.model.iteration = config.global_iters
     rosters = []
@@ -734,9 +807,10 @@ def test_finalize_rekeys_with_the_acked_roster(transport, monkeypatch):
                         lambda srv_state, roster=None: rosters.append(roster))
     srv, party_links, close = _open_server(transport, server, 30.0)
     try:
+        # Shares may answer the requests in any order.
         for p in (1, 0):
-            party_links[p].send(encode_frame(MsgType.KEYSWITCH_SHARE,
-                                             config.global_iters, p))
+            for index in (1, 0):
+                party_links[p].send(_share(config.global_iters, p, index))
         srv.finalize_over_wire()
     finally:
         close()
@@ -745,15 +819,13 @@ def test_finalize_rekeys_with_the_acked_roster(transport, monkeypatch):
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_keyswitch_share_for_another_round_fails_fast(transport):
-    from packedhe.federated.wire import MsgType, encode_frame
     config = small_config(party_count=2, global_iters=2)
     server, _ = prepare(config, feature_dim=2)
     server.model.iteration = config.global_iters
     srv, party_links, close = _open_server(transport, server, 30.0)
     try:
-        party_links[0].send(encode_frame(MsgType.KEYSWITCH_SHARE,
-                                         config.global_iters, 0))
-        party_links[1].send(encode_frame(MsgType.KEYSWITCH_SHARE, 0, 1))
+        party_links[0].send(_share(config.global_iters, 0, 0))
+        party_links[1].send(_share(0, 1, 0))
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="round 0"):
             srv.finalize_over_wire()
@@ -762,24 +834,33 @@ def test_keyswitch_share_for_another_round_fails_fast(transport):
         close()
 
 
-@pytest.mark.parametrize("transport", ["in_process", "tcp"])
-def test_a_duplicated_keyswitch_share_fails_fast(transport):
-    from packedhe.federated.wire import MsgType, encode_frame
+def _party_0_shares_fail_fast(transport, indices, want):
+    """Party 0 answers the requests ``indices`` at ``layers`` = 2 and party 1
+    not at all: the server must refuse a share when it arrives."""
     config = small_config(party_count=2, global_iters=1, neurons=(4, 2))
     server, _ = prepare(config, feature_dim=2)
     server.model.iteration = config.global_iters
     srv, party_links, close = _open_server(transport, server, 30.0)
     try:
-        # Party 0 answers its first request twice; party 1 has not answered.
-        for _ in range(config.layers + 1):
-            party_links[0].send(encode_frame(MsgType.KEYSWITCH_SHARE,
-                                             config.global_iters, 0))
+        for index in indices:
+            party_links[0].send(_share(config.global_iters, 0, index))
         start = time.monotonic()
-        with pytest.raises(ProtocolError, match="more than 2 key-switch"):
+        with pytest.raises(ProtocolError, match=want):
             srv.finalize_over_wire()
         assert time.monotonic() - start < 10.0
     finally:
         close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_duplicated_keyswitch_share_fails_fast(transport):
+    _party_0_shares_fail_fast(transport, (0, 0), "request 0 of round 1 twice")
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_keyswitch_share_beyond_the_weights_fails_fast(transport):
+    _party_0_shares_fail_fast(transport, (0, 2),
+                              "request 2, but the model has 2 weights")
 
 
 class _OneShareThenClose:
