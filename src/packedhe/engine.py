@@ -36,9 +36,14 @@ beta*(k - h)))`` with ``m`` keeping the columns >= k of ``a0``, is slot for
 slot the column window ``[beta*k, beta*k + beta*h)`` of each row of one
 row-doubled image of ``a0``: ``a0[r] + (a0[r-1] - a0[r-1])`` beside ``0.0 +
 (a0[r] - 0.0)``, operands in the chain's order and row -1 wrapping to row
-h - 1.  ``shift_mul_sum`` builds that image once per call and multiplies
-strided windows of it; it keeps the chain's operand order in every add, so
-even the sign bits of NaN slots are the chain's.
+h - 1.  ``shift_mul_sum`` builds that image once per call.  It runs the
+stages in chunks of at most 16: a chunk copies the image's rows into rows
+padded by ``beta`` slots per further stage, beside doubled ``b0`` in rows of
+the same stride, so that every stage's factors are contiguous runs and the
+chunk is one multiply and one reduce over long rows.  The arrays are work
+arrays of the calling thread, kept on the context per shape and never handed
+out.  The kernel keeps the chain's operand order in every add, so even the
+sign bits of NaN slots are the chain's.
 
 A ``GatherPlan`` describes the 0/1 plaintexts of each giant step as one label
 per slot: the baby term that the step keeps there, or -1 for none.  The masks
@@ -138,12 +143,13 @@ class Plaintext:
 
 _set_slot = object.__setattr__
 
-# Byte budget of the one stage-product array of ``shift_mul_sum``, made once
-# per call and reused by every block of stages.  Block size does not change
-# the bytes.  Median exact-mode call at h = 64, t = 64 (2-vCPU VM): 0.68 ms
-# at 128 KiB, 0.48-0.56 at 256 KiB, 0.45-0.56 at 512 KiB and 0.53 at 1 MiB;
-# 256 KiB is the smallest budget within noise of the best.
-_BLOCK_BYTES = 256 * 1024
+# Most stages of ``shift_mul_sum`` in one chunk: one multiply and one reduce.
+# A chunk of R stages reads its windows out of rows padded by ``beta*(R -
+# 1)`` slots, so a larger R pads more and a smaller one makes more calls; at
+# h = 32 and h = 64, 16 is the fastest of 8, 11, 16, 22 and 32.
+_CHUNK = 16
+
+_PAGE = 4096
 
 
 class GatherPlan:
@@ -259,11 +265,52 @@ def _shared(arr: np.ndarray) -> np.ndarray:
     return arr if not arr.flags.writeable else _freeze(arr.copy())
 
 
-class _ScopeStacks(threading.local):
-    """Per-thread stack of open meter scopes; every thread starts empty."""
+class _ThreadState(threading.local):
+    """Per-thread state of a context; every thread starts empty: its stack
+    of open meter scopes, and the work arrays of ``shift_mul_sum`` by shape."""
 
     def __init__(self):
         self.stack = []
+        self.work = {}
+
+
+def _page_aligned(count: int) -> np.ndarray:
+    """``count`` float64 zeros whose first byte starts a page."""
+    raw = np.zeros(count * 8 + _PAGE, np.uint8)
+    skip = -raw.ctypes.data % _PAGE
+    return raw[skip:skip + count * 8].view(np.float64)
+
+
+class _StageWork:
+    """One thread's work arrays of ``shift_mul_sum`` for chunks of ``chunk``
+    stages at one shape, each page-aligned and made zero once.
+
+    ``stride`` is the padded row stride: ``w + beta*(chunk - 1)`` with ``w =
+    beta*h``, rounded up so that a block row of ``h*stride`` slots is a
+    multiple of 16.  numpy's vector loops then cover every slot: its scalar
+    tail, which returns the second operand's NaN where both are NaN, runs on
+    none.  ``d`` is the row-doubled image, ``stride`` columns wider than its
+    ``2w`` so that every chunk's rows fit in it; ``bp`` is doubled ``b0``,
+    rows of ``stride``; ``f`` holds one chunk's ``h`` left rows (``window``)
+    and a tail of ``beta*(chunk - 1)`` slots.  The kernel writes only columns
+    < 2w of ``d``, < w of ``bp`` and the rows of ``f``, so the rest stays
+    0.0.  Row q of ``left`` is the left factor of a chunk's stage q, and row
+    k of ``right`` the right factor of stage k.
+    """
+
+    def __init__(self, h: int, beta: int, chunk: int):
+        w, pad = beta * h, beta * (chunk - 1)
+        unit = 16 // math.gcd(h, 16)
+        self.stride = s = -(-(w + pad) // unit) * unit
+        self.d = _page_aligned(h * (2 * w + s)).reshape(h, 2 * w + s)
+        bp = _page_aligned(2 * h * s)
+        self.bp = bp.reshape(2, h, s)
+        f = _page_aligned(h * s + pad)
+        self.window = f[:h * s].reshape(h, s)
+        self.left = np.ndarray((chunk, h * s), f.dtype, f, 0, (beta * 8, 8))
+        self.right = np.ndarray((h, h * s), bp.dtype, bp, 0, (s * 8, 8))
+        self.block = _page_aligned(chunk * h * s).reshape(chunk, h * s)
+        self.acc = _page_aligned(h * s)
 
 
 _context_ids = itertools.count()
@@ -327,7 +374,7 @@ class CryptoContext:
 
         self.meter = OpCounter()
         self._meter_lock = threading.Lock()
-        self._scopes = _ScopeStacks()
+        self._thread = _ThreadState()
         self._chains: dict = {}  # chain memo, see the module docstring
 
         self.parties = tuple(f"party-{i}" for i in range(party_count))
@@ -400,7 +447,7 @@ class CryptoContext:
     def _book(self, rows) -> None:
         """Tally each row ``(field, x, y, times)`` on the meter and open scopes."""
         with self._meter_lock:
-            for counter in (self.meter, *self._scopes.stack):
+            for counter in (self.meter, *self._thread.stack):
                 for name, _, _, times in rows:
                     setattr(counter, name, getattr(counter, name) + times)
 
@@ -418,7 +465,7 @@ class CryptoContext:
         scope's counts are already merged outward when it closes.
         """
         counter = OpCounter()
-        stack = self._scopes.stack
+        stack = self._thread.stack
         stack.append(counter)
         try:
             yield counter
@@ -540,12 +587,20 @@ class CryptoContext:
         ``[beta*k, beta*k + w)`` of each row of the ``(h, 2w)`` row-doubled
         image ``D`` of ``a0``, with operands in the chain's order:
         ``D[r, :w] = a0[r] + (a0[r-1] - a0[r-1])`` (row -1 is row h - 1)
-        and ``D[r, w:] = 0.0 + (a0[r] - 0.0)``.  So a block of stages is one
-        multiply of strided views of ``D`` and of doubled ``b0``, then its
-        noise rows (in gaussian mode, from the stream and in the order of
-        the chain's ``mul_ct``) and an in-order sum whose operands, NaN
-        payloads included, are added in the chain's order.  The blocks share
-        one work array of at most ``_BLOCK_BYTES``.
+        and ``D[r, w:] = 0.0 + (a0[r] - 0.0)``.  The stages run in chunks of
+        R = ``min(t, _CHUNK)`` or fewer.  For the chunk from stage k0, rows
+        padded to a stride of ``w + beta*(R - 1)`` slots (rounded up, see
+        ``_StageWork``) hold ``D``'s columns from ``beta*k0`` on, and rows of
+        the same stride hold ``b0`` twice, zero past column w.  Each stage's left and right
+        factors are then one contiguous run of ``h`` such rows, starting
+        ``beta`` slots and one row later per stage.  So a chunk is one
+        multiply of two row views into one block, then its noise (in
+        gaussian mode, from the stream and in the order of the chain's
+        ``mul_ct``) on the unpadded slots, and an in-order sum whose
+        operands, NaN payloads included, are added in the chain's order.
+        The padded slots are computed and dropped.  All these arrays are
+        the calling thread's own, kept per shape and chunk on the context;
+        the result is a fresh copy.
         """
         self._check_pair(a0, b0)
         n = self.slot_count
@@ -570,31 +625,32 @@ class CryptoContext:
         meta = self._chain(("shift_mul_sum", t, a, b), describe)
 
         w = beta * h
+        chunk = min(t, _CHUNK)
+        work = self._thread.work.get((h, beta, chunk))
+        if work is None:
+            work = self._thread.work[h, beta, chunk] = _StageWork(h, beta, chunk)
+        d, acc = work.d, work.acc
         a = a0.slots.reshape(h, w)
-        d = np.empty((h, 2 * w))
         z = a - a
         np.add(a[1:], z[:-1], out=d[1:, :w])
         np.add(a[0], z[-1], out=d[0, :w])  # row -1 wraps to row h - 1
-        np.add(0.0, a - 0.0, out=d[:, w:])
-        b2 = np.concatenate((b0.slots, b0.slots))
-        rows = max(1, min(t, _BLOCK_BYTES // (n * 8)))
-        prod = np.empty((rows, n))
-        acc = np.empty(n)
-        for k in range(0, t, rows):
-            r = min(rows, t - k)
-            p = prod[:r]
-            # Row q of a block is stage k + q.
-            np.multiply(_windows(d, beta * k, beta, 2 * w, (r, h, w)),
-                        _windows(b2, w * k, w, w, (r, h, w)),
-                        out=p.reshape(r, h, w))
+        np.add(0.0, a - 0.0, out=d[:, w:2 * w])
+        work.bp[:, :, :w] = b0.slots.reshape(h, w)
+        for k in range(0, t, chunk):
+            r = min(chunk, t - k)
+            p = work.block[:r]
+            np.copyto(work.window, d[:, beta * k:beta * k + work.stride])
+            # Row q of the block is stage k + q.
+            np.multiply(work.left[:r], work.right[k:k + r], out=p)
             if self.noise_mode == "gaussian":
-                p += self._rng.normal(0.0, self.noise_sigma, (r, n))
+                p.reshape(r, h, -1)[:, :, :w] += self._rng.normal(
+                    0.0, self.noise_sigma, (r, h, w))
             if k:
                 np.add(acc, p[0], out=p[0])
             # Rows fold in order; -0.0 is the additive identity that keeps a
             # -0.0 sum as the chain's adds leave it (numpy starts from +0.0).
             np.add.reduce(p, axis=0, out=acc, initial=-0.0)
-        return self._derive(a0, acc, meta)
+        return self._derive(a0, acc.reshape(h, -1)[:, :w].flatten(), meta)
 
     def odd_poly_stage(self, m: SlotVector, coeffs: Sequence[Plaintext]) -> SlotVector:
         """One odd-polynomial stage ``m * sum_j c_j * (m*m)**j``, in one call.
@@ -713,18 +769,6 @@ class CryptoContext:
                 f"operands bound to different keys: {a.key_tag!r} vs {b.key_tag!r}")
         if a.slots.shape != b.slots.shape:
             raise CapacityError("operand slot counts differ")
-
-
-def _windows(base: np.ndarray, start: int, step: int, row_stride: int,
-             shape: tuple) -> np.ndarray:
-    """``(count, rows, width)`` view of the contiguous ``base``: entry
-    ``[q, i, j]`` is flat element ``start + q*step + i*row_stride + j``.
-
-    ``np.ndarray`` refuses a view that would read past the end of ``base``.
-    """
-    item = base.itemsize
-    return np.ndarray(shape, base.dtype, base, start * item,
-                      (step * item, row_stride * item, item))
 
 
 def new_context(ring_dim: int, initial_level: int = 6,

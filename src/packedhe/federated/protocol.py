@@ -576,6 +576,9 @@ class PartyRuntime:
                         self.state.party_id, encode_share_index(requests)))
                     requests += 1
                 elif frame.msg_type == MsgType.DONE:
+                    # The server names the round it ended at, which is the
+                    # party's once it has run every round.
+                    self._require_round(frame, self._round)
                     return
                 else:
                     raise ProtocolError(

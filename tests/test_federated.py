@@ -885,7 +885,8 @@ class _OneShareThenClose:
     def recv(self, timeout=None):
         from packedhe.federated.wire import SERVER_ID, MsgType, encode_frame
         if self.closed:
-            return encode_frame(MsgType.DONE, 0, SERVER_ID)
+            # The round the server ends a 1-round job at.
+            return encode_frame(MsgType.DONE, 1, SERVER_ID)
         return self.link.recv(timeout)
 
     def close(self):
@@ -978,7 +979,8 @@ def test_party_refuses_a_bootstrap_share_for_another_round(transport):
     ("model of a later round", "MODEL_BCAST for round 1 during round 0"),
     ("model of mixed rounds", "MODEL_BCAST for round 1 during round 0"),
     ("key switch before the last round", "KEYSWITCH_REQ for round 1 during round 2"),
-], ids=["later round", "mixed rounds", "early key switch"])
+    ("done of another round", "DONE for round 2 during round 0"),
+], ids=["later round", "mixed rounds", "early key switch", "done of another round"])
 def test_party_refuses_a_frame_for_another_round(transport, case, want):
     from packedhe.federated.protocol import PartyRuntime
     from packedhe.federated.wire import (SERVER_ID, MsgType, encode_ciphertext,
@@ -990,13 +992,16 @@ def test_party_refuses_a_frame_for_another_round(transport, case, want):
     party.schedule = build_schedule(config, [len(x)])
     weights = [encode_ciphertext(w.ct) for w in server.model.weights]
     # Unchecked, the party would run round 1 first, assemble one model from
-    # two rounds, or consent to re-key a model still in training.
+    # two rounds, consent to re-key a model still in training, or end
+    # before the rounds it was to run.
     if case == "model of a later round":
         frames = [(MsgType.MODEL_BCAST, 1, ct) for ct in weights]
     elif case == "model of mixed rounds":
         frames = [(MsgType.MODEL_BCAST, r, ct) for r, ct in enumerate(weights)]
-    else:
+    elif case == "key switch before the last round":
         frames = [(MsgType.KEYSWITCH_REQ, 1, weights[0])]
+    else:
+        frames = [(MsgType.DONE, 2, b"")]
     server_links, party_links, close = _open_links(transport, 1,
                                                    server.ctx.slot_count)
     runtime = PartyRuntime(party, party_links[0], timeout=30.0)

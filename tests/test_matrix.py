@@ -1,6 +1,8 @@
 """Packed matrix algebra: masks, permutation identity, products, tallies."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -816,16 +818,81 @@ def _check_stage_chain(h, beta, t, mode):
         assert fused.rotations == 3 * t and fused.adds == 2 * t - 1
 
 
+# Stage counts past one chunk of 16 that leave a partial last chunk, counts
+# that pad rows by other amounts, and beta 1 and 4 as well as 2.  At beta 1,
+# h = 4 or 8, the padded rows are rounded up to keep every slot out of
+# numpy's scalar tail, which picks the other NaN of a NaN * NaN.
+_STAGE_CASES = ([(h, t, 2) for h in (4, 8, 16, 32, 64)
+                 for t in (1, 2, 4, 8, 16, 32, 64) if t <= h]
+                + [(64, t, 2) for t in (17, 31, 33, 63)]
+                + [(8, 3, 2), (8, 5, 2)]
+                + [(h, t, 1) for h in (4, 8) for t in range(1, h + 1)]
+                + [(h, t, 4) for h, t in ((4, 1), (4, 3), (8, 5),
+                                          (16, 16), (32, 17), (32, 32))])
+
+
 @pytest.mark.parametrize("mode", ["exact", "gaussian"])
-@pytest.mark.parametrize("h, t", [(h, t) for h in (4, 8, 16, 32, 64)
-                                  for t in (1, 2, 4, 8, 16, 32, 64) if t <= h])
-def test_shift_mul_sum_equals_stage_chain(h, t, mode):
-    _check_stage_chain(h, 2, t, mode)
+@pytest.mark.parametrize("h, t, beta", [
+    pytest.param(h, t, beta, id=f"{h}-{t}" + (f"-beta{beta}" if beta != 2 else ""))
+    for h, t, beta in _STAGE_CASES])
+def test_shift_mul_sum_equals_stage_chain(h, t, beta, mode):
+    _check_stage_chain(h, beta, t, mode)
 
 
 @pytest.mark.parametrize("h, t", [(4, 1), (4, 3), (4, 4), (64, 64)])
 def test_shift_mul_sum_of_one_image_equals_stage_chain(h, t):
     _check_stage_chain(h, 1, t, "gaussian")
+
+
+@pytest.mark.parametrize("shapes", [((32, 2), (32, 2)), ((32, 2), (16, 8))],
+                         ids=["one shape", "two shapes"])
+def test_shift_mul_sum_work_arrays_are_per_thread(shapes):
+    """Threads running products on one context at once each get the per-op
+    chain byte for byte, and a result returned earlier on a thread keeps its
+    slots while that thread goes on at the same shape."""
+    ctx = engine.new_context(2 * 2048, 6, 2.0 ** 40, 1)
+    jobs = []
+    for i, (h, beta) in enumerate(shapes):
+        rng = np.random.default_rng(i)
+        pa, pb = (pack_matrices([rng.uniform(-3, 3, (h, h)) for _ in range(beta)],
+                                ctx) for _ in range(2))
+        t = h - 1   # a partial last chunk
+        calls = []
+        for x, y in ((pa, pb), (pb, pa)):
+            want = (_stage_chain(ctx, x.ct, y.ct, h, beta, t).slots.tobytes(),
+                    _he_mat_mult_encoding_masks(x, y).slots.tobytes())
+            calls.append((x, y, want))
+        jobs.append((h, beta, t, calls))
+    errors = []
+    start = threading.Barrier(len(jobs))
+
+    def run(h, beta, t, calls):
+        try:
+            start.wait(10.0)
+            (x, y, (first_want, _)), _ = calls
+            first = ctx.shift_mul_sum(x.ct, y.ct, h, beta, t)
+            for _ in range(40):
+                for x, y, (stages, product) in calls:
+                    got = ctx.shift_mul_sum(x.ct, y.ct, h, beta, t)
+                    assert got.slots.tobytes() == stages
+                    assert he_mat_mult(x, y).ct.slots.tobytes() == product
+            assert first.slots.tobytes() == first_want
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=job, daemon=True)
+                   for job in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def _stage_misuse(case):
