@@ -17,18 +17,19 @@ frames, so both transports account the same bytes.  Refresh requests,
 refresh shares and gradients name their round; a frame of another round
 than the current one raises ``ProtocolError``.
 
-``run_training`` hosts each in-process party on a thread of its own and each
-TCP party in a forked child process.  In process, the server handles each
-party frame on the thread that sends it, so a job runs the main thread and
-one thread per party, and a refresh is a call, not a hop between threads.
-Over TCP, a reader thread of the server's serves each link, so the parties,
-the readers and the server's main thread run on separate interpreters.  A
-child meters its ops on its forked copy of the context and reports them to
-the server over an unmetered pipe before each round's gradients; the server
-books them on its own meter, so ``metrics["rounds"][i]["ops"]`` covers
-every node on both transports.  A party that fails closes its link (a child
-by exiting), which wakes the waiting server: it raises ``ProtocolError``
-from the party's error at once, and every job reaps its children.
+``run_training`` runs the in-process parties on the server's own thread and
+each TCP party in a forked child process.  Once the model is broadcast, a
+party's round does not depend on the other parties', so the server runs
+them in turn, party 0 first, wherever it would otherwise wait for them: an
+in-process job starts no thread, and a refresh is a call.  Over TCP, a
+reader thread of the server's serves each link, so the parties, the readers
+and the server's main thread run on separate interpreters.  A child meters
+its ops on its forked copy of the context and reports them to the server
+over an unmetered pipe before each round's gradients; the server books them
+on its own meter, so ``metrics["rounds"][i]["ops"]`` covers every node on
+both transports.  A party that fails closes its link (a child by exiting),
+which wakes the waiting server: it raises ``ProtocolError`` from the
+party's error at once, and every job reaps its children.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from ..approx import (CompositePolySpec, _ensure_level, app_sign,
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
                       he_rect_mat_mult, he_transpose, pad_matrix)
-from ..validation import check_labels
+from ..validation import check_finite, check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
 from .transport import (QueueLink, TransportError, open_in_process_links,
@@ -485,7 +486,11 @@ def build_schedule(config: TrainingConfig, shard_sizes: list) -> list:
 
 
 class PartyRuntime:
-    """One party's side of the wire protocol, run by ``run``.
+    """One party's side of the wire protocol; ``handle`` serves one frame.
+
+    ``run`` handles frames until ``DONE``, waiting for each; ``serve``
+    handles those already queued, on the calling thread, which is how the
+    server runs an in-process party.  Either keeps a failure in ``error``.
 
     With ``tally_pipe`` set, the party runs in a process of its own on a
     forked copy of the context: before each round's gradients it sends the
@@ -501,6 +506,8 @@ class PartyRuntime:
         self.tally_pipe = tally_pipe
         self.error: BaseException | None = None
         self._round = 0   # the round in progress, or else the next one
+        self._weights: list = []   # the next round's weights received so far
+        self._requests = 0         # key-switch requests answered
         self._reported = state.ctx.meter.snapshot()
 
     def _decode_ct(self, payload):
@@ -549,64 +556,85 @@ class PartyRuntime:
             self.link.send(encode_frame(MsgType.GRADIENT, round_no,
                                         state.party_id, encode_ciphertext(g.ct)))
 
+    def handle(self, data: bytes) -> bool:
+        """Serve one frame from the server; True once it ends the job."""
+        frame = decode_frame(data)
+        if frame.msg_type == MsgType.MODEL_BCAST:
+            # The party's next round, which every frame of one model must
+            # name.
+            self._require_round(frame, self._round)
+            self._weights.append(self._decode_ct(frame.payload))
+            if len(self._weights) == self.state.config.layers:
+                weight_cts, self._weights = self._weights, []
+                self._run_round(frame.round, weight_cts)
+                self._round += 1
+        elif frame.msg_type == MsgType.KEYSWITCH_REQ:
+            self._require_round(frame, self.state.config.global_iters)
+            # The request carries the collective-key ciphertext being
+            # re-keyed; the party answers with its consent share, which
+            # names the request by its place in the stream.
+            self._decode_ct(frame.payload)
+            self.link.send(encode_frame(
+                MsgType.KEYSWITCH_SHARE, frame.round, self.state.party_id,
+                encode_share_index(self._requests)))
+            self._requests += 1
+        elif frame.msg_type == MsgType.DONE:
+            # The server names the round it ended at, which is the party's
+            # once it has run every round.
+            self._require_round(frame, self._round)
+            return True
+        else:
+            raise ProtocolError(f"party {self.state.party_id} cannot handle "
+                                f"{frame.msg_type.name}")
+        return False
+
     def run(self) -> None:
         try:
-            layers = self.state.config.layers
-            pending: list = []
-            requests = 0   # key-switch requests answered
-            while True:
-                frame = decode_frame(self.link.recv(self.timeout))
-                if frame.msg_type == MsgType.MODEL_BCAST:
-                    # The party's next round, which every frame of one
-                    # model must name.
-                    self._require_round(frame, self._round)
-                    pending.append(self._decode_ct(frame.payload))
-                    if len(pending) == layers:
-                        self._run_round(frame.round, pending)
-                        pending = []
-                        self._round += 1
-                elif frame.msg_type == MsgType.KEYSWITCH_REQ:
-                    self._require_round(frame, self.state.config.global_iters)
-                    # The request carries the collective-key ciphertext being
-                    # re-keyed; the party answers with its consent share,
-                    # which names the request by its place in the stream.
-                    self._decode_ct(frame.payload)
-                    self.link.send(encode_frame(
-                        MsgType.KEYSWITCH_SHARE, frame.round,
-                        self.state.party_id, encode_share_index(requests)))
-                    requests += 1
-                elif frame.msg_type == MsgType.DONE:
-                    # The server names the round it ended at, which is the
-                    # party's once it has run every round.
-                    self._require_round(frame, self._round)
-                    return
-                else:
-                    raise ProtocolError(
-                        f"party {self.state.party_id} cannot handle "
-                        f"{frame.msg_type.name}")
+            while not self.handle(self.link.recv(self.timeout)):
+                pass
         except BaseException as exc:  # surfaced by the server loop
             self.error = exc
+
+    def serve(self) -> None:
+        """Handle the frames queued for the party until it ends the job.
+
+        A party that fails keeps its error and closes its link, which the
+        server's handler sees; it handles no frame after that.
+        """
+        try:
+            while self.error is None and self.link.pending():
+                if self.handle(self.link.recv(self.timeout)):
+                    return
+        except Exception as exc:  # surfaced by the server loop
+            self.error = exc
+            self.link.close()
 
 
 class ServerRuntime:
     """Server side: broadcast, collect, aggregate, finalize.
 
     ``_handle`` serves every party frame: it answers refresh requests and
-    files gradients and key-switch shares.  An in-process link calls it on
-    the sending party's thread; a TCP link has a reader thread, started by
-    ``start``, that calls it on each frame it reads.  A frame the handler
-    refuses, or a link that fails or closes, wakes the waiting server unless
-    the server is shutting down, and the link is served no more; the server
-    then raises ``ProtocolError`` from the party's own error, which
-    ``party_failure(pid)`` returns (``None`` when the party reports none).
+    files gradients and key-switch shares.  ``parties`` are the in-process
+    ``PartyRuntime``s: whenever the server would wait, and once it has sent
+    ``DONE``, it first runs each of them in turn on its own thread over the
+    frames queued for it, and an in-process link calls the handler as the
+    party sends.  A TCP link has a reader thread, started by ``start``, that
+    calls it on each frame it reads.  A frame the handler refuses, or a link
+    that fails or closes, wakes the waiting server unless the server is
+    shutting down, and the link is served no more; the server then closes
+    that link, so a party waiting on it ends, and raises ``ProtocolError``
+    from the party's own error, which ``party_failure(pid)`` returns
+    (``None`` when the party reports none).
     """
 
     def __init__(self, server: ServerState, links: list,
-                 timeout: float = DEFAULT_TIMEOUT, party_failure=None):
+                 timeout: float = DEFAULT_TIMEOUT, party_failure=None,
+                 parties=()):
         self.server = server
         self.links = links
         self.timeout = timeout
         self._party_failure = party_failure or (lambda pid: None)
+        self._parties = parties
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
@@ -638,8 +666,9 @@ class ServerRuntime:
             self._fail(pid, exc)
 
     def _deliver(self, pid: int, data: bytes | None) -> bool:
-        """Serve one frame an in-process party sent, ``None`` for the link's
-        close; False once the link is served no more."""
+        """Serve one frame an in-process party sent, during its turn on the
+        server's thread, ``None`` for the link's close; False once the link
+        is served no more."""
         try:
             if data is None:
                 raise TransportError("channel to server closed")
@@ -699,12 +728,19 @@ class ServerRuntime:
         else:
             raise ProtocolError(f"server cannot handle {frame.msg_type.name}")
 
+    def _serve_parties(self) -> None:
+        # Outside the arrival lock, which the handler takes as it files.
+        for party in self._parties:
+            party.serve()
+
     def _wait(self, done, timeout_error) -> None:
-        """Wait until ``done()`` holds (under the arrival lock).
+        """Run the in-process parties, then wait until ``done()`` holds
+        (under the arrival lock).
 
         Raises ``ProtocolError`` once a link has failed, and
         ``TransportError(timeout_error())`` after ``timeout`` s without news.
         """
+        self._serve_parties()
         with self._arrived:
             while not self._link_errors and not done():
                 if not self._arrived.wait(self.timeout):
@@ -712,6 +748,7 @@ class ServerRuntime:
             failed = self._link_errors[:1]
         if failed:
             (pid, exc), = failed
+            self.links[pid].close()
             err = self._party_failure(pid)
             if err is not None:
                 raise ProtocolError(f"party {pid} failed: {err!r}") from err
@@ -767,8 +804,8 @@ class ServerRuntime:
         return finalize(self.server, roster)
 
     def shutdown(self) -> None:
-        """Tell every party the job is over; from now on a closing link is
-        no failure."""
+        """Tell every party the job is over, and let each in-process party
+        read it; from now on a closing link is no failure."""
         self._closing = True
         for link in self.links:
             try:
@@ -777,6 +814,7 @@ class ServerRuntime:
                                               SERVER_ID))
             except Exception:
                 pass
+        self._serve_parties()
 
     def close(self) -> None:
         """Close every server-side link, which detaches the handler from an
@@ -787,29 +825,6 @@ class ServerRuntime:
         for t in self._readers:
             if t.is_alive():
                 t.join(_REAP_S)
-
-
-class _PartyThread:
-    """A party on a thread of this process, over an in-process link."""
-
-    def __init__(self, runtime: PartyRuntime):
-        self.runtime = runtime
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self) -> None:
-        self.runtime.run()
-        if self.runtime.error is not None:
-            self.runtime.link.close()   # the server's handler sees the close
-
-    def book_round(self, ctx: CryptoContext) -> None:
-        pass    # the party meters on the server's own context
-
-    def failure(self) -> BaseException | None:
-        return self.runtime.error
-
-    def stop(self) -> None:
-        self._thread.join(_REAP_S)
 
 
 class _PartyProcess:
@@ -899,6 +914,14 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
+def _features(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array of finite features, else ``ProtocolError``."""
+    try:
+        return check_finite(np.asarray(x, dtype=np.float64), name)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
 def _class_labels(y, classes: int, name: str) -> np.ndarray:
     """``y`` as int64 class indices in ``[0, classes)``, else ``ProtocolError``."""
     try:
@@ -934,19 +957,20 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
 
     With ``transport="tcp"`` every party runs in a child process forked
     after its links open and before any server reader starts, which needs a
-    platform with ``fork``; ``"in_process"`` runs them on threads.  A party
-    that fails makes the job raise ``ProtocolError`` from the party's error
-    without waiting out ``timeout``, which bounds the wait for a silent
-    party.  No child outlives the call: each is joined, and killed if it has
-    not ended within 10 s of the job's end.  Labels that are not integers
-    in ``[0, config.neurons[-1])``, in a shard or the test set, raise
-    ``ProtocolError`` before any party starts.
+    platform with ``fork``; ``"in_process"`` runs them in turn on the
+    calling thread and starts no thread.  A party that fails makes the job
+    raise ``ProtocolError`` from the party's error without waiting out
+    ``timeout``, which bounds the wait for a silent party.  No child
+    outlives the call: each is joined, and killed if it has not ended within
+    10 s of the job's end.  Features that are not finite and labels that
+    are not integers in ``[0, config.neurons[-1])``, in a shard or the test
+    set, raise ``ProtocolError`` before any party starts.
     """
     if len(party_datasets) != config.party_count:
         raise ProtocolError(
             f"{len(party_datasets)} datasets for {config.party_count} parties")
     classes = config.neurons[-1]
-    shards = [(np.asarray(x, dtype=np.float64),
+    shards = [(_features(x, f"party {p}'s x"),
                _class_labels(y, classes, f"party {p}'s y"))
               for p, (x, y) in enumerate(party_datasets)]
     feature_dim = shards[0][0].shape[1]
@@ -958,7 +982,7 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         if len(x) < 1:
             raise ProtocolError("every party needs at least one sample")
     if test_set is not None:
-        test_x = np.asarray(test_set[0], dtype=np.float64)
+        test_x = _features(test_set[0], "the test set's x")
         test_y = _class_labels(test_set[1], classes, "the test set's y")
         if test_x.shape[1:] != (feature_dim,):
             raise ProtocolError("test set feature dimension differs from "
@@ -991,19 +1015,23 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     else:
         raise ProtocolError(f"unknown transport {transport!r}")
 
+    # In process, the server runs every party on its own thread; over TCP,
+    # each party runs in a child of its own.
+    local = ([PartyRuntime(state, party_links[p], timeout)
+              for p, state in enumerate(parties)]
+             if transport == "in_process" else [])
     hosts: list = []
-    srv = ServerRuntime(server, server_links, timeout,
-                        party_failure=lambda p: hosts[p].failure())
+
+    def failure(p: int) -> BaseException | None:
+        return local[p].error if local else hosts[p].failure()
+    srv = ServerRuntime(server, server_links, timeout, party_failure=failure,
+                        parties=local)
     rounds = []
     ct_traj = []
     mirror_traj = []
     prev_tx = prev_rx = 0
     try:
-        for p, state in enumerate(parties):
-            if transport == "in_process":
-                hosts.append(_PartyThread(
-                    PartyRuntime(state, party_links[p], timeout)))
-                continue
+        for p, state in enumerate(() if local else parties):
             inherited = [*(h.pipe for h in hosts),
                          *(link.sock for link in server_links + party_links
                            if link is not party_links[p])]
@@ -1043,8 +1071,8 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         srv.close()
         for link in party_links:
             link.close()
-    for p, host in enumerate(hosts):
-        err = host.failure()
+    for p in range(config.party_count):
+        err = failure(p)
         if err is not None:
             raise ProtocolError(f"party {p} failed") from err
 

@@ -1,14 +1,15 @@
 """Party/server message transports: in-process queues and localhost TCP.
 
 Both transports move the identical frame stream, so trajectories and byte
-accounting match between them.  An in-process party runs on a thread of the
-server's process, and a TCP party in a process of its own (see
+accounting match between them.  An in-process party runs on the server's
+own thread, and a TCP party in a process of its own (see
 ``protocol.run_training``); the transports differ only in how bytes travel.
 
-A queue link carries the party's frames to the server without a queue or a
-thread of the server's: once the server has attached its handler, ``send``
-calls it on the party's own thread, and ``close`` tells it the link closed.
-Frames to the party still travel on a queue, which the party reads.  A TCP
+A queue link carries the party's frames to the server without a queue:
+once the server has attached its handler, ``send`` calls it in place, and
+``close`` tells it the link closed.  Frames to the party travel on a queue,
+which the party reads when the server gives it its turn; an attached link's
+read never waits, since nothing else could queue a frame meanwhile.  A TCP
 link has no handler; a reader thread of the server's reads its frames.
 
 Each frame is counted once, by whichever process can see it.  A queue link
@@ -78,6 +79,7 @@ class QueueLink:
         self._to_party: queue.Queue = queue.Queue()
         self._to_server: queue.Queue = queue.Queue()
         self._handler = None
+        self._block = True   # whether the party's read waits for a frame
 
     def attach(self, handler) -> None:
         """Serve the party's frames with ``handler`` on the sending thread.
@@ -86,14 +88,18 @@ class QueueLink:
         queue, and ``close`` calls ``handler(None)``.  The link detaches the
         handler once it returns False, and at ``close``; frames sent after
         that wait on the queue, unread unless ``server_recv`` reads them.
+        From now on the party runs on the server's thread, so its read
+        raises ``TransportError`` at once when no frame is queued.
         """
         self._handler = handler
+        self._block = False
 
-    def _take(self, q: queue.Queue, waiter: str, timeout):
+    def _take(self, q: queue.Queue, waiter: str, timeout, block: bool = True):
         try:
-            frame = q.get(timeout=timeout)
+            frame = q.get(block, timeout)
         except queue.Empty:
-            raise TransportError(f"{waiter} timed out on the channel") from None
+            why = "timed out" if block else "found no frame"
+            raise TransportError(f"{waiter} {why} on the channel") from None
         if frame is _CLOSED:
             raise TransportError(f"channel to {waiter} closed")
         return frame
@@ -108,7 +114,12 @@ class QueueLink:
             self._handler = None
 
     def recv(self, timeout: float | None = None) -> bytes:
-        return self._take(self._to_party, f"party-{self.party_id}", timeout)
+        return self._take(self._to_party, f"party-{self.party_id}", timeout,
+                          self._block)
+
+    def pending(self) -> bool:
+        """Whether a frame, or the close, is queued for the party."""
+        return not self._to_party.empty()
 
     # server side
     def server_send(self, frame: bytes) -> None:

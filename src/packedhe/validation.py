@@ -14,6 +14,11 @@ def check_array(x, name: str = "X") -> np.ndarray:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} has no rows")
+    return check_finite(arr, name)
+
+
+def check_finite(arr: np.ndarray, name: str = "X") -> np.ndarray:
+    """``arr`` itself if every entry is finite, else ``ValueError``."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr

@@ -623,17 +623,18 @@ def test_a_party_that_fails_after_the_others_reported_wakes_the_server(
     assert_no_party_outlives_the_job()
 
 
-def test_an_in_process_job_runs_one_thread_per_party_and_no_other(
+def test_an_in_process_job_runs_every_party_on_the_calling_thread(
         monkeypatch):
-    # The server handles each frame on the party thread that sends it.
+    # The server runs each party in turn where it would wait for it.
     from packedhe.federated.protocol import PartyRuntime
     before = set(threading.enumerate())
-    seen, party_threads = set(), set()
+    seen, rounds = set(), []
     real = PartyRuntime._run_round
 
     def run_round(runtime, round_no, weight_cts):
         seen.update(threading.enumerate())
-        party_threads.add(threading.current_thread())
+        rounds.append((runtime.state.party_id, round_no,
+                       threading.current_thread()))
         real(runtime, round_no, weight_cts)
     monkeypatch.setattr(PartyRuntime, "_run_round", run_round)
     x, y = blob_data(samples=20, features=3, seed=15)
@@ -642,8 +643,10 @@ def test_an_in_process_job_runs_one_thread_per_party_and_no_other(
     run_training(small_config(party_count=2, global_iters=2, activation=act),
                  split_parties(x, y, 2, seed=5), transport="in_process",
                  timeout=30.0)
-    assert len(party_threads) == 2
-    assert seen - before == party_threads
+    me = threading.current_thread()
+    assert rounds == [(0, 0, me), (1, 0, me), (0, 1, me), (1, 1, me)]
+    assert seen == before
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
@@ -876,8 +879,8 @@ class _OneShareThenClose:
         from packedhe.federated.wire import MsgType, decode_frame
         self.link.send(frame)
         if decode_frame(frame).msg_type == MsgType.KEYSWITCH_SHARE:
-            # Time enough for a server that counts one share as consent to
-            # every weight to re-key before the close wakes it.
+            # Over TCP, time enough for a server that counts one share as
+            # consent to every weight to re-key before the close wakes it.
             time.sleep(0.5)
             self.link.close()
             self.closed = True
@@ -889,20 +892,23 @@ class _OneShareThenClose:
             return encode_frame(MsgType.DONE, 1, SERVER_ID)
         return self.link.recv(timeout)
 
+    def pending(self):
+        return self.link.pending()
+
     def close(self):
         self.link.close()
 
 
-def test_a_party_that_consents_to_one_weight_of_two_fails_the_job(
-        monkeypatch):
+def _party_1_consents_to_one_weight_of_two(transport, monkeypatch):
+    # Injected at the link the party is built with, which both hosts use.
     from packedhe.federated.protocol import PartyRuntime
-    real_run = PartyRuntime.run
+    real_init = PartyRuntime.__init__
 
-    def run(runtime):
-        if runtime.state.party_id == 1:
-            runtime.link = _OneShareThenClose(runtime.link)
-        real_run(runtime)
-    monkeypatch.setattr(PartyRuntime, "run", run)
+    def init(runtime, state, link, *args, **kwargs):
+        if state.party_id == 1:
+            link = _OneShareThenClose(link)
+        real_init(runtime, state, link, *args, **kwargs)
+    monkeypatch.setattr(PartyRuntime, "__init__", init)
     finalized = []
     monkeypatch.setattr(protocol, "finalize",
                         lambda *args, **kw: finalized.append(1))
@@ -912,9 +918,53 @@ def test_a_party_that_consents_to_one_weight_of_two_fails_the_job(
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="party 1 link failed"):
         run_training(config, split_parties(x, y, 2, seed=5),
-                     transport="in_process", timeout=30.0)
+                     transport=transport, timeout=30.0)
     assert time.monotonic() - start < 10.0
     assert finalized == []
+    assert_no_party_outlives_the_job()
+
+
+def test_a_party_that_consents_to_one_weight_of_two_fails_the_job(
+        monkeypatch):
+    _party_1_consents_to_one_weight_of_two("in_process", monkeypatch)
+
+
+def test_a_tcp_party_that_consents_to_one_weight_of_two_fails_the_job(
+        monkeypatch):
+    # Here the server waits on another process, so the half second before
+    # the close would let a server that took one share for both re-key.
+    _party_1_consents_to_one_weight_of_two("tcp", monkeypatch)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_refused_refresh_fails_the_job_fast(transport, monkeypatch):
+    # In process, party 1 reads its share on the server's thread, where
+    # nothing queues one once the server has refused the request: the read
+    # must fail at once rather than wait out the timeout.
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.wire import MsgType, decode_frame
+    real = ServerRuntime._handle
+    requests = []
+
+    def handle(runtime, pid, data):
+        if pid == 1 and decode_frame(data).msg_type == MsgType.BOOTSTRAP_REQ:
+            requests.append(data)
+            if len(requests) == 3:
+                raise ProtocolError("refused party 1's third refresh")
+        real(runtime, pid, data)
+    monkeypatch.setattr(ServerRuntime, "_handle", handle)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    threads = set(threading.enumerate())
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 1 failed"):
+        run_training(small_config(party_count=2, global_iters=2,
+                                  neurons=(4, 2)),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert len(requests) == 3
+    assert set(threading.enumerate()) == threads
+    assert_no_party_outlives_the_job()
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
@@ -1049,6 +1099,41 @@ def test_bad_labels_are_refused_before_any_party_starts(where, label, want):
     with pytest.raises(ProtocolError, match=want):
         run_training(small_config(party_count=2, global_iters=1), shards,
                      transport="tcp", test_set=test_set, timeout=30.0)
+    assert set(threading.enumerate()) == threads
+    assert_no_party_outlives_the_job()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("where, value, want", [
+    ("unsampled row", np.nan, "party 1's x contains NaN or infinite"),
+    ("sampled row", np.nan, "party 1's x contains NaN or infinite"),
+    ("test set", np.inf, "the test set's x contains NaN or infinite"),
+], ids=["nan in an unsampled row", "nan in a sampled row", "inf in the test set"])
+def test_non_finite_features_are_refused_before_any_party_starts(
+        transport, where, value, want, monkeypatch):
+    # Unchecked, the unsampled NaN would count in the accuracy pass, the
+    # sampled one would fail mid-job as party 1's link, and the inf would
+    # score a test accuracy.
+    x, y = blob_data(samples=20, features=3, seed=15)
+    shards = split_parties(x, y, 2, seed=5)
+    test_set = (x[:6].copy(), y[:6])
+    config = small_config(party_count=2, global_iters=1)
+    sampled = build_schedule(config, [len(sx) for sx, _ in shards])[0][1]
+    if where == "test set":
+        test_set[0][2, 1] = value
+    elif where == "sampled row":
+        shards[1][0][sampled[0], 0] = value
+    else:
+        unsampled = set(range(len(shards[1][0]))) - set(sampled.tolist())
+        shards[1][0][min(unsampled), 0] = value
+    prepared = []
+    monkeypatch.setattr(protocol, "prepare",
+                        lambda *args: prepared.append(args))
+    threads = set(threading.enumerate())
+    with pytest.raises(ProtocolError, match=want):
+        run_training(config, shards, transport=transport, test_set=test_set,
+                     timeout=30.0)
+    assert prepared == []
     assert set(threading.enumerate()) == threads
     assert_no_party_outlives_the_job()
 
