@@ -8,7 +8,6 @@ Subcommands:
                     schedule, depth bound, grid error, CSV error profile
 * ``train``         end-to-end encrypted federated training from a JSON config
                     and per-party CSV datasets
-* ``microbench``    wall time and meter deltas of individual operations
 
 Exit status is 0 iff every assertion embedded in the produced reports passed;
 input the program refuses prints an ``error:`` line and exits with 2.
@@ -25,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import matrix, references
-from .approx import (CompositePolySpec, app_sign, closeness_grid,
-                     depth_bound_formula, eval_composite,
-                     make_local_bootstrapper, stage_depth)
+from .approx import (CompositePolySpec, closeness_grid, depth_bound_formula,
+                     eval_composite, stage_depth)
 from .bench import BenchReport, write_report
 from .engine import new_context
 from .federated.config import config_from_dict, load_dataset_csv
@@ -35,16 +33,12 @@ from .federated.protocol import ProtocolError, run_training
 from .matrix import matmul_rotation_formula
 
 
-def _context_for(h: int, beta: int = 1, level: int = 6, parties: int = 1):
-    return new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
-
-
 def cmd_matmul_bench(args) -> list:
     rng = np.random.default_rng(args.seed)
     sizes = [int(s) for s in args.sizes.split(",")]
     reports = []
     for h in sizes:
-        ctx = _context_for(h, args.beta)
+        ctx = new_context(2 * args.beta * h * h, 6, 2.0 ** 40, 1)
         report = BenchReport("matmul-bench-h%d" % h,
                             {"h": h, "beta": args.beta, "repeat": args.repeat,
                              "seed": args.seed})
@@ -182,88 +176,6 @@ def cmd_train(args) -> list:
     return [report]
 
 
-MICRO_OPS = ("rot", "add", "sub", "mul_pt", "mul_ct", "rescale", "dbootstrap",
-             "he_mat_mult", "he_transpose", "he_rect_mat_mult", "app_sign")
-
-
-def _micro_case(op: str, h: int, rng) -> tuple:
-    """(ctx, call, extras): the context, a call of ``op`` on fixed operands."""
-    parties = 2
-    ctx = _context_for(h, level=6, parties=parties)
-    extras = {}
-    if op in ("rot", "add", "sub", "mul_pt", "mul_ct", "rescale", "dbootstrap"):
-        ct = ctx.encrypt(ctx.encode(rng.standard_normal(min(h, ctx.slot_count))))
-        other = ctx.encrypt(ctx.encode(rng.standard_normal(min(h, ctx.slot_count))))
-        pt = ctx.encode(np.ones(ctx.slot_count))
-        fn = {
-            "rot": lambda: ctx.rot(ct, 1),
-            "add": lambda: ctx.add(ct, other),
-            "sub": lambda: ctx.sub(ct, other),
-            "mul_pt": lambda: ctx.mul_pt(ct, pt),
-            "mul_ct": lambda: ctx.mul_ct(ct, other),
-            "rescale": lambda: ctx.rescale(ctx.mul_ct(ct, other)),
-            "dbootstrap": lambda: ctx.dbootstrap(ct, ctx.parties),
-        }[op]
-    elif op == "he_mat_mult":
-        pa = matrix.encode_matrix(rng.standard_normal((h, h)), ctx)
-        pb = matrix.encode_matrix(rng.standard_normal((h, h)), ctx)
-        fn = lambda: matrix.he_mat_mult(pa, pb)
-    elif op == "he_transpose":
-        pa = matrix.encode_matrix(rng.standard_normal((h, h)), ctx)
-        spec = matrix.build_permutation("transpose", h)
-        extras["diagonal_count"] = len(spec.diagonals)
-        fn = lambda: matrix.he_transpose(pa)
-    elif op == "he_rect_mat_mult":
-        t = max(h // 4, 1)
-        pa = matrix.encode_rect_matrix(rng.standard_normal((t, h)), ctx)
-        pb = matrix.encode_matrix(rng.standard_normal((h, h)), ctx)
-        extras["rows_t"] = t
-        fn = lambda: matrix.he_rect_mat_mult(pa, pb)
-    elif op == "app_sign":
-        spec = CompositePolySpec.for_closeness(4, 20.0, 2.0 ** -20)
-        ct = ctx.encrypt(ctx.encode(
-            rng.uniform(-1, 1, size=min(h, ctx.slot_count))))
-        refresh = make_local_bootstrapper(ctx)
-        extras.update(depth_k=spec.k, k_escape=spec.k_escape,
-                      k_sharpen=spec.k_sharpen)
-        fn = lambda: app_sign(ct, spec, ctx, refresh)
-    else:
-        raise ValueError(f"unknown microbench op {op!r}; "
-                         f"registered: {', '.join(MICRO_OPS)}")
-    return ctx, fn, extras
-
-
-def cmd_microbench(args) -> list:
-    """Warm per-call timing of one operation on operands built once per size.
-
-    One warm-up call runs outside the meter scope; the meter then accumulates
-    over exactly the ``repeat`` timed calls, and wall time is their median.
-    """
-    if args.op not in MICRO_OPS:
-        raise ValueError(f"unknown microbench op {args.op!r}; "
-                         f"registered: {', '.join(MICRO_OPS)}")
-    rng = np.random.default_rng(args.seed)
-    reports = []
-    for h in (int(s) for s in args.sizes.split(",")):
-        ctx, fn, extras = _micro_case(args.op, h, rng)
-        fn()
-        times = []
-        with ctx.meter_scope() as total:
-            for _ in range(args.repeat):
-                start = time.perf_counter()
-                fn()
-                times.append((time.perf_counter() - start) * 1e3)
-        report = BenchReport(f"microbench-{args.op}-h{h}",
-                             {"op": args.op, "h": h, "repeat": args.repeat,
-                              "seed": args.seed})
-        report.meter = total.snapshot()
-        report.wall_time_ms = float(np.median(times))
-        report.add_row(args.op, median_ms=float(np.median(times)), **extras,
-                       **total.snapshot())
-        reports.append(report)
-    return reports
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="packedhe",
@@ -304,12 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="in_process")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("microbench", parents=[common],
-                       help="wall time and meter deltas of single ops")
-    p.add_argument("--op", type=str, required=True)
-    p.add_argument("--sizes", type=str, default="8")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(fn=cmd_microbench)
     return parser
 
 

@@ -22,10 +22,11 @@ each TCP party in a forked child process.  Once the model is broadcast, a
 party's round does not depend on the other parties', so the server runs
 them in turn, party 0 first, wherever it would otherwise wait for them: an
 in-process job starts no thread, and a refresh is a call.  Over TCP, a
-reader thread of the server's serves each link, so the parties, the readers
-and the server's main thread run on separate interpreters.  A child meters
-its ops on its forked copy of the context and reports them to the server
-over an unmetered pipe before each round's gradients; the server books them
+reader thread of the server's serves each link; the readers and the
+server's main thread share one interpreter and its lock, and only the
+forked parties run on interpreters of their own.  A child meters its ops on
+its forked copy of the context and reports them to the server over an
+unmetered pipe before each round's gradients; the server books them
 on its own meter, so ``metrics["rounds"][i]["ops"]`` covers every node on
 both transports.  A party that fails closes its link (a child by exiting),
 which wakes the waiting server: it raises ``ProtocolError`` from the
@@ -624,7 +625,8 @@ class ServerRuntime:
     shutting down, and the link is served no more; the server then closes
     that link, so a party waiting on it ends, and raises ``ProtocolError``
     from the party's own error, which ``party_failure(pid)`` returns
-    (``None`` when the party reports none).
+    (``None`` when the party reports none); the message names the link's
+    error at the server as well, such as the reason a frame was refused.
     """
 
     def __init__(self, server: ServerState, links: list,
@@ -751,7 +753,11 @@ class ServerRuntime:
             self.links[pid].close()
             err = self._party_failure(pid)
             if err is not None:
-                raise ProtocolError(f"party {pid} failed: {err!r}") from err
+                # Name the server's side too: when the server refused a
+                # frame, the party's error is only what followed from it.
+                raise ProtocolError(f"party {pid} failed: {err!r}; the "
+                                    f"server's end of its link: {exc!r}"
+                                    ) from err
             raise ProtocolError(f"party {pid} link failed: {exc}") from exc
 
     def broadcast_model(self, round_no: int) -> None:

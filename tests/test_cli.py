@@ -113,40 +113,6 @@ def test_sign_bench_depth_monotone_in_sigma(capsys):
     assert low <= high
 
 
-def test_microbench_rotation_tally_accumulates():
-    import packedhe.cli as cli
-
-    class Args:
-        op, sizes, repeat, seed = "rot", "8", 1000, 0
-
-    (report,) = cli.cmd_microbench(Args)
-    assert report.meter["rotations"] == 1000
-    assert all(v == 0 for k, v in report.meter.items() if k != "rotations")
-
-
-def test_microbench_transpose_reports_diagonals(capsys):
-    code = run_cli("microbench", "--op", "he_transpose", "--sizes", "8",
-                   "--json")
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["rows"][0]["diagonal_count"] == 15
-
-
-def test_microbench_rect_mul_ct(capsys):
-    code = run_cli("microbench", "--op", "he_rect_mat_mult", "--sizes", "8",
-                   "--repeat", "1", "--json")
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["rows"][0]["rows_t"] == 2
-    assert report["meter"]["mul_ct"] == 2
-
-
-def test_microbench_unknown_op(capsys):
-    code = run_cli("microbench", "--op", "nonsense")
-    assert code == 2
-    assert "nonsense" in capsys.readouterr().err
-
-
 def _write_train_fixture(tmp_path, parties=2):
     x, y = make_synthetic_classification(samples=40, features=4, classes=2,
                                          seed=5)

@@ -705,7 +705,7 @@ def test_round_timeout_names_missing_parties():
         with pytest.raises(TransportError) as err:
             srv.collect_gradients(0)
     finally:
-        srv.close()     # readers wait on their links with no timeout
+        srv.close()
     assert "0" in str(err.value) and "1" in str(err.value)
 
 
@@ -956,12 +956,13 @@ def test_a_refused_refresh_fails_the_job_fast(transport, monkeypatch):
     x, y = blob_data(samples=20, features=3, seed=15)
     threads = set(threading.enumerate())
     start = time.monotonic()
-    with pytest.raises(ProtocolError, match="party 1 failed"):
+    with pytest.raises(ProtocolError, match="party 1 failed") as err:
         run_training(small_config(party_count=2, global_iters=2,
                                   neurons=(4, 2)),
                      split_parties(x, y, 2, seed=5), transport=transport,
                      timeout=30.0)
     assert time.monotonic() - start < 10.0
+    assert "refused party 1's third refresh" in str(err.value)
     assert len(requests) == 3
     assert set(threading.enumerate()) == threads
     assert_no_party_outlives_the_job()
