@@ -10,7 +10,8 @@ Subcommands:
                     and per-party CSV datasets
 
 Exit status is 0 iff every assertion embedded in the produced reports passed;
-input the program refuses prints an ``error:`` line and exits with 2.
+input the program refuses, and a training job that a party's failure or a
+timeout ends, print an ``error:`` line and exit with 2.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .bench import BenchReport, write_report
 from .engine import new_context
 from .federated.config import config_from_dict, load_dataset_csv
 from .federated.protocol import ProtocolError, run_training
+from .federated.transport import TransportError
 from .matrix import matmul_rotation_formula
 
 
@@ -224,7 +226,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         reports = args.fn(args)
-    except (ValueError, FileNotFoundError, ProtocolError) as exc:
+    except (ValueError, FileNotFoundError, ProtocolError,
+            TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = True

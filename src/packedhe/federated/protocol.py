@@ -2,9 +2,9 @@
 
 One global round works on ciphertexts end to end: the server broadcasts the
 encrypted model, every party runs an encrypted forward/backward pass over one
-mini-batch of its local shard (rectangular packed products for the batch,
-transpose + square products for the gradients, composite-polynomial gates for
-the activations), the server sums the encrypted per-party gradients and
+mini-batch of its local shard (rectangular packed products for the batch and,
+transposed, for the gradients, composite-polynomial gates for the
+activations), the server sums the encrypted per-party gradients and
 applies the update  w <- w - eta/(batch*N) * grad  under encryption.  After
 the last round the model is collectively re-keyed to the server's key and
 decrypted there; parties never see a server-keyed ciphertext.
@@ -47,8 +47,10 @@ from .. import matrix
 from ..approx import (CompositePolySpec, _ensure_level, app_sign,
                       make_local_bootstrapper, polyval_ct, smooth_fit)
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
+# he_mat_mult stays bound though unused: perfbench's tracer patches it here.
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
-                      he_rect_mat_mult, he_transpose, pad_matrix)
+                      he_rect_mat_mult, he_rect_tn_mult, he_transpose,
+                      pad_matrix)
 from ..validation import check_finite, check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
@@ -134,7 +136,6 @@ class PassConstants:
     col_masks: tuple        # per layer, the logical-neuron column mask
     label_mask: Plaintext   # real samples x label columns
     two: Plaintext          # derivative factor of the squared loss
-    grad_scale: Plaintext   # t / h
     relu_range: Plaintext | None  # 1 / input_range, approx_relu only
     half: Plaintext | None        # 0.5, approx_relu only
 
@@ -147,7 +148,7 @@ def _encode_constants(ctx: CryptoContext, config: TrainingConfig,
     return PassConstants(
         tuple(ctx.encode(np.tile(mask, plan.h)) for mask in plan.col_masks),
         ctx.encode(np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel()),
-        full(2.0), full(plan.t / plan.h),
+        full(2.0),
         full(1.0 / config.activation.input_range) if relu else None,
         full(0.5) if relu else None)
 
@@ -282,10 +283,6 @@ class CipherActivation:
         return m, gate
 
 
-def _as_square(pm: PackedMatrix) -> PackedMatrix:
-    return PackedMatrix(pm.ct, pm.dim_h, pm.dim_h, pm.batch_beta)
-
-
 def _as_rect(pm: PackedMatrix, t: int) -> PackedMatrix:
     return PackedMatrix(pm.ct, pm.dim_h, t, pm.batch_beta)
 
@@ -343,9 +340,10 @@ def local_backward(party: PartyState, trace: ForwardTrace,
                    batch_labels: np.ndarray, bootstrap=None) -> GradientMsg:
     """Encrypted backpropagation; returns per-layer gradient sums.
 
-    Gradients are computed as (t/h) * square-product of the transposed
-    replicated activation image with the replicated error image, which equals
-    the plain block product summed over the batch rows.
+    Each layer's gradient is ``he_rect_tn_mult`` of the replicated t x h
+    activation image below it and the replicated error image: the t-stage
+    product of the transpose, which sums the block product over the batch
+    rows.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     consts = party.consts
@@ -373,14 +371,10 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     below = [trace.x_ct] + trace.activations[:-1]
     grads: list = [None] * len(weights)
     for j in reversed(range(len(weights))):
-        m_prev = _ensure_pm(comp, _as_square(below[j]), 2)
-        m_t = he_transpose(m_prev)
-        g = he_mat_mult(_ensure_pm(comp, m_t, PRODUCT_DEPTH),
-                        _ensure_pm(comp, _as_square(
-                            PackedMatrix(delta, plan.h, plan.h, 1)),
-                            PRODUCT_DEPTH))
-        grads[j] = PackedMatrix(comp.mul_const(g.ct, consts.grad_scale),
-                                plan.h, plan.h, 1)
+        grads[j] = he_rect_tn_mult(
+            _ensure_pm(comp, below[j], PRODUCT_DEPTH + 1),
+            _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
+                       PRODUCT_DEPTH))
         if j > 0:
             w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
             d_pm = he_rect_mat_mult(

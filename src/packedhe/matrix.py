@@ -37,7 +37,10 @@ plans hold no context, so a plan serves every context of its geometry.
 Matrix ops find the context of a ciphertext by its ``context_id`` among the
 live contexts (``engine.context_of``).
 
-``he_mat_mult`` and ``he_rect_mat_mult`` share one product core.  Stage k
+Three products share one product core: ``he_mat_mult`` (square by square,
+h stages), ``he_rect_mat_mult`` (a stacked t x h matrix by a square one, t
+stages and a fold) and ``he_rect_tn_mult`` (the transpose of a stacked
+t x h matrix by another, t stages).  Stage k
 shifts the aligned left factor a0 by k columns: the masked term ``m_k``
 (one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
 other way round the row boundary.  ``m_k`` is rescaled before the
@@ -372,7 +375,13 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
 # ----------------------------------------------------------- matrix products
 
 
-def _require_product_layout(a: PackedMatrix, b: PackedMatrix) -> CryptoContext:
+def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
+                            a_depth: int = PRODUCT_DEPTH) -> CryptoContext:
+    """The operands' context, once both fit one exact-fit product.
+
+    ``a`` needs ``a_depth`` levels and ``b`` ``PRODUCT_DEPTH``; raises
+    before anything is metered.
+    """
     ctx = _ctx_of(a)
     if b.ct.context_id != a.ct.context_id:
         raise CapacityError("operands live in different contexts")
@@ -386,11 +395,11 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix) -> CryptoContext:
         raise CapacityError(
             f"matrix products need an exact-fit packing (cyclic row shifts): "
             f"window {a.window} != slot_count {ctx.slot_count}")
-    levels = min(a.ct.level, b.ct.level)
-    if levels < PRODUCT_DEPTH:
-        raise LevelExhaustedError(
-            f"operation consumes {PRODUCT_DEPTH} multiplicative levels; "
-            f"operands are at level {levels}")
+    for pm, depth in ((a, a_depth), (b, PRODUCT_DEPTH)):
+        if pm.ct.level < depth:
+            raise LevelExhaustedError(
+                f"operation consumes {depth} multiplicative levels; "
+                f"an operand is at level {pm.ct.level}")
     return ctx
 
 
@@ -423,14 +432,18 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
                         a.batch_beta)
 
 
+def _transpose(ctx: CryptoContext, a: PackedMatrix) -> PackedMatrix:
+    """The transposed h x h image of ``a``, rescaled: one level."""
+    spec = build_permutation("transpose", a.dim_h)
+    out = ctx.rescale(he_lin_trans_bsgs(a.ct, spec, a.batch_beta))
+    return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta)
+
+
 def he_transpose(a: PackedMatrix) -> PackedMatrix:
     """Transpose a square packed matrix (2h-1 diagonals, bsgs rotations)."""
     if a.rows_t != a.dim_h:
         raise CapacityError("he_transpose expects a square payload")
-    ctx = _ctx_of(a)
-    spec = build_permutation("transpose", a.dim_h)
-    out = ctx.rescale(he_lin_trans_bsgs(a.ct, spec, a.batch_beta))
-    return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta)
+    return _transpose(_ctx_of(a), a)
 
 
 def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -458,6 +471,27 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     for step in range(int(math.log2(copies))):
         acc = ctx.add(acc, ctx.rot(acc, t * h * (1 << step)))
     return PackedMatrix(acc, h, t, 1)
+
+
+def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
+    """``A.T @ B`` for two stacked t x h matrices, as an h x h payload.
+
+    Both images repeat their t rows h/t times, so the product's inner index
+    has period t: the transpose of ``a`` then t shift stages of the product
+    core visit each of the t rows once, with no fold.  Costs the transpose
+    plus 3h + t mul_pt, t subs and t mul_ct.  ``a`` needs
+    ``PRODUCT_DEPTH + 1`` levels (one for the transpose) and ``b``
+    ``PRODUCT_DEPTH``; a refused call meters nothing.
+    """
+    if a.batch_beta != 1 or b.batch_beta != 1:
+        raise CapacityError("rectangular products are not batched")
+    t, h = a.rows_t, a.dim_h
+    if b.rows_t != t:
+        raise CapacityError(f"logical row counts differ: {t} vs {b.rows_t}")
+    if h % t != 0:
+        raise CapacityError(f"logical row count {t} must divide the side {h}")
+    ctx = _require_product_layout(a, b, PRODUCT_DEPTH + 1)
+    return PackedMatrix(_product(ctx, _transpose(ctx, a), b, t), h, h, 1)
 
 
 def matmul_rotation_formula(h: int) -> int:

@@ -193,6 +193,20 @@ def test_train_refused_input_exits_2_with_an_error_line(tmp_path, capsys):
     assert "error: party 0's y holds label 5" in capsys.readouterr().err
 
 
+def test_train_transport_failure_exits_2_with_an_error_line(
+        monkeypatch, tmp_path, capsys):
+    from packedhe import cli
+    from packedhe.federated.transport import TransportError
+
+    def fail(*args, **kwargs):
+        raise TransportError("only 1 of 2 parties connected within 2.0 s")
+    monkeypatch.setattr(cli, "run_training", fail)
+    cfg = _write_train_fixture(tmp_path)
+    code = run_cli("train", "--config", str(cfg), "--data-dir", str(tmp_path))
+    assert code == 2
+    assert "error: only 1 of 2 parties connected" in capsys.readouterr().err
+
+
 def test_train_unknown_config_key(tmp_path, capsys):
     cfg = _write_train_fixture(tmp_path)
     raw = json.loads(cfg.read_text())

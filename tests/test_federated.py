@@ -439,44 +439,69 @@ def test_no_blas_worker_runs_during_a_wide_job():
 
 
 @pytest.fixture(scope="module")
-def relu_benchmark_metrics():
-    """``metrics`` of one run per transport at the benchmark's relu shape."""
-    # Two parties, h = 16, two approx_relu layers of 8 + 2 stages each.
-    x, y = make_synthetic_classification(699, 9, 2, seed=1)
-    act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
-                           delta=2.0 ** -20)
-    config = TrainingConfig(neurons=(16, 2), learning_rate=0.1, global_iters=2,
-                            batch_size=8, party_count=2, activation=act, seed=1)
-    shards = split_parties(x, y, 2, seed=1)
+def benchmark_metrics():
+    """``metrics`` of one run per shape and transport at a benchmark shape."""
+    # relu: two parties, h = 16, t = 8, two approx_relu layers of 8 + 2
+    # stages each.  wide: two parties, h = 64, t = 16, identity activation.
+    shapes = {
+        "relu": (699, 9, (16, 2), 8, ActivationConfig(
+            kind="approx_relu", d=4, sigma=20.0, delta=2.0 ** -20)),
+        "wide": (600, 60, (32, 2), 16, ActivationConfig(kind="identity")),
+    }
     runs = {}
 
-    def metrics(transport):
-        if transport not in runs:
-            runs[transport] = run_training(config, shards,
-                                           transport=transport).metrics
-        return runs[transport]
+    def metrics(shape, transport):
+        if (shape, transport) not in runs:
+            samples, features, neurons, batch, act = shapes[shape]
+            x, y = make_synthetic_classification(samples, features,
+                                                 neurons[-1], seed=1)
+            config = TrainingConfig(neurons=neurons, learning_rate=0.1,
+                                    global_iters=2, batch_size=batch,
+                                    party_count=2, activation=act, seed=1)
+            runs[shape, transport] = run_training(
+                config, split_parties(x, y, 2, seed=1),
+                transport=transport).metrics
+        return runs[shape, transport]
     return metrics
 
 
-@pytest.mark.parametrize("transport", ["in_process", "tcp"])
-def test_relu_round_counts_at_benchmark_shape(transport, relu_benchmark_metrics):
-    metrics = relu_benchmark_metrics(transport)
+def _assert_round_counts(metrics, other, expected):
+    """Every round books ``expected`` (bootstraps, mul_ct, mul_pt, rotations),
+    and ``other``, the same job over the other transport, books the same."""
     rounds = metrics["rounds"]
     prev = dict.fromkeys(rounds[0]["ops"], 0)
     for r in rounds:
         per_round = {k: r["ops"][k] - prev[k] for k in prev}
         prev = r["ops"]
         assert (per_round["bootstraps"], per_round["mul_ct"],
-                per_round["mul_pt"], per_round["rotations"]) == (62, 320, 970, 614)
+                per_round["mul_pt"], per_round["rotations"]) == expected
     # TCP parties meter in their own processes and report to the server,
     # and only the server end of a TCP link counts bytes: every node's ops
     # and every frame still land in the same round.
-    other = relu_benchmark_metrics("tcp" if transport == "in_process"
-                                   else "in_process")
     assert [(r["ops"], r["bytes_tx"], r["bytes_rx"]) for r in rounds] == \
         [(r["ops"], r["bytes_tx"], r["bytes_rx"]) for r in other["rounds"]]
     assert json.dumps({**metrics, "transport": None}, sort_keys=True) == \
         json.dumps({**other, "transport": None}, sort_keys=True)
+
+
+def _other(transport):
+    return "tcp" if transport == "in_process" else "in_process"
+
+
+# Per round, each of 2 parties takes 2 weight gradients, each a t-stage
+# he_rect_tn_mult: t ct products and 3t stage rotations.
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
+    _assert_round_counts(benchmark_metrics("relu", transport),
+                         benchmark_metrics("relu", _other(transport)),
+                         (60, 288, 934, 518))
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
+    _assert_round_counts(benchmark_metrics("wide", transport),
+                         benchmark_metrics("wide", _other(transport)),
+                         (8, 160, 2858, 1036))
 
 
 def test_sigmoid_activation_run_and_mirror():

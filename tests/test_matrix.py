@@ -14,7 +14,7 @@ from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
                              he_lin_trans, he_lin_trans_bsgs, he_mat_mult,
-                             he_rect_mat_mult, he_transpose,
+                             he_rect_mat_mult, he_rect_tn_mult, he_transpose,
                              matmul_rotation_formula, pack_matrices)
 
 
@@ -1082,6 +1082,109 @@ def test_rect_requires_divisible_rows():
     ctx = exact_ctx(8)
     with pytest.raises(CapacityError):
         encode_rect_matrix(np.ones((3, 8)), ctx)
+
+
+# --------------------------------------------------- transposed rectangular
+
+_TN_SHAPES = [(4, 1), (4, 2), (4, 4), (8, 2), (16, 4), (16, 8), (32, 8),
+              (64, 16), (64, 64)]
+
+
+def _tn_operands(h, t):
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(h * 100 + t)
+    a, b = rng.standard_normal((t, h)), rng.standard_normal((t, h))
+    return ctx, a, b, encode_rect_matrix(a, ctx), encode_rect_matrix(b, ctx)
+
+
+@pytest.mark.parametrize("h, t", _TN_SHAPES)
+def test_rect_tn_mult_equals_plain_product(h, t):
+    ctx, a, b, pa, pb = _tn_operands(h, t)
+    out = he_rect_tn_mult(pa, pb)
+    assert (out.dim_h, out.rows_t, out.batch_beta) == (h, h, 1)
+    assert out.ct.level == ctx.initial_level - matrix.PRODUCT_DEPTH - 1
+    assert out.ct.scale == ctx.initial_scale
+    assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+
+
+@pytest.mark.parametrize("h, t", _TN_SHAPES)
+def test_rect_tn_mult_tallies(h, t):
+    ctx, _, _, pa, pb = _tn_operands(h, t)
+    with ctx.meter_scope() as transpose:
+        he_transpose(encode_matrix(np.eye(h), ctx))
+    with ctx.meter_scope() as scope:
+        he_rect_tn_mult(pa, pb)
+    assert scope.mul_ct == t
+    assert scope.subs == t
+    assert scope.mul_pt == transpose.mul_pt + 3 * h + t
+    assert scope.rotations == (transpose.rotations + matmul_rotation_formula(h)
+                               - 3 * (h - t))
+    if (h, t) == (64, 16):
+        assert scope.rotations == 112
+
+
+@pytest.mark.parametrize("h, t", [(4, 2), (16, 4), (64, 16)])
+def test_rect_tn_mult_agrees_with_scaled_square_product(h, t):
+    # the h-stage square product of the transposed stacked image counts each
+    # batch row h/t times; t/h scales the copies away
+    ctx, _, _, pa, pb = _tn_operands(h, t)
+    square = [matrix.PackedMatrix(pm.ct, h, h, 1) for pm in (pa, pb)]
+    old = decode_matrix(he_mat_mult(he_transpose(square[0]), square[1]))
+    new = decode_matrix(he_rect_tn_mult(pa, pb))
+    assert np.allclose(new, old * t / h, rtol=0, atol=1e-12)
+
+
+def _at_level(pm, level):
+    ct = engine.SlotVector(pm.ct.slots, level, pm.ct.scale, pm.ct.context_id,
+                           pm.ct.key_tag)
+    return matrix.PackedMatrix(ct, pm.dim_h, pm.rows_t, pm.batch_beta)
+
+
+def _tn_misuse(case):
+    h, t = 8, 2
+    ctx, _, _, pa, pb = _tn_operands(h, t)
+    if case == "rows differ":
+        pb = matrix.PackedMatrix(pb.ct, h, 4, 1)
+    elif case == "rows do not divide h":
+        pa, pb = (matrix.PackedMatrix(pm.ct, h, 3, 1) for pm in (pa, pb))
+    elif case == "batched":
+        pa, pb = (matrix.PackedMatrix(pm.ct, 4, 2, 2) for pm in (pa, pb))
+    elif case == "not exact fit":
+        ctx = engine.new_context(4 * h * h, 6, 2.0 ** 40, 1)
+        a = np.ones((t, h))
+        pa, pb = encode_rect_matrix(a, ctx), encode_rect_matrix(a, ctx)
+    elif case == "sides differ":
+        pb = matrix.PackedMatrix(pb.ct, 4, 2, 1)
+    elif case == "a one level short":
+        pa = _at_level(pa, matrix.PRODUCT_DEPTH)
+    elif case == "b one level short":
+        pb = _at_level(pb, matrix.PRODUCT_DEPTH - 1)
+    return ctx, pa, pb
+
+
+@pytest.mark.parametrize("case, error", [
+    ("rows differ", CapacityError),
+    ("rows do not divide h", CapacityError),
+    ("batched", CapacityError),
+    ("not exact fit", CapacityError),
+    ("sides differ", CapacityError),
+    ("a one level short", LevelExhaustedError),
+    ("b one level short", LevelExhaustedError),
+])
+def test_rect_tn_mult_refuses_before_any_tally(case, error):
+    ctx, pa, pb = _tn_misuse(case)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        he_rect_tn_mult(pa, pb)
+    assert ctx.meter.snapshot() == before
+
+
+def test_rect_tn_mult_runs_at_the_lowest_levels_it_accepts():
+    _, a, b, pa, pb = _tn_operands(8, 2)
+    out = he_rect_tn_mult(_at_level(pa, matrix.PRODUCT_DEPTH + 1),
+                          _at_level(pb, matrix.PRODUCT_DEPTH))
+    assert out.ct.level == 0
+    assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
 
 
 # ------------------------------------------------------------------- batched
