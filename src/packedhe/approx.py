@@ -29,7 +29,11 @@ Every approximation is evaluable both on plain arrays and on slot-engine
 ciphertexts; the two paths walk one schedule with one arithmetic order per
 stage, so the exact backend reproduces the plain evaluation bit for bit.  On
 ciphertexts a stage is one ``CryptoContext.odd_poly_stage`` call, which
-meters the stage's chain of products, rescales and adds.  A
+meters the stage's chain of products, rescales and adds.  A stage
+``m * sum_j c_j * u**j`` with ``u = m*m`` is evaluated as ``m * (A(u) + u**k
+* B(u))``, ``k = ceil(d/2)``, A holding c_0 .. c_(k-1) and B the rest: k + 2
+ciphertext products (2 at d = 1) instead of d + 1 for every power of u, at
+``stage_depth(d)`` levels (3, 4, 4, 5, 5, 6, 6, 6 for d = 1..8).  A
 Chebyshev-interpolation fit is provided for smooth activations (sigmoid and
 friends), where a low-degree single polynomial is the cheaper tool.
 """
@@ -102,22 +106,26 @@ def eval_gd(m, d: int):
 
 
 def _stage_plain(m: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """``CryptoContext.odd_poly_stage``'s chain on a plain array, in its order."""
     d = len(coeffs) - 1
-    if d == 0:
-        return m * coeffs[0]
-    u = m * m
-    powers = {1: u}
-    for j in range(2, d + 1):
-        powers[j] = powers[j // 2] * powers[j - j // 2]
-    psum = np.full_like(m, coeffs[0])
-    for j in range(1, d + 1):
-        psum = psum + powers[j] * coeffs[j]
-    return m * psum
+    k = (d + 1) // 2
+    powers = [None, m * m]
+    for j in range(2, k + 1):
+        powers.append(powers[j // 2] * powers[j - j // 2])
+
+    def series(first: int, last: int) -> np.ndarray:
+        acc = np.full_like(m, coeffs[first])
+        for j in range(1, last - first + 1):
+            acc = acc + powers[j] * coeffs[first + j]
+        return acc
+    if d == 1:
+        return m * series(0, 1)
+    return m * (series(0, k - 1) + powers[k] * series(k, d))
 
 
 def stage_depth(d: int) -> int:
     """Multiplicative levels one stage of degree 2d+1 consumes under ciphertext."""
-    return 3 if d == 1 else 3 + math.ceil(math.log2(d))
+    return 3 if d == 1 else 4 + math.ceil(math.log2(d // 2))
 
 
 @dataclass(frozen=True)

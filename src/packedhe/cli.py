@@ -5,7 +5,8 @@ Subcommands:
 * ``matmul-bench``  packed matrix product vs. the naive and diagonal reference
                     paths, plus the analytic replication-packing cost row
 * ``sign-bench``    composite sign approximation: shortest escape-then-sharpen
-                    schedule, depth bound, grid error, CSV error profile
+                    schedule, depth bound, grid error, one stage's products
+                    and rescales, CSV error profile
 * ``train``         end-to-end encrypted federated training from a JSON config
                     and per-party CSV datasets
 
@@ -106,6 +107,16 @@ def cmd_matmul_bench(args) -> list:
     return reports
 
 
+def _stage_tallies(coeffs: tuple):
+    """Meter of one ``odd_poly_stage`` call with the given coefficients."""
+    ctx = new_context(16, stage_depth(len(coeffs) - 1))
+    pts = tuple(ctx.encode(np.full(ctx.slot_count, c)) for c in coeffs)
+    m = ctx.encrypt(ctx.encode(np.linspace(-1.0, 1.0, ctx.slot_count)))
+    with ctx.meter_scope() as stage:
+        ctx.odd_poly_stage(m, pts)
+    return stage
+
+
 def cmd_sign_bench(args) -> list:
     spec = CompositePolySpec.for_closeness(args.d, args.sigma, args.delta)
     bound = depth_bound_formula(args.d, args.sigma, args.delta)
@@ -118,13 +129,20 @@ def cmd_sign_bench(args) -> list:
     report = BenchReport("sign-bench",
                          {"d": args.d, "sigma": args.sigma, "delta": args.delta,
                           "grid_size": args.grid_size, "seed": args.seed})
+    stage = _stage_tallies(spec.schedule[0])
     report.add_row("composite", depth_k=spec.k, k_escape=spec.k_escape,
                    k_sharpen=spec.k_sharpen, bound=bound,
-                   stage_levels=stage_depth(args.d), max_error=max_err)
+                   stage_levels=stage_depth(args.d), max_error=max_err,
+                   stage_ct_mults=stage.mul_ct, stage_pt_mults=stage.mul_pt,
+                   stage_rescales=stage.rescales)
     report.check("closeness", "max grid error <= 2**-sigma",
                  2.0 ** -args.sigma, max_err)
     report.check("depth bound", "minimal k <= closed-form bound + slack",
                  bound, spec.k)
+    report.check("stage ciphertext products",
+                 "mul_ct == ceil(d/2) + 2 per stage (2 at d = 1)",
+                 2 if args.d == 1 else (args.d + 1) // 2 + 2, stage.mul_ct,
+                 mode="eq")
     report.wall_time_ms = (time.perf_counter() - start) * 1e3
 
     if args.out:

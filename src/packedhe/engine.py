@@ -45,6 +45,16 @@ arrays of the calling thread, kept on the context per shape and never handed
 out.  The kernel keeps the chain's operand order in every add, so even the
 sign bits of NaN slots are the chain's.
 
+``odd_poly_stage`` evaluates ``m * sum_j c_j * u**j`` with ``u = m*m`` as
+``m * (A(u) + u**k * B(u))``, ``k = ceil(d/2)``: A holds c_0 .. c_(k-1) and
+B holds c_k .. c_d, so only the powers up to ``u**k`` are products of
+ciphertexts (Paterson-Stockmeyer).  A stage takes k + 2 ciphertext products
+(2 at d = 1, where B would be a constant and ``u * c_1`` a plaintext
+product) and ``4 + ceil(log2(d//2))`` levels (3 at d = 1).  In gaussian mode
+its noise rows come from the stream in the chain's order: the powers of
+``u``, the encryptions of c_0 and c_k, the product ``u**k * B``, then the
+final product.
+
 A ``GatherPlan`` describes the 0/1 plaintexts of each giant step as one label
 per slot: the baby term that the step keeps there, or -1 for none.  The masks
 of one step are therefore disjoint by construction, and the plan refuses
@@ -656,18 +666,27 @@ class CryptoContext:
         """One odd-polynomial stage ``m * sum_j c_j * (m*m)**j``, in one call.
 
         ``coeffs[j]`` holds ``c_j`` in every slot, for j = 0..d with d >= 1.
-        The chain is ``p_1 = rescale(mul_ct(m, m))``, ``p_j =
-        rescale(mul_ct(p_{j//2}, p_{j - j//2}))`` for j = 2..d, ``psum =
-        constant(c_0)`` (``encrypt(coeffs[0])`` under ``m``'s key) plus each
-        ``rescale(mul_pt(p_j, coeffs[j]))`` in order by ``add``, and last
-        ``rescale(mul_ct(m, psum))``: d + 1 mul_ct, 2d + 1 rescales, d
-        mul_pt and d adds.  ``m`` needs level ``3 + ceil(log2 d)``.
+        With ``u = m*m`` and ``k = ceil(d/2)`` the sum is split as ``A(u) +
+        u**k * B(u)`` (Paterson-Stockmeyer).  The chain is ``u**1 =
+        rescale(mul_ct(m, m))``, ``u**j = rescale(mul_ct(u**(j//2), u**(j -
+        j//2)))`` for j = 2..k, ``A = constant(c_0)`` (``encrypt(coeffs[0])``
+        under ``m``'s key) plus each ``rescale(mul_pt(u**j, coeffs[j]))``
+        for j = 1..k-1 in order by ``add``, ``B = constant(c_k)`` plus each
+        ``rescale(mul_pt(u**j, coeffs[k + j]))`` for j = 1..d-k likewise,
+        ``psum = add(A, rescale(mul_ct(u**k, B)))`` and last
+        ``rescale(mul_ct(m, psum))``: k + 2 mul_ct, d - 1 mul_pt, d + k + 1
+        rescales and d adds.  At d = 1, where B would be the constant c_1
+        alone, ``psum = add(constant(c_0), rescale(mul_pt(u, coeffs[1])))``:
+        2 mul_ct, 1 mul_pt, 3 rescales and 1 add.  ``m`` needs level 3 at
+        d = 1 and ``4 + ceil(log2(d//2))`` above: 3, 4, 4, 5, 5, 6, 6, 6 for
+        d = 1..8.
 
         The result's slots, level and scale are the chain's, the larger
         scale of every ``add`` included, and so is every operand order.  In
         gaussian mode the noise rows come from the stream in the chain's
-        order: ``p_1``, ``p_2`` .. ``p_d``, the encryption of ``c_0``, then
-        the last product.
+        order: ``u**1`` .. ``u**k``, the encryption of ``c_0``, then (d > 1)
+        the encryption of ``c_k`` and the product ``u**k * B``, and last the
+        final product.
         """
         self._check_context(m)
         for pt in coeffs:
@@ -679,36 +698,60 @@ class CryptoContext:
         if m.slots.shape != (n,) or any(pt.slots.shape != (n,) for pt in coeffs):
             raise CapacityError(f"odd_poly_stage needs {n}-slot operands")
         m_meta = (m.level, m.scale)
+        k = (d + 1) // 2
 
         def describe(chain):
             powers = [None, chain("rescales", chain("mul_ct", m_meta, m_meta))]
-            for j in range(2, d + 1):
+            for j in range(2, k + 1):
                 powers.append(chain("rescales", chain(
                     "mul_ct", powers[j // 2], powers[j - j // 2])))
-            psum = (self.initial_level, self.initial_scale)  # encrypt(c_0)
-            for j in range(1, d + 1):
-                term = chain("mul_pt", powers[j], (math.inf, coeffs[j].scale))
-                psum = chain("adds", psum, chain("rescales", term))
+
+            def series(first, last):  # c_first + sum_j u**j * c_(first+j)
+                acc = (self.initial_level, self.initial_scale)  # encrypt
+                for j in range(1, last - first + 1):
+                    term = chain("mul_pt", powers[j],
+                                 (math.inf, coeffs[first + j].scale))
+                    acc = chain("adds", acc, chain("rescales", term))
+                return acc
+            if d == 1:
+                psum = series(0, 1)
+            else:
+                a = series(0, k - 1)
+                top = chain("mul_ct", powers[k], series(k, d))
+                psum = chain("adds", a, chain("rescales", top))
             return chain("rescales", chain("mul_ct", m_meta, psum))
         meta = self._chain(("odd_poly_stage", m_meta,
                             *[pt.scale for pt in coeffs]), describe)
 
-        noise = (self._rng.normal(0.0, self.noise_sigma, (d + 2, n))
+        rows = k + 2 if d == 1 else k + 4
+        noise = (iter(self._rng.normal(0.0, self.noise_sigma, (rows, n)))
                  if self.noise_mode == "gaussian" else None)
         x = m.slots
         powers = [None]
-        for j in range(1, d + 1):
+        for j in range(1, k + 1):
             p = x * x if j == 1 else powers[j // 2] * powers[j - j // 2]
             if noise is not None:
-                p += noise[j - 1]
+                p += next(noise)
             powers.append(p)
-        c0 = coeffs[0].slots if noise is None else coeffs[0].slots + noise[d]
-        psum = c0 + powers[1] * coeffs[1].slots
-        for j in range(2, d + 1):
-            psum += powers[j] * coeffs[j].slots
+
+        def series(first, last):
+            acc = coeffs[first].slots
+            if noise is not None:
+                acc = acc + next(noise)
+            for j in range(1, last - first + 1):
+                acc = acc + powers[j] * coeffs[first + j].slots
+            return acc
+        if d == 1:
+            psum = series(0, 1)
+        else:
+            psum = series(0, k - 1)
+            top = powers[k] * series(k, d)
+            if noise is not None:
+                top += next(noise)
+            psum = psum + top
         out = x * psum
         if noise is not None:
-            out += noise[d + 1]
+            out += next(noise)
         return self._derive(m, out, meta)
 
     def mul_ct(self, a: SlotVector, b: SlotVector) -> SlotVector:

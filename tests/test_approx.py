@@ -264,14 +264,8 @@ def _app_sign_encoding_coeffs(ct, spec, ctx, bootstrap):
     out = ct
     for coeffs in spec.schedule:
         m = out if out.level >= stage_depth(spec.d) else bootstrap(out)
-        powers = {1: ctx.rescale(ctx.mul_ct(m, m))}
-        for j in range(2, spec.d + 1):
-            powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
-        psum = ctx.constant(coeffs[0], m.key_tag)
-        for j in range(1, spec.d + 1):
-            pt = ctx.encode(np.full(ctx.slot_count, coeffs[j]))
-            psum = ctx.add(psum, ctx.rescale(ctx.mul_pt(powers[j], pt)))
-        out = ctx.rescale(ctx.mul_ct(m, psum))
+        pts = tuple(ctx.encode(np.full(ctx.slot_count, c)) for c in coeffs)
+        out = _stage_chain(ctx, m, pts)
     return out
 
 
@@ -306,14 +300,25 @@ FAMILIES = ([pytest.param(gd_coefficients(d), id=f"g{d}") for d in range(1, 9)]
 
 
 def _stage_chain(ctx, m, pts):
-    """The per-op chain that ``odd_poly_stage`` fuses."""
+    """The per-op chain that ``odd_poly_stage`` fuses: with ``u = m*m`` and
+    ``k = ceil(d/2)``, ``m * (A(u) + u**k * B(u))``, where A holds c_0 ..
+    c_(k-1) and B holds c_k .. c_d; at d = 1 B is not formed."""
     d = len(pts) - 1
-    powers = {1: ctx.rescale(ctx.mul_ct(m, m))}
-    for j in range(2, d + 1):
-        powers[j] = ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2]))
-    psum = ctx.encrypt(pts[0], m.key_tag)
-    for j in range(1, d + 1):
-        psum = ctx.add(psum, ctx.rescale(ctx.mul_pt(powers[j], pts[j])))
+    k = (d + 1) // 2
+    powers = [None, ctx.rescale(ctx.mul_ct(m, m))]
+    for j in range(2, k + 1):
+        powers.append(ctx.rescale(ctx.mul_ct(powers[j // 2], powers[j - j // 2])))
+
+    def series(first, last):
+        acc = ctx.encrypt(pts[first], m.key_tag)
+        for j in range(1, last - first + 1):
+            acc = ctx.add(acc, ctx.rescale(ctx.mul_pt(powers[j], pts[first + j])))
+        return acc
+    if d == 1:
+        psum = series(0, 1)
+    else:
+        psum = series(0, k - 1)
+        psum = ctx.add(psum, ctx.rescale(ctx.mul_ct(powers[k], series(k, d))))
     return ctx.rescale(ctx.mul_ct(m, psum))
 
 
@@ -418,7 +423,35 @@ def test_rejected_odd_poly_stage_stores_and_meters_nothing(case, error):
     assert ctx.meter.snapshot() == before
     assert ctx.odd_poly_stage(m, pts).level == 0
     assert len(ctx._chains) == 1
-    assert ctx.meter.mul_ct - before["mul_ct"] == 5
+    assert ctx.meter.mul_ct - before["mul_ct"] == 4
+
+
+@pytest.mark.parametrize("coeffs", FAMILIES)
+def test_stage_depth_is_the_stage_chains_depth(coeffs):
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, coeffs, ctx.initial_scale)
+    assert ctx.odd_poly_stage(m, pts).level == 0
+    short = engine.SlotVector(m.slots, m.level - 1, m.scale, m.context_id,
+                              m.key_tag)
+    before = ctx.meter.snapshot()
+    with pytest.raises(LevelExhaustedError):
+        ctx.odd_poly_stage(short, pts)
+    assert ctx.meter.snapshot() == before
+
+
+@pytest.mark.parametrize("coeffs", FAMILIES)
+def test_stage_chain_adds_operands_of_equal_scale(coeffs, monkeypatch):
+    # At the context scale every add of the chain sees two operands at that
+    # scale, so a rule that refuses unequal scales leaves the sign as it is.
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, coeffs, ctx.initial_scale)
+    seen, real = [], ctx.add
+    monkeypatch.setattr(ctx, "add",
+                        lambda a, b: seen.append((a.scale, b.scale)) or real(a, b))
+    out = _stage_chain(ctx, m, pts)
+    assert len(seen) == len(coeffs) - 1
+    assert set(seen) == {(ctx.initial_scale, ctx.initial_scale)}
+    assert out.scale == ctx.initial_scale
 
 
 # ------------------------------------------------------ escape-then-sharpen

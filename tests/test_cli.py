@@ -103,6 +103,20 @@ def test_sign_bench_wall_time_covers_grid_evaluation(monkeypatch, capsys):
     assert report["wall_time_ms"] >= 20.0
 
 
+@pytest.mark.parametrize("d, tallies", [(1, (2, 1, 3)), (2, (3, 1, 4)),
+                                         (4, (4, 3, 7)), (6, (5, 5, 10))])
+def test_sign_bench_reports_one_stages_products(d, tallies, capsys):
+    code = run_cli("sign-bench", "--d", str(d), "--sigma", "10",
+                   "--delta", "0.015625", "--grid-size", "20000", "--json")
+    report = json.loads(capsys.readouterr().out)
+    row = report["rows"][0]
+    assert (row["stage_ct_mults"], row["stage_pt_mults"],
+            row["stage_rescales"]) == tallies
+    verdict, = [v for v in report["verdicts"]
+                if v["name"] == "stage ciphertext products"]
+    assert verdict["passed"] and code == 0
+
+
 def test_sign_bench_depth_monotone_in_sigma(capsys):
     run_cli("sign-bench", "--d", "2", "--sigma", "8", "--grid-size", "20000",
             "--json")

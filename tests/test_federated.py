@@ -466,15 +466,16 @@ def benchmark_metrics():
 
 
 def _assert_round_counts(metrics, other, expected):
-    """Every round books ``expected`` (bootstraps, mul_ct, mul_pt, rotations),
-    and ``other``, the same job over the other transport, books the same."""
+    """Every round books ``expected`` (bootstraps, mul_ct, mul_pt, rotations,
+    rescales), and ``other``, the same job over the other transport, books the same."""
     rounds = metrics["rounds"]
     prev = dict.fromkeys(rounds[0]["ops"], 0)
     for r in rounds:
         per_round = {k: r["ops"][k] - prev[k] for k in prev}
         prev = r["ops"]
         assert (per_round["bootstraps"], per_round["mul_ct"],
-                per_round["mul_pt"], per_round["rotations"]) == expected
+                per_round["mul_pt"], per_round["rotations"],
+                per_round["rescales"]) == expected
     # TCP parties meter in their own processes and report to the server,
     # and only the server end of a TCP link counts bytes: every node's ops
     # and every frame still land in the same round.
@@ -494,14 +495,14 @@ def _other(transport):
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
                          benchmark_metrics("relu", _other(transport)),
-                         (60, 288, 934, 518))
+                         (60, 248, 894, 518, 426))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
-                         (8, 160, 2858, 1036))
+                         (8, 160, 2858, 1036, 206))
 
 
 def test_sigmoid_activation_run_and_mirror():
