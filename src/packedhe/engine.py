@@ -161,6 +161,8 @@ _CHUNK = 16
 
 _PAGE = 4096
 
+_SCALE_RTOL = 1e-9  # see CryptoContext._rule
+
 
 class GatherPlan:
     """A baby-step/giant-step transform composed into one fixed gather.
@@ -423,12 +425,17 @@ class CryptoContext:
         """``(level, scale)`` out of ``times`` ops ``op`` (a meter field) on
         ``(level, scale)`` operands ``x``, ``y`` (a plaintext at level inf);
         checks them, then books the row ``(op, x, y, times)`` or appends it
-        to a chain's ``rows``."""
+        to a chain's ``rows``.  One scale per add, as in CKKS: ``adds`` and
+        ``subs`` raise ``EngineError`` when the scales differ by more than a
+        relative ``_SCALE_RTOL``, else give the smaller level at ``x``'s scale."""
         level, scale = x  # conditional expressions: min and max are slower
         if op == "rotations" or op == "keyswitches":
             out = x
         elif op == "adds" or op == "subs":
-            out = (y[0] if y[0] < level else level, y[1] if y[1] > scale else scale)
+            if y[1] != scale and not math.isclose(y[1], scale, rel_tol=_SCALE_RTOL):
+                raise EngineError(f"{op} operands at scales {scale!r} and "
+                                  f"{y[1]!r}; rescale one first")
+            out = (y[0] if y[0] < level else level, scale)
         elif op == "bootstraps":
             out = self.initial_level, self.initial_scale
         elif level < 1 or y is not None and y[0] < 1:
@@ -681,8 +688,9 @@ class CryptoContext:
         d = 1 and ``4 + ceil(log2(d//2))`` above: 3, 4, 4, 5, 5, 6, 6, 6 for
         d = 1..8.
 
-        The result's slots, level and scale are the chain's, the larger
-        scale of every ``add`` included, and so is every operand order.  In
+        The result's slots, level and scale are the chain's, and so is every
+        operand order.  The chain adds terms to the encryptions of c_0 and
+        c_k, so it refuses ``m`` or coefficients off the context scale.  In
         gaussian mode the noise rows come from the stream in the chain's
         order: ``u**1`` .. ``u**k``, the encryption of ``c_0``, then (d > 1)
         the encryption of ``c_k`` and the product ``u**k * B``, and last the

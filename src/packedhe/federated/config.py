@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,8 +35,8 @@ class ActivationConfig:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation kind {self.kind!r}; "
                              f"choose from {ACTIVATION_KINDS}")
-        if self.input_range <= 0:
-            raise ValueError("input_range must be positive")
+        _check_ints(self, 1, "d", "degree")
+        _check_positive(self, "sigma", "delta", "input_range")
 
 
 @dataclass(frozen=True)
@@ -50,42 +52,72 @@ class TrainingConfig:
     seed: int = 0
     initial_level: int = 6
     scale_bits: int = 40
-    rescale_every_r: int = 1
     fig5_squared_loss: bool = False
 
     def __post_init__(self):
+        if (not isinstance(self.neurons, (list, tuple)) or not self.neurons
+                or not all(_is_int(n) and n >= 1 for n in self.neurons)):
+            raise ValueError(f"neurons must list at least one positive "
+                             f"integer layer size, got {self.neurons!r}")
         object.__setattr__(self, "neurons", tuple(int(n) for n in self.neurons))
-        if len(self.neurons) < 1 or any(n < 1 for n in self.neurons):
-            raise ValueError("neurons must list at least one positive layer size")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.global_iters < 1:
-            raise ValueError("global_iters must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.party_count < 1:
-            raise ValueError("party_count must be >= 1")
-        if self.rescale_every_r < 1:
-            raise ValueError("rescale_every_r must be >= 1")
+        _check_positive(self, "learning_rate")
+        _check_ints(self, 1, "global_iters", "batch_size", "party_count",
+                    "initial_level", "scale_bits")
+        _check_ints(self, 0, "seed")
+        if self.scale_bits > 511:  # a product's scale must stay finite
+            raise ValueError(f"scale_bits must be <= 511, got {self.scale_bits}")
+        if not isinstance(self.activation, ActivationConfig):
+            raise ValueError(f"activation must be an ActivationConfig, got "
+                             f"{self.activation!r}")
+        if not isinstance(self.fig5_squared_loss, bool):
+            raise ValueError(f"fig5_squared_loss must be true or false, got "
+                             f"{self.fig5_squared_loss!r}")
 
     @property
     def layers(self) -> int:
         return len(self.neurons)
 
 
-_CONFIG_KEYS = {
-    "neurons", "learning_rate", "global_iters", "batch_size", "party_count",
-    "activation", "seed", "initial_level", "scale_bits", "rescale_every_r",
-    "fig5_squared_loss",
-}
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_ints(config, low: int, *names) -> None:
+    """Refuse a field of ``config`` that is not an integer >= ``low``."""
+    for name in names:
+        value = getattr(config, name)
+        if not _is_int(value) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_positive(config, *names) -> None:
+    """Refuse a field of ``config`` that is not a finite real number > 0."""
+    for name in names:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 < value < math.inf):
+            raise ValueError(f"{name} must be a finite number > 0, got "
+                             f"{value!r}")
+
+
+_REQUIRED_KEYS = {"neurons", "learning_rate", "global_iters", "batch_size",
+                  "party_count"}
+_CONFIG_KEYS = _REQUIRED_KEYS | {"activation", "seed", "initial_level",
+                                 "scale_bits", "fig5_squared_loss"}
 _ACTIVATION_KEYS = {"kind", "d", "sigma", "delta", "input_range", "degree"}
 
 
 def config_from_dict(data: dict) -> TrainingConfig:
-    """Build a TrainingConfig from parsed JSON, rejecting unknown keys."""
+    """Build a TrainingConfig from parsed JSON, rejecting unknown and missing
+    keys and values of the wrong type with ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError("a config must be a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = _REQUIRED_KEYS - set(data)
+    if missing:
+        raise ValueError(f"missing config keys: {sorted(missing)}")
     data = dict(data)
     act = data.pop("activation", None)
     if act is not None:

@@ -9,13 +9,15 @@ applies the update  w <- w - eta/(batch*N) * grad  under encryption.  After
 the last round the model is collectively re-keyed to the server's key and
 decrypted there; parties never see a server-keyed ciphertext.
 
-Level maintenance follows a fixed schedule: a rescale after every ciphertext
-product (relaxable via ``rescale_every_r``) and a collective refresh after
-each activation plus wherever a product chain would exhaust the budget.
+Level maintenance follows a fixed schedule: a rescale after every product,
+which keeps every ciphertext that meets another in an add at the context
+scale, and a collective refresh after each activation plus wherever a
+product chain would exhaust the budget.
 Mid-training refreshes travel the wire as BOOTSTRAP_REQ/BOOTSTRAP_SHARE
 frames, so both transports account the same bytes.  Refresh requests,
-refresh shares and gradients name their round; a frame of another round
-than the current one raises ``ProtocolError``.
+refresh shares, gradients and key-switch shares name their round; a frame
+of another round than the current one raises ``ProtocolError``, and so does
+a key-switch share before the last round has ended.
 
 ``run_training`` runs the in-process parties on the server's own thread and
 each TCP party in a forked child process.  Once the model is broadcast, a
@@ -227,27 +229,21 @@ def prepare(config: TrainingConfig, feature_dim: int):
 
 
 class _Compute:
-    """Per-party ciphertext helpers: rescale policy and level maintenance."""
+    """Per-party ciphertext helpers: a product's operands are refreshed to
+    level 2 if need be, and the product is rescaled to the context scale."""
 
-    def __init__(self, ctx: CryptoContext, config: TrainingConfig, bootstrap):
+    def __init__(self, ctx: CryptoContext, bootstrap):
         self.ctx = ctx
         self.bootstrap = bootstrap
-        self.scale_cap = ctx.initial_scale ** config.rescale_every_r
-
-    def rs(self, ct):
-        # Rescale once the scale exceeds Delta**r (r = 1 is after-every-product).
-        while ct.scale > self.scale_cap and ct.level >= 1:
-            ct = self.ctx.rescale(ct)
-        return ct
 
     def mul(self, a, b):
         a = _ensure_level(self.ctx, a, 2, self.bootstrap)
         b = _ensure_level(self.ctx, b, 2, self.bootstrap)
-        return self.rs(self.ctx.mul_ct(a, b))
+        return self.ctx.rescale(self.ctx.mul_ct(a, b))
 
     def mul_const(self, ct, pt: Plaintext):
         ct = _ensure_level(self.ctx, ct, 2, self.bootstrap)
-        return self.rs(self.ctx.mul_pt(ct, pt))
+        return self.ctx.rescale(self.ctx.mul_pt(ct, pt))
 
 
 class CipherActivation:
@@ -306,7 +302,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     ctx, plan, config = party.ctx, party.plan, party.config
     if bootstrap is None:
         bootstrap = make_local_bootstrapper(ctx)
-    comp = _Compute(ctx, config, bootstrap)
+    comp = _Compute(ctx, bootstrap)
     activation = CipherActivation(config, party.consts)
 
     rows = len(batch_x)
@@ -349,7 +345,7 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     consts = party.consts
     if bootstrap is None:
         bootstrap = make_local_bootstrapper(ctx)
-    comp = _Compute(ctx, config, bootstrap)
+    comp = _Compute(ctx, bootstrap)
 
     yb = pad_matrix(one_hot(batch_labels, plan.classes), plan.t, plan.h)
     y_ct = matrix.encode_rect_matrix(yb, ctx)
@@ -634,7 +630,7 @@ class ServerRuntime:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
         self._gradients: dict = {}
-        self._ks_shares: dict = {}   # round -> {party id: answered requests}
+        self._ks_shares: dict = {}   # party id -> answered requests
         self._link_errors: list = []
         self._closing = False
         self._readers = []
@@ -688,11 +684,13 @@ class ServerRuntime:
             raise ProtocolError(
                 f"{frame.msg_type.name} on party {pid}'s link claims "
                 f"party {frame.party_id}")
-        if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT)
-                and frame.round != self.server.model.iteration):
+        now = self.server.model.iteration
+        if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT,
+                               MsgType.KEYSWITCH_SHARE)
+                and frame.round != now):
             raise ProtocolError(
                 f"{frame.msg_type.name} for round {frame.round} while "
-                f"the server is at round {self.server.model.iteration}")
+                f"the server is at round {now}")
         if frame.msg_type == MsgType.BOOTSTRAP_REQ:
             ct = decode_ciphertext(frame.payload, self.server.ctx)
             out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)
@@ -705,7 +703,11 @@ class ServerRuntime:
                 self._gradients.setdefault((frame.round, pid), []).append(ct)
                 self._arrived.notify_all()
         elif frame.msg_type == MsgType.KEYSWITCH_SHARE:
-            # One share answers one weight's request, which it names.
+            # One share answers one weight's request, which it names; the
+            # requests follow the last round.
+            if now < self.server.config.global_iters:
+                raise ProtocolError(f"party {pid} sent a key-switch share "
+                                    f"during round {now}")
             index = decode_share_index(frame.payload)
             layers = self.server.config.layers
             if index >= layers:
@@ -713,8 +715,7 @@ class ServerRuntime:
                     f"party {pid} answered key-switch request {index}, but "
                     f"the model has {layers} weights")
             with self._arrived:
-                answered = self._ks_shares.setdefault(
-                    frame.round, {}).setdefault(pid, set())
+                answered = self._ks_shares.setdefault(pid, set())
                 if index in answered:
                     raise ProtocolError(
                         f"party {pid} answered key-switch request {index} of "
@@ -789,18 +790,12 @@ class ServerRuntime:
 
         def acked():
             # Every party consents to re-key every weight, or none is.
-            stale = sorted(set(self._ks_shares) - {round_no})
-            if stale:
-                raise ProtocolError(
-                    f"key-switch share for round {stale[0]} while "
-                    f"finalizing round {round_no}")
-            shares = self._ks_shares.get(round_no, {})
-            return all(len(shares.get(p, ())) == config.layers
+            return all(len(self._ks_shares.get(p, ())) == config.layers
                        for p in range(config.party_count))
         self._wait(acked, lambda: "key switch timed out")
         parties = self.server.ctx.parties
         with self._arrived:
-            roster = [parties[p] for p in sorted(self._ks_shares[round_no])]
+            roster = [parties[p] for p in sorted(self._ks_shares)]
         return finalize(self.server, roster)
 
     def shutdown(self) -> None:

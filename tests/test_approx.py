@@ -333,27 +333,39 @@ def _stage_operands(ctx, coeffs, scale):
 @pytest.mark.parametrize("coeffs", FAMILIES)
 @pytest.mark.parametrize("mode", ["exact", "gaussian"])
 def test_odd_poly_stage_equals_its_chain(coeffs, mode):
-    # Half the context scale leaves c_0's scale the largest in the sum;
-    # twice it makes the top power's term the largest.
     noise = dict(noise_mode=mode, noise_sigma=1e-3 if mode == "gaussian" else 0.0,
                  noise_seed=11)
     fused_ctx = engine.new_context(512, 6, 2.0 ** 40, 2, **noise)
     chain_ctx = engine.new_context(512, 6, 2.0 ** 40, 2, **noise)
-    for scale in (2.0 ** 39, 2.0 ** 41):
-        m, pts = _stage_operands(fused_ctx, coeffs, scale)
-        with fused_ctx.meter_scope() as fused:
-            got = fused_ctx.odd_poly_stage(m, pts)
-        m, pts = _stage_operands(chain_ctx, coeffs, scale)
-        with chain_ctx.meter_scope() as chain:
-            want = _stage_chain(chain_ctx, m, pts)
-        assert got.slots.tobytes() == want.slots.tobytes()
-        assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
-                                                       want.key_tag)
-        assert got.level == 0
-        assert fused.snapshot() == chain.snapshot()
-        assert not got.slots.flags.writeable
+    m, pts = _stage_operands(fused_ctx, coeffs, fused_ctx.initial_scale)
+    with fused_ctx.meter_scope() as fused:
+        got = fused_ctx.odd_poly_stage(m, pts)
+    m, pts = _stage_operands(chain_ctx, coeffs, chain_ctx.initial_scale)
+    with chain_ctx.meter_scope() as chain:
+        want = _stage_chain(chain_ctx, m, pts)
+    assert got.slots.tobytes() == want.slots.tobytes()
+    assert (got.level, got.scale, got.key_tag) == (want.level, want.scale,
+                                                   want.key_tag)
+    assert (got.level, got.scale) == (0, fused_ctx.initial_scale)
+    assert fused.snapshot() == chain.snapshot()
+    assert not got.slots.flags.writeable
     assert (fused_ctx._rng.bit_generator.state
             == chain_ctx._rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("coeffs", FAMILIES)
+@pytest.mark.parametrize("scale", [2.0 ** 39, 2.0 ** 41])
+def test_odd_poly_stage_refuses_the_scales_its_chain_refuses(coeffs, scale):
+    # Off the context scale, the powers of m meet c_0's or c_k's encryption
+    # at another scale in an add.
+    ctx = make_ctx()
+    m, pts = _stage_operands(ctx, coeffs, scale)
+    with pytest.raises(engine.EngineError, match="adds operands at scales"):
+        ctx.odd_poly_stage(m, pts)
+    assert ctx._chains == {}
+    assert ctx.meter.snapshot() == engine.OpCounter().snapshot()
+    with pytest.raises(engine.EngineError, match="adds operands at scales"):
+        _stage_chain(ctx, m, pts)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -364,6 +376,9 @@ def test_odd_poly_stage_equals_its_chain(coeffs, mode):
     ("slot shape", engine.CapacityError),
     ("no c_1", engine.EngineError),
     ("scale overflow", engine.EngineError),
+    ("half the context scale", engine.EngineError),
+    ("twice the context scale", engine.EngineError),
+    ("coefficient at another scale", engine.EngineError),
 ])
 def test_odd_poly_stage_refusal_meters_nothing(case, error):
     ctx = make_ctx()
@@ -383,11 +398,19 @@ def test_odd_poly_stage_refusal_meters_nothing(case, error):
         pts = pts[:1]
     elif case == "scale overflow":
         fields = fields[:2] + (2.0 ** 600,) + fields[3:]
+    elif case == "half the context scale":
+        fields = fields[:2] + (2.0 ** 39,) + fields[3:]
+    elif case == "twice the context scale":
+        fields = fields[:2] + (2.0 ** 41,) + fields[3:]
+    elif case == "coefficient at another scale":
+        pts = (pts[0], engine.Plaintext(pts[1].slots, 2.0 ** 41, ctx.context_id),
+               *pts[2:])
     m = engine.SlotVector(*fields)
     before = ctx.meter.snapshot()
     with pytest.raises(error):
         ctx.odd_poly_stage(m, pts)
     assert ctx.meter.snapshot() == before
+    assert ctx._chains == {}
 
 
 def test_odd_poly_stage_memo_hit_equals_first_call_and_chain():

@@ -231,6 +231,32 @@ def test_train_unknown_config_key(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("party_count", 2.5), ("learning_rate", "0.1"), ("neurons", [2.5]),
+    ("fig5_squared_loss", "yes"),
+])
+def test_train_mistyped_config_exits_2_naming_the_key(tmp_path, capsys, key,
+                                                      value):
+    cfg = _write_train_fixture(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw[key] = value
+    cfg.write_text(json.dumps(raw))
+    code = run_cli("train", "--config", str(cfg), "--data-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_train_mistyped_activation_exits_2_naming_the_key(tmp_path, capsys):
+    cfg = _write_train_fixture(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["activation"] = {"kind": "approx_relu", "d": 4.5}
+    cfg.write_text(json.dumps(raw))
+    code = run_cli("train", "--config", str(cfg), "--data-dir", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: d must be an integer")
+
+
 def test_schema_validator_rejects_bad_reports():
     schema = load_schema("bench_report")
     with pytest.raises(SchemaError):

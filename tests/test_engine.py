@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import pickle
+import re
 import sys
 import threading
 
@@ -168,13 +169,43 @@ def test_add_values_and_bookkeeping():
 
 def test_add_level_takes_min():
     ctx = make_ctx()
-    a = ctx.encrypt(ctx.encode([1.0]))
-    b = ctx.encrypt(ctx.encode([1.0]))
-    a = ctx.rescale(a)  # level 5
+    one = ctx.encode([1.0])
+    a = ctx.encrypt(one)
+    b = ctx.encrypt(one)
+    a = ctx.rescale(ctx.mul_pt(a, one))  # level 5
     for _ in range(3):
-        b = ctx.rescale(b)  # level 3
+        b = ctx.rescale(ctx.mul_pt(b, one))  # level 3
+    assert a.scale == b.scale == ctx.initial_scale
     assert ctx.add(a, b).level == 3
-    assert ctx.add(a, b).scale == max(a.scale, b.scale)
+    assert ctx.add(a, b).scale == ctx.initial_scale
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_add_and_sub_refuse_operands_at_two_scales(op):
+    ctx = make_ctx()
+    a = ctx.encrypt(ctx.encode([1.0]))
+    b = ctx.mul_pt(a, ctx.encode([1.0]))  # scale 2**80, not rescaled
+    before = ctx.meter.snapshot()
+    with ctx.meter_scope() as scope:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(EngineError, match=re.escape(
+                    f"{op}s operands at scales {x.scale!r} and {y.scale!r}")):
+                getattr(ctx, op)(x, y)
+    assert ctx.meter.snapshot() == before
+    assert scope.snapshot() == engine.OpCounter().snapshot()
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_add_and_sub_take_scales_within_a_relative_1e_9(op):
+    ctx = make_ctx()
+    a = ctx.encrypt(ctx.encode([1.0]))
+
+    def at(scale):
+        return engine.SlotVector(a.slots, a.level, scale, ctx.context_id,
+                                 a.key_tag)
+    assert getattr(ctx, op)(a, at(a.scale * (1 + 1e-10))).scale == a.scale
+    with pytest.raises(EngineError):
+        getattr(ctx, op)(a, at(a.scale * (1 + 1e-8)))
 
 
 def test_sub_self_is_zero():
@@ -694,9 +725,10 @@ def _random_expression_check(seed):
             cts.append(ctx.rot(cts[i], k))
             vals.append(np.roll(vals[i], -k))
         elif op == 3:
-            mask = rng.uniform(-1, 1, n)
-            cts.append(ctx.mul_pt(cts[i], ctx.encode(mask)))
-            vals.append(vals[i] * mask)
+            if cts[i].level >= 1:
+                mask = rng.uniform(-1, 1, n)
+                cts.append(ctx.rescale(ctx.mul_pt(cts[i], ctx.encode(mask))))
+                vals.append(vals[i] * mask)
         else:
             if cts[i].level >= 2 and cts[j].level >= 2:
                 prod = ctx.rescale(ctx.mul_ct(cts[i], cts[j]))

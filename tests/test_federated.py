@@ -539,20 +539,6 @@ def test_fig5_variant_differs_from_standard_gradient():
     assert not np.allclose(std.final_weights[0], fig5.final_weights[0])
 
 
-def test_rescale_relaxation_same_values():
-    x, y = blob_data(samples=16, features=3, seed=14)
-    shards = split_parties(x, y, 2, seed=2)
-    base = small_config(party_count=2, global_iters=2)
-    relaxed = small_config(party_count=2, global_iters=2, rescale_every_r=2)
-    res_a = run_training(base, shards)
-    res_b = run_training(relaxed, shards)
-    for a, b in zip(res_a.final_weights, res_b.final_weights):
-        assert np.allclose(a, b, atol=1e-12)
-    ops_a = res_a.metrics["final"]["ops_total"]
-    ops_b = res_b.metrics["final"]["ops_total"]
-    assert ops_b["rescales"] < ops_a["rescales"]
-
-
 def test_transports_identical_trajectories_and_bytes():
     x, y = blob_data(samples=20, features=3, seed=15)
     shards = split_parties(x, y, 2, seed=5)
@@ -863,6 +849,29 @@ def test_keyswitch_share_for_another_round_fails_fast(transport):
         close()
 
 
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("share_round, want", [
+    (2, "KEYSWITCH_SHARE for round 2 while the server is at round 0"),
+    (0, "party 1 sent a key-switch share during round 0"),
+], ids=["names the last round", "names round 0"])
+def test_a_keyswitch_share_during_round_0_fails_fast(transport, share_round,
+                                                     want):
+    # Filed, the share would leave the server waiting out its timeout for
+    # the round's gradients.
+    config = small_config(party_count=2, global_iters=2)
+    server, _ = prepare(config, feature_dim=2)
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        party_links[1].send(_share(share_round, 1, 0))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=want):
+            srv.collect_gradients(0)
+        assert time.monotonic() - start < 10.0
+        assert srv._ks_shares == {}
+    finally:
+        close()
+
+
 def _party_0_shares_fail_fast(transport, indices, want):
     """Party 0 answers the requests ``indices`` at ``layers`` = 2 and party 1
     not at all: the server must refuse a share when it arrives."""
@@ -991,6 +1000,38 @@ def test_a_refused_refresh_fails_the_job_fast(transport, monkeypatch):
     assert "refused party 1's third refresh" in str(err.value)
     assert len(requests) == 3
     assert set(threading.enumerate()) == threads
+    assert_no_party_outlives_the_job()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_gradient_with_a_spoofed_scale_fails_the_job_fast(transport,
+                                                            monkeypatch):
+    # The scale field (after the 4-byte length, the 7-byte header and the
+    # level) of party 0's first gradient is doubled where the server reads
+    # it; the aggregate's add then meets two scales.
+    import struct
+    from packedhe.engine import EngineError
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.wire import MsgType, decode_frame
+    real = ServerRuntime._handle
+    spoofed = []
+
+    def handle(runtime, pid, data):
+        if (pid == 0 and not spoofed
+                and decode_frame(data).msg_type == MsgType.GRADIENT):
+            (scale,) = struct.unpack_from(">d", data, 19)
+            data = data[:19] + struct.pack(">d", 2 * scale) + data[27:]
+            spoofed.append(scale)
+        real(runtime, pid, data)
+    monkeypatch.setattr(ServerRuntime, "_handle", handle)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    start = time.monotonic()
+    with pytest.raises(EngineError, match="adds operands at scales"):
+        run_training(small_config(party_count=2, global_iters=2),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert spoofed == [2.0 ** 40]
     assert_no_party_outlives_the_job()
 
 
@@ -1201,12 +1242,56 @@ def test_dataset_csv_bad_label(tmp_path):
     assert ":2" in str(err.value)
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError) as err:
+def test_config_rejects_missing_keys_and_a_non_object():
+    with pytest.raises(ValueError, match=r"missing config keys: \['party_count'\]"):
         config_from_dict({"neurons": [2], "learning_rate": 0.1,
-                          "global_iters": 1, "batch_size": 1,
-                          "party_count": 1, "typo_key": 3})
-    assert "typo_key" in str(err.value)
+                          "global_iters": 1, "batch_size": 1})
+    with pytest.raises(ValueError, match="JSON object"):
+        config_from_dict([["neurons", [2]]])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("party_count", 2.5), ("party_count", True), ("party_count", "2"),
+    ("global_iters", 1.0), ("batch_size", None), ("seed", -1),
+    ("seed", 1.5), ("initial_level", 0), ("scale_bits", "40"),
+    ("scale_bits", 512),
+    ("neurons", [2.5]), ("neurons", [True]), ("neurons", 2),
+    ("neurons", "2"), ("neurons", []),
+    ("learning_rate", "0.1"), ("learning_rate", True),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("fig5_squared_loss", 1), ("fig5_squared_loss", "true"),
+    ("activation", "identity"),
+])
+def test_config_refuses_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ValueError, match=key):
+        small_config(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 4.0), ("d", True), ("d", 0), ("degree", "7"),
+    ("sigma", "20"), ("sigma", False), ("delta", 0.0),
+    ("input_range", None), ("input_range", -1.0),
+])
+def test_activation_config_refuses_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ValueError, match=key):
+        ActivationConfig(kind="approx_relu", **{key: value})
+
+
+def test_config_takes_numpy_counts_and_rates():
+    config = small_config(neurons=(np.int64(3), 2), party_count=np.int32(2),
+                          learning_rate=np.float32(0.5))
+    assert config.neurons == (3, 2)
+    assert type(config.neurons[0]) is int
+
+
+def test_config_rejects_unknown_keys():
+    # rescale_every_r is gone: every product is rescaled once.
+    for key in ("typo_key", "rescale_every_r"):
+        with pytest.raises(ValueError) as err:
+            config_from_dict({"neurons": [2], "learning_rate": 0.1,
+                              "global_iters": 1, "batch_size": 1,
+                              "party_count": 1, key: 3})
+        assert key in str(err.value)
     with pytest.raises(ValueError):
         config_from_dict({"neurons": [2], "learning_rate": 0.1,
                           "global_iters": 1, "batch_size": 1,

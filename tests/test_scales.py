@@ -1,9 +1,10 @@
 """Scale discipline: every add and sub sees operands at one scale.
 
 Real CKKS adds two ciphertexts only when their scales agree (Cheon-Kim-Kim-
-Song, ASIACRYPT 2017); the float64 slots of the simulator would hide a
-mismatch, so these tests record the operand scales of every ``add`` and
-``sub`` instead.
+Song, ASIACRYPT 2017), and so does the engine, which refuses the rest
+(``CryptoContext._rule``).  These tests record the operand scales of every
+``add`` and ``sub`` that the products and a training job book, so they also
+show that each one was seen and at one scale.
 """
 
 import math
@@ -91,24 +92,11 @@ def test_memo_hits_are_recorded(scales):
     assert [op for op, _, _ in scales[first:]].count("sub") == scope.subs
 
 
-def _short_job(rescale_every_r):
+def test_training_adds_at_one_scale(scales):
     x, y = make_synthetic_classification(samples=16, features=3, classes=2,
                                          seed=14)
     config = TrainingConfig(neurons=(2,), learning_rate=0.1, global_iters=2,
                             batch_size=4, party_count=2, seed=5,
-                            activation=ActivationConfig(kind="approx_relu"),
-                            rescale_every_r=rescale_every_r)
+                            activation=ActivationConfig(kind="approx_relu"))
     run_training(config, split_parties(x, y, 2, seed=2))
-
-
-def test_training_adds_at_one_scale(scales):
-    _short_job(rescale_every_r=1)
     assert scales and _mismatched(scales) == []
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: with rescale_every_r > 1 the aggregate's weight update "
-    "and the approx_relu activation add a Delta-scale term to a Delta**2 one"))
-def test_relaxed_rescale_training_adds_at_one_scale(scales):
-    _short_job(rescale_every_r=2)
-    assert _mismatched(scales) == []
