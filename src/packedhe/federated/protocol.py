@@ -16,8 +16,9 @@ product chain would exhaust the budget.
 Mid-training refreshes travel the wire as BOOTSTRAP_REQ/BOOTSTRAP_SHARE
 frames, so both transports account the same bytes.  Refresh requests,
 refresh shares, gradients and key-switch shares name their round; a frame
-of another round than the current one raises ``ProtocolError``, and so does
-a key-switch share before the last round has ended.
+of another round than the current one raises ``ProtocolError``, and so do
+a key-switch share before the last round has ended and a refresh request
+or a gradient after it.
 
 ``run_training`` runs the in-process parties on the server's own thread and
 each TCP party in a forked child process.  Once the model is broadcast, a
@@ -51,8 +52,8 @@ from ..approx import (CompositePolySpec, _ensure_level, app_sign,
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
 # he_mat_mult stays bound though unused: perfbench's tracer patches it here.
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
-                      he_rect_mat_mult, he_rect_tn_mult, he_transpose,
-                      pad_matrix)
+                      he_rect_at_mult, he_rect_mat_mult, he_rect_tn_mult,
+                      he_transpose, pad_matrix)
 from ..validation import check_finite, check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
@@ -133,11 +134,16 @@ class GradientMsg:
 
 @dataclass(frozen=True)
 class PassConstants:
-    """The constant plaintexts of one party's passes, encoded once per job."""
+    """The constant plaintexts of one party's passes, encoded once per job.
+
+    Each mask carries the power-of-two factor of the product it ends: the
+    1/2 of approx_relu's (e + e*s)/2, and the 2 of the squared loss's
+    derivative, which the fig5 loss lacks.  The factor then costs no
+    multiply, and the values equal the mirror's two multiplies bit for bit.
+    """
 
     col_masks: tuple        # per layer, the logical-neuron column mask
     label_mask: Plaintext   # real samples x label columns
-    two: Plaintext          # derivative factor of the squared loss
     relu_range: Plaintext | None  # 1 / input_range, approx_relu only
     half: Plaintext | None        # 0.5, approx_relu only
 
@@ -147,10 +153,13 @@ def _encode_constants(ctx: CryptoContext, config: TrainingConfig,
     def full(value):
         return ctx.encode(np.full(ctx.slot_count, float(value)))
     relu = config.activation.kind == "approx_relu"
+    col_factor = 0.5 if relu else 1.0
+    label_factor = 1.0 if config.fig5_squared_loss else 2.0
     return PassConstants(
-        tuple(ctx.encode(np.tile(mask, plan.h)) for mask in plan.col_masks),
-        ctx.encode(np.tile(plan.rowcol_mask, (plan.h // plan.t, 1)).ravel()),
-        full(2.0),
+        tuple(ctx.encode(np.tile(col_factor * mask, plan.h))
+              for mask in plan.col_masks),
+        ctx.encode(np.tile(label_factor * plan.rowcol_mask,
+                           (plan.h // plan.t, 1)).ravel()),
         full(1.0 / config.activation.input_range) if relu else None,
         full(0.5) if relu else None)
 
@@ -180,9 +189,13 @@ class PartyState:
 
 @dataclass
 class ForwardTrace:
-    """Encrypted activations and derivative gates kept for backpropagation."""
+    """Encrypted activations and derivative gates kept for backpropagation.
 
-    x_ct: PackedMatrix
+    ``x_t`` is the batch's transposed image, which the party encrypts from
+    its own plaintext, so layer 0's gradient takes no homomorphic transpose.
+    """
+
+    x_t: PackedMatrix       # np.tile(x, (h // t, 1)).T, square packed
     activations: list       # M_1 .. M_L (rectangular packed)
     gates: list              # per layer, PackedMatrix or None
     rows: int
@@ -261,22 +274,27 @@ class CipherActivation:
             d = np.polynomial.polynomial.polyder(np.array(self.fit.coeffs))
             self.deriv_coeffs = tuple(d)
 
-    def __call__(self, comp: _Compute, e):
+    def __call__(self, comp: _Compute, e, layer: int):
+        """``(m, gate)`` of the pre-activation ``e`` of ``layer``; ``m`` is
+        masked to the layer's logical neurons, ``gate`` is None for the
+        identity."""
         ctx = comp.ctx
+        mask = self.consts.col_masks[layer]
         if self.act.kind == "identity":
-            return e, None
+            return comp.mul_const(e, mask), None
         if self.act.kind == "approx_relu":
-            half = self.consts.half
             scaled = comp.mul_const(e, self.consts.relu_range)
-            s = app_sign(scaled, self.spec, ctx, comp.bootstrap)
-            prod = comp.mul(e, s)
-            m = comp.mul_const(ctx.add(e, prod), half)
+            # One refresh of s serves both the product and the gate.
+            s = _ensure_level(ctx, app_sign(scaled, self.spec, ctx,
+                                            comp.bootstrap),
+                              2, comp.bootstrap)
+            m = comp.mul_const(ctx.add(e, comp.mul(e, s)), mask)
             gate = comp.mul_const(
-                ctx.add(s, ctx.constant(1.0, s.key_tag)), half)
+                ctx.add(s, ctx.constant(1.0, s.key_tag)), self.consts.half)
             return m, gate
         m = polyval_ct(e, self.fit.coeffs, ctx, comp.bootstrap)
         gate = polyval_ct(e, self.deriv_coeffs, ctx, comp.bootstrap)
-        return m, gate
+        return comp.mul_const(m, mask), gate
 
 
 def _as_rect(pm: PackedMatrix, t: int) -> PackedMatrix:
@@ -294,10 +312,11 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     """Encrypted feedforward over one mini-batch.
 
     The batch is packed as a replicated rectangular matrix (padded rows t,
-    side h); each layer is one rectangular product, the activation gate, a
-    column mask confining values to the logical neurons, and a collective
-    refresh.  ``bootstrap`` defaults to the in-engine collective refresh; the
-    wire runtimes substitute the framed request/share exchange.
+    side h), and its transposed image is encrypted too, for layer 0's
+    gradient; each layer is one rectangular product, the activation gate
+    with a column mask confining values to the logical neurons, and a
+    collective refresh.  ``bootstrap`` defaults to the in-engine collective
+    refresh; the wire runtimes substitute the framed request/share exchange.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     if bootstrap is None:
@@ -312,7 +331,9 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     if np.shape(batch_x)[1:] != (plan.features,):
         raise ProtocolError(f"batch rows of shape {np.shape(batch_x)[1:]} "
                             f"do not hold {plan.features} features")
-    x_ct = matrix.encode_rect_matrix(pad_matrix(batch_x, plan.t, plan.h), ctx)
+    xb = pad_matrix(batch_x, plan.t, plan.h)
+    x_ct = matrix.encode_rect_matrix(xb, ctx)
+    x_t = matrix.encode_matrix(np.tile(xb, (plan.h // plan.t, 1)).T, ctx)
 
     acts = []
     gates = []
@@ -321,25 +342,28 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         lhs = _ensure_pm(comp, _as_rect(current, plan.t), PRODUCT_DEPTH)
         rhs = _ensure_pm(comp, w, PRODUCT_DEPTH)
         e = he_rect_mat_mult(lhs, rhs)
-        m_ct, gate_ct = activation(comp, e.ct)
-        m_ct = comp.mul_const(m_ct, party.consts.col_masks[j])
+        m_ct, gate_ct = activation(comp, e.ct, j)
         m_ct = bootstrap(m_ct)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
         acts.append(m)
         gates.append(None if gate_ct is None
                      else PackedMatrix(gate_ct, plan.h, plan.t, 1))
         current = m
-    return ForwardTrace(x_ct, acts, gates, rows)
+    return ForwardTrace(x_t, acts, gates, rows)
 
 
 def local_backward(party: PartyState, trace: ForwardTrace,
                    batch_labels: np.ndarray, bootstrap=None) -> GradientMsg:
     """Encrypted backpropagation; returns per-layer gradient sums.
 
-    Each layer's gradient is ``he_rect_tn_mult`` of the replicated t x h
-    activation image below it and the replicated error image: the t-stage
-    product of the transpose, which sums the block product over the batch
-    rows.
+    Each layer's gradient is the t-stage product of the transpose of the
+    replicated t x h image below it and the replicated error image, which
+    sums the block product over the batch rows: ``he_rect_at_mult`` of the
+    batch's transposed image for layer 0, ``he_rect_tn_mult`` of the
+    activation below for every other layer.  The error is ``m - y`` for the
+    squared loss and ``(y - m)**2`` for the fig5 loss, times the last gate;
+    the label mask, which confines it to real samples and label columns,
+    carries the loss derivative's factor 2.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     consts = party.consts
@@ -356,30 +380,27 @@ def local_backward(party: PartyState, trace: ForwardTrace,
                       _ensure_level(ctx, m_last.ct, 2, bootstrap))
         delta = comp.mul(err, err)
     else:
-        err = ctx.sub(_ensure_level(ctx, m_last.ct, 2, bootstrap),
-                      _ensure_level(ctx, y_ct.ct, 2, bootstrap))
-        delta = comp.mul_const(err, consts.two)
+        delta = ctx.sub(_ensure_level(ctx, m_last.ct, 2, bootstrap),
+                        _ensure_level(ctx, y_ct.ct, 2, bootstrap))
     if trace.gates[-1] is not None:
         delta = comp.mul(delta, trace.gates[-1].ct)
     delta = comp.mul_const(delta, consts.label_mask)
 
     weights = party.model.weights
-    below = [trace.x_ct] + trace.activations[:-1]
     grads: list = [None] * len(weights)
     for j in reversed(range(len(weights))):
+        d_pm = _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
+                          PRODUCT_DEPTH)
+        if j == 0:
+            grads[0] = he_rect_at_mult(
+                _ensure_pm(comp, trace.x_t, PRODUCT_DEPTH), d_pm)
+            break
         grads[j] = he_rect_tn_mult(
-            _ensure_pm(comp, below[j], PRODUCT_DEPTH + 1),
-            _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
-                       PRODUCT_DEPTH))
-        if j > 0:
-            w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
-            d_pm = he_rect_mat_mult(
-                _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
-                           PRODUCT_DEPTH),
-                _ensure_pm(comp, w_t, PRODUCT_DEPTH))
-            delta = d_pm.ct
-            if trace.gates[j - 1] is not None:
-                delta = comp.mul(delta, trace.gates[j - 1].ct)
+            _ensure_pm(comp, trace.activations[j - 1], PRODUCT_DEPTH + 1), d_pm)
+        w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
+        delta = he_rect_mat_mult(d_pm, _ensure_pm(comp, w_t, PRODUCT_DEPTH)).ct
+        if trace.gates[j - 1] is not None:
+            delta = comp.mul(delta, trace.gates[j - 1].ct)
     return GradientMsg(party.party_id, party.model.iteration, grads)
 
 
@@ -691,6 +712,11 @@ class ServerRuntime:
             raise ProtocolError(
                 f"{frame.msg_type.name} for round {frame.round} while "
                 f"the server is at round {now}")
+        # Training frames belong to a round; none is left at the key switch.
+        if (frame.msg_type in (MsgType.BOOTSTRAP_REQ, MsgType.GRADIENT)
+                and now >= self.server.config.global_iters):
+            raise ProtocolError(f"party {pid} sent {frame.msg_type.name} "
+                                f"after the last round")
         if frame.msg_type == MsgType.BOOTSTRAP_REQ:
             ct = decode_ciphertext(frame.payload, self.server.ctx)
             out = self.server.ctx.dbootstrap(ct, self.server.ctx.parties)

@@ -37,10 +37,11 @@ plans hold no context, so a plan serves every context of its geometry.
 Matrix ops find the context of a ciphertext by its ``context_id`` among the
 live contexts (``engine.context_of``).
 
-Three products share one product core: ``he_mat_mult`` (square by square,
+Four products share one product core: ``he_mat_mult`` (square by square,
 h stages), ``he_rect_mat_mult`` (a stacked t x h matrix by a square one, t
-stages and a fold) and ``he_rect_tn_mult`` (the transpose of a stacked
-t x h matrix by another, t stages).  Stage k
+stages and a fold), ``he_rect_tn_mult`` (the transpose of a stacked t x h
+matrix by another, t stages) and ``he_rect_at_mult`` (the same product
+given the transposed image).  Stage k
 shifts the aligned left factor a0 by k columns: the masked term ``m_k``
 (one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
 other way round the row boundary.  ``m_k`` is rescaled before the
@@ -473,6 +474,18 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     return PackedMatrix(acc, h, t, 1)
 
 
+def _require_tn_layout(a: PackedMatrix, b: PackedMatrix,
+                       a_depth: int) -> CryptoContext:
+    """``_require_product_layout`` for ``A.T @ B`` with ``b`` a stacked
+    t x h matrix: neither factor batched, and t dividing h."""
+    if a.batch_beta != 1 or b.batch_beta != 1:
+        raise CapacityError("rectangular products are not batched")
+    t, h = b.rows_t, b.dim_h
+    if h % t != 0:
+        raise CapacityError(f"logical row count {t} must divide the side {h}")
+    return _require_product_layout(a, b, a_depth)
+
+
 def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """``A.T @ B`` for two stacked t x h matrices, as an h x h payload.
 
@@ -481,17 +494,31 @@ def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     core visit each of the t rows once, with no fold.  Costs the transpose
     plus 3h + t mul_pt, t subs and t mul_ct.  ``a`` needs
     ``PRODUCT_DEPTH + 1`` levels (one for the transpose) and ``b``
-    ``PRODUCT_DEPTH``; a refused call meters nothing.
+    ``PRODUCT_DEPTH``; a refused call meters nothing.  Whoever holds ``A``
+    in the clear can encrypt the transposed image instead and call
+    ``he_rect_at_mult``, which skips the transpose and its level.
     """
-    if a.batch_beta != 1 or b.batch_beta != 1:
-        raise CapacityError("rectangular products are not batched")
-    t, h = a.rows_t, a.dim_h
-    if b.rows_t != t:
-        raise CapacityError(f"logical row counts differ: {t} vs {b.rows_t}")
-    if h % t != 0:
-        raise CapacityError(f"logical row count {t} must divide the side {h}")
-    ctx = _require_product_layout(a, b, PRODUCT_DEPTH + 1)
-    return PackedMatrix(_product(ctx, _transpose(ctx, a), b, t), h, h, 1)
+    if b.rows_t != a.rows_t:
+        raise CapacityError(f"logical row counts differ: {a.rows_t} vs {b.rows_t}")
+    ctx = _require_tn_layout(a, b, PRODUCT_DEPTH + 1)
+    return PackedMatrix(_product(ctx, _transpose(ctx, a), b, b.rows_t),
+                        a.dim_h, a.dim_h, 1)
+
+
+def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
+    """``A.T @ B`` from ``at``, the square h x h image of the transpose of
+    ``A``'s stacked image, and ``b``, a stacked t x h matrix.
+
+    ``at`` holds ``np.tile(A, (h // t, 1)).T``.  This is
+    ``he_rect_tn_mult`` without its transpose: the t shift stages alone,
+    3h + t mul_pt, t subs and t mul_ct, and ``PRODUCT_DEPTH`` levels of
+    each factor.  On the transpose that ``he_rect_tn_mult`` would take, it
+    gives the same bytes, level and scale.  A refused call meters nothing.
+    """
+    if at.rows_t != at.dim_h:
+        raise CapacityError("the left factor must be the square image of A.T")
+    ctx = _require_tn_layout(at, b, PRODUCT_DEPTH)
+    return PackedMatrix(_product(ctx, at, b, b.rows_t), at.dim_h, at.dim_h, 1)
 
 
 def matmul_rotation_formula(h: int) -> int:

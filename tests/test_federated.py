@@ -103,6 +103,18 @@ def test_forward_level_schedule():
     assert trace.activations[-1].ct.level == server.ctx.initial_level
 
 
+def test_backward_refreshes_an_error_image_once_for_its_two_products():
+    # In the middle layer the error arrives from he_rect_mat_mult short of a
+    # product's levels: one refresh serves its gradient and the error below.
+    config = small_config(neurons=(6, 4, 2), party_count=1, seed=3)
+    server, (party,) = prepare(config, feature_dim=5)
+    x, y = blob_data(samples=4, features=5, seed=3)
+    trace = local_forward(party, x)
+    with server.ctx.meter_scope() as scope:
+        local_backward(party, trace, y)
+    assert scope.bootstraps == 1
+
+
 def test_backward_zero_loss_zero_gradient():
     config = small_config(neurons=(2,), party_count=1, batch_size=2)
     server, (party,) = prepare(config, feature_dim=2)
@@ -439,8 +451,9 @@ def test_no_blas_worker_runs_during_a_wide_job():
 
 
 @pytest.fixture(scope="module")
-def benchmark_metrics():
-    """``metrics`` of one run per shape and transport at a benchmark shape."""
+def benchmark_runs():
+    """The ``TrainingResult`` of one run per shape, transport and seed at a
+    benchmark shape; the seed seeds the data, the split and the config."""
     # relu: two parties, h = 16, t = 8, two approx_relu layers of 8 + 2
     # stages each.  wide: two parties, h = 64, t = 16, identity activation.
     shapes = {
@@ -450,19 +463,25 @@ def benchmark_metrics():
     }
     runs = {}
 
-    def metrics(shape, transport):
-        if (shape, transport) not in runs:
+    def result(shape, transport, seed=1):
+        if (shape, transport, seed) not in runs:
             samples, features, neurons, batch, act = shapes[shape]
             x, y = make_synthetic_classification(samples, features,
-                                                 neurons[-1], seed=1)
+                                                 neurons[-1], seed=seed)
             config = TrainingConfig(neurons=neurons, learning_rate=0.1,
                                     global_iters=2, batch_size=batch,
-                                    party_count=2, activation=act, seed=1)
-            runs[shape, transport] = run_training(
-                config, split_parties(x, y, 2, seed=1),
-                transport=transport).metrics
-        return runs[shape, transport]
-    return metrics
+                                    party_count=2, activation=act, seed=seed)
+            runs[shape, transport, seed] = run_training(
+                config, split_parties(x, y, 2, seed=seed),
+                transport=transport)
+        return runs[shape, transport, seed]
+    return result
+
+
+@pytest.fixture(scope="module")
+def benchmark_metrics(benchmark_runs):
+    """``metrics`` of the seed-1 run of a shape and transport."""
+    return lambda shape, transport: benchmark_runs(shape, transport).metrics
 
 
 def _assert_round_counts(metrics, other, expected):
@@ -489,20 +508,83 @@ def _other(transport):
     return "tcp" if transport == "in_process" else "in_process"
 
 
-# Per round, each of 2 parties takes 2 weight gradients, each a t-stage
-# he_rect_tn_mult: t ct products and 3t stage rotations.
+# Per round, each of 2 parties takes 2 weight gradients, each t stages of
+# the product core, t ct products and 3t stage rotations: layer 1's is a
+# he_rect_tn_mult, layer 0's a he_rect_at_mult of the batch's transposed
+# image, with no homomorphic transpose.  Each approx_relu activation
+# refreshes its sign once and the layer output once, besides its sign
+# stages.
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
                          benchmark_metrics("relu", _other(transport)),
-                         (60, 248, 894, 518, 426))
+                         (52, 248, 824, 494, 418))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
-                         (8, 160, 2858, 1036, 206))
+                         (8, 160, 2600, 988, 202))
+
+
+@pytest.mark.parametrize("seed, correct", [(1, 360), (2, 459)])
+def test_relu_trajectory_is_one_on_both_transports(seed, correct,
+                                                   benchmark_runs):
+    # The 1/2 and the 2 folded into the masks are powers of two and the
+    # masks hold 0 and 1, so each value equals that of two separate
+    # multiplies, and the final accuracy, correct / 699 samples, is the one
+    # a pass with separate multiplies gives.
+    runs = [benchmark_runs("relu", transport, seed)
+            for transport in ("in_process", "tcp")]
+    for res in runs:
+        assert res.metrics["final"]["accuracy"] == correct / 699
+        for round_ct, round_pl in zip(res.ct_trajectory,
+                                      res.mirror_trajectory):
+            for a, b in zip(round_ct, round_pl):
+                assert np.allclose(a, b, rtol=1e-6, atol=1e-9)
+    for round_q, round_t in zip(*(res.ct_trajectory for res in runs)):
+        for a, b in zip(round_q, round_t):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_one_relu_activation_refreshes_its_sign_once():
+    # Besides its sign stages, the activation refreshes s once, for both
+    # the product e*s and the gate; m leaves it masked, its 1/2 folded into
+    # the mask, and equals the mirror's activation times the mask bit for
+    # bit.
+    from packedhe.approx import app_sign, make_local_bootstrapper
+    from packedhe.engine import SlotVector
+    from packedhe.federated.mirror import PlainActivation
+    act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
+                           delta=2.0 ** -20)
+    config = small_config(neurons=(16, 2), batch_size=8, activation=act)
+    server, (party, _) = prepare(config, feature_dim=9)
+    ctx, plan = server.ctx, server.plan
+    values = np.random.default_rng(3).uniform(
+        -act.input_range, act.input_range, ctx.slot_count)
+    # at the level a layer's product leaves
+    e = SlotVector(values, ctx.initial_level - matrix.PRODUCT_DEPTH,
+                   ctx.initial_scale, ctx.context_id, ctx.DEFAULT_KEY)
+    refreshed = []
+    local = make_local_bootstrapper(ctx)
+
+    def bootstrap(ct):
+        refreshed.append(ct)
+        return local(ct)
+    comp = protocol._Compute(ctx, bootstrap)
+    activation = protocol.CipherActivation(config, party.consts)
+    with ctx.meter_scope() as scope:
+        m, gate = activation(comp, e, 0)
+    booked = len(refreshed)
+    refreshed.clear()
+    app_sign(comp.mul_const(e, party.consts.relu_range), activation.spec,
+             ctx, bootstrap)
+    assert booked == scope.bootstraps == len(refreshed) + 1
+    want_m, want_gate = PlainActivation(act)(values)
+    assert m.slots.tobytes() == \
+        (want_m * np.tile(plan.col_masks[0], plan.h)).tobytes()
+    assert gate.slots.tobytes() == want_gate.tobytes()
 
 
 def test_sigmoid_activation_run_and_mirror():
@@ -1054,6 +1136,33 @@ def test_server_refuses_a_frame_for_another_round(transport, msg_type):
                            match="round 0 while the server is at round 1"):
             srv.collect_gradients(1)
         assert time.monotonic() - start < 10.0
+    finally:
+        close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("msg_type", ["BOOTSTRAP_REQ", "GRADIENT"])
+def test_server_refuses_a_training_frame_after_the_last_round(transport,
+                                                             msg_type):
+    from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
+    config = small_config(party_count=2, global_iters=1)
+    server, _ = prepare(config, feature_dim=2)
+    server.model.iteration = config.global_iters
+    before = server.ctx.meter.bootstraps
+    srv, party_links, close = _open_server(transport, server, 30.0)
+    try:
+        # The frame names the server's round, the key switch's: answered,
+        # a request would meter a refresh; filed, a gradient is never read.
+        party_links[1].send(encode_frame(
+            MsgType[msg_type], config.global_iters, 1,
+            encode_ciphertext(server.model.weights[0].ct)))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError,
+                           match=f"party 1 sent {msg_type} after the last"):
+            srv.finalize_over_wire()
+        assert time.monotonic() - start < 10.0
+        assert server.ctx.meter.bootstraps == before
+        assert srv._gradients == {}
     finally:
         close()
 

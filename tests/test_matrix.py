@@ -14,7 +14,8 @@ from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
                              he_lin_trans, he_lin_trans_bsgs, he_mat_mult,
-                             he_rect_mat_mult, he_rect_tn_mult, he_transpose,
+                             he_rect_at_mult, he_rect_mat_mult,
+                             he_rect_tn_mult, he_transpose,
                              matmul_rotation_formula, pack_matrices)
 
 
@@ -1182,6 +1183,90 @@ def test_rect_tn_mult_refuses_before_any_tally(case, error):
 def test_rect_tn_mult_runs_at_the_lowest_levels_it_accepts():
     _, a, b, pa, pb = _tn_operands(8, 2)
     out = he_rect_tn_mult(_at_level(pa, matrix.PRODUCT_DEPTH + 1),
+                          _at_level(pb, matrix.PRODUCT_DEPTH))
+    assert out.ct.level == 0
+    assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+
+
+def _at_operand(a, ctx):
+    """The encrypted h x h image of the transpose of ``a``'s stacked image."""
+    t, h = a.shape
+    return encode_matrix(np.tile(a, (h // t, 1)).T, ctx)
+
+
+@pytest.mark.parametrize("h, t", _TN_SHAPES)
+def test_rect_at_mult_equals_plain_product(h, t):
+    ctx, a, b, _, pb = _tn_operands(h, t)
+    out = he_rect_at_mult(_at_operand(a, ctx), pb)
+    assert (out.dim_h, out.rows_t, out.batch_beta) == (h, h, 1)
+    assert out.ct.level == ctx.initial_level - matrix.PRODUCT_DEPTH
+    assert out.ct.scale == ctx.initial_scale
+    assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+
+
+@pytest.mark.parametrize("h, t", _TN_SHAPES)
+def test_rect_at_mult_is_rect_tn_mult_without_the_transpose(h, t):
+    # Given the transpose he_rect_tn_mult takes, homomorphic or encrypted
+    # from the plaintext at its level, the product is the same ciphertext,
+    # and costs the same less the transpose.
+    ctx, a, _, pa, pb = _tn_operands(h, t)
+    with ctx.meter_scope() as tn:
+        want = he_rect_tn_mult(pa, pb)
+    with ctx.meter_scope() as transpose:
+        at = he_transpose(matrix.PackedMatrix(pa.ct, h, h, 1))
+    level = ctx.initial_level - 1
+    for left in (at, _at_level(_at_operand(a, ctx), level)):
+        assert left.ct.level == level
+        with ctx.meter_scope() as scope:
+            out = he_rect_at_mult(left, pb)
+        assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
+        assert (out.ct.level, out.ct.scale) == (want.ct.level, want.ct.scale)
+        assert {k: getattr(scope, k) + getattr(transpose, k)
+                for k in ctx.meter.snapshot()} == \
+            {k: getattr(tn, k) for k in ctx.meter.snapshot()}
+
+
+def _at_misuse(case):
+    """The contexts of a refused call and its two operands."""
+    h, t = 8, 2
+    ctx, a, _, _, pb = _tn_operands(h, t)
+    contexts = [ctx]
+    at = _at_operand(a, ctx)
+    if case == "left factor not square":
+        at = matrix.PackedMatrix(at.ct, h, t, 1)
+    elif case == "rows do not divide h":
+        pb = matrix.PackedMatrix(pb.ct, h, 3, 1)
+    elif case == "batched":
+        at, pb = (matrix.PackedMatrix(pm.ct, 4, 4, 2) for pm in (at, pb))
+    elif case == "another context":
+        contexts.append(exact_ctx(h))
+        pb = encode_rect_matrix(np.ones((t, h)), contexts[-1])
+    elif case == "left one level short":
+        at = _at_level(at, matrix.PRODUCT_DEPTH - 1)
+    elif case == "right one level short":
+        pb = _at_level(pb, matrix.PRODUCT_DEPTH - 1)
+    return contexts, at, pb
+
+
+@pytest.mark.parametrize("case, error", [
+    ("left factor not square", CapacityError),
+    ("rows do not divide h", CapacityError),
+    ("batched", CapacityError),
+    ("another context", CapacityError),
+    ("left one level short", LevelExhaustedError),
+    ("right one level short", LevelExhaustedError),
+])
+def test_rect_at_mult_refuses_before_any_tally(case, error):
+    contexts, at, pb = _at_misuse(case)
+    before = [c.meter.snapshot() for c in contexts]
+    with pytest.raises(error):
+        he_rect_at_mult(at, pb)
+    assert [c.meter.snapshot() for c in contexts] == before
+
+
+def test_rect_at_mult_runs_at_the_lowest_levels_it_accepts():
+    ctx, a, b, _, pb = _tn_operands(8, 2)
+    out = he_rect_at_mult(_at_level(_at_operand(a, ctx), matrix.PRODUCT_DEPTH),
                           _at_level(pb, matrix.PRODUCT_DEPTH))
     assert out.ct.level == 0
     assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
