@@ -5,14 +5,19 @@ encrypted model, every party runs an encrypted forward/backward pass over one
 mini-batch of its local shard (rectangular packed products for the batch and,
 transposed, for the gradients, composite-polynomial gates for the
 activations), the server sums the encrypted per-party gradients and
-applies the update  w <- w - eta/(batch*N) * grad  under encryption.  After
+applies the update  w <- w - eta/(batch*N) * grad  under encryption.  Each
+product operand is aligned once, where that is cheapest: a party encrypts
+its batch images sigma_mu-aligned from its own plaintext, and the server
+tau_zeta-aligns each weight once a round for every party, which uses it,
+and its transpose, in that form; a party refuses a weight at any other
+level than ``broadcast_level`` or any other scale than the context's.  After
 the last round the model is collectively re-keyed to the server's key and
 decrypted there; parties never see a server-keyed ciphertext.
 
 Level maintenance follows a fixed schedule: a rescale after every product,
 which keeps every ciphertext that meets another in an add at the context
-scale, and a collective refresh after each activation plus wherever a
-product chain would exhaust the budget.
+scale, and a collective refresh wherever the next step would exhaust the
+budget, a layer's output included.
 Mid-training refreshes travel the wire as BOOTSTRAP_REQ/BOOTSTRAP_SHARE
 frames, so both transports account the same bytes.  Refresh requests,
 refresh shares, gradients and key-switch shares name their round; a frame
@@ -39,10 +44,11 @@ party's error at once, and every job reaps its children.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,10 +198,11 @@ class ForwardTrace:
     """Encrypted activations and derivative gates kept for backpropagation.
 
     ``x_t`` is the batch's transposed image, which the party encrypts from
-    its own plaintext, so layer 0's gradient takes no homomorphic transpose.
+    its own plaintext, sigma_mu-aligned, so layer 0's gradient takes no
+    homomorphic transpose and no alignment of its left factor.
     """
 
-    x_t: PackedMatrix       # np.tile(x, (h // t, 1)).T, square packed
+    x_t: PackedMatrix       # np.tile(x, (h // t, 1)).T, square, sigma_mu form
     activations: list       # M_1 .. M_L (rectangular packed)
     gates: list              # per layer, PackedMatrix or None
     rows: int
@@ -213,6 +220,22 @@ def init_weights(config: TrainingConfig, feature_dim: int):
         dims.append((fan_in, n))
         fan_in = n
     return mats, dims
+
+
+def broadcast_level(ctx: CryptoContext) -> int:
+    """The level of a weight on the wire: a refreshed weight's, less the one
+    level of the server's tau_zeta alignment."""
+    return ctx.initial_level - 1
+
+
+def _broadcast_weight(ctx: CryptoContext, w: PackedMatrix) -> PackedMatrix:
+    """``w`` as every party receives it: tau_zeta-aligned once, by the
+    server, at ``broadcast_level``, else ``ProtocolError``."""
+    aligned = matrix.he_align(w, "tau_zeta")
+    if aligned.ct.level != broadcast_level(ctx):
+        raise ProtocolError(f"an aligned weight is at level {aligned.ct.level}, "
+                            f"not {broadcast_level(ctx)}: it was not refreshed")
+    return aligned
 
 
 def prepare(config: TrainingConfig, feature_dim: int):
@@ -298,13 +321,12 @@ class CipherActivation:
 
 
 def _as_rect(pm: PackedMatrix, t: int) -> PackedMatrix:
-    return PackedMatrix(pm.ct, pm.dim_h, t, pm.batch_beta)
+    return replace(pm, rows_t=t)
 
 
 def _ensure_pm(comp: _Compute, pm: PackedMatrix, need: int) -> PackedMatrix:
     ct = _ensure_level(comp.ctx, pm.ct, need, comp.bootstrap)
-    return PackedMatrix(ct, pm.dim_h, pm.rows_t, pm.batch_beta) \
-        if ct is not pm.ct else pm
+    return replace(pm, ct=ct) if ct is not pm.ct else pm
 
 
 def local_forward(party: PartyState, batch_x: np.ndarray,
@@ -313,10 +335,14 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
 
     The batch is packed as a replicated rectangular matrix (padded rows t,
     side h), and its transposed image is encrypted too, for layer 0's
-    gradient; each layer is one rectangular product, the activation gate
-    with a column mask confining values to the logical neurons, and a
-    collective refresh.  ``bootstrap`` defaults to the in-engine collective
-    refresh; the wire runtimes substitute the framed request/share exchange.
+    gradient, both sigma_mu-aligned, so no product aligns them; each layer
+    is one rectangular product, the activation gate with a column mask
+    confining values to the logical neurons, and a collective refresh of
+    the output unless it keeps the ``PRODUCT_DEPTH + 1`` levels its
+    gradient takes.  The weights are used in the form they come in: tau_zeta
+    as broadcast, plain as ``prepare`` builds them.  ``bootstrap`` defaults
+    to the in-engine collective refresh; the wire runtimes substitute the
+    framed request/share exchange.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     if bootstrap is None:
@@ -332,18 +358,21 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         raise ProtocolError(f"batch rows of shape {np.shape(batch_x)[1:]} "
                             f"do not hold {plan.features} features")
     xb = pad_matrix(batch_x, plan.t, plan.h)
-    x_ct = matrix.encode_rect_matrix(xb, ctx)
-    x_t = matrix.encode_matrix(np.tile(xb, (plan.h // plan.t, 1)).T, ctx)
+    x_ct = matrix.encode_rect_matrix(xb, ctx, form="sigma_mu")
+    x_t = matrix.encode_matrix(np.tile(xb, (plan.h // plan.t, 1)).T, ctx,
+                               form="sigma_mu")
 
     acts = []
     gates = []
     current = x_ct
     for j, w in enumerate(party.model.weights):
-        lhs = _ensure_pm(comp, _as_rect(current, plan.t), PRODUCT_DEPTH)
-        rhs = _ensure_pm(comp, w, PRODUCT_DEPTH)
-        e = he_rect_mat_mult(lhs, rhs)
+        lhs = _as_rect(current, plan.t)
+        lhs = _ensure_pm(comp, lhs, lhs.product_depth)
+        e = he_rect_mat_mult(lhs, _ensure_pm(comp, w, w.product_depth))
         m_ct, gate_ct = activation(comp, e.ct, j)
-        m_ct = bootstrap(m_ct)
+        # Every consumer of m takes at most PRODUCT_DEPTH + 1 levels: the
+        # transpose and the product of its weight gradient.
+        m_ct = _ensure_level(ctx, m_ct, PRODUCT_DEPTH + 1, bootstrap)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
         acts.append(m)
         gates.append(None if gate_ct is None
@@ -360,10 +389,12 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     replicated t x h image below it and the replicated error image, which
     sums the block product over the batch rows: ``he_rect_at_mult`` of the
     batch's transposed image for layer 0, ``he_rect_tn_mult`` of the
-    activation below for every other layer.  The error is ``m - y`` for the
-    squared loss and ``(y - m)**2`` for the fig5 loss, times the last gate;
-    the label mask, which confines it to real samples and label columns,
-    carries the loss derivative's factor 2.
+    activation below for every other layer.  The error passes down through
+    the transpose of each weight, which keeps the weight's form: a tau_zeta
+    weight's transpose feeds its product unaligned.  The error is ``m - y``
+    for the squared loss and ``(y - m)**2`` for the fig5 loss, times the
+    last gate; the label mask, which confines it to real samples and label
+    columns, carries the loss derivative's factor 2.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     consts = party.consts
@@ -393,12 +424,13 @@ def local_backward(party: PartyState, trace: ForwardTrace,
                           PRODUCT_DEPTH)
         if j == 0:
             grads[0] = he_rect_at_mult(
-                _ensure_pm(comp, trace.x_t, PRODUCT_DEPTH), d_pm)
+                _ensure_pm(comp, trace.x_t, trace.x_t.product_depth), d_pm)
             break
         grads[j] = he_rect_tn_mult(
             _ensure_pm(comp, trace.activations[j - 1], PRODUCT_DEPTH + 1), d_pm)
         w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
-        delta = he_rect_mat_mult(d_pm, _ensure_pm(comp, w_t, PRODUCT_DEPTH)).ct
+        delta = he_rect_mat_mult(
+            d_pm, _ensure_pm(comp, w_t, w_t.product_depth)).ct
         if trace.gates[j - 1] is not None:
             delta = comp.mul(delta, trace.gates[j - 1].ct)
     return GradientMsg(party.party_id, party.model.iteration, grads)
@@ -531,6 +563,19 @@ class PartyRuntime:
                 f"key {ct.key_tag!r}")
         return ct
 
+    def _decode_weight(self, payload):
+        """A broadcast weight, refused unless at ``broadcast_level`` and at
+        the context scale, where the server's alignment leaves it."""
+        ct = self._decode_ct(payload)
+        ctx = self.state.ctx
+        if ct.level != broadcast_level(ctx) or not math.isclose(
+                ct.scale, ctx.initial_scale, rel_tol=1e-9):
+            raise ProtocolError(
+                f"party {self.state.party_id} received a weight at level "
+                f"{ct.level} and scale {ct.scale!r}, expected level "
+                f"{broadcast_level(ctx)} and scale {ctx.initial_scale!r}")
+        return ct
+
     def _bootstrap(self, ct):
         payload = encode_ciphertext(ct)
         self.link.send(encode_frame(MsgType.BOOTSTRAP_REQ, self._round,
@@ -550,10 +595,10 @@ class PartyRuntime:
 
     def _run_round(self, round_no: int, weight_cts: list) -> None:
         state = self.state
-        plan = state.plan
+        # The server broadcasts each weight tau_zeta-aligned.
         state.model = ModelState(
-            [PackedMatrix(ct, plan.h, plan.h, 1) for ct in weight_cts],
-            round_no)
+            [replace(w, ct=ct, form="tau_zeta")
+             for w, ct in zip(state.model.weights, weight_cts)], round_no)
         x, y = state.shard
         rows = state.schedule[round_no][state.party_id]
         trace = local_forward(state, x[rows], bootstrap=self._bootstrap)
@@ -575,7 +620,7 @@ class PartyRuntime:
             # The party's next round, which every frame of one model must
             # name.
             self._require_round(frame, self._round)
-            self._weights.append(self._decode_ct(frame.payload))
+            self._weights.append(self._decode_weight(frame.payload))
             if len(self._weights) == self.state.config.layers:
                 weight_cts, self._weights = self._weights, []
                 self._run_round(frame.round, weight_cts)
@@ -782,11 +827,15 @@ class ServerRuntime:
             raise ProtocolError(f"party {pid} link failed: {exc}") from exc
 
     def broadcast_model(self, round_no: int) -> None:
+        """Send every party the model, each weight tau_zeta-aligned once for
+        all of them (``_broadcast_weight``)."""
+        ctx = self.server.ctx
+        payloads = [encode_ciphertext(_broadcast_weight(ctx, w).ct)
+                    for w in self.server.model.weights]
         for link in self.links:
-            for w in self.server.model.weights:
+            for payload in payloads:
                 link.server_send(encode_frame(
-                    MsgType.MODEL_BCAST, round_no, SERVER_ID,
-                    encode_ciphertext(w.ct)))
+                    MsgType.MODEL_BCAST, round_no, SERVER_ID, payload))
 
     def collect_gradients(self, round_no: int) -> list:
         config = self.server.config

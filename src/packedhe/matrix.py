@@ -41,7 +41,13 @@ Four products share one product core: ``he_mat_mult`` (square by square,
 h stages), ``he_rect_mat_mult`` (a stacked t x h matrix by a square one, t
 stages and a fold), ``he_rect_tn_mult`` (the transpose of a stacked t x h
 matrix by another, t stages) and ``he_rect_at_mult`` (the same product
-given the transposed image).  Stage k
+given the transposed image).  The core aligns the left factor by sigma_mu
+and the right one by tau_zeta, one level each, but only an operand whose
+``form`` does not name that alignment yet: an owner can encrypt its image
+in form by one plaintext gather, and ``he_align`` aligns a ciphertext once
+for many products.  ``he_transpose`` keeps a tau_zeta form, by the
+``tau_transpose`` permutation, so a transposed operand need not leave it.
+Stage k
 shifts the aligned left factor a0 by k columns: the masked term ``m_k``
 (one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
 other way round the row boundary.  ``m_k`` is rescaled before the
@@ -56,7 +62,7 @@ of stages is a single strided multiply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -64,11 +70,20 @@ import numpy as np
 from .engine import (CapacityError, CryptoContext, EngineError, GatherPlan,
                      LevelExhaustedError, SlotVector, context_of)
 
-PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift", "transpose")
+PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift",
+                     "transpose", "tau_transpose")
 
 # Kinds whose diagonal decomposition reads across the h^2 window edge and
 # therefore needs the packed image to wrap exactly at the slot boundary.
-_WRAPPING_KINDS = ("tau_zeta", "row_shift")
+_WRAPPING_KINDS = ("tau_zeta", "row_shift", "tau_transpose")
+
+# Kinds evaluated baby-step/giant-step; the shift kinds take a rotation per
+# diagonal.
+_BSGS_KINDS = ("sigma_mu", "tau_zeta", "transpose", "tau_transpose")
+
+# The alignment an image can already carry: none, or a product's left
+# (sigma_mu) or right (tau_zeta) alignment.
+FORMS = (None, "sigma_mu", "tau_zeta")
 
 # Multiplicative levels one packed product consumes: the sigma/tau alignment,
 # the masked shift stages and the stage products, one rescale each.
@@ -83,8 +98,8 @@ class PermutationSpec:
     offset of the one diagonal that selects it: output slot t reads input
     slot t + offsets[t].  The constructor stores a read-only copy and raises
     ``EngineError`` for offsets that are not ints or not one per window slot.
-    ``tables`` holds the gather plans built from them, so they live exactly
-    as long as the spec.  Specs compare and hash by identity.
+    ``tables`` holds the gather plans and the form index built from them,
+    so they live exactly as long as the spec.  Specs compare and hash by identity.
     """
 
     kind: str
@@ -116,15 +131,18 @@ class PermutationSpec:
 
 @lru_cache(maxsize=None)
 def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpec:
-    """Build the diagonal offsets of one of the five packed-matrix permutations.
+    """Build the diagonal offsets of one of the six packed-matrix permutations.
 
     ``sigma_mu`` aligns each row of the left factor on its own diagonal
     (2h-1 nonzero diagonals), ``tau_zeta`` does the column analogue for the
     right factor (h diagonals), ``col_shift(k)``/``row_shift(k)`` are cyclic
-    intra-row / block-row shifts (2 resp. 1 diagonals), and ``transpose``
-    realizes the transpose map (2h-1 diagonals).  Where output entry (i, j)
-    reads input entry (src_i, src_j), its offset is h*(src_i - i) +
-    (src_j - j), taken mod h*h for the two kinds that wrap the window.
+    intra-row / block-row shifts (2 resp. 1 diagonals), ``transpose``
+    realizes the transpose map (2h-1 diagonals), and ``tau_transpose`` turns
+    tau_zeta(W) into tau_zeta(W.T): output entry (i, j) reads input entry
+    (-i, i + j), mod h, which gives the offsets (h-1)**2 * m mod h*h for
+    -h < m < h (2h-1 diagonals).  Where output entry (i, j) reads input
+    entry (src_i, src_j), its offset is h*(src_i - i) + (src_j - j), taken
+    mod h*h for the three kinds that wrap the window.
     """
     if kind not in PERMUTATION_KINDS:
         raise ValueError(f"unknown permutation kind {kind!r}")
@@ -145,6 +163,8 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
         src_i, src_j = i, (j + k) % h
     elif kind == "row_shift":
         src_i, src_j = (i + k) % h, j
+    elif kind == "tau_transpose":
+        src_i, src_j = -i % h, (i + j) % h
     else:
         src_i, src_j = j, i
     offsets = h * (src_i - i) + (src_j - j)
@@ -158,7 +178,8 @@ def apply_permutation(spec: PermutationSpec, vec) -> np.ndarray:
 
     Operates on the bare h*h window with cyclic index arithmetic, independent
     of any ciphertext ring, so it serves as the oracle for the homomorphic
-    paths and runs symbolic cases at any h, power of two or not.
+    paths and runs symbolic cases at any h, power of two or not.  Encoding
+    into a form takes the same map as one gather (``_form_index``).
     """
     arr = np.asarray(vec, dtype=np.float64).ravel()
     n = spec.dim_h * spec.dim_h
@@ -179,16 +200,38 @@ class PackedMatrix:
 
     ``rows_t`` is the logical row count: h for square payloads, or t (with
     t | h) when the image holds h/t stacked copies of a t x h matrix.
+    ``form`` names the permutation the images already carry: None for the
+    plain image of A, ``"sigma_mu"`` or ``"tau_zeta"`` for that alignment
+    of A.  A product aligns only an operand that does not carry its form
+    yet, so a formed operand needs one level less (``product_depth``); a
+    left factor in tau_zeta form or a right factor in sigma_mu form is
+    refused.  Products return the plain form; ``he_transpose`` keeps a
+    tau_zeta form.  An unknown form raises ``CapacityError``.
     """
 
     ct: SlotVector
     dim_h: int
     rows_t: int
     batch_beta: int = 1
+    form: str | None = None
+
+    def __post_init__(self):
+        _check_form(self.form)
 
     @property
     def window(self) -> int:
         return self.batch_beta * self.dim_h * self.dim_h
+
+    @property
+    def product_depth(self) -> int:
+        """Levels a product core takes of this operand: ``PRODUCT_DEPTH``,
+        less the alignment's one level when the image carries its form."""
+        return PRODUCT_DEPTH - (self.form is not None)
+
+
+def _check_form(form) -> None:
+    if form not in FORMS:
+        raise CapacityError(f"unknown form {form!r}; expected one of {FORMS}")
 
 
 def _validate_dims(ctx: CryptoContext, h: int, beta: int) -> None:
@@ -202,14 +245,39 @@ def _validate_dims(ctx: CryptoContext, h: int, beta: int) -> None:
             f"context offers {ctx.slot_count}")
 
 
-def encode_matrix(values, ctx: CryptoContext) -> PackedMatrix:
-    """Encrypt one square matrix; ``pack_matrices`` interleaves several."""
+def _form_index(form: str, h: int) -> np.ndarray:
+    """Slot t of the ``form`` image of an h x h window holds slot
+    ``index[t]`` of the plain one; built once, kept on the form's spec."""
+    spec = build_permutation(form, h)
+    index = spec.tables.get("form_index")
+    if index is None:
+        index = (np.arange(h * h) + spec.offsets) % (h * h)
+        index.setflags(write=False)
+        spec.tables["form_index"] = index
+    return index
+
+
+def _encrypt_image(ctx: CryptoContext, image: np.ndarray, rows_t: int,
+                   form: str | None) -> PackedMatrix:
+    """Encrypt the h x h ``image`` in ``form``, permuted by one gather."""
+    h = image.shape[0]
+    flat = image.ravel()
+    _check_form(form)
+    if form is not None:
+        flat = flat[_form_index(form, h)]
+    return PackedMatrix(ctx.encrypt(ctx.encode(flat)), h, rows_t, 1, form)
+
+
+def encode_matrix(values, ctx: CryptoContext,
+                  form: str | None = None) -> PackedMatrix:
+    """Encrypt one square matrix, in ``form`` (see ``PackedMatrix``);
+    ``pack_matrices`` interleaves several."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise CapacityError(f"expected a square matrix, got shape {arr.shape}")
     h = arr.shape[0]
     _validate_dims(ctx, h, 1)
-    return PackedMatrix(ctx.encrypt(ctx.encode(arr)), h, h, 1)
+    return _encrypt_image(ctx, arr, h, form)
 
 
 def pack_matrices(matrices, ctx: CryptoContext) -> PackedMatrix:
@@ -227,8 +295,10 @@ def pack_matrices(matrices, ctx: CryptoContext) -> PackedMatrix:
     return PackedMatrix(ctx.encrypt(ctx.encode(window)), h, h, beta)
 
 
-def encode_rect_matrix(values, ctx: CryptoContext) -> PackedMatrix:
-    """Encrypt a t x h matrix as h/t vertically stacked copies (t must divide h)."""
+def encode_rect_matrix(values, ctx: CryptoContext,
+                       form: str | None = None) -> PackedMatrix:
+    """Encrypt a t x h matrix as h/t vertically stacked copies (t must divide
+    h), the stacked image in ``form`` (see ``PackedMatrix``)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise CapacityError(f"expected a 2-d matrix, got shape {arr.shape}")
@@ -236,18 +306,22 @@ def encode_rect_matrix(values, ctx: CryptoContext) -> PackedMatrix:
     if h % t != 0:
         raise CapacityError(f"logical row count {t} must divide the side {h}")
     _validate_dims(ctx, h, 1)
-    image = np.tile(arr, (h // t, 1))
-    return PackedMatrix(ctx.encrypt(ctx.encode(image.ravel())), h, t, 1)
+    return _encrypt_image(ctx, np.tile(arr, (h // t, 1)), t, form)
 
 
 def decode_matrix(pm: PackedMatrix, beta_slot: int = 0) -> np.ndarray:
-    """Collectively decrypt one h x h image with every owner of its key."""
+    """Collectively decrypt one h x h image with every owner of its key;
+    the plain image, whatever the form it carries."""
     ctx = _ctx_of(pm)
     if not 0 <= beta_slot < pm.batch_beta:
         raise CapacityError(f"batch position {beta_slot} outside the packing")
     slots = ctx.decode(ctx.ddec(pm.ct, ctx.key_owners(pm.ct.key_tag)))
     h = pm.dim_h
     window = slots[: pm.window][beta_slot::pm.batch_beta][: h * h]
+    if pm.form is not None:
+        plain = np.empty(h * h)
+        plain[_form_index(pm.form, h)] = window
+        window = plain
     return window.reshape(h, h)
 
 
@@ -336,16 +410,23 @@ def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
     Writing each slot's offset as unit*(baby_count*i + j), the slot takes
     label j in giant step i; each step's slot-expanded labels are rolled by
     -gshift so that they pre-compensate the outer giant rotation.  Every
-    baby offset, 0 included, is rotated.  Raises ``EngineError`` for an
-    offset outside that form.
+    baby offset, 0 included, is rotated.  A ``tau_transpose`` offset is
+    that form only mod h*h, with unit (h-1)**2: its multiple comes from the
+    offset times 1 + 2h, the inverse of (h-1)**2 mod h*h, so its plan holds
+    in an exact-fit packing alone, as ``_check_layout`` demands.  Raises
+    ``EngineError`` for an offset outside that form.
     """
     h = spec.dim_h
     baby, giant = bsgs_split(h)
-    unit = h if spec.kind == "tau_zeta" else (h - 1 if spec.kind == "transpose" else 1)
     giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
-    quot, rem = np.divmod(spec.offsets, unit)
+    if spec.kind == "tau_transpose":
+        unit, n = (h - 1) ** 2, h * h
+        quot, rem = (spec.offsets * (1 + 2 * h) + n // 2) % n - n // 2, 0
+    else:
+        unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
+        quot, rem = np.divmod(spec.offsets, unit)
     step, label = np.divmod(quot, baby)
-    if rem.any() or step.min() < giants.start or step.max() >= giants.stop:
+    if np.any(rem) or step.min() < giants.start or step.max() >= giants.stop:
         raise EngineError(f"{spec.kind} offsets must be {unit}*({baby}*i + j) "
                           f"with i in {giants} and 0 <= j < {baby}")
     steps = []
@@ -359,14 +440,15 @@ def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
 
 def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
                       beta: int = 1) -> SlotVector:
-    """Baby-step/giant-step evaluation of sigma_mu, tau_zeta or transpose.
+    """Baby-step/giant-step evaluation of sigma_mu, tau_zeta, transpose or
+    tau_transpose.
 
     The baby rotations R(ct, unit*j) are shared across all giant steps,
     cutting the rotation tally to baby + giants: 3*sqrt(h) for the
     signed-range kinds and 2*sqrt(h) for tau_zeta when h is a perfect square.
     Output is identical to ``he_lin_trans``.
     """
-    if spec.kind not in ("sigma_mu", "tau_zeta", "transpose"):
+    if spec.kind not in _BSGS_KINDS:
         return he_lin_trans(ct, spec, beta)
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
@@ -377,11 +459,12 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
 
 
 def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
-                            a_depth: int = PRODUCT_DEPTH) -> CryptoContext:
+                            a_depth: int | None = None) -> CryptoContext:
     """The operands' context, once both fit one exact-fit product.
 
-    ``a`` needs ``a_depth`` levels and ``b`` ``PRODUCT_DEPTH``; raises
-    before anything is metered.
+    ``a`` needs ``a_depth`` levels, by default its ``product_depth``, and
+    ``b`` its ``product_depth``; ``a`` may not carry the tau_zeta form nor
+    ``b`` the sigma_mu form.  Raises before anything is metered.
     """
     ctx = _ctx_of(a)
     if b.ct.context_id != a.ct.context_id:
@@ -396,7 +479,13 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
         raise CapacityError(
             f"matrix products need an exact-fit packing (cyclic row shifts): "
             f"window {a.window} != slot_count {ctx.slot_count}")
-    for pm, depth in ((a, a_depth), (b, PRODUCT_DEPTH)):
+    if a.form == "tau_zeta" or b.form == "sigma_mu":
+        raise CapacityError(
+            f"a product aligns its left factor by sigma_mu and its right "
+            f"factor by tau_zeta; got the forms {a.form} and {b.form}")
+    if a_depth is None:
+        a_depth = a.product_depth
+    for pm, depth in ((a, a_depth), (b, b.product_depth)):
         if pm.ct.level < depth:
             raise LevelExhaustedError(
                 f"operation consumes {depth} multiplicative levels; "
@@ -404,18 +493,38 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
     return ctx
 
 
+def _aligned(ctx: CryptoContext, pm: PackedMatrix, form: str) -> SlotVector:
+    """The image of ``pm`` in ``form``: its own if it carries that form, else
+    its plain image permuted baby-step/giant-step and rescaled (one level)."""
+    if pm.form == form:
+        return pm.ct
+    spec = build_permutation(form, pm.dim_h)
+    return ctx.rescale(he_lin_trans_bsgs(pm.ct, spec, pm.batch_beta))
+
+
+def he_align(pm: PackedMatrix, form: str) -> PackedMatrix:
+    """``pm`` in ``form``, ``"sigma_mu"`` or ``"tau_zeta"``, aligned once
+    where a product would align it each time.  Aligning a plain image takes
+    one level; any other form than ``form`` raises ``CapacityError`` before
+    anything is metered."""
+    if form not in ("sigma_mu", "tau_zeta") or pm.form not in (None, form):
+        raise CapacityError(f"cannot align a {pm.form or 'plain'} image "
+                            f"to {form!r}")
+    return replace(pm, ct=_aligned(_ctx_of(pm), pm, form), form=form)
+
+
 def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
              t: int) -> SlotVector:
-    """sigma/tau alignment, then ``t`` column-shift stages; the rescaled sum.
+    """sigma/tau alignment of the operands not yet in their form, then
+    ``t`` column-shift stages; the rescaled sum.
 
     The stages are one ``ctx.shift_mul_sum`` call; each costs one mul_pt,
     one sub, three rotations, one rescale and one mul_ct (see the module
     docstring).
     """
-    h, beta = a.dim_h, a.batch_beta
-    a0 = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation("sigma_mu", h), beta))
-    b0 = ctx.rescale(he_lin_trans_bsgs(b.ct, build_permutation("tau_zeta", h), beta))
-    return ctx.rescale(ctx.shift_mul_sum(a0, b0, h, beta, t))
+    a0 = _aligned(ctx, a, "sigma_mu")
+    b0 = _aligned(ctx, b, "tau_zeta")
+    return ctx.rescale(ctx.shift_mul_sum(a0, b0, a.dim_h, a.batch_beta, t))
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -434,14 +543,21 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 
 
 def _transpose(ctx: CryptoContext, a: PackedMatrix) -> PackedMatrix:
-    """The transposed h x h image of ``a``, rescaled: one level."""
-    spec = build_permutation("transpose", a.dim_h)
-    out = ctx.rescale(he_lin_trans_bsgs(a.ct, spec, a.batch_beta))
-    return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta)
+    """The transposed h x h image of ``a``, rescaled: one level.  A
+    tau_zeta image stays in that form: tau_transpose takes tau_zeta(A) to
+    tau_zeta(A.T) at the cost of a transpose.  A sigma_mu image raises
+    ``CapacityError`` before anything is metered."""
+    if a.form == "sigma_mu":
+        raise CapacityError("a sigma_mu image has no transpose")
+    kind = "transpose" if a.form is None else "tau_transpose"
+    out = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation(kind, a.dim_h),
+                                        a.batch_beta))
+    return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta, a.form)
 
 
 def he_transpose(a: PackedMatrix) -> PackedMatrix:
-    """Transpose a square packed matrix (2h-1 diagonals, bsgs rotations)."""
+    """Transpose a square packed matrix, plain or in tau_zeta form, which it
+    keeps (2h-1 diagonals, bsgs rotations)."""
     if a.rows_t != a.dim_h:
         raise CapacityError("he_transpose expects a square payload")
     return _transpose(_ctx_of(a), a)
@@ -475,7 +591,7 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 
 
 def _require_tn_layout(a: PackedMatrix, b: PackedMatrix,
-                       a_depth: int) -> CryptoContext:
+                       a_depth: int | None = None) -> CryptoContext:
     """``_require_product_layout`` for ``A.T @ B`` with ``b`` a stacked
     t x h matrix: neither factor batched, and t dividing h."""
     if a.batch_beta != 1 or b.batch_beta != 1:
@@ -495,8 +611,9 @@ def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     plus 3h + t mul_pt, t subs and t mul_ct.  ``a`` needs
     ``PRODUCT_DEPTH + 1`` levels (one for the transpose) and ``b``
     ``PRODUCT_DEPTH``; a refused call meters nothing.  Whoever holds ``A``
-    in the clear can encrypt the transposed image instead and call
-    ``he_rect_at_mult``, which skips the transpose and its level.
+    in the clear can encrypt the transposed image instead, sigma_mu-aligned,
+    and call ``he_rect_at_mult``, which skips the transpose and the
+    alignment and their levels.
     """
     if b.rows_t != a.rows_t:
         raise CapacityError(f"logical row counts differ: {a.rows_t} vs {b.rows_t}")
@@ -509,15 +626,15 @@ def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """``A.T @ B`` from ``at``, the square h x h image of the transpose of
     ``A``'s stacked image, and ``b``, a stacked t x h matrix.
 
-    ``at`` holds ``np.tile(A, (h // t, 1)).T``.  This is
-    ``he_rect_tn_mult`` without its transpose: the t shift stages alone,
-    3h + t mul_pt, t subs and t mul_ct, and ``PRODUCT_DEPTH`` levels of
+    ``at`` holds ``np.tile(A, (h // t, 1)).T``, plain or in sigma_mu form.
+    This is ``he_rect_tn_mult`` without its transpose: the t shift stages
+    alone, 3h + t mul_pt, t subs and t mul_ct, and the ``product_depth`` of
     each factor.  On the transpose that ``he_rect_tn_mult`` would take, it
     gives the same bytes, level and scale.  A refused call meters nothing.
     """
     if at.rows_t != at.dim_h:
         raise CapacityError("the left factor must be the square image of A.T")
-    ctx = _require_tn_layout(at, b, PRODUCT_DEPTH)
+    ctx = _require_tn_layout(at, b)
     return PackedMatrix(_product(ctx, at, b, b.rows_t), at.dim_h, at.dim_h, 1)
 
 

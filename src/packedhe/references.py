@@ -23,8 +23,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import CryptoContext, GatherPlan, SlotVector
+from .engine import CapacityError, CryptoContext, GatherPlan, SlotVector
 from .matrix import PackedMatrix, _require_product_layout
+
+
+def _require_plain_layout(a: PackedMatrix, b: PackedMatrix) -> CryptoContext:
+    """``_require_product_layout`` for a baseline, which aligns both factors
+    itself and so takes plain images only."""
+    if a.form is not None or b.form is not None:
+        raise CapacityError(f"a baseline product takes plain images, got the "
+                            f"forms {a.form} and {b.form}")
+    return _require_product_layout(a, b)
 
 
 def _generic_lin_trans(ctx: CryptoContext, ct: SlotVector,
@@ -62,7 +71,7 @@ def _perm_col_aligned(h: int, k: int, n: int) -> np.ndarray:
 
 def naive_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """O(h^3)-rotation product: 2h generic transforms of h^2 diagonals each."""
-    ctx = _require_product_layout(a, b)
+    ctx = _require_plain_layout(a, b)
     h, n = a.dim_h, ctx.slot_count
     acc = None
     for k in range(h):
@@ -88,7 +97,7 @@ def _extract(ctx: CryptoContext, ct: SlotVector, sources: np.ndarray) -> SlotVec
 
 def diagonal_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """O(h^2)-rotation product via per-diagonal / per-column ciphertexts."""
-    ctx = _require_product_layout(a, b)
+    ctx = _require_plain_layout(a, b)
     h = a.dim_h
     i = np.arange(h)
 

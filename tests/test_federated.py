@@ -95,10 +95,11 @@ def test_forward_level_schedule():
     server, (party,) = prepare(config, feature_dim=4)
     with server.ctx.meter_scope() as scope:
         trace = local_forward(party, np.zeros((4, 4)))
-    # rectangular product: 2 alignment rescales + one per shift stage + the
-    # final sum; column mask adds one more; then the scheduled refresh
-    # restores the full budget
-    assert scope.rescales == 2 + server.plan.t + 1 + 1
+    # rectangular product: 1 alignment rescale (the weight's tau_zeta; the
+    # batch is encrypted sigma_mu-aligned) + one per shift stage + the final
+    # sum; column mask adds one more; then the scheduled refresh restores
+    # the full budget
+    assert scope.rescales == 1 + server.plan.t + 1 + 1
     assert scope.bootstraps == 1
     assert trace.activations[-1].ct.level == server.ctx.initial_level
 
@@ -513,19 +514,47 @@ def _other(transport):
 # he_rect_tn_mult, layer 0's a he_rect_at_mult of the batch's transposed
 # image, with no homomorphic transpose.  Each approx_relu activation
 # refreshes its sign once and the layer output once, besides its sign
-# stages.
+# stages.  The server tau_zeta-aligns each of the 2 weights once a round;
+# the parties encrypt their batch images sigma_mu-aligned and align no
+# weight, so their products take 2 sigma alignments and 3 tau alignments
+# fewer each: 80 rotations, 192 pt mults and 8 rescales fewer than with
+# every alignment in the products at h = 16, and 160, 768 and 8 at h = 64.
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
                          benchmark_metrics("relu", _other(transport)),
-                         (52, 248, 824, 494, 418))
+                         (52, 248, 632, 414, 410))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
-                         (8, 160, 2600, 988, 202))
+                         (8, 160, 1832, 828, 194))
+
+
+def test_relu_rotations_per_round_grow_by_one_party_s_work():
+    # No party aligns a weight, so per-round rotations are linear in the
+    # party count, and what a round costs with no party is the server's
+    # tau_zeta alignment of each of the 2 weights.
+    from packedhe import engine
+    act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
+                           delta=2.0 ** -20)
+    rotations = []
+    for parties in (1, 2, 3):
+        x, y = make_synthetic_classification(16 * parties, 9, 2, seed=1)
+        config = TrainingConfig(neurons=(16, 2), learning_rate=0.1,
+                                global_iters=1, batch_size=8,
+                                party_count=parties, activation=act, seed=1)
+        result = run_training(config, split_parties(x, y, parties, seed=1))
+        rotations.append(result.metrics["rounds"][0]["ops"]["rotations"])
+    ctx = engine.new_context(2 * 16 * 16)
+    with ctx.meter_scope() as align:
+        matrix.he_align(matrix.encode_matrix(np.eye(16), ctx), "tau_zeta")
+    per_party = rotations[1] - rotations[0]
+    assert rotations[2] - rotations[1] == per_party
+    assert rotations[0] - per_party == 2 * align.rotations == 16
+    assert rotations[1] == 414
 
 
 @pytest.mark.parametrize("seed, correct", [(1, 360), (2, 459)])
@@ -585,6 +614,35 @@ def test_one_relu_activation_refreshes_its_sign_once():
     assert m.slots.tobytes() == \
         (want_m * np.tile(plan.col_masks[0], plan.h)).tobytes()
     assert gate.slots.tobytes() == want_gate.tobytes()
+
+
+@pytest.mark.parametrize("neurons, per_round", [((6, 2), 44),
+                                               ((8, 6, 2), 67)])
+def test_a_layer_output_is_refreshed_only_when_short(neurons, per_round,
+                                                     monkeypatch):
+    # With a d = 2 sign, m leaves its activation at level 5, more than any
+    # consumer takes (PRODUCT_DEPTH + 1), so no layer refreshes it: one
+    # refresh fewer per party and layer than a refresh of every layer
+    # output (48 and 73).
+    x, y = blob_data(samples=20, features=3, seed=15)
+    act = ActivationConfig(kind="approx_relu", d=2, sigma=10.0,
+                           delta=2.0 ** -10, input_range=16.0)
+    config = small_config(party_count=2, global_iters=3, neurons=neurons,
+                          activation=act)
+    refreshed = []
+    real = protocol._ensure_level
+
+    def ensure_level(ctx, ct, need, bootstrap):
+        out = real(ctx, ct, need, bootstrap)
+        if need == matrix.PRODUCT_DEPTH + 1:
+            refreshed.append((ct.level, out is not ct))
+        return out
+    monkeypatch.setattr(protocol, "_ensure_level", ensure_level)
+    local_forward(prepare(config, feature_dim=3)[1][0], x[:4])
+    assert refreshed == [(5, False)] * len(neurons)
+    result = run_training(config, split_parties(x, y, 2, seed=5))
+    ops = [r["ops"]["bootstraps"] for r in result.metrics["rounds"]]
+    assert [b - a for a, b in zip([0] + ops, ops)] == [per_round] * 3
 
 
 def test_sigmoid_activation_run_and_mirror():
@@ -1118,6 +1176,35 @@ def test_a_gradient_with_a_spoofed_scale_fails_the_job_fast(transport,
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("spoof", ["level + 1", "level - 1", "scale * 2"])
+def test_a_broadcast_weight_off_its_level_or_scale_fails_the_job_fast(
+        transport, spoof, monkeypatch):
+    # A weight arrives where the server's alignment leaves a refreshed one:
+    # one level below a fresh ciphertext, at the context scale.
+    from dataclasses import replace
+    from packedhe.engine import SlotVector
+    real = protocol._broadcast_weight
+
+    def broadcast_weight(ctx, w):
+        aligned = real(ctx, w)
+        ct = aligned.ct
+        level = ct.level + {"level + 1": 1, "level - 1": -1}.get(spoof, 0)
+        scale = ct.scale * (2 if spoof == "scale * 2" else 1)
+        return replace(aligned, ct=SlotVector(ct.slots, level, scale,
+                                              ct.context_id, ct.key_tag))
+    monkeypatch.setattr(protocol, "_broadcast_weight", broadcast_weight)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match=r"party \d failed") as err:
+        run_training(small_config(party_count=2, global_iters=2),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert "received a weight at level" in str(err.value)
+    assert_no_party_outlives_the_job()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
 @pytest.mark.parametrize("msg_type", ["BOOTSTRAP_REQ", "GRADIENT"])
 def test_server_refuses_a_frame_for_another_round(transport, msg_type):
     from packedhe.federated.wire import MsgType, encode_ciphertext, encode_frame
@@ -1167,6 +1254,12 @@ def test_server_refuses_a_training_frame_after_the_last_round(transport,
         close()
 
 
+def _broadcast_cts(server):
+    """The weight ciphertexts the server broadcasts in a round."""
+    return [protocol._broadcast_weight(server.ctx, w).ct
+            for w in server.model.weights]
+
+
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_party_refuses_a_bootstrap_share_for_another_round(transport):
     from packedhe.federated.protocol import PartyRuntime
@@ -1183,9 +1276,9 @@ def test_party_refuses_a_bootstrap_share_for_another_round(transport):
     thread = threading.Thread(target=runtime.run, daemon=True)
     thread.start()
     try:
-        for w in server.model.weights:
+        for ct in _broadcast_cts(server):
             server_links[0].server_send(encode_frame(
-                MsgType.MODEL_BCAST, 0, SERVER_ID, encode_ciphertext(w.ct)))
+                MsgType.MODEL_BCAST, 0, SERVER_ID, encode_ciphertext(ct)))
         req = decode_frame(server_links[0].server_recv(30.0))
         assert (req.msg_type, req.round) == (MsgType.BOOTSTRAP_REQ, 0)
         start = time.monotonic()
@@ -1217,7 +1310,7 @@ def test_party_refuses_a_frame_for_another_round(transport, case, want):
     server, (party,) = prepare(config, feature_dim=2)
     party.shard = (x, y)
     party.schedule = build_schedule(config, [len(x)])
-    weights = [encode_ciphertext(w.ct) for w in server.model.weights]
+    weights = [encode_ciphertext(ct) for ct in _broadcast_cts(server)]
     # Unchecked, the party would run round 1 first, assemble one model from
     # two rounds, consent to re-key a model still in training, or end
     # before the rounds it was to run.

@@ -1,5 +1,6 @@
 """Packed matrix algebra: masks, permutation identity, products, tallies."""
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -13,7 +14,8 @@ from packedhe.engine import CapacityError, LevelExhaustedError
 from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
-                             he_lin_trans, he_lin_trans_bsgs, he_mat_mult,
+                             he_align, he_lin_trans, he_lin_trans_bsgs,
+                             he_mat_mult,
                              he_rect_at_mult, he_rect_mat_mult,
                              he_rect_tn_mult, he_transpose,
                              matmul_rotation_formula, pack_matrices)
@@ -30,6 +32,7 @@ def test_diagonal_counts(h):
     assert len(build_permutation("sigma_mu", h).diagonals) == 2 * h - 1
     assert len(build_permutation("tau_zeta", h).diagonals) == h
     assert len(build_permutation("transpose", h).diagonals) == 2 * h - 1
+    assert len(build_permutation("tau_transpose", h).diagonals) == 2 * h - 1
     for k in range(1, h):
         n_col = len(build_permutation("col_shift", h, k).diagonals)
         assert n_col == 2
@@ -183,8 +186,10 @@ def test_offsets_follow_the_index_maps(h):
     # mod h*h for the two kinds that wrap the window.
     n = h * h
     a = np.arange(n).reshape(h, h)
+    i, j = np.divmod(np.arange(n), h)
     dense = {("sigma_mu", None): mu(a), ("tau_zeta", None): zeta(a),
-             ("transpose", None): a.T}
+             ("transpose", None): a.T,
+             ("tau_transpose", None): a[-i % h, (i + j) % h].reshape(h, h)}
     for k in range(1, h):
         dense[("col_shift", k)] = phi(a, k)
         dense[("row_shift", k)] = pi(a, k)
@@ -236,7 +241,9 @@ def test_lin_trans_wrapping_requires_exact_fit():
 
 @pytest.mark.parametrize("kind,h", [("sigma_mu", 16), ("tau_zeta", 16),
                                     ("transpose", 16), ("sigma_mu", 4),
-                                    ("tau_zeta", 64), ("transpose", 8)])
+                                    ("tau_zeta", 64), ("transpose", 8),
+                                    ("tau_transpose", 16),
+                                    ("tau_transpose", 64)])
 def test_bsgs_equals_plain_path(kind, h):
     ctx = exact_ctx(h)
     rng = np.random.default_rng(h * 7)
@@ -258,6 +265,8 @@ def test_bsgs_rotation_ceilings():
         ("tau_zeta", 64): 16,
         ("sigma_mu", 64): 24,
         ("transpose", 64): 24,
+        ("tau_transpose", 16): 12,
+        ("tau_transpose", 64): 24,
     }
     for (kind, h), ceiling in cases.items():
         ctx = exact_ctx(h)
@@ -266,6 +275,15 @@ def test_bsgs_rotation_ceilings():
         with ctx.meter_scope() as scope:
             he_lin_trans_bsgs(ct, spec)
         assert scope.rotations <= ceiling, (kind, h, scope.rotations)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 8, 16, 64])
+def test_tau_transpose_takes_tau_of_w_to_tau_of_its_transpose(h):
+    w = np.random.default_rng(h).standard_normal((h, h))
+    tau = build_permutation("tau_zeta", h)
+    got = apply_permutation(build_permutation("tau_transpose", h),
+                            apply_permutation(tau, w))
+    assert got.tobytes() == apply_permutation(tau, w.T).tobytes()
 
 
 def test_bsgs_beats_plain_rotations_h16():
@@ -292,7 +310,8 @@ def _spec_cases(h):
 
 
 def _expected_tallies(spec, bsgs):
-    if bsgs and spec.kind in ("sigma_mu", "tau_zeta", "transpose"):
+    if bsgs and spec.kind in ("sigma_mu", "tau_zeta", "transpose",
+                              "tau_transpose"):
         baby, giant = bsgs_split(spec.dim_h)
         giants = giant if spec.kind == "tau_zeta" else 2 * giant
         return baby + giants, baby * giants
@@ -412,15 +431,18 @@ def test_labels_name_the_mask_of_each_slot():
     assert matrix._expand(np.array([0, -1, 1, 0]), 2, 10).tolist() == \
         [0, 0, -1, -1, 1, 1, 0, 0, -1, -1]
     # Both plans send window slot w of batch position b to the input slot
-    # that the offset of w names, and select nothing past the window.
+    # that the offset of w names, and select nothing past the window.  A
+    # tau_transpose plan holds its offsets only mod the window, in the
+    # exact-fit packing that its transform demands.
     h = 4
     for beta in (1, 2):
-        n = 2 * beta * h * h
         for spec in _spec_cases(h):
+            n = beta * h * h * (1 if spec.kind == "tau_transpose" else 2)
             s = np.arange(beta * h * h)
             want = (s + beta * spec.offsets[s // beta]) % n
             plans = [matrix._diagonal_plan(spec, beta, n)]
-            if spec.kind in ("sigma_mu", "tau_zeta", "transpose"):
+            if spec.kind in ("sigma_mu", "tau_zeta", "transpose",
+                             "tau_transpose"):
                 plans.append(matrix._bsgs_plan(spec, beta, n))
             for plan in plans:
                 assert plan.selected.tolist() == [True] * s.size + \
@@ -493,13 +515,17 @@ def _bsgs_chain(ctx, ct, spec, beta):
     shared baby rotations, then per giant step a masked sum and a rotation."""
     n, h = ctx.slot_count, spec.dim_h
     baby, giant = bsgs_split(h)
-    unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
+    unit = {"tau_zeta": h, "transpose": h - 1,
+            "tau_transpose": (h - 1) ** 2}.get(spec.kind, 1)
     giants = range(giant) if spec.kind == "tau_zeta" else range(-giant, giant)
     baby_rots = [ctx.rot(ct, k) for k in range(0, beta * unit * baby, beta * unit)]
+
+    def term(m):  # a tau_transpose offset is unit * m mod the window only
+        return m * unit % (h * h) if spec.kind == "tau_transpose" else m * unit
     acc = None
     for i in giants:
         gshift = beta * unit * baby * i
-        rows = [np.roll(_expand(spec.offsets == unit * (baby * i + j), beta, n),
+        rows = [np.roll(_expand(spec.offsets == term(baby * i + j), beta, n),
                         gshift % n)
                 for j in range(baby)]
         part = _masked_sum(ctx, baby_rots, rows)
@@ -560,7 +586,8 @@ _LARGER = "transpose-in-larger-context"
 @pytest.mark.parametrize("mode", ["exact", "gaussian"])
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("h", [2, 4, 8, 16, 32, 64])
-@pytest.mark.parametrize("kind", ["sigma_mu", "tau_zeta", "transpose", _LARGER])
+@pytest.mark.parametrize("kind", ["sigma_mu", "tau_zeta", "transpose",
+                                  "tau_transpose", _LARGER])
 def test_lin_trans_equals_bsgs_chain(kind, h, beta, mode):
     slot_count = beta * h * h * (2 if kind == _LARGER else 1)
     kind = "transpose" if kind == _LARGER else kind
@@ -1138,7 +1165,7 @@ def test_rect_tn_mult_agrees_with_scaled_square_product(h, t):
 def _at_level(pm, level):
     ct = engine.SlotVector(pm.ct.slots, level, pm.ct.scale, pm.ct.context_id,
                            pm.ct.key_tag)
-    return matrix.PackedMatrix(ct, pm.dim_h, pm.rows_t, pm.batch_beta)
+    return dataclasses.replace(pm, ct=ct)
 
 
 def _tn_misuse(case):
@@ -1270,6 +1297,195 @@ def test_rect_at_mult_runs_at_the_lowest_levels_it_accepts():
                           _at_level(pb, matrix.PRODUCT_DEPTH))
     assert out.ct.level == 0
     assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+
+
+# ------------------------------------------------------------ formed images
+
+_PRODUCTS = {"he_mat_mult": he_mat_mult, "he_rect_mat_mult": he_rect_mat_mult,
+             "he_rect_at_mult": he_rect_at_mult}
+
+
+def _product_operands(name, h):
+    """A context, the product's plain operands and their logical product."""
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(h)
+    a, b = rng.standard_normal((h, h)), rng.standard_normal((h, h))
+    if name == "he_mat_mult":
+        return ctx, encode_matrix(a, ctx), encode_matrix(b, ctx), a @ b
+    r = rng.standard_normal((h // 4, h))
+    if name == "he_rect_mat_mult":
+        return (ctx, encode_rect_matrix(r, ctx), encode_matrix(b, ctx),
+                np.tile(r @ b, (4, 1)))
+    s = rng.standard_normal((h // 4, h))
+    return ctx, _at_operand(r, ctx), encode_rect_matrix(s, ctx), r.T @ s
+
+
+@pytest.mark.parametrize("formed", ["left", "right", "both"])
+@pytest.mark.parametrize("h", [4, 16, 64])
+@pytest.mark.parametrize("name", sorted(_PRODUCTS))
+def test_formed_product_skips_exactly_the_alignment(name, h, formed):
+    # An operand aligned once by he_align gives the product the bytes, the
+    # level and the scale of aligning it inside the product, and the
+    # product's tallies fall by exactly that alignment's.
+    ctx, pa, pb, want = _product_operands(name, h)
+    with ctx.meter_scope() as plain:
+        ref = _PRODUCTS[name](pa, pb)
+    with ctx.meter_scope() as align:
+        if formed != "right":
+            pa = he_align(pa, "sigma_mu")
+        if formed != "left":
+            pb = he_align(pb, "tau_zeta")
+    with ctx.meter_scope() as scope:
+        out = _PRODUCTS[name](pa, pb)
+    assert out.ct.slots.tobytes() == ref.ct.slots.tobytes()
+    assert (out.ct.level, out.ct.scale, out.form) == \
+        (ref.ct.level, ref.ct.scale, None)
+    fields = ctx.meter.snapshot()
+    assert {k: getattr(scope, k) + getattr(align, k) for k in fields} == \
+        {k: getattr(plain, k) for k in fields}
+    assert align.rotations > 0
+    assert np.max(np.abs(decode_matrix(out) - want)) <= 1e-9 * h
+
+
+@pytest.mark.parametrize("h", [4, 16, 64])
+@pytest.mark.parametrize("name", sorted(_PRODUCTS))
+def test_formed_product_of_fresh_images_runs_the_stages_alone(name, h):
+    # A data owner encrypts its images in form: the stages of the product
+    # see the bytes that aligning the plain images gives, a level higher.
+    ctx, pa, pb, want = _product_operands(name, h)
+
+    def fresh_in(pm, form):
+        image = decode_matrix(pm)[: pm.rows_t]
+        encode = encode_matrix if pm.rows_t == h else encode_rect_matrix
+        return encode(image, ctx, form=form)
+    fresh = [fresh_in(pa, "sigma_mu"), fresh_in(pb, "tau_zeta")]
+    aligned = [he_align(pa, "sigma_mu"), he_align(pb, "tau_zeta")]
+    for f, al in zip(fresh, aligned):
+        assert f.ct.slots.tobytes() == al.ct.slots.tobytes()
+        assert (f.ct.level, f.form) == (al.ct.level + 1, al.form)
+    ref = _PRODUCTS[name](*aligned)
+    with ctx.meter_scope() as scope:
+        out = _PRODUCTS[name](*fresh)
+    assert out.ct.slots.tobytes() == ref.ct.slots.tobytes()
+    assert out.ct.level == ref.ct.level + 1
+    t = pa.rows_t if name == "he_rect_mat_mult" else pb.rows_t
+    assert (scope.mul_ct, scope.mul_pt) == (t, t)
+    assert np.max(np.abs(decode_matrix(out) - want)) <= 1e-9 * h
+
+
+@pytest.mark.parametrize("h", [4, 16])
+def test_decode_matrix_of_a_formed_image_is_the_logical_matrix(h):
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(h)
+    a, r = rng.standard_normal((h, h)), rng.standard_normal((h // 2, h))
+    for form in matrix.FORMS:
+        assert decode_matrix(encode_matrix(a, ctx, form=form)).tobytes() == \
+            a.tobytes()
+        assert decode_matrix(encode_rect_matrix(r, ctx, form=form)).tobytes() \
+            == np.tile(r, (2, 1)).tobytes()
+        if form is not None:
+            aligned = he_align(encode_matrix(a, ctx), form)
+            assert decode_matrix(aligned).tobytes() == a.tobytes()
+    tau_t = he_transpose(encode_matrix(a, ctx, form="tau_zeta"))
+    assert tau_t.form == "tau_zeta"
+    assert decode_matrix(tau_t).tobytes() == a.T.tobytes()
+
+
+@pytest.mark.parametrize("h", [4, 16, 64])
+def test_transpose_keeps_the_tau_form(h):
+    # tau_transpose takes tau(W) to tau(W.T), at the cost and level of a
+    # plain transpose, with the bytes of aligning the plain transpose.
+    ctx = exact_ctx(h)
+    w = encode_matrix(np.random.default_rng(h).standard_normal((h, h)), ctx)
+    with ctx.meter_scope() as plain:
+        want = he_align(he_transpose(w), "tau_zeta")
+    tau_w = he_align(w, "tau_zeta")
+    with ctx.meter_scope() as scope:
+        got = he_transpose(tau_w)
+    assert got.ct.slots.tobytes() == want.ct.slots.tobytes()
+    assert (got.form, got.ct.level, got.ct.scale) == \
+        ("tau_zeta", tau_w.ct.level - 1, ctx.initial_scale)
+    with ctx.meter_scope() as transpose:
+        he_transpose(w)
+    assert scope.snapshot() == transpose.snapshot()
+    assert (scope.rotations, scope.mul_pt) == \
+        {4: (6, 8), 16: (12, 32), 64: (24, 128)}[h]
+
+
+def _form_misuse(case):
+    """The context of a refused call and the call."""
+    h = 8
+    ctx = exact_ctx(h)
+    a = np.random.default_rng(1).standard_normal((h, h))
+    plain = encode_matrix(a, ctx)
+    sigma = encode_matrix(a, ctx, form="sigma_mu")
+    tau = encode_matrix(a, ctx, form="tau_zeta")
+    rect = encode_rect_matrix(a[:2], ctx)
+    calls = {
+        "left factor in tau form": lambda: he_mat_mult(tau, plain),
+        "right factor in sigma form": lambda: he_mat_mult(plain, sigma),
+        "rect left factor in tau form": lambda: he_rect_mat_mult(
+            encode_rect_matrix(a[:2], ctx, form="tau_zeta"), plain),
+        "at left factor in tau form": lambda: he_rect_at_mult(tau, rect),
+        "tn left factor in tau form": lambda: he_rect_tn_mult(
+            encode_rect_matrix(a[:2], ctx, form="tau_zeta"), rect),
+        "tn left factor in sigma form": lambda: he_rect_tn_mult(
+            encode_rect_matrix(a[:2], ctx, form="sigma_mu"), rect),
+        "transpose of a sigma image": lambda: he_transpose(sigma),
+        "align to another form": lambda: he_align(sigma, "tau_zeta"),
+        "align to a kind that is no form": lambda: he_align(plain, "transpose"),
+        "encode in an unknown form": lambda: encode_matrix(a, ctx,
+                                                           form="transpose"),
+        "naive baseline of a sigma image": lambda: references.naive_mat_mult(
+            sigma, plain),
+        "diagonal baseline of a tau image":
+            lambda: references.diagonal_mat_mult(plain, tau),
+        "formed left factor one level short": lambda: he_mat_mult(
+            _at_level(sigma, matrix.PRODUCT_DEPTH - 2), plain),
+        "formed right factor one level short": lambda: he_mat_mult(
+            plain, _at_level(tau, matrix.PRODUCT_DEPTH - 2)),
+    }
+    return ctx, calls[case]
+
+
+@pytest.mark.parametrize("case, error", [
+    ("left factor in tau form", CapacityError),
+    ("right factor in sigma form", CapacityError),
+    ("rect left factor in tau form", CapacityError),
+    ("at left factor in tau form", CapacityError),
+    ("tn left factor in tau form", CapacityError),
+    ("tn left factor in sigma form", CapacityError),
+    ("transpose of a sigma image", CapacityError),
+    ("align to another form", CapacityError),
+    ("align to a kind that is no form", CapacityError),
+    ("encode in an unknown form", CapacityError),
+    ("naive baseline of a sigma image", CapacityError),
+    ("diagonal baseline of a tau image", CapacityError),
+    ("formed left factor one level short", LevelExhaustedError),
+    ("formed right factor one level short", LevelExhaustedError),
+])
+def test_formed_product_misuse_meters_nothing(case, error):
+    ctx, call = _form_misuse(case)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        call()
+    assert ctx.meter.snapshot() == before
+
+
+def test_formed_product_runs_at_the_lowest_levels_it_accepts():
+    h = 8
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((h, h)), rng.standard_normal((h, h))
+    sigma = encode_matrix(a, ctx, form="sigma_mu")
+    tau = encode_matrix(b, ctx, form="tau_zeta")
+    assert sigma.product_depth == tau.product_depth == matrix.PRODUCT_DEPTH - 1
+    out = he_mat_mult(_at_level(sigma, matrix.PRODUCT_DEPTH - 1),
+                      _at_level(tau, matrix.PRODUCT_DEPTH - 1))
+    assert out.ct.level == 0
+    assert np.max(np.abs(decode_matrix(out) - a @ b)) <= 1e-9 * h
+    with pytest.raises(CapacityError, match="unknown form"):
+        matrix.PackedMatrix(sigma.ct, h, h, 1, "transpose")
 
 
 # ------------------------------------------------------------------- batched
