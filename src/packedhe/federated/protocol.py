@@ -10,7 +10,8 @@ product operand is aligned once, where that is cheapest: a party encrypts
 its batch images sigma_mu-aligned from its own plaintext, and the server
 tau_zeta-aligns each weight once a round for every party, which uses it,
 and its transpose, in that form; a party refuses a weight at any other
-level than ``broadcast_level`` or any other scale than the context's.  After
+level than ``broadcast_level``, a refresh share at any other level than
+the initial one, and either at any other scale than the context's.  After
 the last round the model is collectively re-keyed to the server's key and
 decrypted there; parties never see a server-keyed ciphertext.
 
@@ -389,12 +390,13 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     replicated t x h image below it and the replicated error image, which
     sums the block product over the batch rows: ``he_rect_at_mult`` of the
     batch's transposed image for layer 0, ``he_rect_tn_mult`` of the
-    activation below for every other layer.  The error passes down through
-    the transpose of each weight, which keeps the weight's form: a tau_zeta
-    weight's transpose feeds its product unaligned.  The error is ``m - y``
-    for the squared loss and ``(y - m)**2`` for the fig5 loss, times the
-    last gate; the label mask, which confines it to real samples and label
-    columns, carries the loss derivative's factor 2.
+    activation below for every other layer.  Both align the stacked error
+    image by the row-periodic tau_zeta (t diagonals).  The error passes
+    down through the transpose of each weight, which keeps the weight's
+    form: a tau_zeta weight's transpose feeds its product unaligned.  The
+    error is ``m - y`` for the squared loss and ``(y - m)**2`` for the fig5
+    loss, times the last gate; the label mask, which confines it to real
+    samples and label columns, carries the loss derivative's factor 2.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     consts = party.consts
@@ -563,20 +565,27 @@ class PartyRuntime:
                 f"key {ct.key_tag!r}")
         return ct
 
-    def _decode_weight(self, payload):
-        """A broadcast weight, refused unless at ``broadcast_level`` and at
-        the context scale, where the server's alignment leaves it."""
+    def _decode_at(self, payload, what: str, level: int):
+        """A ciphertext, refused unless at ``level`` and the context scale."""
         ct = self._decode_ct(payload)
         ctx = self.state.ctx
-        if ct.level != broadcast_level(ctx) or not math.isclose(
+        if ct.level != level or not math.isclose(
                 ct.scale, ctx.initial_scale, rel_tol=1e-9):
             raise ProtocolError(
-                f"party {self.state.party_id} received a weight at level "
+                f"party {self.state.party_id} received {what} at level "
                 f"{ct.level} and scale {ct.scale!r}, expected level "
-                f"{broadcast_level(ctx)} and scale {ctx.initial_scale!r}")
+                f"{level} and scale {ctx.initial_scale!r}")
         return ct
 
+    def _decode_weight(self, payload):
+        """A broadcast weight, where the server's alignment leaves it: at
+        ``broadcast_level`` and the context scale."""
+        return self._decode_at(payload, "a weight",
+                               broadcast_level(self.state.ctx))
+
     def _bootstrap(self, ct):
+        """``ct`` refreshed by the server, whose share must come back where a
+        refresh leaves it: at the initial level and the context scale."""
         payload = encode_ciphertext(ct)
         self.link.send(encode_frame(MsgType.BOOTSTRAP_REQ, self._round,
                                     self.state.party_id, payload))
@@ -585,7 +594,8 @@ class PartyRuntime:
             raise ProtocolError(
                 f"expected a bootstrap share, got {frame.msg_type.name}")
         self._require_round(frame, self._round)
-        return self._decode_ct(frame.payload)
+        return self._decode_at(frame.payload, "a refresh share",
+                               self.state.ctx.initial_level)
 
     def _require_round(self, frame, round_no: int) -> None:
         if frame.round != round_no:

@@ -47,10 +47,14 @@ and the right one by tau_zeta, one level each, but only an operand whose
 in form by one plaintext gather, and ``he_align`` aligns a ciphertext once
 for many products.  ``he_transpose`` keeps a tau_zeta form, by the
 ``tau_transpose`` permutation, so a transposed operand need not leave it.
-Stage k
-shifts the aligned left factor a0 by k columns: the masked term ``m_k``
-(one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
-other way round the row boundary.  ``m_k`` is rescaled before the
+A stacked t x h image repeats its rows with period t, so its tau_zeta
+reads them with that period: t diagonals instead of h, the same values.
+``he_rect_tn_mult`` builds its transposed left factor as
+sigma_mu(A.T) = T(tau_zeta(A)), the row-periodic tau_zeta and then a plain
+transpose, which the core takes as formed.  Stage k shifts the aligned
+left factor a0 by k columns: the masked term ``m_k`` (one ``mul_pt``
+keeping columns >= k) goes one way and ``a0 - m_k`` the other way round
+the row boundary.  ``m_k`` is rescaled before the
 subtraction, so every add and sub in a product sees its operands at one
 scale, as CKKS requires.  All t stages are one engine call,
 ``ctx.shift_mul_sum(a0, b0, h, beta, t)``, which meters each stage as that
@@ -135,9 +139,13 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
 
     ``sigma_mu`` aligns each row of the left factor on its own diagonal
     (2h-1 nonzero diagonals), ``tau_zeta`` does the column analogue for the
-    right factor (h diagonals), ``col_shift(k)``/``row_shift(k)`` are cyclic
-    intra-row / block-row shifts (2 resp. 1 diagonals), ``transpose``
-    realizes the transpose map (2h-1 diagonals), and ``tau_transpose`` turns
+    right factor (h diagonals), and ``tau_zeta`` with k = t, a divisor of h,
+    does it for an image whose rows repeat with period t: it reads row
+    i + (j mod t) where the plain one reads row i + j, the same value, so
+    its offsets are h*s mod h*h for s < t (t diagonals).
+    ``col_shift(k)``/``row_shift(k)`` are cyclic intra-row / block-row
+    shifts (2 resp. 1 diagonals), ``transpose`` realizes the transpose map
+    (2h-1 diagonals), and ``tau_transpose`` turns
     tau_zeta(W) into tau_zeta(W.T): output entry (i, j) reads input entry
     (-i, i + j), mod h, which gives the offsets (h-1)**2 * m mod h*h for
     -h < m < h (2h-1 diagonals).  Where output entry (i, j) reads input
@@ -151,6 +159,10 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
     if kind in ("col_shift", "row_shift"):
         if k is None or not 1 <= k < h:
             raise ValueError(f"{kind} requires a shift 1 <= k < h, got {k}")
+    elif kind == "tau_zeta":
+        if k is not None and not (1 <= k <= h and h % k == 0):
+            raise ValueError(f"tau_zeta takes a row period t dividing h, "
+                             f"got {k}")
     elif k is not None:
         raise ValueError(f"{kind} takes no shift parameter")
 
@@ -158,7 +170,7 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
     if kind == "sigma_mu":
         src_i, src_j = i, (i + j) % h
     elif kind == "tau_zeta":
-        src_i, src_j = (i + j) % h, j
+        src_i, src_j = (i + j % (k or h)) % h, j
     elif kind == "col_shift":
         src_i, src_j = i, (j + k) % h
     elif kind == "row_shift":
@@ -206,7 +218,8 @@ class PackedMatrix:
     yet, so a formed operand needs one level less (``product_depth``); a
     left factor in tau_zeta form or a right factor in sigma_mu form is
     refused.  Products return the plain form; ``he_transpose`` keeps a
-    tau_zeta form.  An unknown form raises ``CapacityError``.
+    tau_zeta form.  An unknown form, or a ``rows_t`` that does not divide
+    h, raises ``CapacityError``.
     """
 
     ct: SlotVector
@@ -217,6 +230,9 @@ class PackedMatrix:
 
     def __post_init__(self):
         _check_form(self.form)
+        if self.rows_t < 1 or self.dim_h % self.rows_t:
+            raise CapacityError(f"logical row count {self.rows_t} must "
+                                f"divide the side {self.dim_h}")
 
     @property
     def window(self) -> int:
@@ -417,7 +433,8 @@ def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
     ``EngineError`` for an offset outside that form.
     """
     h = spec.dim_h
-    baby, giant = bsgs_split(h)
+    # A row-periodic tau_zeta has as many diagonals as its period.
+    baby, giant = bsgs_split(spec.shift or h)
     giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
     if spec.kind == "tau_transpose":
         unit, n = (h - 1) ** 2, h * h
@@ -495,18 +512,22 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
 
 def _aligned(ctx: CryptoContext, pm: PackedMatrix, form: str) -> SlotVector:
     """The image of ``pm`` in ``form``: its own if it carries that form, else
-    its plain image permuted baby-step/giant-step and rescaled (one level)."""
+    its plain image permuted baby-step/giant-step and rescaled (one level).
+    A stacked t x h image repeats its rows with period t, so its tau_zeta
+    is the row-periodic one: t diagonals instead of h, the same values."""
     if pm.form == form:
         return pm.ct
-    spec = build_permutation(form, pm.dim_h)
+    period = pm.rows_t if form == "tau_zeta" and pm.rows_t < pm.dim_h else None
+    spec = build_permutation(form, pm.dim_h, period)
     return ctx.rescale(he_lin_trans_bsgs(pm.ct, spec, pm.batch_beta))
 
 
 def he_align(pm: PackedMatrix, form: str) -> PackedMatrix:
     """``pm`` in ``form``, ``"sigma_mu"`` or ``"tau_zeta"``, aligned once
-    where a product would align it each time.  Aligning a plain image takes
-    one level; any other form than ``form`` raises ``CapacityError`` before
-    anything is metered."""
+    where a product would align it each time, by the plan the product would
+    take (the row-periodic tau_zeta for a stacked image).  Aligning a plain
+    image takes one level; any other form than ``form`` raises
+    ``CapacityError`` before anything is metered."""
     if form not in ("sigma_mu", "tau_zeta") or pm.form not in (None, form):
         raise CapacityError(f"cannot align a {pm.form or 'plain'} image "
                             f"to {form!r}")
@@ -542,25 +563,20 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
                         a.batch_beta)
 
 
-def _transpose(ctx: CryptoContext, a: PackedMatrix) -> PackedMatrix:
-    """The transposed h x h image of ``a``, rescaled: one level.  A
-    tau_zeta image stays in that form: tau_transpose takes tau_zeta(A) to
-    tau_zeta(A.T) at the cost of a transpose.  A sigma_mu image raises
-    ``CapacityError`` before anything is metered."""
+def he_transpose(a: PackedMatrix) -> PackedMatrix:
+    """Transpose a square packed matrix (2h-1 diagonals, bsgs rotations),
+    rescaled: one level.  A tau_zeta image stays in that form:
+    tau_transpose takes tau_zeta(A) to tau_zeta(A.T) at the cost of a
+    transpose.  A sigma_mu image raises ``CapacityError`` before anything
+    is metered."""
+    if a.rows_t != a.dim_h:
+        raise CapacityError("he_transpose expects a square payload")
     if a.form == "sigma_mu":
         raise CapacityError("a sigma_mu image has no transpose")
     kind = "transpose" if a.form is None else "tau_transpose"
-    out = ctx.rescale(he_lin_trans_bsgs(a.ct, build_permutation(kind, a.dim_h),
-                                        a.batch_beta))
+    out = _ctx_of(a).rescale(he_lin_trans_bsgs(
+        a.ct, build_permutation(kind, a.dim_h), a.batch_beta))
     return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta, a.form)
-
-
-def he_transpose(a: PackedMatrix) -> PackedMatrix:
-    """Transpose a square packed matrix, plain or in tau_zeta form, which it
-    keeps (2h-1 diagonals, bsgs rotations)."""
-    if a.rows_t != a.dim_h:
-        raise CapacityError("he_transpose expects a square payload")
-    return _transpose(_ctx_of(a), a)
 
 
 def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -577,8 +593,6 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
         raise CapacityError("right factor must be square")
     t = a.rows_t
     h = a.dim_h
-    if h % t != 0:
-        raise CapacityError(f"logical row count {t} must divide the side {h}")
     ctx = _require_product_layout(a, b)
     acc = _product(ctx, a, b, t)
 
@@ -593,12 +607,9 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 def _require_tn_layout(a: PackedMatrix, b: PackedMatrix,
                        a_depth: int | None = None) -> CryptoContext:
     """``_require_product_layout`` for ``A.T @ B`` with ``b`` a stacked
-    t x h matrix: neither factor batched, and t dividing h."""
+    t x h matrix: neither factor batched."""
     if a.batch_beta != 1 or b.batch_beta != 1:
         raise CapacityError("rectangular products are not batched")
-    t, h = b.rows_t, b.dim_h
-    if h % t != 0:
-        raise CapacityError(f"logical row count {t} must divide the side {h}")
     return _require_product_layout(a, b, a_depth)
 
 
@@ -606,20 +617,32 @@ def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     """``A.T @ B`` for two stacked t x h matrices, as an h x h payload.
 
     Both images repeat their t rows h/t times, so the product's inner index
-    has period t: the transpose of ``a`` then t shift stages of the product
-    core visit each of the t rows once, with no fold.  Costs the transpose
-    plus 3h + t mul_pt, t subs and t mul_ct.  ``a`` needs
-    ``PRODUCT_DEPTH + 1`` levels (one for the transpose) and ``b``
-    ``PRODUCT_DEPTH``; a refused call meters nothing.  Whoever holds ``A``
+    has period t: t shift stages of the product core visit each of the t
+    rows once, with no fold.  The left factor is the sigma_mu image of the
+    transposed stacked image of ``a``, built by the identity
+    sigma_mu(X.T) = T(tau_zeta(X)): the row-periodic tau_zeta of ``a``,
+    then a plain transpose, one level each, which the core takes as
+    formed.  With b's row-periodic tau_zeta, that costs two periodic
+    alignments (baby + giant rotations of ``bsgs_split(t)`` and t mul_pt
+    each), the transpose, and the stages' 3t rotations, t mul_pt, t subs
+    and t mul_ct.  ``a`` must be
+    plain and needs ``PRODUCT_DEPTH + 1`` levels, ``b`` its
+    ``product_depth``; a refused call meters nothing.  Whoever holds ``A``
     in the clear can encrypt the transposed image instead, sigma_mu-aligned,
-    and call ``he_rect_at_mult``, which skips the transpose and the
-    alignment and their levels.
+    and call ``he_rect_at_mult``, which skips the tau_zeta, the transpose
+    and their levels.
     """
     if b.rows_t != a.rows_t:
         raise CapacityError(f"logical row counts differ: {a.rows_t} vs {b.rows_t}")
+    if a.form is not None:
+        raise CapacityError(f"he_rect_tn_mult aligns a plain left factor, "
+                            f"got one in {a.form} form")
     ctx = _require_tn_layout(a, b, PRODUCT_DEPTH + 1)
-    return PackedMatrix(_product(ctx, _transpose(ctx, a), b, b.rows_t),
-                        a.dim_h, a.dim_h, 1)
+    h = a.dim_h
+    at = ctx.rescale(he_lin_trans_bsgs(_aligned(ctx, a, "tau_zeta"),
+                                       build_permutation("transpose", h)))
+    return PackedMatrix(_product(ctx, PackedMatrix(at, h, h, 1, "sigma_mu"),
+                                 b, b.rows_t), h, h, 1)
 
 
 def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
@@ -627,10 +650,13 @@ def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     ``A``'s stacked image, and ``b``, a stacked t x h matrix.
 
     ``at`` holds ``np.tile(A, (h // t, 1)).T``, plain or in sigma_mu form.
-    This is ``he_rect_tn_mult`` without its transpose: the t shift stages
-    alone, 3h + t mul_pt, t subs and t mul_ct, and the ``product_depth`` of
-    each factor.  On the transpose that ``he_rect_tn_mult`` would take, it
-    gives the same bytes, level and scale.  A refused call meters nothing.
+    This is ``he_rect_tn_mult`` without the tau_zeta and the transpose of
+    its left factor: b's row-periodic tau_zeta (``bsgs_split(t)`` baby +
+    giant rotations, t mul_pt), then the t shift stages (3t rotations,
+    t mul_pt, t subs, t mul_ct), and the ``product_depth`` of each factor;
+    a plain ``at`` adds its sigma_mu.  On the sigma_mu-form left factor
+    that ``he_rect_tn_mult`` builds, it gives the same bytes, level and
+    scale.  A refused call meters nothing.
     """
     if at.rows_t != at.dim_h:
         raise CapacityError("the left factor must be the square image of A.T")

@@ -519,18 +519,23 @@ def _other(transport):
 # weight, so their products take 2 sigma alignments and 3 tau alignments
 # fewer each: 80 rotations, 192 pt mults and 8 rescales fewer than with
 # every alignment in the products at h = 16, and 160, 768 and 8 at h = 64.
+# The stacked right factor of each gradient (the error image, t x h) takes
+# the row-periodic tau_zeta, t diagonals instead of h, and layer 1's left
+# factor is T(tau_zeta) of the activation instead of sigma_mu(T): per
+# party, 10 rotations and 40 pt mults fewer at h = 16, t = 8, and 32 and
+# 208 at h = 64, t = 16.
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
                          benchmark_metrics("relu", _other(transport)),
-                         (52, 248, 632, 414, 410))
+                         (52, 248, 552, 394, 410))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
-                         (8, 160, 1832, 828, 194))
+                         (8, 160, 1416, 764, 194))
 
 
 def test_relu_rotations_per_round_grow_by_one_party_s_work():
@@ -554,7 +559,8 @@ def test_relu_rotations_per_round_grow_by_one_party_s_work():
     per_party = rotations[1] - rotations[0]
     assert rotations[2] - rotations[1] == per_party
     assert rotations[0] - per_party == 2 * align.rotations == 16
-    assert rotations[1] == 414
+    assert per_party == 189
+    assert rotations[1] == 394
 
 
 @pytest.mark.parametrize("seed, correct", [(1, 360), (2, 459)])
@@ -1201,6 +1207,59 @@ def test_a_broadcast_weight_off_its_level_or_scale_fails_the_job_fast(
                      timeout=30.0)
     assert time.monotonic() - start < 10.0
     assert "received a weight at level" in str(err.value)
+    assert_no_party_outlives_the_job()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("spoof", ["level - 1", "scale * 2"])
+def test_a_refresh_share_off_its_level_or_scale_fails_the_job_fast(
+        transport, spoof, monkeypatch):
+    # The server answers party 0's first refresh request with a share one
+    # level below a fresh ciphertext's, or at twice the context scale; the
+    # party refuses it as it arrives.
+    from packedhe.engine import SlotVector
+    from packedhe.federated.protocol import ServerRuntime
+    from packedhe.federated.wire import (MsgType, decode_ciphertext,
+                                         decode_frame, encode_ciphertext,
+                                         encode_frame)
+    real = ServerRuntime._handle
+    spoofed = []
+
+    def handle(runtime, pid, data):
+        link = runtime.links[pid]
+        if (pid != 0 or spoofed
+                or decode_frame(data).msg_type != MsgType.BOOTSTRAP_REQ):
+            return real(runtime, pid, data)
+        send = link.server_send
+
+        def server_send(share):
+            frame = decode_frame(share)
+            ct = decode_ciphertext(frame.payload, runtime.server.ctx)
+            spoofed.append((ct.level, ct.scale))
+            level = ct.level - (spoof == "level - 1")
+            scale = ct.scale * (2 if spoof == "scale * 2" else 1)
+            send(encode_frame(frame.msg_type, frame.round, frame.party_id,
+                              encode_ciphertext(SlotVector(
+                                  ct.slots, level, scale, ct.context_id,
+                                  ct.key_tag))))
+        link.server_send = server_send
+        try:
+            real(runtime, pid, data)
+        finally:
+            del link.server_send
+    monkeypatch.setattr(ServerRuntime, "_handle", handle)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    act = ActivationConfig(kind="approx_relu", d=2, sigma=10.0,
+                           delta=2.0 ** -10, input_range=16.0)
+    config = small_config(party_count=2, global_iters=2, neurons=(4, 2),
+                          activation=act)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 0 failed") as err:
+        run_training(config, split_parties(x, y, 2, seed=5),
+                     transport=transport, timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert "received a refresh share at level" in str(err.value)
+    assert len(spoofed) == 1
     assert_no_party_outlives_the_job()
 
 

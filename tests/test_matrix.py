@@ -55,6 +55,9 @@ def test_build_permutation_validates_shift():
         build_permutation("col_shift", 4, 4)
     with pytest.raises(ValueError):
         build_permutation("sigma_mu", 4, 1)
+    for period in (0, 3, 8):
+        with pytest.raises(ValueError, match="row period"):
+            build_permutation("tau_zeta", 4, period)
 
 
 # --------------------------------------------- worked 3x3 symbolic pipeline
@@ -286,6 +289,83 @@ def test_tau_transpose_takes_tau_of_w_to_tau_of_its_transpose(h):
     assert got.tobytes() == apply_permutation(tau, w.T).tobytes()
 
 
+@pytest.mark.parametrize("h", [2, 4, 8, 16, 64])
+def test_row_periodic_tau_is_the_tau_of_a_stacked_image(h):
+    # A stacked image repeats its t rows h/t times, so the t-diagonal
+    # tau_zeta gives the bytes of the h-diagonal one, in the clear and on a
+    # ciphertext, where he_align takes it for bsgs_split(t) rotations and t
+    # mul_pt (the full plan at t = h).
+    tau = build_permutation("tau_zeta", h)
+    ctx = exact_ctx(h)
+    rng = np.random.default_rng(h)
+    for t in _divisors(h):
+        rows = rng.standard_normal((t, h))
+        stacked = np.tile(rows, (h // t, 1))
+        want = apply_permutation(tau, stacked)
+        periodic = build_permutation("tau_zeta", h, t)
+        assert len(periodic.diagonals) == t
+        assert apply_permutation(periodic, stacked).tobytes() == want.tobytes()
+        ct = encode_rect_matrix(rows, ctx).ct
+        for transform in (he_lin_trans, he_lin_trans_bsgs):
+            got = ctx.decode(ctx.ddec(transform(ct, periodic), ctx.parties))
+            assert got.tobytes() == want.tobytes()
+        with ctx.meter_scope() as scope:
+            aligned = he_align(encode_rect_matrix(rows, ctx), "tau_zeta")
+        assert ctx.decode(ctx.ddec(aligned.ct, ctx.parties)).tobytes() == \
+            want.tobytes()
+        baby, giant = bsgs_split(t)
+        assert (scope.rotations, scope.mul_pt) == (baby + giant, t)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 8, 16, 64])
+def test_transpose_of_tau_is_sigma_of_the_transpose(h):
+    # sigma_mu(X.T) = T(tau_zeta(X)), bit for bit, in the clear and, where
+    # h*h slots make a context, on a ciphertext: he_rect_tn_mult builds its
+    # left factor so.
+    rng = np.random.default_rng(h)
+    tau, sigma, transpose = (build_permutation(kind, h) for kind in
+                             ("tau_zeta", "sigma_mu", "transpose"))
+    for x in (rng.standard_normal((h, h)), np.eye(h),
+              np.arange(h * h, dtype=float).reshape(h, h)):
+        want = apply_permutation(sigma, x.T)
+        got = apply_permutation(transpose, apply_permutation(tau, x))
+        assert got.tobytes() == want.tobytes()
+        if h & (h - 1) == 0:
+            ctx = exact_ctx(h)
+            ct = he_lin_trans_bsgs(he_align(encode_matrix(x, ctx),
+                                            "tau_zeta").ct, transpose)
+            assert ctx.decode(ctx.ddec(ct, ctx.parties)).tobytes() == \
+                want.tobytes()
+
+
+def test_square_operands_keep_the_full_tau_plan():
+    # Only a stacked image takes the row-periodic plan: a square one, an
+    # h x h rectangular image included, keeps h diagonals, and so does
+    # he_rect_mat_mult's square right factor (he_mat_mult's 232 rotations
+    # at h = 64 are test_matmul_rotations_identity_h64's).
+    h, t = 64, 16
+    ctx = exact_ctx(h)
+    square = encode_matrix(np.eye(h), ctx)
+    for pm in (square, encode_rect_matrix(np.eye(h), ctx)):
+        with ctx.meter_scope() as scope:
+            he_align(pm, "tau_zeta")
+        assert (scope.rotations, scope.mul_pt) == (16, 64)
+    rows = np.random.default_rng(3).standard_normal((t, h))
+    with ctx.meter_scope() as formed:
+        he_rect_mat_mult(encode_rect_matrix(rows, ctx, form="sigma_mu"),
+                         square)
+    assert (formed.rotations, formed.mul_pt) == (16 + 3 * t + 2, 64 + t)
+
+
+def test_packed_matrix_refuses_a_row_count_that_does_not_divide_h():
+    ctx = exact_ctx(8)
+    ct = encode_matrix(np.eye(8), ctx).ct
+    for rows in (0, -2, 3, 16):
+        with pytest.raises(CapacityError, match="must divide"):
+            matrix.PackedMatrix(ct, 8, rows, 1)
+    assert matrix.PackedMatrix(ct, 8, 2, 1).rows_t == 2
+
+
 def test_bsgs_beats_plain_rotations_h16():
     h = 16
     ctx = exact_ctx(h)
@@ -307,12 +387,20 @@ def _spec_cases(h):
                 yield build_permutation(kind, h, k)
         else:
             yield build_permutation(kind, h)
+        if kind == "tau_zeta":
+            for t in _divisors(h)[:-1]:
+                yield build_permutation(kind, h, t)
+
+
+def _divisors(h):
+    return [t for t in range(1, h + 1) if h % t == 0]
 
 
 def _expected_tallies(spec, bsgs):
+    # A row-periodic tau_zeta splits its period, every other kind h.
     if bsgs and spec.kind in ("sigma_mu", "tau_zeta", "transpose",
                               "tau_transpose"):
-        baby, giant = bsgs_split(spec.dim_h)
+        baby, giant = bsgs_split(spec.shift or spec.dim_h)
         giants = giant if spec.kind == "tau_zeta" else 2 * giant
         return baby + giants, baby * giants
     n_diag = len(spec.diagonals)
@@ -1137,18 +1225,22 @@ def test_rect_tn_mult_equals_plain_product(h, t):
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_tn_mult_tallies(h, t):
+    # The row-periodic tau_zeta of each factor (bsgs_split(t) rotations and
+    # t mul_pt each), one plain transpose, and t stages (3 rotations and
+    # one mul_pt each).
     ctx, _, _, pa, pb = _tn_operands(h, t)
     with ctx.meter_scope() as transpose:
         he_transpose(encode_matrix(np.eye(h), ctx))
     with ctx.meter_scope() as scope:
         he_rect_tn_mult(pa, pb)
+    baby, giant = bsgs_split(t)
     assert scope.mul_ct == t
     assert scope.subs == t
-    assert scope.mul_pt == transpose.mul_pt + 3 * h + t
-    assert scope.rotations == (transpose.rotations + matmul_rotation_formula(h)
-                               - 3 * (h - t))
-    if (h, t) == (64, 16):
-        assert scope.rotations == 112
+    assert scope.mul_pt == transpose.mul_pt + 2 * t + t
+    assert scope.rotations == transpose.rotations + 2 * (baby + giant) + 3 * t
+    pinned = {(16, 8): (48, 56), (64, 16): (88, 176)}
+    if (h, t) in pinned:
+        assert (scope.rotations, scope.mul_pt) == pinned[h, t]
 
 
 @pytest.mark.parametrize("h, t", [(4, 2), (16, 4), (64, 16)])
@@ -1169,12 +1261,15 @@ def _at_level(pm, level):
 
 
 def _tn_misuse(case):
+    """The context of a refused call and a thunk building its operands."""
     h, t = 8, 2
     ctx, _, _, pa, pb = _tn_operands(h, t)
     if case == "rows differ":
         pb = matrix.PackedMatrix(pb.ct, h, 4, 1)
     elif case == "rows do not divide h":
-        pa, pb = (matrix.PackedMatrix(pm.ct, h, 3, 1) for pm in (pa, pb))
+        # refused as the operands are built, before any product
+        return ctx, lambda: tuple(matrix.PackedMatrix(pm.ct, h, 3, 1)
+                                  for pm in (pa, pb))
     elif case == "batched":
         pa, pb = (matrix.PackedMatrix(pm.ct, 4, 2, 2) for pm in (pa, pb))
     elif case == "not exact fit":
@@ -1187,7 +1282,7 @@ def _tn_misuse(case):
         pa = _at_level(pa, matrix.PRODUCT_DEPTH)
     elif case == "b one level short":
         pb = _at_level(pb, matrix.PRODUCT_DEPTH - 1)
-    return ctx, pa, pb
+    return ctx, lambda: (pa, pb)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -1200,10 +1295,10 @@ def _tn_misuse(case):
     ("b one level short", LevelExhaustedError),
 ])
 def test_rect_tn_mult_refuses_before_any_tally(case, error):
-    ctx, pa, pb = _tn_misuse(case)
+    ctx, operands = _tn_misuse(case)
     before = ctx.meter.snapshot()
     with pytest.raises(error):
-        he_rect_tn_mult(pa, pb)
+        he_rect_tn_mult(*operands())
     assert ctx.meter.snapshot() == before
 
 
@@ -1215,10 +1310,11 @@ def test_rect_tn_mult_runs_at_the_lowest_levels_it_accepts():
     assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
 
 
-def _at_operand(a, ctx):
-    """The encrypted h x h image of the transpose of ``a``'s stacked image."""
+def _at_operand(a, ctx, form=None):
+    """The encrypted h x h image of the transpose of ``a``'s stacked image,
+    in ``form``."""
     t, h = a.shape
-    return encode_matrix(np.tile(a, (h // t, 1)).T, ctx)
+    return encode_matrix(np.tile(a, (h // t, 1)).T, ctx, form=form)
 
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
@@ -1233,28 +1329,31 @@ def test_rect_at_mult_equals_plain_product(h, t):
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_at_mult_is_rect_tn_mult_without_the_transpose(h, t):
-    # Given the transpose he_rect_tn_mult takes, homomorphic or encrypted
-    # from the plaintext at its level, the product is the same ciphertext,
-    # and costs the same less the transpose.
+    # he_rect_tn_mult's left factor is T(tau_zeta(A)) = sigma_mu(A.T).
+    # Given it, homomorphic or encrypted in form from the plaintext at its
+    # level, he_rect_at_mult gives the same ciphertext, and costs the same
+    # less those two transforms.
     ctx, a, _, pa, pb = _tn_operands(h, t)
     with ctx.meter_scope() as tn:
         want = he_rect_tn_mult(pa, pb)
-    with ctx.meter_scope() as transpose:
-        at = he_transpose(matrix.PackedMatrix(pa.ct, h, h, 1))
-    level = ctx.initial_level - 1
-    for left in (at, _at_level(_at_operand(a, ctx), level)):
+    with ctx.meter_scope() as transforms:
+        tau = he_align(pa, "tau_zeta")
+        at = matrix.PackedMatrix(ctx.rescale(he_lin_trans_bsgs(
+            tau.ct, build_permutation("transpose", h))), h, h, 1, "sigma_mu")
+    level = ctx.initial_level - 2
+    for left in (at, _at_level(_at_operand(a, ctx, "sigma_mu"), level)):
         assert left.ct.level == level
         with ctx.meter_scope() as scope:
             out = he_rect_at_mult(left, pb)
         assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
         assert (out.ct.level, out.ct.scale) == (want.ct.level, want.ct.scale)
-        assert {k: getattr(scope, k) + getattr(transpose, k)
+        assert {k: getattr(scope, k) + getattr(transforms, k)
                 for k in ctx.meter.snapshot()} == \
             {k: getattr(tn, k) for k in ctx.meter.snapshot()}
 
 
 def _at_misuse(case):
-    """The contexts of a refused call and its two operands."""
+    """The contexts of a refused call and a thunk building its operands."""
     h, t = 8, 2
     ctx, a, _, _, pb = _tn_operands(h, t)
     contexts = [ctx]
@@ -1262,7 +1361,8 @@ def _at_misuse(case):
     if case == "left factor not square":
         at = matrix.PackedMatrix(at.ct, h, t, 1)
     elif case == "rows do not divide h":
-        pb = matrix.PackedMatrix(pb.ct, h, 3, 1)
+        # refused as the operand is built, before any product
+        return contexts, lambda: (at, matrix.PackedMatrix(pb.ct, h, 3, 1))
     elif case == "batched":
         at, pb = (matrix.PackedMatrix(pm.ct, 4, 4, 2) for pm in (at, pb))
     elif case == "another context":
@@ -1272,7 +1372,7 @@ def _at_misuse(case):
         at = _at_level(at, matrix.PRODUCT_DEPTH - 1)
     elif case == "right one level short":
         pb = _at_level(pb, matrix.PRODUCT_DEPTH - 1)
-    return contexts, at, pb
+    return contexts, lambda: (at, pb)
 
 
 @pytest.mark.parametrize("case, error", [
@@ -1284,10 +1384,10 @@ def _at_misuse(case):
     ("right one level short", LevelExhaustedError),
 ])
 def test_rect_at_mult_refuses_before_any_tally(case, error):
-    contexts, at, pb = _at_misuse(case)
+    contexts, operands = _at_misuse(case)
     before = [c.meter.snapshot() for c in contexts]
     with pytest.raises(error):
-        he_rect_at_mult(at, pb)
+        he_rect_at_mult(*operands())
     assert [c.meter.snapshot() for c in contexts] == before
 
 
