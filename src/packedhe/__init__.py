@@ -21,7 +21,7 @@ from .matrix import (PackedMatrix, PermutationSpec, apply_permutation,
                      encode_rect_matrix, he_align, he_lin_trans,
                      he_lin_trans_bsgs,
                      he_mat_mult, he_rect_at_mult, he_rect_mat_mult,
-                     he_rect_tn_mult, he_transpose, pack_matrices)
+                     he_rect_tn_mult, he_refresh, he_transpose, pack_matrices)
 from .approx import (CompositePolySpec, IntervalMap, SmoothFit, app_abs,
                      app_max, app_relu, app_sign, eval_composite,
                      gd_coefficients, interval_denormalize, interval_normalize,

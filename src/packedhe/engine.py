@@ -11,7 +11,9 @@ error.
 Collective operations (``ddec``, ``dbootstrap``, ``dkey_switch``) enforce the
 N-of-N contract: they refuse to run unless every holder of the key's secret
 shares is presented.  Key material itself is symbolic (string tags mapped to
-owner rosters); no lattice arithmetic is performed.
+owner rosters); no lattice arithmetic is performed.  A refresh may permute
+the slots on the way (a gather), as each party can apply a linear map to
+its own mask of the refreshed plaintext: that costs no rotation.
 
 Every op has one rule, ``CryptoContext._rule``: over the ``(level, scale)``
 of its operands it makes the op's level and scale checks, gives its ``(level,
@@ -64,10 +66,11 @@ and masked copy.
 
 Ciphertexts and plaintexts are immutable, and every slot array the engine
 puts in one is read-only.  Operations that leave slot values untouched
-(``rescale``, ``dbootstrap``, ``dkey_switch``, ``ddec`` and exact-mode
-``encrypt``) therefore share the input's array instead of copying it.  A
-writable array in a hand-built ``SlotVector`` or ``Plaintext`` is copied
-once, never frozen in place, so the caller keeps a writable array.
+(``rescale``, ``dbootstrap`` without a gather, ``dkey_switch``, ``ddec``
+and exact-mode ``encrypt``) therefore share the input's array instead of
+copying it.  A writable array in a hand-built ``SlotVector`` or
+``Plaintext`` is copied once, never frozen in place, so the caller keeps a
+writable array.
 """
 
 from __future__ import annotations
@@ -784,12 +787,33 @@ class CryptoContext:
 
     # ------------------------------------------------------------ collective
 
-    def dbootstrap(self, ct: SlotVector, roster: Iterable[str]) -> SlotVector:
-        """Collective refresh: level and scale reset, slots preserved."""
+    def dbootstrap(self, ct: SlotVector, roster: Iterable[str],
+                   gather=None) -> SlotVector:
+        """Collective refresh: level and scale reset, slots preserved.
+
+        With ``gather``, one int index per slot, output slot ``s`` holds
+        input slot ``gather[s]``: each party applies that map to its own
+        mask of the refresh, so it costs no rotation and no plaintext
+        product, only the one bootstrap.  A gather of another shape, or
+        with an index outside the slots, raises ``EngineError`` before
+        anything is metered.
+        """
         self._check_context(ct)
         self._require_roster(ct.key_tag, roster, "dbootstrap")
+        if gather is None:
+            slots = _shared(ct.slots)
+        else:
+            gather = np.asarray(gather)
+            if (not np.issubdtype(gather.dtype, np.integer)
+                    or gather.shape != (self.slot_count,)
+                    or gather.min() < 0 or gather.max() >= self.slot_count):
+                raise EngineError(
+                    f"a refresh gather takes {self.slot_count} int indices "
+                    f"in [0, {self.slot_count}), got {gather.dtype} "
+                    f"{gather.shape}")
+            slots = ct.slots.take(gather)
         out = self._rule("bootstraps", (ct.level, ct.scale))
-        return self._derive(ct, _shared(ct.slots), out)
+        return self._derive(ct, slots, out)
 
     def dkey_switch(self, ct: SlotVector, target_key_tag: str,
                     roster: Iterable[str]) -> SlotVector:

@@ -6,14 +6,19 @@ mini-batch of its local shard (rectangular packed products for the batch and,
 transposed, for the gradients, composite-polynomial gates for the
 activations), the server sums the encrypted per-party gradients and
 applies the update  w <- w - eta/(batch*N) * grad  under encryption.  Each
-product operand is aligned once, where that is cheapest: a party encrypts
-its batch images sigma_mu-aligned from its own plaintext, and the server
-tau_zeta-aligns each weight once a round for every party, which uses it,
-and its transpose, in that form; a party refuses a weight at any other
-level than ``broadcast_level``, a refresh share at any other level than
-the initial one, and either at any other scale than the context's.  After
-the last round the model is collectively re-keyed to the server's key and
-decrypted there; parties never see a server-keyed ciphertext.
+product operand is aligned once, where that is cheapest.  A party encrypts
+its batch images sigma_mu-aligned from its own plaintext, and
+sigma_mu-aligns each hidden layer's output once, for the next layer's
+product and, by ``sigma_transpose``, for its own weight gradient.  The
+server keeps each weight as ``w - update``, unrefreshed (a subtraction
+takes no level), and refreshes it once a round into its tau_zeta image,
+which the refresh aligns at no rotation (``matrix.he_refresh``); every
+party uses that image, and its transpose, in that form.  The first
+round's images are encrypted in form.  A party refuses a weight or a
+refresh share at any other level than the initial one, or at any other
+scale than the context's.  After the last round the model is
+collectively re-keyed to the server's key and decrypted there; parties
+never see a server-keyed ciphertext.
 
 Level maintenance follows a fixed schedule: a rescale after every product,
 which keeps every ciphertext that meets another in an add at the context
@@ -179,6 +184,7 @@ class ServerState:
     model: ModelState
     logical_dims: list      # (rows, cols) per layer before padding
     lr_factor: Plaintext    # eta / (batch * N), encoded once per job
+    broadcast: list         # per layer, the next round's tau_zeta weight
     finalized: bool = False
 
 
@@ -204,7 +210,8 @@ class ForwardTrace:
     """
 
     x_t: PackedMatrix       # np.tile(x, (h // t, 1)).T, square, sigma_mu form
-    activations: list       # M_1 .. M_L (rectangular packed)
+    activations: list       # M_1 .. M_L (rectangular packed), sigma_mu
+                            # form but the last
     gates: list              # per layer, PackedMatrix or None
     rows: int
 
@@ -223,39 +230,25 @@ def init_weights(config: TrainingConfig, feature_dim: int):
     return mats, dims
 
 
-def broadcast_level(ctx: CryptoContext) -> int:
-    """The level of a weight on the wire: a refreshed weight's, less the one
-    level of the server's tau_zeta alignment."""
-    return ctx.initial_level - 1
-
-
-def _broadcast_weight(ctx: CryptoContext, w: PackedMatrix) -> PackedMatrix:
-    """``w`` as every party receives it: tau_zeta-aligned once, by the
-    server, at ``broadcast_level``, else ``ProtocolError``."""
-    aligned = matrix.he_align(w, "tau_zeta")
-    if aligned.ct.level != broadcast_level(ctx):
-        raise ProtocolError(f"an aligned weight is at level {aligned.ct.level}, "
-                            f"not {broadcast_level(ctx)}: it was not refreshed")
-    return aligned
-
-
 def prepare(config: TrainingConfig, feature_dim: int):
     """Key ceremony and model initialization.
 
     Creates the shared context (collective key owned by the N parties, a
     separate server key), encrypts the seeded initial weights, and hands every
-    party an identical model copy.
+    party an identical model copy.  The first round's broadcast encrypts
+    each weight again, tau_zeta-aligned by a plaintext gather.
     """
     plan = build_plan(config, feature_dim)
     ctx = new_context(plan.ring_dim, config.initial_level,
                       2.0 ** config.scale_bits, config.party_count)
     logical, dims = init_weights(config, feature_dim)
-    weights = [matrix.encode_matrix(pad_matrix(w, plan.h, plan.h), ctx)
-               for w in logical]
-    model = ModelState(weights, 0)
+    padded = [pad_matrix(w, plan.h, plan.h) for w in logical]
+    model = ModelState([matrix.encode_matrix(w, ctx) for w in padded], 0)
     factor = config.learning_rate / (config.batch_size * config.party_count)
     server = ServerState(ctx, config, plan, model, dims,
-                         ctx.encode(np.full(ctx.slot_count, factor)))
+                         ctx.encode(np.full(ctx.slot_count, factor)),
+                         [matrix.encode_matrix(w, ctx, form="tau_zeta")
+                          for w in padded])
     parties = [PartyState(p, ctx, config, plan, model.clone(),
                           _encode_constants(ctx, config, plan))
                for p in range(config.party_count)]
@@ -321,10 +314,6 @@ class CipherActivation:
         return comp.mul_const(m, mask), gate
 
 
-def _as_rect(pm: PackedMatrix, t: int) -> PackedMatrix:
-    return replace(pm, rows_t=t)
-
-
 def _ensure_pm(comp: _Compute, pm: PackedMatrix, need: int) -> PackedMatrix:
     ct = _ensure_level(comp.ctx, pm.ct, need, comp.bootstrap)
     return replace(pm, ct=ct) if ct is not pm.ct else pm
@@ -339,11 +328,13 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     gradient, both sigma_mu-aligned, so no product aligns them; each layer
     is one rectangular product, the activation gate with a column mask
     confining values to the logical neurons, and a collective refresh of
-    the output unless it keeps the ``PRODUCT_DEPTH + 1`` levels its
-    gradient takes.  The weights are used in the form they come in: tau_zeta
-    as broadcast, plain as ``prepare`` builds them.  ``bootstrap`` defaults
-    to the in-engine collective refresh; the wire runtimes substitute the
-    framed request/share exchange.
+    the output unless it keeps ``PRODUCT_DEPTH + 1`` levels.  A hidden
+    layer's output then spends one of them on its sigma_mu alignment, which
+    serves both of its consumers: the next layer's product and, by
+    ``sigma_transpose``, its weight gradient.  The weights are used in the
+    form they come in: tau_zeta as broadcast, plain as ``prepare`` builds
+    them.  ``bootstrap`` defaults to the in-engine collective refresh; the
+    wire runtimes substitute the framed request/share exchange.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     if bootstrap is None:
@@ -366,15 +357,17 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     acts = []
     gates = []
     current = x_ct
+    last = len(party.model.weights) - 1
     for j, w in enumerate(party.model.weights):
-        lhs = _as_rect(current, plan.t)
-        lhs = _ensure_pm(comp, lhs, lhs.product_depth)
+        lhs = _ensure_pm(comp, current, current.product_depth)
         e = he_rect_mat_mult(lhs, _ensure_pm(comp, w, w.product_depth))
         m_ct, gate_ct = activation(comp, e.ct, j)
-        # Every consumer of m takes at most PRODUCT_DEPTH + 1 levels: the
-        # transpose and the product of its weight gradient.
+        # A hidden output takes PRODUCT_DEPTH + 1 levels: its alignment,
+        # then the sigma_transpose and the product of its weight gradient.
         m_ct = _ensure_level(ctx, m_ct, PRODUCT_DEPTH + 1, bootstrap)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
+        if j < last:
+            m = matrix.he_align(m, "sigma_mu")
         acts.append(m)
         gates.append(None if gate_ct is None
                      else PackedMatrix(gate_ct, plan.h, plan.t, 1))
@@ -390,7 +383,8 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     replicated t x h image below it and the replicated error image, which
     sums the block product over the batch rows: ``he_rect_at_mult`` of the
     batch's transposed image for layer 0, ``he_rect_tn_mult`` of the
-    activation below for every other layer.  Both align the stacked error
+    sigma_mu-aligned activation below for every other layer, which
+    transposes it by ``sigma_transpose``.  Both align the stacked error
     image by the row-periodic tau_zeta (t diagonals).  The error passes
     down through the transpose of each weight, which keeps the weight's
     form: a tau_zeta weight's transpose feeds its product unaligned.  The
@@ -428,8 +422,9 @@ def local_backward(party: PartyState, trace: ForwardTrace,
             grads[0] = he_rect_at_mult(
                 _ensure_pm(comp, trace.x_t, trace.x_t.product_depth), d_pm)
             break
+        below = trace.activations[j - 1]
         grads[j] = he_rect_tn_mult(
-            _ensure_pm(comp, trace.activations[j - 1], PRODUCT_DEPTH + 1), d_pm)
+            _ensure_pm(comp, below, below.product_depth + 1), d_pm)
         w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
         delta = he_rect_mat_mult(
             d_pm, _ensure_pm(comp, w_t, w_t.product_depth)).ct
@@ -441,8 +436,12 @@ def local_backward(party: PartyState, trace: ForwardTrace,
 def aggregate(server: ServerState, msgs: list) -> ModelState:
     """Sum the N gradient messages and apply the encrypted SGD update.
 
-    Synchronous-round contract: exactly one message per party at the current
-    iteration, otherwise the round stalls with an error.
+    The server only ever subtracts from a weight, which takes no level, so
+    it keeps ``w - update`` unrefreshed, at the update's level, and
+    refreshes it into ``server.broadcast``, tau_zeta-aligned by the refresh
+    itself, for the next round's parties.  Synchronous-round contract:
+    exactly one message per party at the current iteration, otherwise the
+    round stalls with an error.
     """
     ctx, config, plan = server.ctx, server.config, server.plan
     seen = {m.party_id for m in msgs}
@@ -468,11 +467,10 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
             total = g if total is None else ctx.add(total, g)
         total = _ensure_level(ctx, total, 1, make_local_bootstrapper(ctx))
         upd = ctx.rescale(ctx.mul_pt(total, server.lr_factor))
-        new_ct = ctx.sub(w.ct, upd)
-        # Refresh so the next round's products have their full budget.
-        new_ct = ctx.dbootstrap(new_ct, ctx.parties)
-        new_weights.append(PackedMatrix(new_ct, plan.h, plan.h, 1))
+        new_weights.append(PackedMatrix(ctx.sub(w.ct, upd), plan.h, plan.h, 1))
     server.model = ModelState(new_weights, server.model.iteration + 1)
+    server.broadcast = [matrix.he_refresh(w, ctx.parties, "tau_zeta")
+                        for w in new_weights]
     return server.model
 
 
@@ -577,12 +575,6 @@ class PartyRuntime:
                 f"{level} and scale {ctx.initial_scale!r}")
         return ct
 
-    def _decode_weight(self, payload):
-        """A broadcast weight, where the server's alignment leaves it: at
-        ``broadcast_level`` and the context scale."""
-        return self._decode_at(payload, "a weight",
-                               broadcast_level(self.state.ctx))
-
     def _bootstrap(self, ct):
         """``ct`` refreshed by the server, whose share must come back where a
         refresh leaves it: at the initial level and the context scale."""
@@ -630,7 +622,9 @@ class PartyRuntime:
             # The party's next round, which every frame of one model must
             # name.
             self._require_round(frame, self._round)
-            self._weights.append(self._decode_weight(frame.payload))
+            # The weight comes as a refresh, or an encryption, leaves it.
+            self._weights.append(self._decode_at(
+                frame.payload, "a weight", self.state.ctx.initial_level))
             if len(self._weights) == self.state.config.layers:
                 weight_cts, self._weights = self._weights, []
                 self._run_round(frame.round, weight_cts)
@@ -687,12 +681,14 @@ class ServerRuntime:
     frames queued for it, and an in-process link calls the handler as the
     party sends.  A TCP link has a reader thread, started by ``start``, that
     calls it on each frame it reads.  A frame the handler refuses, or a link
-    that fails or closes, wakes the waiting server unless the server is
-    shutting down, and the link is served no more; the server then closes
-    that link, so a party waiting on it ends, and raises ``ProtocolError``
-    from the party's own error, which ``party_failure(pid)`` returns
-    (``None`` when the party reports none); the message names the link's
-    error at the server as well, such as the reason a frame was refused.
+    that fails or closes, ends the service of that link.  A waiting server
+    wakes, closes that link, so a party waiting on it ends, and raises
+    ``ProtocolError`` from the party's own error, which
+    ``party_failure(pid)`` returns (``None`` when the party reports none);
+    the message names the link's error at the server as well, such as the
+    reason a frame was refused.  Once the server is shutting down, a
+    closing link is no failure, and a refused frame fails the job as it
+    ends (``raise_late_failure``).
     """
 
     def __init__(self, server: ServerState, links: list,
@@ -709,18 +705,18 @@ class ServerRuntime:
         self._ks_shares: dict = {}   # party id -> answered requests
         self._link_errors: list = []
         self._closing = False
-        self._readers = []
+        self._readers = {}   # party id -> the reader of its TCP link
         for pid, link in enumerate(links):
             if isinstance(link, QueueLink):
                 link.attach(functools.partial(self._deliver, pid))
             else:
-                self._readers.append(threading.Thread(
-                    target=self._read_loop, args=(pid,), daemon=True))
+                self._readers[pid] = threading.Thread(
+                    target=self._read_loop, args=(pid,), daemon=True)
 
     # ---------------------------------------------------------------- wiring
 
     def start(self) -> None:
-        for t in self._readers:
+        for t in self._readers.values():
             t.start()
 
     def _read_loop(self, pid: int) -> None:
@@ -837,11 +833,10 @@ class ServerRuntime:
             raise ProtocolError(f"party {pid} link failed: {exc}") from exc
 
     def broadcast_model(self, round_no: int) -> None:
-        """Send every party the model, each weight tau_zeta-aligned once for
-        all of them (``_broadcast_weight``)."""
-        ctx = self.server.ctx
-        payloads = [encode_ciphertext(_broadcast_weight(ctx, w).ct)
-                    for w in self.server.model.weights]
+        """Send every party the model as ``server.broadcast`` holds it: each
+        weight tau_zeta-aligned once for all of them, at the initial
+        level."""
+        payloads = [encode_ciphertext(w.ct) for w in self.server.broadcast]
         for link in self.links:
             for payload in payloads:
                 link.server_send(encode_frame(
@@ -897,14 +892,37 @@ class ServerRuntime:
         self._serve_parties()
 
     def close(self) -> None:
-        """Close every server-side link, which detaches the handler from an
-        in-process one, and wait for the readers to end."""
+        """Read every link to its end, then close it, which detaches the
+        handler from an in-process one, and wait for the readers to end.
+
+        An in-process link's frames were served as its party sent them.  A
+        TCP link's reader serves frames until the party closes its end,
+        for at most ``_REAP_S``; a link not read to its end by then fails.
+        ``raise_late_failure`` reports either, and any frame refused.
+        """
         self._closing = True
-        for link in self.links:
-            link.close()
-        for t in self._readers:
+        for pid, t in self._readers.items():
             if t.is_alive():
                 t.join(_REAP_S)
+                if t.is_alive():
+                    self._fail(pid, ProtocolError(
+                        f"the link was not read to its end in {_REAP_S} s"))
+        for link in self.links:
+            link.close()
+        for t in self._readers.values():
+            if t.is_alive():
+                t.join(_REAP_S)
+
+    def raise_late_failure(self) -> None:
+        """Once the job has ended, raise ``ProtocolError`` for the first
+        link that failed: a frame the server refused, such as a surplus
+        key-switch share, or a link it did not read to its end."""
+        with self._arrived:
+            failed = self._link_errors[:1]
+        if failed:
+            (pid, exc), = failed
+            raise ProtocolError(f"party {pid}'s link failed as the job "
+                                f"ended: {exc}") from exc
 
 
 class _PartyProcess:
@@ -1042,7 +1060,9 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     raise ``ProtocolError`` from the party's error without waiting out
     ``timeout``, which bounds the wait for a silent party.  No child
     outlives the call: each is joined, and killed if it has not ended within
-    10 s of the job's end.  Features that are not finite and labels that
+    10 s of the job's end.  The server then reads every link to its end,
+    and a frame it refuses there, such as a surplus key-switch share, or a
+    link it cannot read to its end raises ``ProtocolError``.  Features that are not finite and labels that
     are not integers in ``[0, config.neurons[-1])``, in a shard or the test
     set, raise ``ProtocolError`` before any party starts.
     """
@@ -1155,6 +1175,7 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
         err = failure(p)
         if err is not None:
             raise ProtocolError(f"party {p} failed") from err
+    srv.raise_late_failure()
 
     # finalize leaves server.model as the last round decoded it.
     last = rounds[-1]

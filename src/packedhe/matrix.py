@@ -44,17 +44,21 @@ matrix by another, t stages) and ``he_rect_at_mult`` (the same product
 given the transposed image).  The core aligns the left factor by sigma_mu
 and the right one by tau_zeta, one level each, but only an operand whose
 ``form`` does not name that alignment yet: an owner can encrypt its image
-in form by one plaintext gather, and ``he_align`` aligns a ciphertext once
-for many products.  ``he_transpose`` keeps a tau_zeta form, by the
+in form by one plaintext gather, ``he_align`` aligns a ciphertext once
+for many products, and ``he_refresh`` aligns one inside a collective
+refresh, where each party permutes its own mask by that gather: no
+rotation and no level.  ``he_transpose`` keeps a tau_zeta form, by the
 ``tau_transpose`` permutation, so a transposed operand need not leave it.
 A stacked t x h image repeats its rows with period t, so its tau_zeta
 reads them with that period: t diagonals instead of h, the same values.
-``he_rect_tn_mult`` builds its transposed left factor as
-sigma_mu(A.T) = T(tau_zeta(A)), the row-periodic tau_zeta and then a plain
-transpose, which the core takes as formed.  Stage k shifts the aligned
-left factor a0 by k columns: the masked term ``m_k`` (one ``mul_pt``
-keeping columns >= k) goes one way and ``a0 - m_k`` the other way round
-the row boundary.  ``m_k`` is rescaled before the
+``he_rect_tn_mult`` builds its transposed left factor in sigma_mu form,
+which the core takes as formed: from a plain A as sigma_mu(A.T) =
+T(tau_zeta(A)), the row-periodic tau_zeta and then a plain transpose, and
+from sigma_mu(A) by the ``sigma_transpose`` permutation, which takes
+sigma_mu(X) to sigma_mu(X.T) in h diagonals and one level.  Stage k
+shifts the aligned left factor a0 by k columns: the masked term ``m_k``
+(one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
+other way round the row boundary.  ``m_k`` is rescaled before the
 subtraction, so every add and sub in a product sees its operands at one
 scale, as CKKS requires.  All t stages are one engine call,
 ``ctx.shift_mul_sum(a0, b0, h, beta, t)``, which meters each stage as that
@@ -75,15 +79,16 @@ from .engine import (CapacityError, CryptoContext, EngineError, GatherPlan,
                      LevelExhaustedError, SlotVector, context_of)
 
 PERMUTATION_KINDS = ("sigma_mu", "tau_zeta", "col_shift", "row_shift",
-                     "transpose", "tau_transpose")
+                     "transpose", "tau_transpose", "sigma_transpose")
 
 # Kinds whose diagonal decomposition reads across the h^2 window edge and
 # therefore needs the packed image to wrap exactly at the slot boundary.
-_WRAPPING_KINDS = ("tau_zeta", "row_shift", "tau_transpose")
+_WRAPPING_KINDS = ("tau_zeta", "row_shift", "tau_transpose", "sigma_transpose")
 
 # Kinds evaluated baby-step/giant-step; the shift kinds take a rotation per
 # diagonal.
-_BSGS_KINDS = ("sigma_mu", "tau_zeta", "transpose", "tau_transpose")
+_BSGS_KINDS = ("sigma_mu", "tau_zeta", "transpose", "tau_transpose",
+               "sigma_transpose")
 
 # The alignment an image can already carry: none, or a product's left
 # (sigma_mu) or right (tau_zeta) alignment.
@@ -135,7 +140,7 @@ class PermutationSpec:
 
 @lru_cache(maxsize=None)
 def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpec:
-    """Build the diagonal offsets of one of the six packed-matrix permutations.
+    """Build the diagonal offsets of one of the seven packed-matrix permutations.
 
     ``sigma_mu`` aligns each row of the left factor on its own diagonal
     (2h-1 nonzero diagonals), ``tau_zeta`` does the column analogue for the
@@ -145,12 +150,15 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
     its offsets are h*s mod h*h for s < t (t diagonals).
     ``col_shift(k)``/``row_shift(k)`` are cyclic intra-row / block-row
     shifts (2 resp. 1 diagonals), ``transpose`` realizes the transpose map
-    (2h-1 diagonals), and ``tau_transpose`` turns
+    (2h-1 diagonals), ``tau_transpose`` turns
     tau_zeta(W) into tau_zeta(W.T): output entry (i, j) reads input entry
     (-i, i + j), mod h, which gives the offsets (h-1)**2 * m mod h*h for
-    -h < m < h (2h-1 diagonals).  Where output entry (i, j) reads input
-    entry (src_i, src_j), its offset is h*(src_i - i) + (src_j - j), taken
-    mod h*h for the three kinds that wrap the window.
+    -h < m < h (2h-1 diagonals), and ``sigma_transpose`` turns sigma_mu(X)
+    into sigma_mu(X.T): output entry (i, j) reads input entry (i + j, -j),
+    mod h, which gives the offset 0 on column 0 and h + (h-2)*j on column
+    j > 0 (h diagonals).  Where output entry (i, j) reads input entry
+    (src_i, src_j), its offset is h*(src_i - i) + (src_j - j), taken mod h*h
+    for the four kinds that wrap the window.
     """
     if kind not in PERMUTATION_KINDS:
         raise ValueError(f"unknown permutation kind {kind!r}")
@@ -177,6 +185,8 @@ def build_permutation(kind: str, h: int, k: int | None = None) -> PermutationSpe
         src_i, src_j = (i + k) % h, j
     elif kind == "tau_transpose":
         src_i, src_j = -i % h, (i + j) % h
+    elif kind == "sigma_transpose":
+        src_i, src_j = (i + j) % h, -j % h
     else:
         src_i, src_j = j, i
     offsets = h * (src_i - i) + (src_j - j)
@@ -263,14 +273,8 @@ def _validate_dims(ctx: CryptoContext, h: int, beta: int) -> None:
 
 def _form_index(form: str, h: int) -> np.ndarray:
     """Slot t of the ``form`` image of an h x h window holds slot
-    ``index[t]`` of the plain one; built once, kept on the form's spec."""
-    spec = build_permutation(form, h)
-    index = spec.tables.get("form_index")
-    if index is None:
-        index = (np.arange(h * h) + spec.offsets) % (h * h)
-        index.setflags(write=False)
-        spec.tables["form_index"] = index
-    return index
+    ``index[t]`` of the plain one."""
+    return _gather(build_permutation(form, h), 1, h * h)
 
 
 def _encrypt_image(ctx: CryptoContext, image: np.ndarray, rows_t: int,
@@ -375,6 +379,20 @@ def _per_spec(build):
 
 
 @_per_spec
+def _gather(spec: PermutationSpec, beta: int, slot_count: int) -> np.ndarray:
+    """Output slot s of ``spec``'s map over ``beta`` interleaved windows
+    reads input slot ``index[s]``; slots past the windows keep their own.
+    Read-only."""
+    window = spec.dim_h * spec.dim_h
+    s = np.arange(beta * window)
+    index = np.arange(slot_count)
+    index[: s.size] = beta * ((s // beta + spec.offsets[s // beta]) % window) \
+        + s % beta
+    index.setflags(write=False)
+    return index
+
+
+@_per_spec
 def _diagonal_plan(spec: PermutationSpec, beta: int,
                    slot_count: int) -> GatherPlan:
     """One rotation per nonzero diagonal, as a single giant step.
@@ -423,47 +441,60 @@ def bsgs_split(h: int) -> tuple[int, int]:
 def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
     """Baby rotations by unit*j and, per giant step, its shift and labels.
 
-    Writing each slot's offset as unit*(baby_count*i + j), the slot takes
-    label j in giant step i; each step's slot-expanded labels are rolled by
-    -gshift so that they pre-compensate the outer giant rotation.  Every
-    baby offset, 0 included, is rotated.  A ``tau_transpose`` offset is
+    Writing each slot's offset as base + unit*(baby_count*i + j), the slot
+    takes label j in giant step i; each step's slot-expanded labels are
+    rolled by -gshift so that they pre-compensate the outer giant rotation.
+    Every baby offset, 0 included, is rotated.  A ``tau_transpose`` offset is
     that form only mod h*h, with unit (h-1)**2: its multiple comes from the
     offset times 1 + 2h, the inverse of (h-1)**2 mod h*h, so its plan holds
-    in an exact-fit packing alone, as ``_check_layout`` demands.  Raises
-    ``EngineError`` for an offset outside that form.
+    in an exact-fit packing alone, as ``_check_layout`` demands.  A
+    ``sigma_transpose`` offset is h + (h-2)*j on column j > 0, so base h and
+    unit h - 2 (1 at h = 2, where every such offset is h), with giant steps
+    i >= 0; its column 0 reads itself, in one more step without a giant
+    rotation that keeps the term of baby offset 0.  Raises ``EngineError``
+    for an offset outside that form.
     """
     h = spec.dim_h
     # A row-periodic tau_zeta has as many diagonals as its period.
     baby, giant = bsgs_split(spec.shift or h)
-    giants = range(0, giant) if spec.kind == "tau_zeta" else range(-giant, giant)
+    giants = (range(0, giant) if spec.kind in ("tau_zeta", "sigma_transpose")
+              else range(-giant, giant))
+    base, fixed = 0, np.zeros(h * h, dtype=bool)
     if spec.kind == "tau_transpose":
         unit, n = (h - 1) ** 2, h * h
         quot, rem = (spec.offsets * (1 + 2 * h) + n // 2) % n - n // 2, 0
     else:
-        unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
-        quot, rem = np.divmod(spec.offsets, unit)
+        if spec.kind == "sigma_transpose":
+            unit, base, fixed = max(h - 2, 1), h, spec.offsets == 0
+        else:
+            unit = {"tau_zeta": h, "transpose": h - 1}.get(spec.kind, 1)
+        quot, rem = np.divmod(np.where(fixed, base, spec.offsets) - base, unit)
     step, label = np.divmod(quot, baby)
     if np.any(rem) or step.min() < giants.start or step.max() >= giants.stop:
-        raise EngineError(f"{spec.kind} offsets must be {unit}*({baby}*i + j) "
+        form = f"{base} + {unit}" if base else f"{unit}"
+        raise EngineError(f"{spec.kind} offsets must be {form}*({baby}*i + j) "
                           f"with i in {giants} and 0 <= j < {baby}")
     steps = []
     for i in giants:
-        gshift = beta * unit * baby * i
-        labels = _expand(np.where(step == i, label, -1), beta, slot_count)
+        gshift = beta * (base + unit * baby * i)
+        labels = _expand(np.where((step == i) & ~fixed, label, -1), beta,
+                         slot_count)
         steps.append((gshift, np.roll(labels, gshift % slot_count)))
+    if fixed.any():
+        steps.append((None, _expand(np.where(fixed, 0, -1), beta, slot_count)))
     return GatherPlan(range(0, beta * unit * baby, beta * unit), steps,
                       slot_count)
 
 
 def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
                       beta: int = 1) -> SlotVector:
-    """Baby-step/giant-step evaluation of sigma_mu, tau_zeta, transpose or
-    tau_transpose.
+    """Baby-step/giant-step evaluation of sigma_mu, tau_zeta, transpose,
+    tau_transpose or sigma_transpose.
 
     The baby rotations R(ct, unit*j) are shared across all giant steps,
     cutting the rotation tally to baby + giants: 3*sqrt(h) for the
-    signed-range kinds and 2*sqrt(h) for tau_zeta when h is a perfect square.
-    Output is identical to ``he_lin_trans``.
+    signed-range kinds and 2*sqrt(h) for tau_zeta and sigma_transpose when
+    h is a perfect square.  Output is identical to ``he_lin_trans``.
     """
     if spec.kind not in _BSGS_KINDS:
         return he_lin_trans(ct, spec, beta)
@@ -532,6 +563,28 @@ def he_align(pm: PackedMatrix, form: str) -> PackedMatrix:
         raise CapacityError(f"cannot align a {pm.form or 'plain'} image "
                             f"to {form!r}")
     return replace(pm, ct=_aligned(_ctx_of(pm), pm, form), form=form)
+
+
+def he_refresh(pm: PackedMatrix, roster, form: str | None = None) -> PackedMatrix:
+    """``pm`` collectively refreshed by ``roster``, its image in ``form``.
+
+    A plain image takes its alignment inside the refresh: each party
+    permutes its own mask by the form's gather, so the alignment costs no
+    rotation, no plaintext product and no level, only the one bootstrap.
+    ``form`` None, or the form ``pm`` carries, refreshes the image as it
+    is; any other raises ``CapacityError`` before anything is metered, and
+    so does a form that ``FORMS`` does not name.
+    """
+    _check_form(form)
+    if pm.form not in (None, form):
+        raise CapacityError(f"cannot refresh a {pm.form} image into "
+                            f"{form or 'plain'} form")
+    ctx = _ctx_of(pm)
+    gather = None
+    if form != pm.form:
+        gather = _gather(build_permutation(form, pm.dim_h), pm.batch_beta,
+                         ctx.slot_count)
+    return replace(pm, ct=ctx.dbootstrap(pm.ct, roster, gather), form=form)
 
 
 def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
@@ -619,28 +672,31 @@ def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     Both images repeat their t rows h/t times, so the product's inner index
     has period t: t shift stages of the product core visit each of the t
     rows once, with no fold.  The left factor is the sigma_mu image of the
-    transposed stacked image of ``a``, built by the identity
-    sigma_mu(X.T) = T(tau_zeta(X)): the row-periodic tau_zeta of ``a``,
-    then a plain transpose, one level each, which the core takes as
-    formed.  With b's row-periodic tau_zeta, that costs two periodic
-    alignments (baby + giant rotations of ``bsgs_split(t)`` and t mul_pt
-    each), the transpose, and the stages' 3t rotations, t mul_pt, t subs
-    and t mul_ct.  ``a`` must be
-    plain and needs ``PRODUCT_DEPTH + 1`` levels, ``b`` its
-    ``product_depth``; a refused call meters nothing.  Whoever holds ``A``
-    in the clear can encrypt the transposed image instead, sigma_mu-aligned,
-    and call ``he_rect_at_mult``, which skips the tau_zeta, the transpose
-    and their levels.
+    transposed stacked image of ``a``, which the core takes as formed; it is
+    built after ``a``'s form, as ``he_transpose`` builds its transpose:
+    - a plain ``a`` by sigma_mu(X.T) = T(tau_zeta(X)): the row-periodic
+      tau_zeta (baby + giant rotations of ``bsgs_split(t)``, t mul_pt),
+      then a plain transpose, one level each;
+    - a sigma_mu ``a`` by ``sigma_transpose``, one level: baby + giant
+      rotations of ``bsgs_split(h)`` and baby * (giant + 1) mul_pt.
+    With b's row-periodic tau_zeta and the stages' 3t rotations, t mul_pt,
+    t subs and t mul_ct, that is 88 rotations and 176 mul_pt for a plain
+    ``a`` at h = 64, t = 16, and 72 and 104 for a sigma_mu one.  ``a`` needs
+    one level more than its ``product_depth``, ``b`` its own; a tau_zeta
+    ``a`` is refused, and a refused call meters nothing.  Whoever holds
+    ``A`` in the clear can encrypt the transposed image instead,
+    sigma_mu-aligned, and call ``he_rect_at_mult``, which skips the
+    transform and its level.
     """
     if b.rows_t != a.rows_t:
         raise CapacityError(f"logical row counts differ: {a.rows_t} vs {b.rows_t}")
-    if a.form is not None:
-        raise CapacityError(f"he_rect_tn_mult aligns a plain left factor, "
-                            f"got one in {a.form} form")
-    ctx = _require_tn_layout(a, b, PRODUCT_DEPTH + 1)
+    ctx = _require_tn_layout(a, b, a.product_depth + 1)
     h = a.dim_h
-    at = ctx.rescale(he_lin_trans_bsgs(_aligned(ctx, a, "tau_zeta"),
-                                       build_permutation("transpose", h)))
+    if a.form is None:
+        a_ct, kind = _aligned(ctx, a, "tau_zeta"), "transpose"
+    else:
+        a_ct, kind = a.ct, "sigma_transpose"
+    at = ctx.rescale(he_lin_trans_bsgs(a_ct, build_permutation(kind, h)))
     return PackedMatrix(_product(ctx, PackedMatrix(at, h, h, 1, "sigma_mu"),
                                  b, b.rows_t), h, h, 1)
 

@@ -520,6 +520,44 @@ def test_dbootstrap_partial_roster():
         ctx.dbootstrap(ct, ctx.parties[1:])
 
 
+def test_dbootstrap_with_a_gather_permutes_the_slots_at_no_rotation():
+    # Each party applies the gather to its own mask of the refresh: one
+    # bootstrap and nothing else, the level and scale reset, and output
+    # slot s holding input slot gather[s], bit for bit.
+    ctx = make_ctx()
+    values = np.random.default_rng(4).standard_normal(ctx.slot_count)
+    low = ctx.rescale(ctx.mul_ct(ctx.encrypt(ctx.encode(values)),
+                                 ctx.encrypt(ctx.encode(values))))
+    gather = np.random.default_rng(5).integers(0, ctx.slot_count,
+                                               ctx.slot_count)
+    with ctx.meter_scope() as scope:
+        out = ctx.dbootstrap(low, ctx.parties, gather)
+    assert scope.snapshot() == {k: int(k == "bootstraps")
+                                for k in engine.COUNTER_FIELDS}
+    assert (out.level, out.scale) == (ctx.initial_level, ctx.initial_scale)
+    assert out.slots.tobytes() == low.slots[gather].tobytes()
+    assert not out.slots.flags.writeable
+    assert low.slots.tobytes() == (values * values).tobytes()
+
+
+@pytest.mark.parametrize("gather, why", [
+    (np.arange(32.0), "floats"),
+    (np.arange(31), "one index short"),
+    (np.arange(64), "one per slot of a larger ring"),
+    (np.arange(32).reshape(4, 8), "a matrix"),
+    (np.arange(32) - 1, "a negative index"),
+    (np.arange(32) + 1, "an index past the slots"),
+])
+def test_dbootstrap_refuses_a_malformed_gather_before_any_tally(gather, why):
+    ctx = make_ctx()
+    assert ctx.slot_count == 32
+    ct = ctx.encrypt(ctx.encode(np.arange(32.0)))
+    before = ctx.meter.snapshot()
+    with pytest.raises(EngineError, match="refresh gather"):
+        ctx.dbootstrap(ct, ctx.parties, gather)
+    assert ctx.meter.snapshot() == before
+
+
 # ---------------------------------------------------------------- key switch
 
 def test_dkey_switch_then_server_decrypt():

@@ -528,21 +528,20 @@ def _other(transport):
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
                          benchmark_metrics("relu", _other(transport)),
-                         (52, 248, 552, 394, 410))
+                         (52, 248, 480, 358, 406))
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
-                         (8, 160, 1416, 764, 194))
+                         (8, 160, 1144, 700, 190))
 
 
 def test_relu_rotations_per_round_grow_by_one_party_s_work():
-    # No party aligns a weight, so per-round rotations are linear in the
-    # party count, and what a round costs with no party is the server's
-    # tau_zeta alignment of each of the 2 weights.
-    from packedhe import engine
+    # No party aligns a weight, and the server's refresh aligns each weight
+    # at no rotation, so per-round rotations are one party's times the
+    # party count: a round with no party would cost none.
     act = ActivationConfig(kind="approx_relu", d=4, sigma=20.0,
                            delta=2.0 ** -20)
     rotations = []
@@ -553,14 +552,47 @@ def test_relu_rotations_per_round_grow_by_one_party_s_work():
                                 party_count=parties, activation=act, seed=1)
         result = run_training(config, split_parties(x, y, parties, seed=1))
         rotations.append(result.metrics["rounds"][0]["ops"]["rotations"])
-    ctx = engine.new_context(2 * 16 * 16)
-    with ctx.meter_scope() as align:
-        matrix.he_align(matrix.encode_matrix(np.eye(16), ctx), "tau_zeta")
     per_party = rotations[1] - rotations[0]
     assert rotations[2] - rotations[1] == per_party
-    assert rotations[0] - per_party == 2 * align.rotations == 16
-    assert per_party == 189
-    assert rotations[1] == 394
+    assert rotations[0] == per_party == 179
+    assert rotations[1] == 358
+
+
+def test_a_twelve_round_job_keeps_its_weight_levels(monkeypatch):
+    # The server keeps each weight as w - update, unrefreshed: a sub takes
+    # no level, so from round 1 on a weight stays at its update's level.
+    # Every weight on the wire is a refresh's, or round 0's encryption, in
+    # tau_zeta form at the initial level and the context scale.
+    from packedhe.federated.protocol import ServerRuntime
+    real = ServerRuntime.broadcast_model
+    seen = []
+
+    def broadcast_model(runtime, round_no):
+        server = runtime.server
+        seen.append(([w.ct.level for w in server.model.weights],
+                     {(w.ct.level, w.ct.scale, w.form)
+                      for w in server.broadcast}))
+        real(runtime, round_no)
+    monkeypatch.setattr(ServerRuntime, "broadcast_model", broadcast_model)
+    x, y = blob_data(samples=40, features=3, seed=4)
+    act = ActivationConfig(kind="approx_relu", d=2, sigma=10.0,
+                           delta=2.0 ** -10, input_range=16.0)
+    config = small_config(party_count=2, global_iters=12, neurons=(4, 2),
+                          activation=act)
+    result = run_training(config, split_parties(x, y, 2, seed=4))
+    ctx = result.context
+    assert len(seen) == 12
+    assert seen[0][0] == [ctx.initial_level] * 2
+    for _, broadcast in seen:
+        assert broadcast == {(ctx.initial_level, ctx.initial_scale,
+                              "tau_zeta")}
+    levels = seen[1][0]
+    assert [lv for lv, _ in seen[1:]] == [levels] * 11
+    assert max(levels) < ctx.initial_level
+    for round_ct, round_pl in zip(result.ct_trajectory,
+                                  result.mirror_trajectory):
+        for a, b in zip(round_ct, round_pl):
+            assert np.allclose(a, b, rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed, correct", [(1, 360), (2, 459)])
@@ -1047,6 +1079,44 @@ def test_a_keyswitch_share_beyond_the_weights_fails_fast(transport):
                               "request 2, but the model has 2 weights")
 
 
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_a_surplus_keyswitch_share_after_done_fails_the_job(transport,
+                                                          monkeypatch):
+    # Party 1 answers key-switch request 0 again once it has read DONE.  The
+    # server reads every link to its end as the job ends, refuses the
+    # share there, and the job fails rather than return.  The server's
+    # reader lingers a second over party 1's last due share, so over TCP the
+    # party has sent the surplus one and ended before the reader reads on.
+    from packedhe.federated.protocol import PartyRuntime, ServerRuntime
+    from packedhe.federated.wire import MsgType, decode_frame
+    real = PartyRuntime.handle
+    real_serve = ServerRuntime._handle
+
+    def handle(runtime, data):
+        done = real(runtime, data)
+        if done and runtime.state.party_id == 1:
+            runtime.link.send(_share(runtime.state.config.global_iters, 1, 0))
+        return done
+
+    def serve(runtime, pid, data):
+        real_serve(runtime, pid, data)
+        if (pid == 1 and decode_frame(data).msg_type == MsgType.KEYSWITCH_SHARE
+                and len(runtime._ks_shares[1]) == runtime.server.config.layers):
+            time.sleep(1.0)
+    monkeypatch.setattr(PartyRuntime, "handle", handle)
+    monkeypatch.setattr(ServerRuntime, "_handle", serve)
+    x, y = blob_data(samples=20, features=3, seed=15)
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="party 1's link failed as the "
+                       "job ended: party 1 answered key-switch request 0 "
+                       "of round 2 twice"):
+        run_training(small_config(party_count=2, global_iters=2),
+                     split_parties(x, y, 2, seed=5), transport=transport,
+                     timeout=30.0)
+    assert time.monotonic() - start < 10.0
+    assert_no_party_outlives_the_job()
+
+
 class _OneShareThenClose:
     """A party's link that, once the party has sent one key-switch share,
     stays silent for half a second, closes and hands the party DONE, so
@@ -1185,20 +1255,26 @@ def test_a_gradient_with_a_spoofed_scale_fails_the_job_fast(transport,
 @pytest.mark.parametrize("spoof", ["level + 1", "level - 1", "scale * 2"])
 def test_a_broadcast_weight_off_its_level_or_scale_fails_the_job_fast(
         transport, spoof, monkeypatch):
-    # A weight arrives where the server's alignment leaves a refreshed one:
-    # one level below a fresh ciphertext, at the context scale.
+    # A weight arrives where a refresh, or the first round's encryption,
+    # leaves it: at the initial level and the context scale.  Above the
+    # initial level, the wire itself refuses it.
     from dataclasses import replace
     from packedhe.engine import SlotVector
-    real = protocol._broadcast_weight
+    from packedhe.federated.protocol import ServerRuntime
+    real = ServerRuntime.broadcast_model
 
-    def broadcast_weight(ctx, w):
-        aligned = real(ctx, w)
-        ct = aligned.ct
+    def spoofed(w):
+        ct = w.ct
         level = ct.level + {"level + 1": 1, "level - 1": -1}.get(spoof, 0)
         scale = ct.scale * (2 if spoof == "scale * 2" else 1)
-        return replace(aligned, ct=SlotVector(ct.slots, level, scale,
-                                              ct.context_id, ct.key_tag))
-    monkeypatch.setattr(protocol, "_broadcast_weight", broadcast_weight)
+        return replace(w, ct=SlotVector(ct.slots, level, scale,
+                                        ct.context_id, ct.key_tag))
+
+    def broadcast_model(runtime, round_no):
+        runtime.server.broadcast = [spoofed(w)
+                                    for w in runtime.server.broadcast]
+        real(runtime, round_no)
+    monkeypatch.setattr(ServerRuntime, "broadcast_model", broadcast_model)
     x, y = blob_data(samples=20, features=3, seed=15)
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"party \d failed") as err:
@@ -1206,7 +1282,9 @@ def test_a_broadcast_weight_off_its_level_or_scale_fails_the_job_fast(
                      split_parties(x, y, 2, seed=5), transport=transport,
                      timeout=30.0)
     assert time.monotonic() - start < 10.0
-    assert "received a weight at level" in str(err.value)
+    want = ("ciphertext level 7.0 is not an integer in [0, 6]"
+            if spoof == "level + 1" else "received a weight at level")
+    assert want in str(err.value)
     assert_no_party_outlives_the_job()
 
 
@@ -1315,8 +1393,7 @@ def test_server_refuses_a_training_frame_after_the_last_round(transport,
 
 def _broadcast_cts(server):
     """The weight ciphertexts the server broadcasts in a round."""
-    return [protocol._broadcast_weight(server.ctx, w).ct
-            for w in server.model.weights]
+    return [w.ct for w in server.broadcast]
 
 
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])

@@ -17,7 +17,7 @@ from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              he_align, he_lin_trans, he_lin_trans_bsgs,
                              he_mat_mult,
                              he_rect_at_mult, he_rect_mat_mult,
-                             he_rect_tn_mult, he_transpose,
+                             he_rect_tn_mult, he_refresh, he_transpose,
                              matmul_rotation_formula, pack_matrices)
 
 
@@ -33,6 +33,7 @@ def test_diagonal_counts(h):
     assert len(build_permutation("tau_zeta", h).diagonals) == h
     assert len(build_permutation("transpose", h).diagonals) == 2 * h - 1
     assert len(build_permutation("tau_transpose", h).diagonals) == 2 * h - 1
+    assert len(build_permutation("sigma_transpose", h).diagonals) == h
     for k in range(1, h):
         n_col = len(build_permutation("col_shift", h, k).diagonals)
         assert n_col == 2
@@ -192,7 +193,8 @@ def test_offsets_follow_the_index_maps(h):
     i, j = np.divmod(np.arange(n), h)
     dense = {("sigma_mu", None): mu(a), ("tau_zeta", None): zeta(a),
              ("transpose", None): a.T,
-             ("tau_transpose", None): a[-i % h, (i + j) % h].reshape(h, h)}
+             ("tau_transpose", None): a[-i % h, (i + j) % h].reshape(h, h),
+             ("sigma_transpose", None): a[(i + j) % h, -j % h].reshape(h, h)}
     for k in range(1, h):
         dense[("col_shift", k)] = phi(a, k)
         dense[("row_shift", k)] = pi(a, k)
@@ -246,7 +248,9 @@ def test_lin_trans_wrapping_requires_exact_fit():
                                     ("transpose", 16), ("sigma_mu", 4),
                                     ("tau_zeta", 64), ("transpose", 8),
                                     ("tau_transpose", 16),
-                                    ("tau_transpose", 64)])
+                                    ("tau_transpose", 64),
+                                    ("sigma_transpose", 16),
+                                    ("sigma_transpose", 64)])
 def test_bsgs_equals_plain_path(kind, h):
     ctx = exact_ctx(h)
     rng = np.random.default_rng(h * 7)
@@ -270,6 +274,8 @@ def test_bsgs_rotation_ceilings():
         ("transpose", 64): 24,
         ("tau_transpose", 16): 12,
         ("tau_transpose", 64): 24,
+        ("sigma_transpose", 16): 8,
+        ("sigma_transpose", 64): 16,
     }
     for (kind, h), ceiling in cases.items():
         ctx = exact_ctx(h)
@@ -287,6 +293,36 @@ def test_tau_transpose_takes_tau_of_w_to_tau_of_its_transpose(h):
     got = apply_permutation(build_permutation("tau_transpose", h),
                             apply_permutation(tau, w))
     assert got.tobytes() == apply_permutation(tau, w.T).tobytes()
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 8, 16, 64])
+def test_sigma_transpose_takes_sigma_of_x_to_sigma_of_its_transpose(h):
+    # sigma_transpose(sigma_mu(X)) = sigma_mu(X.T), bit for bit, in the clear
+    # and, where h*h slots make a context, on a ciphertext: one level, h
+    # diagonals as bsgs_split(h) baby offsets (h-2)*b, one giant step per
+    # giant and one unrotated step for column 0.
+    rng = np.random.default_rng(h)
+    sigma, st = (build_permutation(kind, h) for kind in
+                 ("sigma_mu", "sigma_transpose"))
+    for x in (rng.standard_normal((h, h)), np.eye(h),
+              np.arange(h * h, dtype=float).reshape(h, h)):
+        want = apply_permutation(sigma, x.T)
+        assert apply_permutation(st, apply_permutation(sigma, x)).tobytes() \
+            == want.tobytes()
+        if h & (h - 1) == 0:
+            ctx = exact_ctx(h)
+            formed = encode_matrix(x, ctx, form="sigma_mu")
+            with ctx.meter_scope() as scope:
+                ct = ctx.rescale(he_lin_trans_bsgs(formed.ct, st))
+            assert ctx.decode(ctx.ddec(ct, ctx.parties)).tobytes() == \
+                want.tobytes()
+            assert ct.level == formed.ct.level - 1
+            baby, giant = bsgs_split(h)
+            assert (scope.rotations, scope.mul_pt) == \
+                (baby + giant, baby * (giant + 1))
+    if h in (16, 64):
+        assert (scope.rotations, scope.mul_pt) == {16: (8, 20),
+                                                   64: (16, 72)}[h]
 
 
 @pytest.mark.parametrize("h", [2, 4, 8, 16, 64])
@@ -398,9 +434,12 @@ def _divisors(h):
 
 def _expected_tallies(spec, bsgs):
     # A row-periodic tau_zeta splits its period, every other kind h.
+    # sigma_transpose adds an unrotated step for its column 0.
     if bsgs and spec.kind in ("sigma_mu", "tau_zeta", "transpose",
-                              "tau_transpose"):
+                              "tau_transpose", "sigma_transpose"):
         baby, giant = bsgs_split(spec.shift or spec.dim_h)
+        if spec.kind == "sigma_transpose":
+            return baby + giant, baby * (giant + 1)
         giants = giant if spec.kind == "tau_zeta" else 2 * giant
         return baby + giants, baby * giants
     n_diag = len(spec.diagonals)
@@ -426,7 +465,7 @@ def _check_transforms(ctx, spec, beta, rng):
 
 
 @pytest.mark.parametrize("beta", [1, 2, 4])
-@pytest.mark.parametrize("h", [4, 16])
+@pytest.mark.parametrize("h", [4, 16, 64])
 def test_cached_transforms_match_plain_oracle(h, beta):
     ctx = exact_ctx(h, beta=beta)
     rng = np.random.default_rng(h * 10 + beta)
@@ -493,7 +532,8 @@ def test_malformed_specs_are_refused_before_any_tally():
     # offset that is not a multiple of its unit h.
     for kind, bad in (("sigma_mu", 2 * h), ("sigma_mu", -2 * h - 1),
                       ("transpose", (h - 1) * 2 * h), ("transpose", 1),
-                      ("tau_zeta", 1), ("tau_zeta", -h)):
+                      ("tau_zeta", 1), ("tau_zeta", -h),
+                      ("sigma_transpose", 1), ("sigma_transpose", h - 2)):
         offsets = np.zeros(h * h, dtype=int)
         offsets[5] = bad
         spec = matrix.PermutationSpec(kind, h, None, offsets)
@@ -530,7 +570,7 @@ def test_labels_name_the_mask_of_each_slot():
             want = (s + beta * spec.offsets[s // beta]) % n
             plans = [matrix._diagonal_plan(spec, beta, n)]
             if spec.kind in ("sigma_mu", "tau_zeta", "transpose",
-                             "tau_transpose"):
+                             "tau_transpose", "sigma_transpose"):
                 plans.append(matrix._bsgs_plan(spec, beta, n))
             for plan in plans:
                 assert plan.selected.tolist() == [True] * s.size + \
@@ -1263,7 +1303,7 @@ def _at_level(pm, level):
 def _tn_misuse(case):
     """The context of a refused call and a thunk building its operands."""
     h, t = 8, 2
-    ctx, _, _, pa, pb = _tn_operands(h, t)
+    ctx, a, _, pa, pb = _tn_operands(h, t)
     if case == "rows differ":
         pb = matrix.PackedMatrix(pb.ct, h, 4, 1)
     elif case == "rows do not divide h":
@@ -1282,6 +1322,9 @@ def _tn_misuse(case):
         pa = _at_level(pa, matrix.PRODUCT_DEPTH)
     elif case == "b one level short":
         pb = _at_level(pb, matrix.PRODUCT_DEPTH - 1)
+    elif case == "sigma a one level short":
+        pa = _at_level(encode_rect_matrix(a, ctx, form="sigma_mu"),
+                       matrix.PRODUCT_DEPTH - 1)
     return ctx, lambda: (pa, pb)
 
 
@@ -1293,6 +1336,7 @@ def _tn_misuse(case):
     ("sides differ", CapacityError),
     ("a one level short", LevelExhaustedError),
     ("b one level short", LevelExhaustedError),
+    ("sigma a one level short", LevelExhaustedError),
 ])
 def test_rect_tn_mult_refuses_before_any_tally(case, error):
     ctx, operands = _tn_misuse(case)
@@ -1303,11 +1347,40 @@ def test_rect_tn_mult_refuses_before_any_tally(case, error):
 
 
 def test_rect_tn_mult_runs_at_the_lowest_levels_it_accepts():
-    _, a, b, pa, pb = _tn_operands(8, 2)
-    out = he_rect_tn_mult(_at_level(pa, matrix.PRODUCT_DEPTH + 1),
-                          _at_level(pb, matrix.PRODUCT_DEPTH))
-    assert out.ct.level == 0
+    ctx, a, b, pa, pb = _tn_operands(8, 2)
+    sigma = encode_rect_matrix(a, ctx, form="sigma_mu")
+    for left, level in ((pa, matrix.PRODUCT_DEPTH + 1),
+                        (sigma, matrix.PRODUCT_DEPTH)):
+        out = he_rect_tn_mult(_at_level(left, level),
+                              _at_level(pb, matrix.PRODUCT_DEPTH))
+        assert out.ct.level == 0
+        assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+
+
+@pytest.mark.parametrize("h, t", _TN_SHAPES)
+def test_rect_tn_mult_of_a_sigma_image_equals_the_plain_path(h, t):
+    # A sigma_mu-aligned left factor takes one sigma_transpose in place of
+    # the row-periodic tau_zeta and the transpose of a plain one: the same
+    # bytes, level and scale, for bsgs_split(h) baby + giant rotations and
+    # baby * (giant + 1) mul_pt, beside b's periodic tau_zeta and the
+    # stages.
+    ctx, a, b, pa, pb = _tn_operands(h, t)
+    want = he_rect_tn_mult(pa, pb)
+    sigma = he_align(pa, "sigma_mu")
+    with ctx.meter_scope() as scope:
+        out = he_rect_tn_mult(sigma, pb)
+    assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
+    assert (out.ct.level, out.ct.scale, out.form) == \
+        (want.ct.level, want.ct.scale, None)
     assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
+    baby, giant = bsgs_split(h)
+    t_baby, t_giant = bsgs_split(t)
+    assert (scope.mul_ct, scope.subs) == (t, t)
+    assert scope.rotations == baby + giant + t_baby + t_giant + 3 * t
+    assert scope.mul_pt == baby * (giant + 1) + 2 * t
+    pinned = {(16, 8): (38, 36), (64, 16): (72, 104)}
+    if (h, t) in pinned:
+        assert (scope.rotations, scope.mul_pt) == pinned[h, t]
 
 
 def _at_operand(a, ctx, form=None):
@@ -1512,6 +1585,35 @@ def test_transpose_keeps_the_tau_form(h):
         {4: (6, 8), 16: (12, 32), 64: (24, 128)}[h]
 
 
+@pytest.mark.parametrize("h, beta", [(4, 1), (4, 2), (16, 1), (64, 1)])
+def test_refresh_aligns_an_image_at_no_rotation(h, beta):
+    # he_refresh gives the bytes of he_align, at the initial level, for one
+    # bootstrap and nothing else; an image already in the form, or a plain
+    # one with no form named, is refreshed as it is.
+    ctx = exact_ctx(h, beta=beta)
+    rng = np.random.default_rng(h + beta)
+    mats = [rng.standard_normal((h, h)) for _ in range(beta)]
+    pm = pack_matrices(mats, ctx)
+    low = _at_level(pm, 1)
+    fields = ctx.meter.snapshot()
+    for form in ("sigma_mu", "tau_zeta"):
+        want = he_align(pm, form)
+        with ctx.meter_scope() as scope:
+            got = he_refresh(low, ctx.parties, form)
+        assert got.ct.slots.tobytes() == want.ct.slots.tobytes()
+        assert (got.form, got.ct.level, got.ct.scale) == \
+            (form, ctx.initial_level, ctx.initial_scale)
+        assert scope.snapshot() == {k: int(k == "bootstraps") for k in fields}
+        for b, m in enumerate(mats):
+            assert decode_matrix(got, b).tobytes() == m.tobytes()
+        again = he_refresh(_at_level(got, 0), ctx.parties, form)
+        assert again.ct.slots.tobytes() == got.ct.slots.tobytes()
+        assert (again.form, again.ct.level) == (form, ctx.initial_level)
+    plain = he_refresh(low, ctx.parties)
+    assert plain.ct.slots.tobytes() == pm.ct.slots.tobytes()
+    assert (plain.form, plain.ct.level) == (None, ctx.initial_level)
+
+
 def _form_misuse(case):
     """The context of a refused call and the call."""
     h = 8
@@ -1529,11 +1631,15 @@ def _form_misuse(case):
         "at left factor in tau form": lambda: he_rect_at_mult(tau, rect),
         "tn left factor in tau form": lambda: he_rect_tn_mult(
             encode_rect_matrix(a[:2], ctx, form="tau_zeta"), rect),
-        "tn left factor in sigma form": lambda: he_rect_tn_mult(
-            encode_rect_matrix(a[:2], ctx, form="sigma_mu"), rect),
         "transpose of a sigma image": lambda: he_transpose(sigma),
         "align to another form": lambda: he_align(sigma, "tau_zeta"),
         "align to a kind that is no form": lambda: he_align(plain, "transpose"),
+        "refresh a sigma image into tau form": lambda: he_refresh(
+            sigma, ctx.parties, "tau_zeta"),
+        "refresh into a kind that is no form": lambda: he_refresh(
+            plain, ctx.parties, "transpose"),
+        "refresh with a partial roster": lambda: he_refresh(
+            plain, ctx.parties[1:], "tau_zeta"),
         "encode in an unknown form": lambda: encode_matrix(a, ctx,
                                                            form="transpose"),
         "naive baseline of a sigma image": lambda: references.naive_mat_mult(
@@ -1554,10 +1660,12 @@ def _form_misuse(case):
     ("rect left factor in tau form", CapacityError),
     ("at left factor in tau form", CapacityError),
     ("tn left factor in tau form", CapacityError),
-    ("tn left factor in sigma form", CapacityError),
     ("transpose of a sigma image", CapacityError),
     ("align to another form", CapacityError),
     ("align to a kind that is no form", CapacityError),
+    ("refresh a sigma image into tau form", CapacityError),
+    ("refresh into a kind that is no form", CapacityError),
+    ("refresh with a partial roster", engine.MissingPartyError),
     ("encode in an unknown form", CapacityError),
     ("naive baseline of a sigma image", CapacityError),
     ("diagonal baseline of a tau image", CapacityError),
