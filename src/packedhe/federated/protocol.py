@@ -9,8 +9,8 @@ applies the update  w <- w - eta/(batch*N) * grad  under encryption.  Each
 product operand is aligned once, where that is cheapest.  A party encrypts
 its batch images sigma_mu-aligned from its own plaintext, and
 sigma_mu-aligns each hidden layer's output once, for the next layer's
-product and, by ``sigma_transpose``, for its own weight gradient.  The
-server keeps each weight as ``w - update``, unrefreshed (a subtraction
+product and, through its ``he_transpose``, for its own weight gradient.
+The server keeps each weight as ``w - update``, unrefreshed (a subtraction
 takes no level), and refreshes it once a round into its tau_zeta image,
 which the refresh aligns at no rotation (``matrix.he_refresh``); every
 party uses that image, and its transpose, in that form.  The first
@@ -60,12 +60,13 @@ import numpy as np
 
 from .. import matrix
 from ..approx import (CompositePolySpec, _ensure_level, app_sign,
-                      make_local_bootstrapper, polyval_ct, smooth_fit)
+                      make_local_bootstrapper, polyval_ct, smooth_fit,
+                      stage_depth)
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
 # he_mat_mult stays bound though unused: perfbench's tracer patches it here.
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
-                      he_rect_at_mult, he_rect_mat_mult, he_rect_tn_mult,
-                      he_transpose, pad_matrix)
+                      he_rect_at_mult, he_rect_mat_mult, he_transpose,
+                      pad_matrix)
 from ..validation import check_finite, check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
@@ -230,6 +231,17 @@ def init_weights(config: TrainingConfig, feature_dim: int):
     return mats, dims
 
 
+def _required_level(config: TrainingConfig) -> int:
+    """The least ``initial_level`` a job of ``config`` runs at: the depth
+    of one packed product, or of the deepest sign stage if that is more."""
+    act = config.activation
+    if act.kind != "approx_relu":
+        return PRODUCT_DEPTH
+    spec = CompositePolySpec.for_closeness(act.d, act.sigma, act.delta)
+    return max(PRODUCT_DEPTH,
+               *(stage_depth(len(coeffs) - 1) for coeffs in spec.schedule))
+
+
 def prepare(config: TrainingConfig, feature_dim: int):
     """Key ceremony and model initialization.
 
@@ -319,6 +331,12 @@ def _ensure_pm(comp: _Compute, pm: PackedMatrix, need: int) -> PackedMatrix:
     return replace(pm, ct=ct) if ct is not pm.ct else pm
 
 
+def _transposed(comp: _Compute, pm: PackedMatrix) -> PackedMatrix:
+    """``he_transpose`` of ``pm``, refreshed first unless it holds a level
+    for the transpose and its ``product_depth`` for the product after."""
+    return he_transpose(_ensure_pm(comp, pm, pm.product_depth + 1))
+
+
 def local_forward(party: PartyState, batch_x: np.ndarray,
                   bootstrap=None) -> ForwardTrace:
     """Encrypted feedforward over one mini-batch.
@@ -330,8 +348,8 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
     confining values to the logical neurons, and a collective refresh of
     the output unless it keeps ``PRODUCT_DEPTH + 1`` levels.  A hidden
     layer's output then spends one of them on its sigma_mu alignment, which
-    serves both of its consumers: the next layer's product and, by
-    ``sigma_transpose``, its weight gradient.  The weights are used in the
+    serves both of its consumers: the next layer's product and, through
+    its ``he_transpose``, its weight gradient.  The weights are used in the
     form they come in: tau_zeta as broadcast, plain as ``prepare`` builds
     them.  ``bootstrap`` defaults to the in-engine collective refresh; the
     wire runtimes substitute the framed request/share exchange.
@@ -363,7 +381,7 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         e = he_rect_mat_mult(lhs, _ensure_pm(comp, w, w.product_depth))
         m_ct, gate_ct = activation(comp, e.ct, j)
         # A hidden output takes PRODUCT_DEPTH + 1 levels: its alignment,
-        # then the sigma_transpose and the product of its weight gradient.
+        # then its transpose and the product of its weight gradient.
         m_ct = _ensure_level(ctx, m_ct, PRODUCT_DEPTH + 1, bootstrap)
         m = PackedMatrix(m_ct, plan.h, plan.t, 1)
         if j < last:
@@ -379,16 +397,14 @@ def local_backward(party: PartyState, trace: ForwardTrace,
                    batch_labels: np.ndarray, bootstrap=None) -> GradientMsg:
     """Encrypted backpropagation; returns per-layer gradient sums.
 
-    Each layer's gradient is the t-stage product of the transpose of the
-    replicated t x h image below it and the replicated error image, which
-    sums the block product over the batch rows: ``he_rect_at_mult`` of the
-    batch's transposed image for layer 0, ``he_rect_tn_mult`` of the
-    sigma_mu-aligned activation below for every other layer, which
-    transposes it by ``sigma_transpose``.  Both align the stacked error
-    image by the row-periodic tau_zeta (t diagonals).  The error passes
-    down through the transpose of each weight, which keeps the weight's
-    form: a tau_zeta weight's transpose feeds its product unaligned.  The
-    error is ``m - y`` for the squared loss and ``(y - m)**2`` for the fig5
+    Each layer's gradient is ``he_rect_at_mult`` of the transpose of the
+    replicated t x h image below it and the replicated error image, as the
+    mirror's ``acts[j].T @ delta``: t stages sum the block product over the
+    batch rows.  That transpose is the batch's transposed image for layer
+    0, and the ``he_transpose`` of the sigma_mu-aligned activation below,
+    in that form, for every other layer.  The error passes down through the
+    transpose of each weight, which keeps the weight's form: a tau_zeta
+    weight's transpose feeds its product unaligned.  The error is ``m - y`` for the squared loss and ``(y - m)**2`` for the fig5
     loss, times the last gate; the label mask, which confines it to real
     samples and label columns, carries the loss derivative's factor 2.
     """
@@ -418,14 +434,13 @@ def local_backward(party: PartyState, trace: ForwardTrace,
     for j in reversed(range(len(weights))):
         d_pm = _ensure_pm(comp, PackedMatrix(delta, plan.h, plan.t, 1),
                           PRODUCT_DEPTH)
+        left_t = (trace.x_t if j == 0
+                  else _transposed(comp, trace.activations[j - 1]))
+        grads[j] = he_rect_at_mult(
+            _ensure_pm(comp, left_t, left_t.product_depth), d_pm)
         if j == 0:
-            grads[0] = he_rect_at_mult(
-                _ensure_pm(comp, trace.x_t, trace.x_t.product_depth), d_pm)
             break
-        below = trace.activations[j - 1]
-        grads[j] = he_rect_tn_mult(
-            _ensure_pm(comp, below, below.product_depth + 1), d_pm)
-        w_t = he_transpose(_ensure_pm(comp, weights[j], 2))
+        w_t = _transposed(comp, weights[j])
         delta = he_rect_mat_mult(
             d_pm, _ensure_pm(comp, w_t, w_t.product_depth)).ct
         if trace.gates[j - 1] is not None:
@@ -444,14 +459,19 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
     round stalls with an error.
     """
     ctx, config, plan = server.ctx, server.config, server.plan
-    seen = {m.party_id for m in msgs}
+    by_party = {}
+    for m in msgs:
+        if m.party_id in by_party:
+            raise ProtocolError(
+                f"party {m.party_id} sent more than one gradient message in "
+                f"aggregation round {server.model.iteration}")
+        by_party[m.party_id] = m
     expected = set(range(config.party_count))
-    if seen != expected:
-        missing = sorted(expected - seen)
+    if by_party.keys() != expected:
+        missing = sorted(expected - by_party.keys())
         raise MissingPartyError(
             f"aggregation round {server.model.iteration} is missing gradient "
             f"messages from parties {missing}")
-    by_party = {m.party_id: m for m in msgs}
     for m in msgs:
         if m.iteration != server.model.iteration:
             raise ProtocolError(
@@ -1062,13 +1082,19 @@ def run_training(config: TrainingConfig, party_datasets, transport: str = "in_pr
     outlives the call: each is joined, and killed if it has not ended within
     10 s of the job's end.  The server then reads every link to its end,
     and a frame it refuses there, such as a surplus key-switch share, or a
-    link it cannot read to its end raises ``ProtocolError``.  Features that are not finite and labels that
-    are not integers in ``[0, config.neurons[-1])``, in a shard or the test
-    set, raise ``ProtocolError`` before any party starts.
+    link it cannot read to its end raises ``ProtocolError``.  Features that
+    are not finite, labels that are not integers in ``[0, classes)``, in a
+    shard or the test set, and an ``initial_level`` below the job's need
+    raise ``ProtocolError`` before any party starts.
     """
     if len(party_datasets) != config.party_count:
         raise ProtocolError(
             f"{len(party_datasets)} datasets for {config.party_count} parties")
+    need = _required_level(config)
+    if config.initial_level < need:
+        raise ProtocolError(
+            f"initial_level {config.initial_level} is below the {need} "
+            f"levels a {config.activation.kind} job needs")
     classes = config.neurons[-1]
     shards = [(_features(x, f"party {p}'s x"),
                _class_labels(y, classes, f"party {p}'s y"))

@@ -37,25 +37,20 @@ plans hold no context, so a plan serves every context of its geometry.
 Matrix ops find the context of a ciphertext by its ``context_id`` among the
 live contexts (``engine.context_of``).
 
-Four products share one product core: ``he_mat_mult`` (square by square,
+Three products share one product core: ``he_mat_mult`` (square by square,
 h stages), ``he_rect_mat_mult`` (a stacked t x h matrix by a square one, t
-stages and a fold), ``he_rect_tn_mult`` (the transpose of a stacked t x h
-matrix by another, t stages) and ``he_rect_at_mult`` (the same product
-given the transposed image).  The core aligns the left factor by sigma_mu
-and the right one by tau_zeta, one level each, but only an operand whose
-``form`` does not name that alignment yet: an owner can encrypt its image
-in form by one plaintext gather, ``he_align`` aligns a ciphertext once
-for many products, and ``he_refresh`` aligns one inside a collective
-refresh, where each party permutes its own mask by that gather: no
-rotation and no level.  ``he_transpose`` keeps a tau_zeta form, by the
-``tau_transpose`` permutation, so a transposed operand need not leave it.
-A stacked t x h image repeats its rows with period t, so its tau_zeta
-reads them with that period: t diagonals instead of h, the same values.
-``he_rect_tn_mult`` builds its transposed left factor in sigma_mu form,
-which the core takes as formed: from a plain A as sigma_mu(A.T) =
-T(tau_zeta(A)), the row-periodic tau_zeta and then a plain transpose, and
-from sigma_mu(A) by the ``sigma_transpose`` permutation, which takes
-sigma_mu(X) to sigma_mu(X.T) in h diagonals and one level.  Stage k
+stages and a fold) and ``he_rect_at_mult`` (``A.T @ B`` for two stacked
+t x h matrices, given A's transposed image: t stages).  The core aligns the
+left factor by sigma_mu and the right one by tau_zeta, one level each, but
+only an operand whose ``form`` does not name that alignment yet: an owner
+can encrypt its image in form by one plaintext gather, ``he_align`` aligns
+a ciphertext once for many products, and ``he_refresh`` aligns one inside a
+collective refresh, where each party permutes its own mask by that gather:
+no rotation and no level.  ``he_transpose`` keeps the plain, sigma_mu or
+tau_zeta form, of a square or stacked image, so ``A.T @ B`` is
+``he_rect_at_mult(he_transpose(a), b)``.  A stacked t x h image repeats its
+rows with period t, so its tau_zeta reads them with that period: t
+diagonals instead of h, the same values.  Stage k
 shifts the aligned left factor a0 by k columns: the masked term ``m_k``
 (one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
 other way round the row boundary.  ``m_k`` is rescaled before the
@@ -93,6 +88,10 @@ _BSGS_KINDS = ("sigma_mu", "tau_zeta", "transpose", "tau_transpose",
 # The alignment an image can already carry: none, or a product's left
 # (sigma_mu) or right (tau_zeta) alignment.
 FORMS = (None, "sigma_mu", "tau_zeta")
+
+# The transpose that takes each form of X to that form of X.T.
+_TRANSPOSES = {None: "transpose", "sigma_mu": "sigma_transpose",
+               "tau_zeta": "tau_transpose"}
 
 # Multiplicative levels one packed product consumes: the sigma/tau alignment,
 # the masked shift stages and the stage products, one rescale each.
@@ -221,15 +220,15 @@ class PackedMatrix:
     """A ciphertext holding beta row-major h x h matrix images.
 
     ``rows_t`` is the logical row count: h for square payloads, or t (with
-    t | h) when the image holds h/t stacked copies of a t x h matrix.
-    ``form`` names the permutation the images already carry: None for the
-    plain image of A, ``"sigma_mu"`` or ``"tau_zeta"`` for that alignment
-    of A.  A product aligns only an operand that does not carry its form
-    yet, so a formed operand needs one level less (``product_depth``); a
-    left factor in tau_zeta form or a right factor in sigma_mu form is
-    refused.  Products return the plain form; ``he_transpose`` keeps a
-    tau_zeta form.  An unknown form, or a ``rows_t`` that does not divide
-    h, raises ``CapacityError``.
+    t | h) when the image holds h/t stacked copies of a t x h matrix, not
+    batched.  ``form`` names the permutation the images already carry: None
+    for the plain image of A, ``"sigma_mu"`` or ``"tau_zeta"`` for that
+    alignment of A.  A product aligns only an operand that does not carry
+    its form yet, so a formed operand needs one level less
+    (``product_depth``); a left factor in tau_zeta form or a right factor
+    in sigma_mu form is refused.  Products return the plain form;
+    ``he_transpose`` keeps any form.  An unknown form, a ``rows_t`` that
+    does not divide h, or a batched stacked image raises ``CapacityError``.
     """
 
     ct: SlotVector
@@ -243,6 +242,8 @@ class PackedMatrix:
         if self.rows_t < 1 or self.dim_h % self.rows_t:
             raise CapacityError(f"logical row count {self.rows_t} must "
                                 f"divide the side {self.dim_h}")
+        if self.rows_t < self.dim_h and self.batch_beta != 1:
+            raise CapacityError("rectangular products are not batched")
 
     @property
     def window(self) -> int:
@@ -506,13 +507,12 @@ def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
 # ----------------------------------------------------------- matrix products
 
 
-def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
-                            a_depth: int | None = None) -> CryptoContext:
+def _require_product_layout(a: PackedMatrix, b: PackedMatrix) -> CryptoContext:
     """The operands' context, once both fit one exact-fit product.
 
-    ``a`` needs ``a_depth`` levels, by default its ``product_depth``, and
-    ``b`` its ``product_depth``; ``a`` may not carry the tau_zeta form nor
-    ``b`` the sigma_mu form.  Raises before anything is metered.
+    Each operand needs its ``product_depth`` levels; ``a`` may not carry the
+    tau_zeta form nor ``b`` the sigma_mu form.  Raises before anything is
+    metered.
     """
     ctx = _ctx_of(a)
     if b.ct.context_id != a.ct.context_id:
@@ -531,13 +531,11 @@ def _require_product_layout(a: PackedMatrix, b: PackedMatrix,
         raise CapacityError(
             f"a product aligns its left factor by sigma_mu and its right "
             f"factor by tau_zeta; got the forms {a.form} and {b.form}")
-    if a_depth is None:
-        a_depth = a.product_depth
-    for pm, depth in ((a, a_depth), (b, b.product_depth)):
-        if pm.ct.level < depth:
+    for pm in (a, b):
+        if pm.ct.level < pm.product_depth:
             raise LevelExhaustedError(
-                f"operation consumes {depth} multiplicative levels; "
-                f"an operand is at level {pm.ct.level}")
+                f"operation consumes {pm.product_depth} multiplicative "
+                f"levels; an operand is at level {pm.ct.level}")
     return ctx
 
 
@@ -617,18 +615,16 @@ def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
 
 
 def he_transpose(a: PackedMatrix) -> PackedMatrix:
-    """Transpose a square packed matrix (2h-1 diagonals, bsgs rotations),
-    rescaled: one level.  A tau_zeta image stays in that form:
-    tau_transpose takes tau_zeta(A) to tau_zeta(A.T) at the cost of a
-    transpose.  A sigma_mu image raises ``CapacityError`` before anything
-    is metered."""
-    if a.rows_t != a.dim_h:
-        raise CapacityError("he_transpose expects a square payload")
-    if a.form == "sigma_mu":
-        raise CapacityError("a sigma_mu image has no transpose")
-    kind = "transpose" if a.form is None else "tau_transpose"
-    out = _ctx_of(a).rescale(he_lin_trans_bsgs(
-        a.ct, build_permutation(kind, a.dim_h), a.batch_beta))
+    """The transpose of ``a``'s image in ``a``'s form, rescaled: one level.
+
+    The form picks ``transpose``, ``sigma_transpose`` or ``tau_transpose``
+    (2h-1, h or 2h-1 diagonals, baby-step/giant-step).  A stacked t x h
+    image gives the square image of ``np.tile(A, (h // t, 1)).T``.  A formed
+    image needs an exact-fit packing; without it, or at level 0, the call
+    raises before anything is metered.
+    """
+    spec = build_permutation(_TRANSPOSES[a.form], a.dim_h)
+    out = _ctx_of(a).rescale(he_lin_trans_bsgs(a.ct, spec, a.batch_beta))
     return PackedMatrix(out, a.dim_h, a.dim_h, a.batch_beta, a.form)
 
 
@@ -640,8 +636,6 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     stacked partial blocks, leaving h/t vertical copies of the t x h product
     in the output image.
     """
-    if a.batch_beta != 1 or b.batch_beta != 1:
-        raise CapacityError("rectangular products are not batched")
     if b.rows_t != b.dim_h:
         raise CapacityError("right factor must be square")
     t = a.rows_t
@@ -654,70 +648,25 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     copies = h // t
     for step in range(int(math.log2(copies))):
         acc = ctx.add(acc, ctx.rot(acc, t * h * (1 << step)))
-    return PackedMatrix(acc, h, t, 1)
-
-
-def _require_tn_layout(a: PackedMatrix, b: PackedMatrix,
-                       a_depth: int | None = None) -> CryptoContext:
-    """``_require_product_layout`` for ``A.T @ B`` with ``b`` a stacked
-    t x h matrix: neither factor batched."""
-    if a.batch_beta != 1 or b.batch_beta != 1:
-        raise CapacityError("rectangular products are not batched")
-    return _require_product_layout(a, b, a_depth)
-
-
-def he_rect_tn_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
-    """``A.T @ B`` for two stacked t x h matrices, as an h x h payload.
-
-    Both images repeat their t rows h/t times, so the product's inner index
-    has period t: t shift stages of the product core visit each of the t
-    rows once, with no fold.  The left factor is the sigma_mu image of the
-    transposed stacked image of ``a``, which the core takes as formed; it is
-    built after ``a``'s form, as ``he_transpose`` builds its transpose:
-    - a plain ``a`` by sigma_mu(X.T) = T(tau_zeta(X)): the row-periodic
-      tau_zeta (baby + giant rotations of ``bsgs_split(t)``, t mul_pt),
-      then a plain transpose, one level each;
-    - a sigma_mu ``a`` by ``sigma_transpose``, one level: baby + giant
-      rotations of ``bsgs_split(h)`` and baby * (giant + 1) mul_pt.
-    With b's row-periodic tau_zeta and the stages' 3t rotations, t mul_pt,
-    t subs and t mul_ct, that is 88 rotations and 176 mul_pt for a plain
-    ``a`` at h = 64, t = 16, and 72 and 104 for a sigma_mu one.  ``a`` needs
-    one level more than its ``product_depth``, ``b`` its own; a tau_zeta
-    ``a`` is refused, and a refused call meters nothing.  Whoever holds
-    ``A`` in the clear can encrypt the transposed image instead,
-    sigma_mu-aligned, and call ``he_rect_at_mult``, which skips the
-    transform and its level.
-    """
-    if b.rows_t != a.rows_t:
-        raise CapacityError(f"logical row counts differ: {a.rows_t} vs {b.rows_t}")
-    ctx = _require_tn_layout(a, b, a.product_depth + 1)
-    h = a.dim_h
-    if a.form is None:
-        a_ct, kind = _aligned(ctx, a, "tau_zeta"), "transpose"
-    else:
-        a_ct, kind = a.ct, "sigma_transpose"
-    at = ctx.rescale(he_lin_trans_bsgs(a_ct, build_permutation(kind, h)))
-    return PackedMatrix(_product(ctx, PackedMatrix(at, h, h, 1, "sigma_mu"),
-                                 b, b.rows_t), h, h, 1)
+    return PackedMatrix(acc, h, t, a.batch_beta)
 
 
 def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
-    """``A.T @ B`` from ``at``, the square h x h image of the transpose of
-    ``A``'s stacked image, and ``b``, a stacked t x h matrix.
+    """``A.T @ B`` from ``at``, the square image of ``np.tile(A, (h // t,
+    1)).T``, plain or in sigma_mu form (``he_transpose`` of A's stacked
+    image, or its owner's encryption), and ``b``, a stacked t x h matrix.
 
-    ``at`` holds ``np.tile(A, (h // t, 1)).T``, plain or in sigma_mu form.
-    This is ``he_rect_tn_mult`` without the tau_zeta and the transpose of
-    its left factor: b's row-periodic tau_zeta (``bsgs_split(t)`` baby +
-    giant rotations, t mul_pt), then the t shift stages (3t rotations,
-    t mul_pt, t subs, t mul_ct), and the ``product_depth`` of each factor;
-    a plain ``at`` adds its sigma_mu.  On the sigma_mu-form left factor
-    that ``he_rect_tn_mult`` builds, it gives the same bytes, level and
-    scale.  A refused call meters nothing.
+    Both images repeat their t rows, so t shift stages visit each row once,
+    with no fold: b's row-periodic tau_zeta (``bsgs_split(t)`` baby + giant
+    rotations, t mul_pt), then 3t rotations, t mul_pt, t subs and t mul_ct,
+    at the ``product_depth`` of each factor; a plain ``at`` adds its
+    sigma_mu.  A refused call meters nothing.
     """
     if at.rows_t != at.dim_h:
         raise CapacityError("the left factor must be the square image of A.T")
-    ctx = _require_tn_layout(at, b)
-    return PackedMatrix(_product(ctx, at, b, b.rows_t), at.dim_h, at.dim_h, 1)
+    ctx = _require_product_layout(at, b)
+    return PackedMatrix(_product(ctx, at, b, b.rows_t), at.dim_h, at.dim_h,
+                        at.batch_beta)
 
 
 def matmul_rotation_formula(h: int) -> int:

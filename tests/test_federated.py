@@ -1,5 +1,6 @@
 """Federated protocol: preparation, local passes, aggregation, training runs."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -225,6 +226,21 @@ def test_aggregate_missing_party_stalls():
             for p in range(2)]
     with pytest.raises(MissingPartyError):
         aggregate(server, msgs)
+
+
+def test_aggregate_refuses_a_duplicate_message():
+    # Accepted, the second copy would replace the first in the sum.
+    config = small_config(party_count=2)
+    server, _ = prepare(config, feature_dim=2)
+    zero = np.zeros((server.plan.h, server.plan.h))
+    msgs = [GradientMsg(p, 0, [matrix.encode_matrix(zero, server.ctx)])
+            for p in range(2)]
+    before = server.ctx.meter.snapshot()
+    with pytest.raises(ProtocolError, match="party 1 sent more than one "
+                       "gradient message in aggregation round 0"):
+        aggregate(server, msgs + [msgs[1]])
+    assert server.model.iteration == 0
+    assert server.ctx.meter.snapshot() == before
 
 
 def test_aggregate_iteration_mismatch():
@@ -1542,6 +1558,41 @@ def test_non_finite_features_are_refused_before_any_party_starts(
     assert prepared == []
     assert set(threading.enumerate()) == threads
     assert_no_party_outlives_the_job()
+
+
+_RELU = dict(kind="approx_relu", sigma=20.0, delta=2.0 ** -20)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+@pytest.mark.parametrize("activation, neurons, need", [
+    (ActivationConfig(kind="identity"), (6, 4, 2), 3),
+    (ActivationConfig(kind="approx_sigmoid"), (4, 2), 3),
+    (ActivationConfig(d=1, **_RELU), (4, 2), 3),
+    (ActivationConfig(d=2, **_RELU), (4, 2), 4),
+    (ActivationConfig(d=3, **_RELU), (4, 2), 4),
+    (ActivationConfig(d=4, **_RELU), (4, 2), 5),
+], ids=["identity", "sigmoid", "relu d=1", "relu d=2", "relu d=3",
+        "relu d=4"])
+def test_an_initial_level_below_the_job_s_need_is_refused_before_any_party(
+        transport, activation, neurons, need, monkeypatch):
+    # The need is a packed product's depth, or the deepest sign stage's:
+    # one level less would fail inside a party, after the parties started.
+    x, y = blob_data(samples=16, features=3, seed=3)
+    shards = split_parties(x, y, 2, seed=3)
+    config = small_config(neurons=neurons, global_iters=1, activation=activation,
+                          fig5_squared_loss=True, initial_level=need - 1)
+    started = []
+    monkeypatch.setattr(protocol, "prepare",
+                        lambda *args: started.append(args))
+    with pytest.raises(ProtocolError, match=f"initial_level {need - 1} is "
+                       f"below the {need} levels"):
+        run_training(config, shards, transport=transport, timeout=30.0)
+    assert started == []
+    assert_no_party_outlives_the_job()
+    monkeypatch.undo()
+    result = run_training(dataclasses.replace(config, initial_level=need),
+                          shards, transport=transport, timeout=30.0)
+    assert len(result.metrics["rounds"]) == 1
 
 
 def test_schedule_is_deterministic_and_cyclic():

@@ -15,9 +15,8 @@ from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
                              he_align, he_lin_trans, he_lin_trans_bsgs,
-                             he_mat_mult,
-                             he_rect_at_mult, he_rect_mat_mult,
-                             he_rect_tn_mult, he_refresh, he_transpose,
+                             he_mat_mult, he_rect_at_mult, he_rect_mat_mult,
+                             he_refresh, he_transpose,
                              matmul_rotation_formula, pack_matrices)
 
 
@@ -356,8 +355,8 @@ def test_row_periodic_tau_is_the_tau_of_a_stacked_image(h):
 @pytest.mark.parametrize("h", [2, 3, 4, 8, 16, 64])
 def test_transpose_of_tau_is_sigma_of_the_transpose(h):
     # sigma_mu(X.T) = T(tau_zeta(X)), bit for bit, in the clear and, where
-    # h*h slots make a context, on a ciphertext: he_rect_tn_mult builds its
-    # left factor so.
+    # h*h slots make a context, on a ciphertext: a left factor of
+    # he_rect_at_mult can be built so.
     rng = np.random.default_rng(h)
     tau, sigma, transpose = (build_permutation(kind, h) for kind in
                              ("tau_zeta", "sigma_mu", "transpose"))
@@ -1162,6 +1161,92 @@ def test_transpose_diagonal_count_h4():
     assert len(build_permutation("transpose", 4).diagonals) == 7
 
 
+def _transpose_cases():
+    """(form, h, t, beta): square images at beta 1 and 2, and each stacked
+    t | h, unbatched."""
+    for form in matrix.FORMS:
+        for h in (4, 8, 16):
+            yield form, h, h, 2
+            for t in (d for d in range(1, h + 1) if h % d == 0):
+                yield form, h, t, 1
+
+
+def _images(ctx, h, t, beta, form, rng):
+    """The plain h x h images and their encryption in ``form``."""
+    rows = [rng.standard_normal((t, h)) for _ in range(beta)]
+    images = [np.tile(r, (h // t, 1)) for r in rows]
+    if beta == 1:
+        return images, encode_rect_matrix(rows[0], ctx, form=form)
+    pm = pack_matrices(images, ctx)
+    return images, (pm if form is None else he_align(pm, form))
+
+
+@pytest.mark.parametrize("form, h, t, beta", list(_transpose_cases()))
+def test_transpose_keeps_every_form(form, h, t, beta):
+    # The form picks transpose, sigma_transpose or tau_transpose; a stacked
+    # image comes out as the square image of its transpose, in form.
+    ctx = exact_ctx(h, beta=beta)
+    images, pm = _images(ctx, h, t, beta, form, np.random.default_rng(h + t))
+    with ctx.meter_scope() as scope:
+        out = he_transpose(pm)
+    assert (out.dim_h, out.rows_t, out.batch_beta, out.form) == \
+        (h, h, beta, form)
+    assert (out.ct.level, out.ct.scale) == (pm.ct.level - 1, ctx.initial_scale)
+    for b, image in enumerate(images):
+        assert decode_matrix(out, b).tobytes() == image.T.tobytes()
+    spec = build_permutation(matrix._TRANSPOSES[form], h)
+    rotations, mul_pt = _expected_tallies(spec, bsgs=True)
+    assert (scope.rotations, scope.mul_pt, scope.rescales) == \
+        (rotations, mul_pt, 1)
+
+
+@pytest.mark.parametrize("form, t, level, error", [
+    ("sigma_mu", 8, 6, CapacityError),
+    ("tau_zeta", 8, 6, CapacityError),
+    ("sigma_mu", 2, 6, CapacityError),
+    (None, 8, 0, LevelExhaustedError),
+    ("sigma_mu", 8, 0, LevelExhaustedError),
+    ("tau_zeta", 2, 0, LevelExhaustedError),
+], ids=["sigma_mu not exact fit", "tau_zeta not exact fit",
+        "stacked sigma_mu not exact fit", "plain at level 0",
+        "sigma_mu at level 0", "stacked tau_zeta at level 0"])
+def test_transpose_refuses_before_any_tally(form, t, level, error):
+    # A context of two windows' worth of slots is no exact fit, which the
+    # formed kinds need: they wrap the window.
+    h = 8
+    ctx = exact_ctx(h, beta=1 if level == 0 else 2)
+    pm = _images(ctx, h, t, 1, form, np.random.default_rng(4))[1]
+    pm = _at_level(pm, level)
+    before = ctx.meter.snapshot()
+    with pytest.raises(error):
+        he_transpose(pm)
+    assert ctx.meter.snapshot() == before
+
+
+def test_plain_transpose_needs_no_exact_fit():
+    ctx = exact_ctx(8, beta=2)
+    a = np.random.default_rng(6).standard_normal((8, 8))
+    assert decode_matrix(he_transpose(encode_matrix(a, ctx))).tobytes() == \
+        a.T.tobytes()
+
+
+def test_a_batched_stacked_image_is_refused():
+    # Square images stay batched, in the rectangular products too, where
+    # t = h makes them the square product.
+    ctx = exact_ctx(8, beta=2)
+    rng = np.random.default_rng(8)
+    pa, pb = (pack_matrices(rng.standard_normal((2, 8, 8)), ctx)
+              for _ in range(2))
+    want = he_mat_mult(pa, pb)
+    for product in (he_rect_mat_mult, he_rect_at_mult):
+        out = product(pa, pb)
+        assert out.batch_beta == 2
+        assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
+    for t in (1, 2, 4):
+        with pytest.raises(CapacityError, match="not batched"):
+            matrix.PackedMatrix(pa.ct, 8, t, 2)
+
+
 # -------------------------------------------------------------- rectangular
 
 def test_rect_row_vector_times_matrix():
@@ -1253,10 +1338,15 @@ def _tn_operands(h, t):
     return ctx, a, b, encode_rect_matrix(a, ctx), encode_rect_matrix(b, ctx)
 
 
+def _tn(a, b):
+    """``A.T @ B`` for two stacked t x h images."""
+    return he_rect_at_mult(he_transpose(a), b)
+
+
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_tn_mult_equals_plain_product(h, t):
     ctx, a, b, pa, pb = _tn_operands(h, t)
-    out = he_rect_tn_mult(pa, pb)
+    out = _tn(pa, pb)
     assert (out.dim_h, out.rows_t, out.batch_beta) == (h, h, 1)
     assert out.ct.level == ctx.initial_level - matrix.PRODUCT_DEPTH - 1
     assert out.ct.scale == ctx.initial_scale
@@ -1265,22 +1355,19 @@ def test_rect_tn_mult_equals_plain_product(h, t):
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_tn_mult_tallies(h, t):
-    # The row-periodic tau_zeta of each factor (bsgs_split(t) rotations and
-    # t mul_pt each), one plain transpose, and t stages (3 rotations and
-    # one mul_pt each).
+    # A plain A: one plain transpose, the sigma_mu of its square result,
+    # b's row-periodic tau_zeta (bsgs_split(t) rotations and t mul_pt) and
+    # t stages (3 rotations and one mul_pt each).
     ctx, _, _, pa, pb = _tn_operands(h, t)
-    with ctx.meter_scope() as transpose:
-        he_transpose(encode_matrix(np.eye(h), ctx))
     with ctx.meter_scope() as scope:
-        he_rect_tn_mult(pa, pb)
+        _tn(pa, pb)
+    transpose, sigma = (_expected_tallies(build_permutation(kind, h), True)
+                        for kind in ("transpose", "sigma_mu"))
     baby, giant = bsgs_split(t)
-    assert scope.mul_ct == t
-    assert scope.subs == t
-    assert scope.mul_pt == transpose.mul_pt + 2 * t + t
-    assert scope.rotations == transpose.rotations + 2 * (baby + giant) + 3 * t
-    pinned = {(16, 8): (48, 56), (64, 16): (88, 176)}
-    if (h, t) in pinned:
-        assert (scope.rotations, scope.mul_pt) == pinned[h, t]
+    assert (scope.mul_ct, scope.subs) == (t, t)
+    assert scope.rotations == \
+        transpose[0] + sigma[0] + baby + giant + 3 * t
+    assert scope.mul_pt == transpose[1] + sigma[1] + t + t
 
 
 @pytest.mark.parametrize("h, t", [(4, 2), (16, 4), (64, 16)])
@@ -1290,7 +1377,7 @@ def test_rect_tn_mult_agrees_with_scaled_square_product(h, t):
     ctx, _, _, pa, pb = _tn_operands(h, t)
     square = [matrix.PackedMatrix(pm.ct, h, h, 1) for pm in (pa, pb)]
     old = decode_matrix(he_mat_mult(he_transpose(square[0]), square[1]))
-    new = decode_matrix(he_rect_tn_mult(pa, pb))
+    new = decode_matrix(_tn(pa, pb))
     assert np.allclose(new, old * t / h, rtol=0, atol=1e-12)
 
 
@@ -1304,15 +1391,15 @@ def _tn_misuse(case):
     """The context of a refused call and a thunk building its operands."""
     h, t = 8, 2
     ctx, a, _, pa, pb = _tn_operands(h, t)
-    if case == "rows differ":
-        pb = matrix.PackedMatrix(pb.ct, h, 4, 1)
-    elif case == "rows do not divide h":
+    if case == "rows do not divide h":
         # refused as the operands are built, before any product
         return ctx, lambda: tuple(matrix.PackedMatrix(pm.ct, h, 3, 1)
                                   for pm in (pa, pb))
-    elif case == "batched":
-        pa, pb = (matrix.PackedMatrix(pm.ct, 4, 2, 2) for pm in (pa, pb))
-    elif case == "not exact fit":
+    if case == "batched":
+        # refused as the operands are built, before any product
+        return ctx, lambda: tuple(matrix.PackedMatrix(pm.ct, 4, 2, 2)
+                                  for pm in (pa, pb))
+    if case == "not exact fit":
         ctx = engine.new_context(4 * h * h, 6, 2.0 ** 40, 1)
         a = np.ones((t, h))
         pa, pb = encode_rect_matrix(a, ctx), encode_rect_matrix(a, ctx)
@@ -1329,7 +1416,6 @@ def _tn_misuse(case):
 
 
 @pytest.mark.parametrize("case, error", [
-    ("rows differ", CapacityError),
     ("rows do not divide h", CapacityError),
     ("batched", CapacityError),
     ("not exact fit", CapacityError),
@@ -1339,10 +1425,14 @@ def _tn_misuse(case):
     ("sigma a one level short", LevelExhaustedError),
 ])
 def test_rect_tn_mult_refuses_before_any_tally(case, error):
+    # The call that refuses, the transpose or the product, meters nothing.
     ctx, operands = _tn_misuse(case)
     before = ctx.meter.snapshot()
     with pytest.raises(error):
-        he_rect_tn_mult(*operands())
+        a, b = operands()
+        at = he_transpose(a)
+        before = ctx.meter.snapshot()
+        he_rect_at_mult(at, b)
     assert ctx.meter.snapshot() == before
 
 
@@ -1351,24 +1441,23 @@ def test_rect_tn_mult_runs_at_the_lowest_levels_it_accepts():
     sigma = encode_rect_matrix(a, ctx, form="sigma_mu")
     for left, level in ((pa, matrix.PRODUCT_DEPTH + 1),
                         (sigma, matrix.PRODUCT_DEPTH)):
-        out = he_rect_tn_mult(_at_level(left, level),
-                              _at_level(pb, matrix.PRODUCT_DEPTH))
+        out = _tn(_at_level(left, level), _at_level(pb, matrix.PRODUCT_DEPTH))
         assert out.ct.level == 0
         assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
 
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_tn_mult_of_a_sigma_image_equals_the_plain_path(h, t):
-    # A sigma_mu-aligned left factor takes one sigma_transpose in place of
-    # the row-periodic tau_zeta and the transpose of a plain one: the same
-    # bytes, level and scale, for bsgs_split(h) baby + giant rotations and
-    # baby * (giant + 1) mul_pt, beside b's periodic tau_zeta and the
-    # stages.
+    # The transpose of a sigma_mu-aligned left factor is one
+    # sigma_transpose, which the product takes as formed: the bytes, level
+    # and scale of transposing the plain factor and aligning the result,
+    # for bsgs_split(h) baby + giant rotations and baby * (giant + 1)
+    # mul_pt, beside b's periodic tau_zeta and the stages.
     ctx, a, b, pa, pb = _tn_operands(h, t)
-    want = he_rect_tn_mult(pa, pb)
+    want = _tn(pa, pb)
     sigma = he_align(pa, "sigma_mu")
     with ctx.meter_scope() as scope:
-        out = he_rect_tn_mult(sigma, pb)
+        out = _tn(sigma, pb)
     assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
     assert (out.ct.level, out.ct.scale, out.form) == \
         (want.ct.level, want.ct.scale, None)
@@ -1402,17 +1491,19 @@ def test_rect_at_mult_equals_plain_product(h, t):
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_at_mult_is_rect_tn_mult_without_the_transpose(h, t):
-    # he_rect_tn_mult's left factor is T(tau_zeta(A)) = sigma_mu(A.T).
-    # Given it, homomorphic or encrypted in form from the plaintext at its
-    # level, he_rect_at_mult gives the same ciphertext, and costs the same
-    # less those two transforms.
+    # The transpose of sigma_mu(A) is sigma_mu(A.T) = T(tau_zeta(A)).
+    # Given that left factor, built as either or encrypted in form from
+    # the plaintext at its level, he_rect_at_mult gives the same
+    # ciphertext, and costs the whole tn product less the transpose.
     ctx, a, _, pa, pb = _tn_operands(h, t)
+    sigma = he_align(pa, "sigma_mu")
     with ctx.meter_scope() as tn:
-        want = he_rect_tn_mult(pa, pb)
+        want = _tn(sigma, pb)
     with ctx.meter_scope() as transforms:
-        tau = he_align(pa, "tau_zeta")
-        at = matrix.PackedMatrix(ctx.rescale(he_lin_trans_bsgs(
-            tau.ct, build_permutation("transpose", h))), h, h, 1, "sigma_mu")
+        he_transpose(sigma)
+    tau = he_align(pa, "tau_zeta")
+    at = matrix.PackedMatrix(ctx.rescale(he_lin_trans_bsgs(
+        tau.ct, build_permutation("transpose", h))), h, h, 1, "sigma_mu")
     level = ctx.initial_level - 2
     for left in (at, _at_level(_at_operand(a, ctx, "sigma_mu"), level)):
         assert left.ct.level == level
@@ -1437,7 +1528,8 @@ def _at_misuse(case):
         # refused as the operand is built, before any product
         return contexts, lambda: (at, matrix.PackedMatrix(pb.ct, h, 3, 1))
     elif case == "batched":
-        at, pb = (matrix.PackedMatrix(pm.ct, 4, 4, 2) for pm in (at, pb))
+        # refused as the operand is built, before any product
+        return contexts, lambda: (at, matrix.PackedMatrix(pb.ct, 4, 2, 2))
     elif case == "another context":
         contexts.append(exact_ctx(h))
         pb = encode_rect_matrix(np.ones((t, h)), contexts[-1])
@@ -1623,15 +1715,14 @@ def _form_misuse(case):
     sigma = encode_matrix(a, ctx, form="sigma_mu")
     tau = encode_matrix(a, ctx, form="tau_zeta")
     rect = encode_rect_matrix(a[:2], ctx)
+    tau_t = he_transpose(encode_rect_matrix(a[:2], ctx, form="tau_zeta"))
     calls = {
         "left factor in tau form": lambda: he_mat_mult(tau, plain),
         "right factor in sigma form": lambda: he_mat_mult(plain, sigma),
         "rect left factor in tau form": lambda: he_rect_mat_mult(
             encode_rect_matrix(a[:2], ctx, form="tau_zeta"), plain),
         "at left factor in tau form": lambda: he_rect_at_mult(tau, rect),
-        "tn left factor in tau form": lambda: he_rect_tn_mult(
-            encode_rect_matrix(a[:2], ctx, form="tau_zeta"), rect),
-        "transpose of a sigma image": lambda: he_transpose(sigma),
+        "tn left factor in tau form": lambda: he_rect_at_mult(tau_t, rect),
         "align to another form": lambda: he_align(sigma, "tau_zeta"),
         "align to a kind that is no form": lambda: he_align(plain, "transpose"),
         "refresh a sigma image into tau form": lambda: he_refresh(
@@ -1660,7 +1751,6 @@ def _form_misuse(case):
     ("rect left factor in tau form", CapacityError),
     ("at left factor in tau form", CapacityError),
     ("tn left factor in tau form", CapacityError),
-    ("transpose of a sigma image", CapacityError),
     ("align to another form", CapacityError),
     ("align to a kind that is no form", CapacityError),
     ("refresh a sigma image into tau form", CapacityError),
