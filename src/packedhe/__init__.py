@@ -18,9 +18,9 @@ from .engine import (CapacityError, CryptoContext, EngineError, KeyMismatchError
                      Plaintext, SlotVector, new_context)
 from .matrix import (PackedMatrix, PermutationSpec, apply_permutation,
                      build_permutation, decode_matrix, encode_matrix,
-                     encode_rect_matrix, he_align, he_lin_trans,
-                     he_lin_trans_bsgs, he_mat_mult, he_rect_at_mult,
-                     he_rect_mat_mult, he_refresh, he_transpose, pack_matrices)
+                     encode_rect_matrix, he_align, he_lin_trans_bsgs,
+                     he_mat_mult, he_rect_mat_mult, he_refresh, he_transpose,
+                     pack_matrices)
 from .approx import (CompositePolySpec, IntervalMap, SmoothFit, app_abs,
                      app_max, app_relu, app_sign, eval_composite,
                      gd_coefficients, interval_denormalize, interval_normalize,

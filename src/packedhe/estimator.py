@@ -12,7 +12,8 @@ import inspect
 
 import numpy as np
 
-from .federated.config import ActivationConfig, TrainingConfig
+from .federated.config import (ActivationConfig, TrainingConfig,
+                               split_parties)
 from .federated.mirror import PlainActivation, scores_with_weights
 from .federated.protocol import build_plan, run_training
 from .matrix import pad_matrix
@@ -85,10 +86,8 @@ class FederatedPolyMLP:
         X, y = check_x_y(X, y)
         self.classes_ = np.unique(y)
         config = self._config(len(self.classes_))
-        order = np.random.default_rng(self.seed).permutation(len(X))
-        shards = [(X[order[p::self.parties]],
-                   np.searchsorted(self.classes_, y[order[p::self.parties]]))
-                  for p in range(self.parties)]
+        shards = [(sx, np.searchsorted(self.classes_, sy))
+                  for sx, sy in split_parties(X, y, self.parties, self.seed)]
         for sx, _ in shards:
             if len(sx) == 0:
                 raise ValueError(

@@ -63,10 +63,8 @@ from ..approx import (CompositePolySpec, _ensure_level, app_sign,
                       make_local_bootstrapper, polyval_ct, smooth_fit,
                       stage_depth)
 from ..engine import CryptoContext, MissingPartyError, Plaintext, new_context
-# he_mat_mult stays bound though unused: perfbench's tracer patches it here.
 from ..matrix import (PRODUCT_DEPTH, PackedMatrix, he_mat_mult,
-                      he_rect_at_mult, he_rect_mat_mult, he_transpose,
-                      pad_matrix)
+                      he_rect_mat_mult, he_transpose, pad_matrix)
 from ..validation import check_finite, check_labels
 from .config import TrainingConfig, next_pow2, one_hot
 from .mirror import PlainActivation, PlainPipeline, accuracy_with_weights
@@ -186,7 +184,6 @@ class ServerState:
     logical_dims: list      # (rows, cols) per layer before padding
     lr_factor: Plaintext    # eta / (batch * N), encoded once per job
     broadcast: list         # per layer, the next round's tau_zeta weight
-    finalized: bool = False
 
 
 @dataclass
@@ -214,7 +211,6 @@ class ForwardTrace:
     activations: list       # M_1 .. M_L (rectangular packed), sigma_mu
                             # form but the last
     gates: list              # per layer, PackedMatrix or None
-    rows: int
 
 
 def init_weights(config: TrainingConfig, feature_dim: int):
@@ -390,23 +386,24 @@ def local_forward(party: PartyState, batch_x: np.ndarray,
         gates.append(None if gate_ct is None
                      else PackedMatrix(gate_ct, plan.h, plan.t, 1))
         current = m
-    return ForwardTrace(x_t, acts, gates, rows)
+    return ForwardTrace(x_t, acts, gates)
 
 
 def local_backward(party: PartyState, trace: ForwardTrace,
                    batch_labels: np.ndarray, bootstrap=None) -> GradientMsg:
     """Encrypted backpropagation; returns per-layer gradient sums.
 
-    Each layer's gradient is ``he_rect_at_mult`` of the transpose of the
+    Each layer's gradient is ``he_mat_mult`` of the transpose of the
     replicated t x h image below it and the replicated error image, as the
     mirror's ``acts[j].T @ delta``: t stages sum the block product over the
     batch rows.  That transpose is the batch's transposed image for layer
     0, and the ``he_transpose`` of the sigma_mu-aligned activation below,
     in that form, for every other layer.  The error passes down through the
     transpose of each weight, which keeps the weight's form: a tau_zeta
-    weight's transpose feeds its product unaligned.  The error is ``m - y`` for the squared loss and ``(y - m)**2`` for the fig5
-    loss, times the last gate; the label mask, which confines it to real
-    samples and label columns, carries the loss derivative's factor 2.
+    weight's transpose feeds its product unaligned.  The error is ``m - y``
+    for the squared loss and ``(y - m)**2`` for the fig5 loss, times the
+    last gate.  The label mask, which confines it to real samples and label
+    columns, carries the loss derivative's factor 2.
     """
     ctx, plan, config = party.ctx, party.plan, party.config
     consts = party.consts
@@ -436,7 +433,7 @@ def local_backward(party: PartyState, trace: ForwardTrace,
                           PRODUCT_DEPTH)
         left_t = (trace.x_t if j == 0
                   else _transposed(comp, trace.activations[j - 1]))
-        grads[j] = he_rect_at_mult(
+        grads[j] = he_mat_mult(
             _ensure_pm(comp, left_t, left_t.product_depth), d_pm)
         if j == 0:
             break
@@ -456,11 +453,16 @@ def aggregate(server: ServerState, msgs: list) -> ModelState:
     refreshes it into ``server.broadcast``, tau_zeta-aligned by the refresh
     itself, for the next round's parties.  Synchronous-round contract:
     exactly one message per party at the current iteration, otherwise the
-    round stalls with an error.
+    round stalls with an error.  A message from a party outside the job
+    raises ``ProtocolError`` naming its id, before anything is metered.
     """
     ctx, config, plan = server.ctx, server.config, server.plan
     by_party = {}
     for m in msgs:
+        if m.party_id not in range(config.party_count):
+            raise ProtocolError(
+                f"gradient message from party {m.party_id}, which is not "
+                f"one of the job's {config.party_count} parties")
         if m.party_id in by_party:
             raise ProtocolError(
                 f"party {m.party_id} sent more than one gradient message in "
@@ -509,7 +511,6 @@ def finalize(server: ServerState, roster=None):
         img = slots[: server.plan.h * server.plan.h].reshape(
             server.plan.h, server.plan.h)
         out.append(img[:rows, :cols].copy())
-    server.finalized = True
     return out
 
 

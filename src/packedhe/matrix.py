@@ -21,8 +21,10 @@ alignment, column shifts, transpose) work with any capacity.
 A permutation is stored as one offset per window slot: the signed rotation
 offset of the diagonal that selects the slot, taken from the map's index
 map (``build_permutation``).  Its diagonals are the slots sharing an
-offset, so they are disjoint by construction.  Each permutation transform
-is one gather plan per geometry.  Its description is the chain it stands
+offset, so they are disjoint by construction.  ``he_lin_trans_bsgs`` is the
+one evaluator: it takes the baby-step/giant-step plan for the alignment and
+transpose kinds, and one rotation per diagonal for the two shifts.  Each
+plan is one gather per geometry.  Its description is the chain it stands
 for: the baby rotation offsets, and per giant step a shift and a label
 vector that names, for each slot, the baby rotation whose term keeps it
 (or -1), slot-expanded and pre-rolled against that shift.  Both plans read
@@ -37,29 +39,30 @@ plans hold no context, so a plan serves every context of its geometry.
 Matrix ops find the context of a ciphertext by its ``context_id`` among the
 live contexts (``engine.context_of``).
 
-Three products share one product core: ``he_mat_mult`` (square by square,
-h stages), ``he_rect_mat_mult`` (a stacked t x h matrix by a square one, t
-stages and a fold) and ``he_rect_at_mult`` (``A.T @ B`` for two stacked
-t x h matrices, given A's transposed image: t stages).  The core aligns the
-left factor by sigma_mu and the right one by tau_zeta, one level each, but
-only an operand whose ``form`` does not name that alignment yet: an owner
-can encrypt its image in form by one plaintext gather, ``he_align`` aligns
-a ciphertext once for many products, and ``he_refresh`` aligns one inside a
-collective refresh, where each party permutes its own mask by that gather:
-no rotation and no level.  ``he_transpose`` keeps the plain, sigma_mu or
-tau_zeta form, of a square or stacked image, so ``A.T @ B`` is
-``he_rect_at_mult(he_transpose(a), b)``.  A stacked t x h image repeats its
-rows with period t, so its tau_zeta reads them with that period: t
-diagonals instead of h, the same values.  Stage k
-shifts the aligned left factor a0 by k columns: the masked term ``m_k``
-(one ``mul_pt`` keeping columns >= k) goes one way and ``a0 - m_k`` the
-other way round the row boundary.  ``m_k`` is rescaled before the
-subtraction, so every add and sub in a product sees its operands at one
-scale, as CKKS requires.  All t stages are one engine call,
-``ctx.shift_mul_sum(a0, b0, h, beta, t)``, which meters each stage as that
-chain and returns its bytes.  It needs no mask table: stage k's shifted
-left factor is a column window of one row-doubled image of a0, so a block
-of stages is a single strided multiply.
+Two products share one product core, ``_product``, which reads the stage
+count, the fold and the result's shape off its operands.  ``he_mat_mult``
+takes a square left factor: by a square right factor it runs h stages; by a
+stacked t x h one B, given the square image of A's transposed stack, it
+gives ``A.T @ B`` in t stages.  ``he_rect_mat_mult`` takes a square right
+factor: a stacked t x h left factor runs t stages and a fold.  The core
+aligns the left factor by sigma_mu and the right one by tau_zeta, one level
+each, but only an operand whose ``form`` does not name that alignment yet:
+an owner can encrypt its image in form by one plaintext gather, ``he_align``
+aligns a ciphertext once for many products, and ``he_refresh`` aligns one
+inside a collective refresh, where each party permutes its own mask by that
+gather: no rotation and no level.  ``he_transpose`` keeps the plain,
+sigma_mu or tau_zeta form, of a square or stacked image, so ``A.T @ B`` is
+``he_mat_mult(he_transpose(a), b)``.  A stacked t x h image repeats its rows
+with period t, so its tau_zeta reads them with that period: t diagonals
+instead of h, the same values.  Stage k shifts the aligned left factor a0 by
+k columns: the masked term ``m_k`` (one ``mul_pt`` keeping columns >= k)
+goes one way and ``a0 - m_k`` the other way round the row boundary.  ``m_k``
+is rescaled before the subtraction, so every add and sub in a product sees
+its operands at one scale, as CKKS requires.  All t stages are one engine
+call, ``ctx.shift_mul_sum(a0, b0, h, beta, t)``, which meters each stage as
+that chain and returns its bytes.  It needs no mask table: stage k's shifted
+left factor is a column window of one row-doubled image of a0, so a block of
+stages is a single strided multiply.
 """
 
 from __future__ import annotations
@@ -417,18 +420,6 @@ def _check_layout(ctx: CryptoContext, spec: PermutationSpec, beta: int) -> None:
             f"packing: window {window} != slot_count {ctx.slot_count}")
 
 
-def he_lin_trans(ct: SlotVector, spec: PermutationSpec, beta: int = 1) -> SlotVector:
-    """Masked-rotation evaluation of a permutation, one rotation per diagonal.
-
-    The zero diagonal, when present, is applied without a rotation, so the
-    rotation tally equals the nonzero diagonal count minus one in that case.
-    No rescale is performed; the result carries scale * mask-scale.
-    """
-    ctx = _ctx_of(ct)
-    _check_layout(ctx, spec, beta)
-    return ctx.lin_trans(ct, _diagonal_plan(spec, beta, ctx.slot_count))
-
-
 def bsgs_split(h: int) -> tuple[int, int]:
     """Factor h = baby * giant with baby the largest divisor <= sqrt(h)."""
     baby = 1
@@ -489,19 +480,21 @@ def _bsgs_plan(spec: PermutationSpec, beta: int, slot_count: int) -> GatherPlan:
 
 def he_lin_trans_bsgs(ct: SlotVector, spec: PermutationSpec,
                       beta: int = 1) -> SlotVector:
-    """Baby-step/giant-step evaluation of sigma_mu, tau_zeta, transpose,
-    tau_transpose or sigma_transpose.
+    """Masked-rotation evaluation of a permutation; no rescale, so the
+    result carries scale * mask-scale.
 
-    The baby rotations R(ct, unit*j) are shared across all giant steps,
-    cutting the rotation tally to baby + giants: 3*sqrt(h) for the
-    signed-range kinds and 2*sqrt(h) for tau_zeta and sigma_transpose when
-    h is a perfect square.  Output is identical to ``he_lin_trans``.
+    sigma_mu, tau_zeta, transpose, tau_transpose and sigma_transpose run
+    baby-step/giant-step: the baby rotations R(ct, unit*j) are shared
+    across all giant steps, cutting the rotation tally to baby + giants,
+    3*sqrt(h) for the signed-range kinds and 2*sqrt(h) for tau_zeta and
+    sigma_transpose when h is a perfect square.  col_shift and row_shift
+    take one rotation per nonzero diagonal, the zero diagonal unrotated.
+    Either plan gives the same bytes as the other.
     """
-    if spec.kind not in _BSGS_KINDS:
-        return he_lin_trans(ct, spec, beta)
     ctx = _ctx_of(ct)
     _check_layout(ctx, spec, beta)
-    return ctx.lin_trans(ct, _bsgs_plan(spec, beta, ctx.slot_count))
+    plan = _bsgs_plan if spec.kind in _BSGS_KINDS else _diagonal_plan
+    return ctx.lin_trans(ct, plan(spec, beta, ctx.slot_count))
 
 
 # ----------------------------------------------------------- matrix products
@@ -585,33 +578,44 @@ def he_refresh(pm: PackedMatrix, roster, form: str | None = None) -> PackedMatri
     return replace(pm, ct=ctx.dbootstrap(pm.ct, roster, gather), form=form)
 
 
-def _product(ctx: CryptoContext, a: PackedMatrix, b: PackedMatrix,
-             t: int) -> SlotVector:
-    """sigma/tau alignment of the operands not yet in their form, then
-    ``t`` column-shift stages; the rescaled sum.
-
-    The stages are one ``ctx.shift_mul_sum`` call; each costs one mul_pt,
-    one sub, three rotations, one rescale and one mul_ct (see the module
-    docstring).
+def _product(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
+    """The product core: the sigma/tau alignment of each operand not yet
+    in its form, ``min(a.rows_t, b.rows_t)`` column-shift stages and, for
+    a stacked t x h left factor, a log2(h/t) rotate-and-add fold of its
+    partial blocks (exact-fit packing wraps each rotation at the window
+    edge, so every block receives the total).  Each stage costs one mul_pt,
+    one sub, three rotations, one rescale and one mul_ct, all in one
+    ``ctx.shift_mul_sum`` call.  Refuses before metering anything where
+    ``_require_product_layout`` does.
     """
+    ctx = _require_product_layout(a, b)
+    h, rows = a.dim_h, a.rows_t
+    t = min(rows, b.rows_t)
     a0 = _aligned(ctx, a, "sigma_mu")
     b0 = _aligned(ctx, b, "tau_zeta")
-    return ctx.rescale(ctx.shift_mul_sum(a0, b0, a.dim_h, a.batch_beta, t))
+    acc = ctx.rescale(ctx.shift_mul_sum(a0, b0, h, a.batch_beta, t))
+    for step in range(int(math.log2(h // rows))):
+        acc = ctx.add(acc, ctx.rot(acc, rows * h * (1 << step)))
+    return PackedMatrix(acc, h, rows, a.batch_beta)
 
 
 def he_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
-    """Packed product of (batched) square matrices in 3h + 2b + 3g rotations.
+    """Packed product of a (batched) square matrix by a square or stacked one.
 
-    For perfect-square h the rotation tally is exactly 3h + 5*sqrt(h); the
-    other tallies are 4h mul_pt, h subs and h mul_ct.  Consumes three
-    multiplicative levels and returns the result at the context's base scale.
+    By a square ``b``: h stages, 3h + 2b + 3g rotations (3h + 5*sqrt(h)
+    for perfect-square h), 4h mul_pt, h subs and h mul_ct.  By a stacked
+    t x h ``b``, with ``a`` the square image of ``np.tile(A, (h // t,
+    1)).T`` (``he_transpose`` of A's stacked image, or its owner's
+    encryption): ``A.T @ B`` in t stages, which visit each repeated row
+    once, after b's row-periodic tau_zeta (``bsgs_split(t)`` baby + giant
+    rotations, t mul_pt).  Takes each factor's ``product_depth`` levels
+    and returns the plain form at the context's base scale.  A stacked
+    ``a`` raises ``CapacityError``; a refused call meters nothing.
     """
-    if a.rows_t != a.dim_h or b.rows_t != b.dim_h:
-        raise CapacityError("he_mat_mult expects square payloads; "
-                            "use he_rect_mat_mult for stacked rectangular forms")
-    ctx = _require_product_layout(a, b)
-    return PackedMatrix(_product(ctx, a, b, a.dim_h), a.dim_h, a.dim_h,
-                        a.batch_beta)
+    if a.rows_t != a.dim_h:
+        raise CapacityError("he_mat_mult expects a square left factor; "
+                            "use he_rect_mat_mult for a stacked one")
+    return _product(a, b)
 
 
 def he_transpose(a: PackedMatrix) -> PackedMatrix:
@@ -634,39 +638,13 @@ def he_rect_mat_mult(a: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
     The square product's core with only t shift stages: 3h + t mul_pt,
     t subs and t mul_ct.  A final log2(h/t) rotate-and-add fold sums the
     stacked partial blocks, leaving h/t vertical copies of the t x h product
-    in the output image.
+    in the output image.  A stacked ``b`` raises ``CapacityError`` before
+    anything is metered.
     """
     if b.rows_t != b.dim_h:
-        raise CapacityError("right factor must be square")
-    t = a.rows_t
-    h = a.dim_h
-    ctx = _require_product_layout(a, b)
-    acc = _product(ctx, a, b, t)
-
-    # Fold the h/t stacked partial blocks; exact-fit packing makes the
-    # rotation wrap at the window edge, so every block receives the total.
-    copies = h // t
-    for step in range(int(math.log2(copies))):
-        acc = ctx.add(acc, ctx.rot(acc, t * h * (1 << step)))
-    return PackedMatrix(acc, h, t, a.batch_beta)
-
-
-def he_rect_at_mult(at: PackedMatrix, b: PackedMatrix) -> PackedMatrix:
-    """``A.T @ B`` from ``at``, the square image of ``np.tile(A, (h // t,
-    1)).T``, plain or in sigma_mu form (``he_transpose`` of A's stacked
-    image, or its owner's encryption), and ``b``, a stacked t x h matrix.
-
-    Both images repeat their t rows, so t shift stages visit each row once,
-    with no fold: b's row-periodic tau_zeta (``bsgs_split(t)`` baby + giant
-    rotations, t mul_pt), then 3t rotations, t mul_pt, t subs and t mul_ct,
-    at the ``product_depth`` of each factor; a plain ``at`` adds its
-    sigma_mu.  A refused call meters nothing.
-    """
-    if at.rows_t != at.dim_h:
-        raise CapacityError("the left factor must be the square image of A.T")
-    ctx = _require_product_layout(at, b)
-    return PackedMatrix(_product(ctx, at, b, b.rows_t), at.dim_h, at.dim_h,
-                        at.batch_beta)
+        raise CapacityError("he_rect_mat_mult expects a square right factor; "
+                            "use he_mat_mult for a stacked one")
+    return _product(a, b)
 
 
 def matmul_rotation_formula(h: int) -> int:

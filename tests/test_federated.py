@@ -243,6 +243,22 @@ def test_aggregate_refuses_a_duplicate_message():
     assert server.ctx.meter.snapshot() == before
 
 
+def test_aggregate_refuses_a_party_outside_the_job():
+    # A stray id is refused as such, not reported as a missing party.
+    config = small_config(party_count=2)
+    server, _ = prepare(config, feature_dim=2)
+    zero = np.zeros((server.plan.h, server.plan.h))
+    msgs = {p: GradientMsg(p, 0, [matrix.encode_matrix(zero, server.ctx)])
+            for p in (0, 1, 5, -1)}
+    before = server.ctx.meter.snapshot()
+    for ids, stray in (((0, 1, 5), 5), ((5, 0), 5), ((0, -1, 1), -1)):
+        with pytest.raises(ProtocolError, match=f"from party {stray}, which "
+                           "is not one of the job's 2 parties"):
+            aggregate(server, [msgs[p] for p in ids])
+    assert server.model.iteration == 0
+    assert server.ctx.meter.snapshot() == before
+
+
 def test_aggregate_iteration_mismatch():
     config = small_config(party_count=1)
     server, _ = prepare(config, feature_dim=2)
@@ -526,8 +542,9 @@ def _other(transport):
 
 
 # Per round, each of 2 parties takes 2 weight gradients, each t stages of
-# the product core, t ct products and 3t stage rotations: layer 1's is a
-# he_rect_tn_mult, layer 0's a he_rect_at_mult of the batch's transposed
+# the product core, t ct products and 3t stage rotations, each a
+# he_mat_mult by the stacked error image: layer 1's of the he_transpose of
+# the sigma_mu-aligned activation, layer 0's of the batch's transposed
 # image, with no homomorphic transpose.  Each approx_relu activation
 # refreshes its sign once and the layer output once, besides its sign
 # stages.  The server tau_zeta-aligns each of the 2 weights once a round;
@@ -537,9 +554,8 @@ def _other(transport):
 # every alignment in the products at h = 16, and 160, 768 and 8 at h = 64.
 # The stacked right factor of each gradient (the error image, t x h) takes
 # the row-periodic tau_zeta, t diagonals instead of h, and layer 1's left
-# factor is T(tau_zeta) of the activation instead of sigma_mu(T): per
-# party, 10 rotations and 40 pt mults fewer at h = 16, t = 8, and 32 and
-# 208 at h = 64, t = 16.
+# factor is the sigma_transpose of the sigma_mu-aligned activation (h
+# diagonals), which the product takes as formed.
 @pytest.mark.parametrize("transport", ["in_process", "tcp"])
 def test_relu_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("relu", transport),
@@ -552,6 +568,44 @@ def test_wide_round_counts_at_benchmark_shape(transport, benchmark_metrics):
     _assert_round_counts(benchmark_metrics("wide", transport),
                          benchmark_metrics("wide", _other(transport)),
                          (8, 160, 1144, 700, 190))
+
+
+def test_every_product_of_a_round_runs_inside_a_traced_binding(monkeypatch):
+    # perfbench's tracer wraps protocol's bindings of he_mat_mult,
+    # he_rect_mat_mult and he_transpose.  In one round of a 2-layer job
+    # each party runs 3 he_rect_mat_mult (2 forward, 1 backward), 2
+    # he_mat_mult (the weight gradients) and 2 he_transpose (the hidden
+    # activation and the last weight), and every product core call is
+    # entered from inside one of the two products.
+    calls, stack = {}, []
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return call
+
+    for name in ("he_mat_mult", "he_rect_mat_mult", "he_transpose"):
+        monkeypatch.setattr(protocol, name,
+                            counting(name, getattr(protocol, name)))
+    real_product = matrix._product
+
+    def product(*args):
+        assert stack and stack[-1] in ("he_mat_mult", "he_rect_mat_mult")
+        calls["_product"] = calls.get("_product", 0) + 1
+        return real_product(*args)
+
+    monkeypatch.setattr(matrix, "_product", product)
+    config = small_config(neurons=(3, 2), global_iters=1, party_count=2)
+    x, y = blob_data(samples=16, features=3, seed=2)
+    run_training(config, split_parties(x, y, 2, seed=2))
+    per_party = {"he_rect_mat_mult": 3, "he_mat_mult": 2, "he_transpose": 2,
+                 "_product": 5}
+    assert calls == {k: 2 * n for k, n in per_party.items()}
 
 
 def test_relu_rotations_per_round_grow_by_one_party_s_work():

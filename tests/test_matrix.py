@@ -14,14 +14,21 @@ from packedhe.engine import CapacityError, LevelExhaustedError
 from packedhe.federated.config import next_pow2
 from packedhe.matrix import (apply_permutation, build_permutation, bsgs_split,
                              decode_matrix, encode_matrix, encode_rect_matrix,
-                             he_align, he_lin_trans, he_lin_trans_bsgs,
-                             he_mat_mult, he_rect_at_mult, he_rect_mat_mult,
-                             he_refresh, he_transpose,
+                             he_align, he_lin_trans_bsgs, he_mat_mult,
+                             he_rect_mat_mult, he_refresh, he_transpose,
                              matmul_rotation_formula, pack_matrices)
 
 
 def exact_ctx(h, beta=1, level=6, parties=1):
     return engine.new_context(2 * beta * h * h, level, 2.0 ** 40, parties)
+
+
+def diagonal_lin_trans(ct, spec, beta=1):
+    """``spec`` evaluated by one rotation per nonzero diagonal, whatever
+    its kind: the second homomorphic reference beside the plans that
+    ``he_lin_trans_bsgs`` picks."""
+    ctx = engine.context_of(ct.context_id)
+    return ctx.lin_trans(ct, matrix._diagonal_plan(spec, beta, ctx.slot_count))
 
 
 # ----------------------------------------------------- permutation structure
@@ -123,7 +130,7 @@ def test_worked_example_on_engine_row_alignment():
     # 16-slot engine vector for the 3x3 example.
     ctx = engine.new_context(32)
     ct = ctx.encrypt(ctx.encode(tokens(3)))
-    out = he_lin_trans(ct, build_permutation("sigma_mu", 3))
+    out = diagonal_lin_trans(ct, build_permutation("sigma_mu", 3))
     got = ctx.decode(ctx.ddec(out, ctx.parties))[:9]
     assert got.astype(int).tolist() == [0, 1, 2, 4, 5, 3, 8, 6, 7]
 
@@ -217,7 +224,7 @@ def test_lin_trans_matches_plain_and_rotation_count(kind):
     vec = rng.standard_normal(h * h)
     ct = ctx.encrypt(ctx.encode(vec))
     with ctx.meter_scope() as scope:
-        out = he_lin_trans(ct, spec)
+        out = diagonal_lin_trans(ct, spec)
     got = ctx.decode(ctx.ddec(out, ctx.parties))[: h * h]
     assert np.allclose(got, apply_permutation(spec, vec), atol=1e-9)
     expected_rot = len(spec.diagonals) - (1 if 0 in spec.diagonals else 0)
@@ -231,7 +238,7 @@ def test_lin_trans_identity_spec():
     ct = ctx.encrypt(ctx.encode(vec))
     spec = matrix.PermutationSpec("sigma_mu", h, None,
                                   np.zeros(h * h, dtype=int))
-    out = he_lin_trans(ct, spec)
+    out = diagonal_lin_trans(ct, spec)
     got = ctx.decode(ctx.ddec(out, ctx.parties))[: h * h]
     assert np.array_equal(got, vec)
 
@@ -240,7 +247,7 @@ def test_lin_trans_wrapping_requires_exact_fit():
     ctx = engine.new_context(2 ** 8)  # 128 slots
     ct = ctx.encrypt(ctx.encode(np.arange(16.0)))
     with pytest.raises(CapacityError):
-        he_lin_trans(ct, build_permutation("tau_zeta", 4))
+        he_lin_trans_bsgs(ct, build_permutation("tau_zeta", 4))
 
 
 @pytest.mark.parametrize("kind,h", [("sigma_mu", 16), ("tau_zeta", 16),
@@ -258,7 +265,7 @@ def test_bsgs_equals_plain_path(kind, h):
     for _ in range(repeats):
         vec = rng.standard_normal(h * h)
         ct = ctx.encrypt(ctx.encode(vec))
-        a = he_lin_trans(ct, spec)
+        a = diagonal_lin_trans(ct, spec)
         b = he_lin_trans_bsgs(ct, spec)
         assert np.array_equal(a.slots, b.slots)
 
@@ -341,7 +348,7 @@ def test_row_periodic_tau_is_the_tau_of_a_stacked_image(h):
         assert len(periodic.diagonals) == t
         assert apply_permutation(periodic, stacked).tobytes() == want.tobytes()
         ct = encode_rect_matrix(rows, ctx).ct
-        for transform in (he_lin_trans, he_lin_trans_bsgs):
+        for transform in (diagonal_lin_trans, he_lin_trans_bsgs):
             got = ctx.decode(ctx.ddec(transform(ct, periodic), ctx.parties))
             assert got.tobytes() == want.tobytes()
         with ctx.meter_scope() as scope:
@@ -356,7 +363,7 @@ def test_row_periodic_tau_is_the_tau_of_a_stacked_image(h):
 def test_transpose_of_tau_is_sigma_of_the_transpose(h):
     # sigma_mu(X.T) = T(tau_zeta(X)), bit for bit, in the clear and, where
     # h*h slots make a context, on a ciphertext: a left factor of
-    # he_rect_at_mult can be built so.
+    # he_mat_mult's transposed left factor can be built so.
     rng = np.random.default_rng(h)
     tau, sigma, transpose = (build_permutation(kind, h) for kind in
                              ("tau_zeta", "sigma_mu", "transpose"))
@@ -407,7 +414,7 @@ def test_bsgs_beats_plain_rotations_h16():
     ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
     spec = build_permutation("sigma_mu", h)
     with ctx.meter_scope() as plain:
-        he_lin_trans(ct, spec)
+        diagonal_lin_trans(ct, spec)
     with ctx.meter_scope() as fast:
         he_lin_trans_bsgs(ct, spec)
     assert fast.rotations <= 12 < plain.rotations
@@ -452,7 +459,7 @@ def _check_transforms(ctx, spec, beta, rng):
     for b in range(beta):
         window[b::beta] = vecs[b]
     ct = ctx.encrypt(ctx.encode(window))
-    for bsgs, fn in ((False, he_lin_trans), (True, he_lin_trans_bsgs)):
+    for bsgs, fn in ((False, diagonal_lin_trans), (True, he_lin_trans_bsgs)):
         with ctx.meter_scope() as scope:
             out = fn(ct, spec, beta)
         got = ctx.decode(ctx.ddec(out, ctx.parties))
@@ -506,7 +513,7 @@ def test_cached_masks_live_with_their_spec():
     ct = ctx.encrypt(ctx.encode(np.arange(h * h, dtype=float)))
     spec = matrix.PermutationSpec("sigma_mu", h, None,
                                   np.zeros(h * h, dtype=int))
-    he_lin_trans(ct, spec)
+    diagonal_lin_trans(ct, spec)
     assert len(spec.tables) == 1
     ref = weakref.ref(spec)
     del spec
@@ -737,7 +744,7 @@ def test_lin_trans_equals_diagonal_chain(kind, h, beta, mode):
     ks = (1, h - 1) if kind in ("col_shift", "row_shift") else (None,)
     for k in ks:
         spec = build_permutation(kind, h, k)
-        _assert_same_as_chain(ctx, ct, lambda: he_lin_trans(ct, spec, beta),
+        _assert_same_as_chain(ctx, ct, lambda: diagonal_lin_trans(ct, spec, beta),
                               lambda: _diagonal_chain(ctx, ct, spec, beta))
 
 
@@ -1238,7 +1245,7 @@ def test_a_batched_stacked_image_is_refused():
     pa, pb = (pack_matrices(rng.standard_normal((2, 8, 8)), ctx)
               for _ in range(2))
     want = he_mat_mult(pa, pb)
-    for product in (he_rect_mat_mult, he_rect_at_mult):
+    for product in (he_rect_mat_mult, he_mat_mult):
         out = product(pa, pb)
         assert out.batch_beta == 2
         assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
@@ -1340,7 +1347,7 @@ def _tn_operands(h, t):
 
 def _tn(a, b):
     """``A.T @ B`` for two stacked t x h images."""
-    return he_rect_at_mult(he_transpose(a), b)
+    return he_mat_mult(he_transpose(a), b)
 
 
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
@@ -1432,7 +1439,7 @@ def test_rect_tn_mult_refuses_before_any_tally(case, error):
         a, b = operands()
         at = he_transpose(a)
         before = ctx.meter.snapshot()
-        he_rect_at_mult(at, b)
+        he_mat_mult(at, b)
     assert ctx.meter.snapshot() == before
 
 
@@ -1482,7 +1489,7 @@ def _at_operand(a, ctx, form=None):
 @pytest.mark.parametrize("h, t", _TN_SHAPES)
 def test_rect_at_mult_equals_plain_product(h, t):
     ctx, a, b, _, pb = _tn_operands(h, t)
-    out = he_rect_at_mult(_at_operand(a, ctx), pb)
+    out = he_mat_mult(_at_operand(a, ctx), pb)
     assert (out.dim_h, out.rows_t, out.batch_beta) == (h, h, 1)
     assert out.ct.level == ctx.initial_level - matrix.PRODUCT_DEPTH
     assert out.ct.scale == ctx.initial_scale
@@ -1493,7 +1500,7 @@ def test_rect_at_mult_equals_plain_product(h, t):
 def test_rect_at_mult_is_rect_tn_mult_without_the_transpose(h, t):
     # The transpose of sigma_mu(A) is sigma_mu(A.T) = T(tau_zeta(A)).
     # Given that left factor, built as either or encrypted in form from
-    # the plaintext at its level, he_rect_at_mult gives the same
+    # the plaintext at its level, he_mat_mult gives the same
     # ciphertext, and costs the whole tn product less the transpose.
     ctx, a, _, pa, pb = _tn_operands(h, t)
     sigma = he_align(pa, "sigma_mu")
@@ -1508,7 +1515,7 @@ def test_rect_at_mult_is_rect_tn_mult_without_the_transpose(h, t):
     for left in (at, _at_level(_at_operand(a, ctx, "sigma_mu"), level)):
         assert left.ct.level == level
         with ctx.meter_scope() as scope:
-            out = he_rect_at_mult(left, pb)
+            out = he_mat_mult(left, pb)
         assert out.ct.slots.tobytes() == want.ct.slots.tobytes()
         assert (out.ct.level, out.ct.scale) == (want.ct.level, want.ct.scale)
         assert {k: getattr(scope, k) + getattr(transforms, k)
@@ -1552,13 +1559,13 @@ def test_rect_at_mult_refuses_before_any_tally(case, error):
     contexts, operands = _at_misuse(case)
     before = [c.meter.snapshot() for c in contexts]
     with pytest.raises(error):
-        he_rect_at_mult(*operands())
+        he_mat_mult(*operands())
     assert [c.meter.snapshot() for c in contexts] == before
 
 
 def test_rect_at_mult_runs_at_the_lowest_levels_it_accepts():
     ctx, a, b, _, pb = _tn_operands(8, 2)
-    out = he_rect_at_mult(_at_level(_at_operand(a, ctx), matrix.PRODUCT_DEPTH),
+    out = he_mat_mult(_at_level(_at_operand(a, ctx), matrix.PRODUCT_DEPTH),
                           _at_level(pb, matrix.PRODUCT_DEPTH))
     assert out.ct.level == 0
     assert np.max(np.abs(decode_matrix(out) - a.T @ b)) <= 1e-12
@@ -1566,8 +1573,11 @@ def test_rect_at_mult_runs_at_the_lowest_levels_it_accepts():
 
 # ------------------------------------------------------------ formed images
 
+# Each product job by its label in the test ids: the square product, a
+# stacked left factor by a square one, and ``A.T @ B``, which is
+# he_mat_mult of A's transposed stack by a stacked right factor.
 _PRODUCTS = {"he_mat_mult": he_mat_mult, "he_rect_mat_mult": he_rect_mat_mult,
-             "he_rect_at_mult": he_rect_at_mult}
+             "he_rect_at_mult": he_mat_mult}
 
 
 def _product_operands(name, h):
@@ -1721,8 +1731,11 @@ def _form_misuse(case):
         "right factor in sigma form": lambda: he_mat_mult(plain, sigma),
         "rect left factor in tau form": lambda: he_rect_mat_mult(
             encode_rect_matrix(a[:2], ctx, form="tau_zeta"), plain),
-        "at left factor in tau form": lambda: he_rect_at_mult(tau, rect),
-        "tn left factor in tau form": lambda: he_rect_at_mult(tau_t, rect),
+        "at left factor in tau form": lambda: he_mat_mult(tau, rect),
+        "tn left factor in tau form": lambda: he_mat_mult(tau_t, rect),
+        "stacked left factor of he_mat_mult": lambda: he_mat_mult(rect, plain),
+        "stacked right factor of he_rect_mat_mult": lambda: he_rect_mat_mult(
+            rect, rect),
         "align to another form": lambda: he_align(sigma, "tau_zeta"),
         "align to a kind that is no form": lambda: he_align(plain, "transpose"),
         "refresh a sigma image into tau form": lambda: he_refresh(
@@ -1751,6 +1764,8 @@ def _form_misuse(case):
     ("rect left factor in tau form", CapacityError),
     ("at left factor in tau form", CapacityError),
     ("tn left factor in tau form", CapacityError),
+    ("stacked left factor of he_mat_mult", CapacityError),
+    ("stacked right factor of he_rect_mat_mult", CapacityError),
     ("align to another form", CapacityError),
     ("align to a kind that is no form", CapacityError),
     ("refresh a sigma image into tau form", CapacityError),
